@@ -7,7 +7,7 @@ renders the SVG strictly from that CSV, so plots can always be regenerated
 from shipped data alone.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 a physics
-ordering or validation check failed, 3 numerical degeneracy.
+ordering or validation check failed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .errors import (ConfigError, DegeneracyError, ParameterError, StateError,
-                     ValidationFailure)
+from .errors import ConfigError, ParameterError, StateError, ValidationFailure
 from .oracle import DIRECT_QUADRATURE, EXACT_AUGMENTED
 from .output import render_svg, write_csv
 from .scenarios import (build_scenario, check_fig2_ordering,
@@ -214,9 +213,6 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    except DegeneracyError as exc:
-        print(f"numerical degeneracy: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

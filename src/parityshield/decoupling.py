@@ -4,23 +4,17 @@ A pulse at every multiple of tau flips the sign of the ground-plus-photon
 amplitude relative to the single-excitation sector, which negates the
 accumulated reservoir back-action.  Between pulses the superradiant factor
 obeys the same damped-oscillator equation as in free decay; at each pulse
-the value is continuous while the slope reverses sign.  Stitching the
-interval solutions gives per-interval coefficient pairs (a_m, b_m) obeying
-a two-term recursion, evaluated here in closed form for all three damping
-branches.
+the value is continuous while the slope reverses sign, so the cycle is free
+decay over tau followed by (x, x') -> (x, -x').
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParameterError
-from .free_evolution import _SPLIT_THRESHOLD
-from .model import (BRANCH_CRITICAL, BRANCH_OVERDAMPED, ModelParams,
-                    OddParityState)
-
-_GRID_FUZZ = 1e-12
+from .errors import ConfigError
+from .model import ModelParams, OddParityState
+from .transfer import Cycle, cycle_start, evaluate, overlap
 
 
 @dataclass(frozen=True)
@@ -33,76 +27,32 @@ class DdSchedule:
         if not (self.tau > 0.0):
             raise ConfigError(f"pulse interval must be positive, got {self.tau}")
 
+    @property
+    def cycle(self) -> Cycle:
+        return Cycle(self.tau, ((self.tau, 0.0),), -1.0)
+
 
 @dataclass(frozen=True)
 class RecursionCoeffs:
     """Interval-solution coefficients for the interval [m tau, (m+1) tau].
 
-    Real for instantaneous pulses, complex for finite-duration ones.  On
-    the critical branch `b` stores the finite product (split root * b) so
-    the recursion stays well-conditioned through the degenerate limit.
+    On the interval x = e^{-lam s/2} (a cosh(omega s/2) + b sinh(omega s/2))
+    (cos/sin on the underdamped branch), so a = x and
+    b = (2 x' + lam x) / omega at the interval start.  Real for
+    instantaneous pulses, complex for finite-duration ones.  On the critical
+    branch `b` stores the finite product (split root * b), i.e. omega is
+    taken as 1.
     """
 
     a: complex
     b: complex
     m: int
 
-
-def _damped_hyperbolic(lam: float, omega: float, s: float) -> tuple[float, float]:
-    # (e^{-lam s/2} cosh(omega s/2), e^{-lam s/2} sinh(omega s/2)),
-    # split into pure exponentials once cosh alone would overflow
-    if lam * s > _SPLIT_THRESHOLD:
-        em = math.exp(-(lam - omega) * s / 2.0)
-        ep = math.exp(-(lam + omega) * s / 2.0)
-        return 0.5 * (em + ep), 0.5 * (em - ep)
-    e = math.exp(-lam * s / 2.0)
-    h = omega * s / 2.0
-    return e * math.cosh(h), e * math.sinh(h)
-
-
-# write-once memo of coefficient sequences; lists only ever grow, entries are
-# never rewritten, so concurrent readers are safe under the GIL
-_memo: dict[tuple[DdSchedule, ModelParams], list[tuple[float, float]]] = {}
-
-
-def _coeff_step(a: float, b: float, sched: DdSchedule,
-                params: ModelParams) -> tuple[float, float]:
-    lam, tau = params.lam, sched.tau
-    if params.branch == BRANCH_OVERDAMPED:
-        omega = params.omega
-        ec, es = _damped_hyperbolic(lam, omega, tau)
-        a_next = a * ec + b * es
-        b_next = -(a * es + b * ec) + (2.0 * lam / omega) * a_next
-        return a_next, b_next
-    if params.branch == BRANCH_CRITICAL:
-        # b carries the rescaled slope coefficient (finite critical limit)
-        e = math.exp(-lam * tau / 2.0)
-        a_next = e * (a + b * tau / 2.0)
-        b_next = 2.0 * lam * a_next - e * b
-        return a_next, b_next
-    omega = params.omega
-    e = math.exp(-lam * tau / 2.0)
-    c = math.cos(omega * tau / 2.0)
-    s = math.sin(omega * tau / 2.0)
-    a_next = e * (a * c + b * s)
-    b_next = e * (a * s - b * c) + (2.0 * lam / omega) * a_next
-    return a_next, b_next
-
-
-def _coeff_list(sched: DdSchedule, params: ModelParams,
-                m: int) -> list[tuple[float, float]]:
-    key = (sched, params)
-    seq = _memo.get(key)
-    if seq is None:
-        if params.branch == BRANCH_CRITICAL:
-            seq = [(1.0, params.lam)]
-        else:
-            seq = [(1.0, params.lam / params.omega)]
-        _memo[key] = seq
-    while len(seq) <= m:
-        a, b = seq[-1]
-        seq.append(_coeff_step(a, b, sched, params))
-    return seq
+    @classmethod
+    def from_state(cls, x: complex, xd: complex, m: int,
+                   params: ModelParams) -> "RecursionCoeffs":
+        omega = params.omega or 1.0
+        return cls(x, (2.0 * xd + params.lam * x) / omega, m)
 
 
 def dd_coefficients(m: int, sched: DdSchedule,
@@ -112,33 +62,19 @@ def dd_coefficients(m: int, sched: DdSchedule,
     Interval 0 reproduces free decay; each later pair follows from
     continuity of the value and reversal of the slope at the pulse instant.
     """
-    if m < 0:
-        raise ParameterError(f"interval index must be >= 0, got {m}")
-    a, b = _coeff_list(sched, params, m)[m]
-    return RecursionCoeffs(a, b, m)
+    x, xd = cycle_start(m, params, sched.cycle)
+    return RecursionCoeffs.from_state(x.real, xd.real, m, params)
 
 
-def dd_survival(t: float, sched: DdSchedule, params: ModelParams) -> float:
-    """Piecewise superradiant survival factor under the pulse train."""
-    if t < 0.0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    m = int(math.floor(t / sched.tau + _GRID_FUZZ))
-    theta = t - m * sched.tau
-    if theta < 0.0:
-        theta = 0.0
-    a, b = _coeff_list(sched, params, m)[m]
-    lam = params.lam
-    if params.branch == BRANCH_OVERDAMPED:
-        ec, es = _damped_hyperbolic(lam, params.omega, theta)
-        return a * ec + b * es
-    if params.branch == BRANCH_CRITICAL:
-        return math.exp(-lam * theta / 2.0) * (a + b * theta / 2.0)
-    h = params.omega * theta / 2.0
-    return math.exp(-lam * theta / 2.0) * (a * math.cos(h) + b * math.sin(h))
+def dd_survival(t, sched: DdSchedule, params: ModelParams):
+    """Piecewise superradiant survival factor under the pulse train.
+
+    t is a float or a sequence of times (giving a list).
+    """
+    return evaluate(t, params, sched.cycle, lambda x, *_: x.real)
 
 
-def dd_fidelity(state0: OddParityState, t: float, sched: DdSchedule,
-                params: ModelParams) -> float:
+def dd_fidelity(state0: OddParityState, t, sched: DdSchedule,
+                params: ModelParams):
     """Modulus of overlap with the initial state under instantaneous pulses."""
-    s = dd_survival(t, sched, params)
-    return abs(abs(state0.beta1) ** 2 + abs(state0.beta2) ** 2 * s)
+    return evaluate(t, params, sched.cycle, overlap(state0))

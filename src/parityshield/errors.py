@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Process exit codes map onto these classes: domain/usage problems exit 1,
-a failed validation run exits 2, numerical degeneracy exits 3.
+a failed validation run exits 2.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class ConfigError(ParityShieldError):
 class DegeneracyError(ParityShieldError):
     """A closed-form linear solve became numerically singular.
 
-    Carries enough context to reproduce: interval index and the parameter
-    set that produced the near-zero determinant.
+    Nothing in the package raises it: the closed forms propagate the state
+    (x, x') directly and solve no linear system.  It stays importable for
+    callers that catch it.
     """
 
     def __init__(self, message: str, interval: int | None = None,

@@ -8,11 +8,10 @@ instantaneous protocol.
 
 In the frame co-rotating with the drive the superradiant factor obeys the
 same second-order interval equation as in free decay but with the damping
-constant shifted to lam - i N pi / tau inside windows.  Stitching value and
-slope across the two segments of a cycle yields a complex coefficient pair
-per cycle, computed here by a closed-form two-segment propagator; the
-printed-source boundary relation this replaces is validated (and its
-defects documented) against the independent integrator in the test suite.
+constant shifted to lam - i N pi / tau inside windows.  A cycle is
+therefore two segments of the shared propagator, on every damping branch;
+the window's pi phase is common to the single-excitation sector and is
+absorbed at the cycle end.
 """
 
 from __future__ import annotations
@@ -22,14 +21,16 @@ import math
 from dataclasses import dataclass
 
 from .decoupling import RecursionCoeffs
-from .errors import ConfigError, DegeneracyError, ParameterError
-from .model import BRANCH_OVERDAMPED, ModelParams, OddParityState
-
-_GRID_FUZZ = 1e-12
-_DET_FLOOR = 1e-14
+from .errors import ConfigError
+from .model import ModelParams, OddParityState
+from .transfer import (_GRID_FUZZ, Cycle, cycle_position, cycle_start,
+                       evaluate, overlap)
 
 FREE_SEGMENT = "free"
 IN_PULSE_SEGMENT = "in_pulse"
+
+# segment index within a cycle -> tag
+_TAGS = (FREE_SEGMENT, IN_PULSE_SEGMENT)
 
 
 @dataclass(frozen=True)
@@ -64,139 +65,53 @@ class FinitePulseSchedule:
         """Drive rotation rate inside windows, N pi / tau (twice gamma)."""
         return self.n_duty * math.pi / self.tau
 
+    @property
+    def cycle(self) -> Cycle:
+        return Cycle(self.tau, ((self.free_length, 0.0),
+                                (self.window_length, self.phase_rate)), 1.0)
+
     def segment_of(self, t: float) -> tuple[str, int, float]:
         """Classify t as ("free" | "in_pulse", cycle index, offset into cycle)."""
-        if t < 0.0:
-            raise ParameterError(f"time must be nonnegative, got {t}")
-        m = int(math.floor(t / self.tau + _GRID_FUZZ))
-        theta = t - m * self.tau
-        if theta < 0.0:
-            theta = 0.0
+        m, theta = cycle_position(t, self.tau)
         if theta <= self.free_length + _GRID_FUZZ * self.tau:
             return FREE_SEGMENT, m, theta
         return IN_PULSE_SEGMENT, m, theta
 
 
-def _propagate(x: complex, xd: complex, s: float, lam_c: complex,
-               r_sq: float) -> tuple[complex, complex]:
-    """Closed-form step of x'' + lam_c x' + r_sq x = 0 by duration s."""
-    omega = cmath.sqrt(lam_c * lam_c - 4.0 * r_sq)
-    h = omega * s / 2.0
-    if abs(h) > 1e-4:
-        ch = cmath.cosh(h)
-        sn = cmath.sinh(h) / omega
-    else:
-        # series in h^2 avoids 0/0 at a degenerate split root
-        u = h * h
-        ch = 1.0 + u / 2.0 * (1.0 + u / 12.0)
-        sn = s / 2.0 * (1.0 + u / 6.0 * (1.0 + u / 20.0))
-    damp = cmath.exp(-lam_c * s / 2.0)
-    x_new = damp * (x * ch + (2.0 * xd + lam_c * x) * sn)
-    xd_new = damp * (xd * ch - (lam_c * xd + 2.0 * r_sq * x) * sn)
-    return x_new, xd_new
-
-
-def _coeffs_from_boundary(x: complex, xd: complex, m: int,
-                          sched: FinitePulseSchedule,
-                          params: ModelParams) -> tuple[complex, complex]:
-    # invert {a = x, -lam/2 a + omega/2 b = xd} for the next cycle's pair;
-    # explicit 2x2 inversion so the conditioning is visible
-    a11, a12 = 1.0 + 0.0j, 0.0j
-    a21, a22 = complex(-params.lam / 2.0), complex(params.omega / 2.0)
-    det = a11 * a22 - a12 * a21
-    if abs(det) < _DET_FLOOR:
-        raise DegeneracyError(
-            f"cycle-boundary system is singular at cycle {m}: |det| = "
-            f"{abs(det):.3e} with lam = {params.lam}, split root = "
-            f"{params.omega}, tau = {sched.tau}, N = {sched.n_duty}",
-            interval=m, determinant=det)
-    a_next = (x * a22 - xd * a12) / det
-    b_next = (xd * a11 - x * a21) / det
-    return a_next, b_next
-
-
-def _require_overdamped(params: ModelParams):
-    if params.branch != BRANCH_OVERDAMPED:
-        raise ParameterError(
-            "finite-duration pulses are supported on the overdamped branch "
-            f"only; parameters are {params.branch}")
-
-
-_memo: dict[tuple[FinitePulseSchedule, ModelParams],
-            list[tuple[complex, complex]]] = {}
-
-
-def _coeff_list(sched: FinitePulseSchedule, params: ModelParams,
-                m: int) -> list[tuple[complex, complex]]:
-    key = (sched, params)
-    seq = _memo.get(key)
-    if seq is None:
-        seq = [(1.0 + 0.0j, complex(params.lam / params.omega))]
-        _memo[key] = seq
-    lam = params.lam
-    r_sq = params.r_rate * params.r_rate
-    lam_window = complex(lam, -sched.phase_rate)
-    while len(seq) <= m:
-        a, b = seq[-1]
-        x = a
-        xd = -lam / 2.0 * a + params.omega / 2.0 * b
-        x, xd = _propagate(x, xd, sched.free_length, complex(lam), r_sq)
-        x, xd = _propagate(x, xd, sched.window_length, lam_window, r_sq)
-        seq.append(_coeffs_from_boundary(x, xd, len(seq), sched, params))
-    return seq
-
-
 def finite_dd_coefficients(m: int, sched: FinitePulseSchedule,
                            params: ModelParams) -> RecursionCoeffs:
     """Complex interval coefficients for cycle m of the finite-duration protocol."""
-    if m < 0:
-        raise ParameterError(f"cycle index must be >= 0, got {m}")
-    _require_overdamped(params)
-    a, b = _coeff_list(sched, params, m)[m]
-    return RecursionCoeffs(a, b, m)
+    x, xd = cycle_start(m, params, sched.cycle)
+    return RecursionCoeffs.from_state(complex(x), complex(xd), m, params)
 
 
-def finite_dd_survival(t: float, sched: FinitePulseSchedule,
-                       params: ModelParams) -> tuple[complex, str]:
+def finite_dd_survival(t, sched: FinitePulseSchedule, params: ModelParams):
     """Superradiant amplitude at time t, tagged free or in_pulse.
 
     Completed windows each contribute an exact pi phase that is common to
     the whole single-excitation sector; those are absorbed, so free-segment
     values line up cycle to cycle.  Within a window the partial drive phase
-    is included in the returned amplitude.
+    is included in the returned amplitude.  t is a float, giving one
+    (amplitude, tag) pair, or a sequence of times, giving a list of them.
     """
-    _require_overdamped(params)
-    tag, m, theta = sched.segment_of(t)
-    a, b = _coeff_list(sched, params, m)[m]
-    lam = params.lam
-    r_sq = params.r_rate * params.r_rate
-    x = a
-    xd = -lam / 2.0 * a + params.omega / 2.0 * b
-    if tag == FREE_SEGMENT:
-        x, _ = _propagate(x, xd, theta, complex(lam), r_sq)
-        return x, tag
-    x, xd = _propagate(x, xd, sched.free_length, complex(lam), r_sq)
-    into = theta - sched.free_length
-    x, _ = _propagate(x, xd, into, complex(lam, -sched.phase_rate), r_sq)
-    phase = cmath.exp(-1j * sched.phase_rate * into)
-    return phase * x, tag
+    rate = sched.phase_rate
+
+    def value(x, xd, k, into):
+        if k:
+            x *= cmath.exp(-1j * rate * into)
+        return x, _TAGS[k]
+    return evaluate(t, params, sched.cycle, value)
 
 
-def finite_dd_fidelity(state0: OddParityState, t: float,
-                       sched: FinitePulseSchedule,
-                       params: ModelParams) -> tuple[float, str]:
+def finite_dd_fidelity(state0: OddParityState, t,
+                       sched: FinitePulseSchedule, params: ModelParams):
     """Modulus of overlap with the initial state, tagged free or in_pulse.
 
     Inside windows both the dark and the superradiant amplitude carry the
     same drive phase, which therefore cancels in the modulus; the reported
-    value stays continuous across window edges.
+    value stays continuous across window edges.  Scalar and sequence t as
+    in finite_dd_survival.
     """
-    value, tag = finite_dd_survival(t, sched, params)
-    b1_sq = abs(state0.beta1) ** 2
-    b2_sq = abs(state0.beta2) ** 2
-    if tag == IN_PULSE_SEGMENT:
-        _, _, theta = sched.segment_of(t)
-        phase = cmath.exp(-1j * sched.phase_rate * (theta - sched.free_length))
-    else:
-        phase = 1.0 + 0.0j
-    return abs(phase * b1_sq + b2_sq * value), tag
+    fidelity = overlap(state0)
+    return evaluate(t, params, sched.cycle,
+                    lambda x, xd, k, into: (fidelity(x), _TAGS[k]))

@@ -3,72 +3,31 @@
 The dark amplitude is frozen; the superradiant amplitude is multiplied by a
 real survival factor obeying x'' + lam x' + R^2 x = 0 with x(0) = 1,
 x'(0) = 0.  The three damping branches give hyperbolic, polynomial, and
-trigonometric envelopes that join continuously.
+trigonometric envelopes that join continuously; all of them come from the
+one propagator in ``transfer``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
-from .model import (BRANCH_CRITICAL, BRANCH_OVERDAMPED, ModelParams,
-                    OddParityState)
-
-# beyond this value of lam*t the cosh/sinh product overflows before the
-# exponential prefactor can tame it; switch to the explicitly split form
-_SPLIT_THRESHOLD = 600.0
+from .model import ModelParams, OddParityState
+from .transfer import evaluate, overlap
 
 
-def _overdamped_form(t: float, lam: float, omega: float) -> float:
-    # raw overdamped expression, no branch dispatch (shared with tests that
-    # probe continuity across the critical point)
-    if lam * t > _SPLIT_THRESHOLD:
-        p = 0.5 * (1.0 + lam / omega)
-        q = 0.5 * (1.0 - lam / omega)
-        return p * math.exp(-(lam - omega) * t / 2.0) \
-            + q * math.exp(-(lam + omega) * t / 2.0)
-    h = omega * t / 2.0
-    return math.exp(-lam * t / 2.0) * (math.cosh(h) + (lam / omega) * math.sinh(h))
-
-
-def free_survival(t: float, params: ModelParams) -> float:
+def free_survival(t, params: ModelParams):
     """Survival factor of the superradiant amplitude after time t.
 
     Real on every branch; equals 1 at t = 0, stays in [-1, 1], and is
-    strictly positive in the overdamped and critical regimes.
+    strictly positive in the overdamped and critical regimes.  t is a
+    float or a sequence of times (giving a list).
     """
-    if t < 0.0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    lam = params.lam
-    if params.branch == BRANCH_OVERDAMPED:
-        return _overdamped_form(t, lam, params.omega)
-    if params.branch == BRANCH_CRITICAL:
-        return math.exp(-lam * t / 2.0) * (1.0 + lam * t / 2.0)
-    h = params.omega * t / 2.0
-    return math.exp(-lam * t / 2.0) * (math.cos(h) + (lam / params.omega) * math.sin(h))
+    return evaluate(t, params, None, lambda x, *_: x.real)
 
 
-def free_survival_slope(t: float, params: ModelParams) -> float:
+def free_survival_slope(t, params: ModelParams):
     """Time derivative of free_survival.  Zero at t = 0 on every branch."""
-    if t < 0.0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    lam = params.lam
-    r_sq = params.r_rate * params.r_rate
-    if params.branch == BRANCH_OVERDAMPED:
-        omega = params.omega
-        if lam * t > _SPLIT_THRESHOLD:
-            # -(2 R^2 / omega) e^{-lam t/2} sinh(omega t/2), split out
-            c = r_sq / omega
-            return -c * math.exp(-(lam - omega) * t / 2.0) \
-                + c * math.exp(-(lam + omega) * t / 2.0)
-        return -(2.0 * r_sq / omega) * math.exp(-lam * t / 2.0) \
-            * math.sinh(omega * t / 2.0)
-    if params.branch == BRANCH_CRITICAL:
-        return -r_sq * t * math.exp(-lam * t / 2.0)
-    omega = params.omega
-    return -(2.0 * r_sq / omega) * math.exp(-lam * t / 2.0) \
-        * math.sin(omega * t / 2.0)
+    return evaluate(t, params, None, lambda x, xd, *_: xd.real)
 
 
 @dataclass(frozen=True)
@@ -97,7 +56,6 @@ def free_evolve(state0: OddParityState, t: float,
     return FreeEvolutionResult(OddParityState(state0.beta1, beta2_t), leak)
 
 
-def free_fidelity(state0: OddParityState, t: float, params: ModelParams) -> float:
+def free_fidelity(state0: OddParityState, t, params: ModelParams):
     """Modulus of the overlap between the initial and the evolved state."""
-    s = free_survival(t, params)
-    return abs(abs(state0.beta1) ** 2 + abs(state0.beta2) ** 2 * s)
+    return evaluate(t, params, None, overlap(state0))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoupling import DdSchedule
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .finite_pulse import FinitePulseSchedule
 from .model import ModelParams, OddParityState, recompose
 
@@ -351,10 +351,6 @@ def integrate_finite(params: ModelParams, sched: FinitePulseSchedule,
     term explicitly, then transforms to the same reported convention.
     """
     _check_resolution(cfg.dt_num, params)
-    if params.branch != "overdamped":
-        raise ParameterError(
-            "finite-duration pulses are supported on the overdamped branch "
-            f"only; parameters are {params.branch}")
     n = _steps_for(t_max, cfg.dt_num)
     window_steps = _grid_multiple(sched.window_length, cfg.dt_num,
                                   "pulse window")

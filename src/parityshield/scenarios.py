@@ -285,27 +285,31 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
 
     columns: dict[str, list] = {"t": grid}
     finite_scheds: list[FinitePulseSchedule] = []
+    # a sample counts as free only if it is free for every finite schedule
+    # present; comparisons are restricted to those points
+    segment = [FREE_SEGMENT] * len(grid)
     for sched in cfg.schedules:
         if sched is None:
             if "F_free" in columns:
                 raise ConfigError("duplicate free-evolution entry")
-            columns["F_free"] = [free_fidelity(state, t, params) for t in grid]
+            columns["F_free"] = free_fidelity(state, grid, params)
         elif isinstance(sched, ZenoSchedule):
             if "F_zeno" in columns:
                 raise ConfigError("duplicate measurement schedule")
-            columns["F_zeno"] = [zeno_fidelity(state, t, sched, params)
-                                 for t in grid]
+            columns["F_zeno"] = zeno_fidelity(state, grid, sched, params)
         elif isinstance(sched, DdSchedule):
             if "F_dd" in columns:
                 raise ConfigError("duplicate instantaneous pulse schedule")
-            columns["F_dd"] = [dd_fidelity(state, t, sched, params)
-                               for t in grid]
+            columns["F_dd"] = dd_fidelity(state, grid, sched, params)
         else:
             name = f"F_ddN{sched.n_duty}"
             if name in columns:
                 raise ConfigError(f"duplicate duty setting {sched.n_duty}")
-            columns[name] = [finite_dd_fidelity(state, t, sched, params)[0]
-                            for t in grid]
+            tagged = finite_dd_fidelity(state, grid, sched, params)
+            columns[name] = [f for f, _ in tagged]
+            for i, (_, tag) in enumerate(tagged):
+                if tag == IN_PULSE_SEGMENT:
+                    segment[i] = IN_PULSE_SEGMENT
             finite_scheds.append(sched)
 
     header = ["t"]
@@ -314,15 +318,7 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
             header.append(name)
     for sched in sorted(finite_scheds, key=lambda s: s.n_duty):
         header.append(f"F_ddN{sched.n_duty}")
-    segment: list[str] | None = None
     if finite_scheds:
-        # a sample counts as free only if it is free for every finite
-        # schedule present; comparisons are restricted to those points
-        segment = []
-        for t in grid:
-            tags = {s.segment_of(t)[0] for s in finite_scheds}
-            segment.append(IN_PULSE_SEGMENT if IN_PULSE_SEGMENT in tags
-                           else FREE_SEGMENT)
         header.append("segment")
 
     for name in header:

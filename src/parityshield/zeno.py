@@ -1,7 +1,8 @@
 """Measurement-based freezing: project the reservoir onto vacuum every delta_t.
 
 Each projection that finds no photon restarts the free decay from the
-(unrenormalized) surviving amplitude, so after n = floor(t / delta_t)
+(unrenormalized) surviving amplitude: the cycle is free decay over delta_t
+followed by (x, x') -> (x, 0), so after n = floor(t / delta_t)
 measurements the superradiant factor is survival(delta_t)^n *
 survival(t - n delta_t).  No renormalization is applied: the curve tracks
 the conditional no-click branch with its shrunken norm.
@@ -9,15 +10,11 @@ the conditional no-click branch with its shrunken norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParameterError
-from .free_evolution import free_survival
+from .errors import ConfigError
 from .model import ModelParams, OddParityState
-
-# tolerates t/delta_t landing a few ulps below an integer
-_GRID_FUZZ = 1e-12
+from .transfer import Cycle, evaluate, overlap
 
 
 @dataclass(frozen=True)
@@ -31,20 +28,20 @@ class ZenoSchedule:
             raise ConfigError(
                 f"measurement interval must be positive, got {self.delta_t}")
 
-
-def zeno_amplitude(t: float, sched: ZenoSchedule, params: ModelParams) -> float:
-    """Superradiant survival factor under repeated vacuum projection."""
-    if t < 0.0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    n = int(math.floor(t / sched.delta_t + _GRID_FUZZ))
-    rem = t - n * sched.delta_t
-    if rem < 0.0:
-        rem = 0.0
-    return free_survival(sched.delta_t, params) ** n * free_survival(rem, params)
+    @property
+    def cycle(self) -> Cycle:
+        return Cycle(self.delta_t, ((self.delta_t, 0.0),), 0.0)
 
 
-def zeno_fidelity(state0: OddParityState, t: float, sched: ZenoSchedule,
-                  params: ModelParams) -> float:
+def zeno_amplitude(t, sched: ZenoSchedule, params: ModelParams):
+    """Superradiant survival factor under repeated vacuum projection.
+
+    t is a float or a sequence of times (giving a list).
+    """
+    return evaluate(t, params, sched.cycle, lambda x, *_: x.real)
+
+
+def zeno_fidelity(state0: OddParityState, t, sched: ZenoSchedule,
+                  params: ModelParams):
     """Modulus of overlap with the initial state under the measurement protocol."""
-    amp = zeno_amplitude(t, sched, params)
-    return abs(abs(state0.beta1) ** 2 + abs(state0.beta2) ** 2 * amp)
+    return evaluate(t, params, sched.cycle, overlap(state0))

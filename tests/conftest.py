@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import parityshield as ps
+
+# property tests draw the same examples on every run and never time out
+# on a slow or shared host; no example database is written
+settings.register_profile("parityshield", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("parityshield")
 
 # canonical comparison point: lam = 2, real split omega = 1, R = sqrt(3)/2
 CASE1_TAU = 0.1

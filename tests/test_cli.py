@@ -94,12 +94,20 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "error" in captured.err
 
 
-def test_degenerate_parameters_exit_three(tmp_path, capsys):
-    code = main(["custom", "--lambda", "1e-9", "--omega", "1.5e-14",
-                 "--schedules", "dd-finite(0.2,10)",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 3
-    assert "degeneracy" in capsys.readouterr().err
+@pytest.mark.parametrize("args", [
+    # nearly coincident characteristic roots
+    ["--lambda", "1e-9", "--omega", "1.5e-14", "--schedules",
+     "dd-finite(0.2,10)"],
+    # lam * tau far past the overflow point of cosh
+    ["--lambda", "5000", "--omega", "4000", "--schedules", "dd-finite(1,10)"],
+], ids=["degenerate", "large-rates"])
+def test_extreme_parameters_exit_zero(tmp_path, capsys, args):
+    # exit 0 includes the trace's own unit-interval gate on every value
+    out = tmp_path / "x.csv"
+    assert main(["custom", *args, "--out", str(out)]) == 0
+    _, header, _ = read_csv(out)
+    assert header == ["t", "F_ddN10", "segment"]
+    assert capsys.readouterr().err == ""
 
 
 def test_validate_passes(tmp_path, capsys):

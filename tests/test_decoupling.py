@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import parityshield as ps
-from parityshield import decoupling
 
 # first-interval boundary coefficients at tau = 0.1, frozen
 A1 = 0.9964901485385421
@@ -88,13 +88,21 @@ def test_protection_improves_with_faster_pulsing(case1):
     assert ps.free_survival(1.0, case1) < slow < fast < 1.0
 
 
-def test_coefficients_are_memoized(case1, sched):
-    ps.dd_coefficients(7, sched, case1)
-    seq = decoupling._memo[(sched, case1)]
-    assert len(seq) >= 8
-    before = len(seq)
-    ps.dd_coefficients(5, sched, case1)      # no recompute, no growth
-    assert len(decoupling._memo[(sched, case1)]) == before
+def test_no_memory_retained(case1, sched):
+    # far-horizon calls walk 10^5 cycles; nothing of that walk may outlive
+    # the call
+    finite = ps.FinitePulseSchedule(0.2, 10)
+    ps.dd_survival(1.0, sched, case1)            # first-call allocations
+    ps.finite_dd_survival(1.0, finite, case1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ps.dd_survival(1e4, sched, case1)
+        ps.finite_dd_survival(2e4, finite, case1)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 0
 
 
 def test_near_critical_branches_agree():

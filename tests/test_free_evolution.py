@@ -5,7 +5,7 @@ import math
 import pytest
 
 import parityshield as ps
-from parityshield.free_evolution import _SPLIT_THRESHOLD, _overdamped_form
+from parityshield.transfer import _SPLIT_THRESHOLD
 
 # decay factors derived once from the independent integrator and frozen
 ETA_01 = 0.9964901485385421
@@ -68,12 +68,17 @@ def test_monotone_decay_overdamped(case1):
 
 
 def test_branch_continuity_near_critical():
-    # raw two-root expression approaches the critical polynomial form
+    # just below the critical rate the two-root evaluation approaches the
+    # critical polynomial form, both in the series regime of the split root
+    # (t <= 2.5) and past it (t = 25)
     lam = 2.0
     crit = ps.ModelParams.from_effective_rate(lam, lam / 2.0)
-    for t in (0.3, 1.0, 2.5):
-        raw = _overdamped_form(t, lam, 1e-6)
-        assert raw == pytest.approx(ps.free_survival(t, crit), abs=1e-10)
+    near = ps.ModelParams.from_effective_rate(lam, lam / 2.0 - 1.25e-11)
+    assert near.branch == ps.BRANCH_OVERDAMPED
+    assert near.omega == pytest.approx(1e-5, rel=1e-6)
+    for t in (0.3, 1.0, 2.5, 25.0):
+        assert ps.free_survival(t, near) == pytest.approx(
+            ps.free_survival(t, crit), rel=1e-8)
 
 
 def test_large_time_split_form(case1):

@@ -172,6 +172,3 @@ def test_run_preconditions(case1, cfg_aug):
         # fewer than 50 steps per drive window
         ps.integrate_finite(case1, ps.FinitePulseSchedule(0.2, 10), 1.0,
                             ps.OracleConfig(dt_num=1e-3))
-    with pytest.raises(ps.ParameterError):
-        ps.integrate_finite(ps.ModelParams.from_effective_rate(2.0, 1.0),
-                            ps.FinitePulseSchedule(0.2, 10), 1.0, cfg_aug)
