@@ -17,8 +17,12 @@ Two backends with no shared numerics:
   (pole) h_i, turning the system into a small ODE solved by a fixed-step
   classical stepper.  Fast default.
 * direct-quadrature: the history integral is re-evaluated every step by
-  trapezoidal quadrature over the stored past.  Slow, maximally
-  independent; second-order by construction.
+  trapezoidal quadrature over the stored past, as one dot product of the
+  sampled kernel with S weighted by fixed signed trapezoid weights (the
+  sign of each node's pulse segment; zero at interior pulse instants,
+  where the neighbouring trapezoids cancel), plus the endpoint half
+  weight.  O(n^2) in the step count, maximally independent (no
+  recurrence over the kernel); second-order by construction.
 
 A leak accumulator integrates the outflow 2 Re(h1 conj(r1) + h2 conj(r2))
 (equivalently 2 Re(I conj(S)) for the quadrature backend) so the trace can
@@ -27,7 +31,6 @@ report how well total probability is conserved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +42,6 @@ from .model import ModelParams, OddParityState, recompose
 
 EXACT_AUGMENTED = "exact-augmented"
 DIRECT_QUADRATURE = "direct-quadrature"
-
-try:
-    _trapezoid = np.trapezoid
-except AttributeError:      # numpy < 2.0
-    _trapezoid = np.trapz
 
 # absolute slack for "dt divides the schedule interval"
 _DIV_TOL = 1e-12
@@ -130,8 +128,9 @@ def _initial_physical(params: ModelParams,
 
 
 def _make_trace(params: ModelParams, dt: float, ks: list[int],
-                r1s: list[complex], r2s: list[complex],
-                leaks: list[float]) -> OracleTrace:
+                r1s: list[complex] | np.ndarray,
+                r2s: list[complex] | np.ndarray,
+                leaks: list[float] | np.ndarray) -> OracleTrace:
     times = np.array([k * dt for k in ks])
     r1 = np.array(r1s)
     r2 = np.array(r2s)
@@ -234,51 +233,61 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     r1[0], r2[0] = r1_0, r2_0
     s_hist = np.zeros(n + 1, dtype=complex)
     s_hist[0] = al1 * r1_0 + al2 * r2_0
-    dec = np.exp(-lam * dt * np.arange(n + 1))
+    nodes = np.arange(n + 1)
+    # ker_rev[n - m] = W^2 e^{-lam m dt}, so ker_rev[n - j:n] lines up with
+    # the past nodes 0..j-1 of an evaluation at node j
+    ker_rev = (w_sq * np.exp(-lam * dt * nodes[::-1])).astype(complex)
+    end_w = w_sq * dt / 2.0
+    # trapezoid weight of each past node with the sign of its history
+    # segment; at an interior pulse instant the neighbouring trapezoids
+    # cancel.  ws[k] = u[k] S_k is written once S_k is final.
+    u = np.full(n + 1, dt)
+    if flip_every is not None:
+        u[(nodes // flip_every) % 2 == 1] = -dt
+        u[flip_every::flip_every] = 0.0
+    u[0] = dt / 2.0
+    ws = np.zeros(n + 1, dtype=complex)
+    ws[0] = u[0] * s_hist[0]
     if window is not None:
         cycle_steps, free_steps, phi_w = window
 
-    def history(j: int, interval: int) -> complex:
-        # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) over [0, t_j],
-        # split at pulse instants with alternating signs when flipping
+    def history(j: int, rel: float, end_sign: float, s_end: complex) -> complex:
+        # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) over [0, t_j]
+        # as one dot product over the past plus the endpoint half weight;
+        # rel makes the current interval positive, end_sign is the sign of
+        # the segment that ends at j relative to it
         if j == 0:
             return 0.0j
-        ker = w_sq * dec[j::-1]
-        if flip_every is None:
-            return complex(_trapezoid(ker * s_hist[:j + 1], dx=dt))
-        tot = 0.0j
-        for seg in range(interval):
-            lo, hi = seg * flip_every, min((seg + 1) * flip_every, j)
-            if hi > lo:
-                sign = -1.0 if ((interval - seg) % 2) else 1.0
-                tot += sign * _trapezoid(ker[lo:hi + 1] * s_hist[lo:hi + 1],
-                                         dx=dt)
-        lo = interval * flip_every
-        if j > lo:
-            tot += _trapezoid(ker[lo:j + 1] * s_hist[lo:j + 1], dx=dt)
-        return complex(tot)
+        return complex(rel * (ker_rev[n - j:n] @ ws[:j])
+                       + end_sign * end_w * s_end)
 
     for k in range(n):
-        interval = k // flip_every if flip_every is not None else 0
+        rel, end_sign = 1.0, 1.0
+        if flip_every is not None:
+            interval = k // flip_every
+            rel = -1.0 if interval % 2 else 1.0
+            if k and k % flip_every == 0:
+                # k is a pulse instant: the history at k ends on the
+                # previous, opposite-signed segment
+                end_sign = -1.0
         if window is not None:
             phi = phi_w if (k % cycle_steps) >= free_steps else 0.0
         else:
             phi = 0.0
         # Heun: predictor with left-endpoint history, corrector re-evaluates
         # the integral including the predicted endpoint
-        hist0 = history(k, interval)
+        hist0 = history(k, rel, end_sign, s_hist[k])
         d1_0 = -1j * phi * r1[k] - al1 * hist0
         d2_0 = -1j * phi * r2[k] - al2 * hist0
         r1p = r1[k] + dt * d1_0
         r2p = r2[k] + dt * d2_0
-        r1[k + 1], r2[k + 1] = r1p, r2p
-        s_hist[k + 1] = al1 * r1p + al2 * r2p
-        hist1 = history(k + 1, interval)
+        hist1 = history(k + 1, rel, 1.0, al1 * r1p + al2 * r2p)
         d1_1 = -1j * phi * r1p - al1 * hist1
         d2_1 = -1j * phi * r2p - al2 * hist1
         r1[k + 1] = r1[k] + dt / 2 * (d1_0 + d1_1)
         r2[k + 1] = r2[k] + dt / 2 * (d2_0 + d2_1)
         s_hist[k + 1] = al1 * r1[k + 1] + al2 * r2[k + 1]
+        ws[k + 1] = u[k + 1] * s_hist[k + 1]
         out0 = 2.0 * (hist0 * s_hist[k].conjugate()).real
         out1 = 2.0 * (hist1 * s_hist[k + 1].conjugate()).real
         leak[k + 1] = leak[k] + dt / 2 * (out0 + out1)
@@ -286,22 +295,17 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     if window is not None:
         # reported amplitudes absorb each completed window's drive phase so
         # free-segment samples follow the cycle-to-cycle convention
-        phase = np.empty(n + 1, dtype=complex)
-        for j in range(n + 1):
-            cyc, pos = divmod(j, cycle_steps)
-            in_window = max(0, pos - free_steps)
-            phase[j] = np.exp(1j * phi_w * dt *
-                              (cyc * (cycle_steps - free_steps) + in_window))
+        cyc, pos = np.divmod(nodes, cycle_steps)
+        in_window = np.maximum(0, pos - free_steps)
+        phase = np.exp(1j * phi_w * dt *
+                       (cyc * (cycle_steps - free_steps) + in_window))
         r1 = r1 * phase
         r2 = r2 * phase
 
     ks = list(range(0, n + 1, cfg.sample_every))
     if ks[-1] != n:
         ks.append(n)
-    return _make_trace(params, dt, ks,
-                       [complex(r1[k]) for k in ks],
-                       [complex(r2[k]) for k in ks],
-                       [float(leak[k]) for k in ks])
+    return _make_trace(params, dt, ks, r1[ks], r2[ks], leak[ks])
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
     for name in header:
         if name in ("t", "segment"):
             continue
-        bad = [v for v in columns[name] if not (0.0 <= v <= 1.0 + 1e-9)]
+        bad = [v for v in columns[name] if not (0.0 <= v <= 1.0)]
         if bad:
             raise StateError(
                 f"{name} left the unit interval: worst value {max(bad)}")

@@ -176,13 +176,20 @@ def evaluate(t, params: ModelParams, cycle: Cycle | None, value):
 
 
 def overlap(state: OddParityState):
-    """x -> |<psi(0)|psi(t)>| = | |beta1|^2 + |beta2|^2 x |.
+    """x -> |<psi(0)|psi(t)>| = | |beta1|^2 + |beta2|^2 x |, at most 1.
 
     x is the survival factor in the drive frame: inside a window the dark
     and the superradiant amplitude carry the same drive phase, which
-    cancels in the modulus.  Extra positional arguments are ignored, so
-    the result can be passed to evaluate as its value function.
+    cancels in the modulus.  The overlap of two unit vectors has modulus
+    at most 1; the cap removes the rounding excess where the propagated x
+    stays within an ulp of 1, and lets NaN through.  Extra positional
+    arguments are ignored, so the result can be passed to evaluate as its
+    value function.
     """
     w1 = abs(state.beta1) ** 2
     w2 = abs(state.beta2) ** 2
-    return lambda x, *_: abs(w1 + w2 * x)
+
+    def value(x, *_):
+        v = abs(w1 + w2 * x)
+        return 1.0 if v > 1.0 else v    # min() doubles the per-sample cost
+    return value

@@ -51,6 +51,15 @@ def test_sequence_keeps_input_order(case1):
         ps.dd_survival(t, DD, case1) for t in times]
 
 
+def test_fidelity_capped_at_one_near_degenerate_split():
+    # nearly coincident roots and almost no decay: inside a drive window
+    # the propagated overlap used to round up to 1.0000000000000002
+    p = ps.ModelParams.from_mode_splitting(1e-9, 1.5e-14)
+    times = [0.187, 0.188, 0.1925, 0.196, 0.387]
+    for value, _ in ps.finite_dd_fidelity(STATE, times, FINITE, p):
+        assert 0.0 <= value <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # properties over random parameters on all three damping branches
 
@@ -92,7 +101,7 @@ def test_fidelity_in_unit_interval(params, tau, n_duty, times, angle):
     state = ps.OddParityState.initial(math.cos(angle), math.sin(angle))
     for name, fidelity in _protocols(tau, n_duty).items():
         for result in fidelity(state, times, params):
-            assert 0.0 <= _value(result) <= 1.0 + 1e-12, name
+            assert 0.0 <= _value(result) <= 1.0, name
 
 
 @given(**protocol_args)
