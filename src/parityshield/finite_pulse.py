@@ -16,21 +16,23 @@ absorbed at the cycle end.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .decoupling import RecursionCoeffs
 from .errors import ConfigError
 from .model import ModelParams, OddParityState
-from .transfer import (_GRID_FUZZ, Cycle, cycle_position, cycle_start,
-                       evaluate, overlap)
+from .transfer import (_GRID_FUZZ, Cycle, _mul, cycle_position,
+                       cycle_start, evaluate, overlap)
 
 FREE_SEGMENT = "free"
 IN_PULSE_SEGMENT = "in_pulse"
 
-# segment index within a cycle -> tag
-_TAGS = (FREE_SEGMENT, IN_PULSE_SEGMENT)
+# segment index within a cycle -> tag; an object array hands out the two
+# tag strings themselves, not a copy per time
+_TAGS = np.array([FREE_SEGMENT, IN_PULSE_SEGMENT], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,8 @@ def finite_dd_survival(t, sched: FinitePulseSchedule, params: ModelParams):
     rate = sched.phase_rate
 
     def value(x, xd, k, into):
-        if k:
-            x *= cmath.exp(-1j * rate * into)
-        return x, _TAGS[k]
+        phase = np.exp(-1j * rate * into)
+        return np.where(k == 1, _mul(x, phase), x), _TAGS[k]
     return evaluate(t, params, sched.cycle, value)
 
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -55,43 +58,35 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     Path(path).write_text(buf.getvalue())
 
 
+def _table(fh, path, metadata: dict[str, str]):
+    """Header and an iterator over the data rows of an open CSV file.
+
+    One csv.reader reads every line but the comments; their `key=value`
+    bodies go into metadata as the rows are read.  Empty rows are skipped.
+    """
+    def lines():
+        for line in fh:
+            if not line.startswith("#"):
+                yield line
+                continue
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value
+    rows = (cells for cells in csv.reader(lines()) if cells)
+    header = next(rows, None)
+    if header is None:
+        raise ConfigError(f"no header row found in {path}")
+    return header, rows
+
+
 def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Inverse of write_csv; values come back as strings."""
     metadata: dict[str, str] = {}
-    header: list[str] = []
-    rows: list[list[str]] = []
     with open(path, newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value
-                continue
-            cells = next(csv.reader([line]))
-            if not header:
-                header = cells
-            else:
-                rows.append(cells)
-    if not header:
-        raise ConfigError(f"no header row found in {path}")
+        header, rows = _table(fh, path, metadata)
+        rows = list(rows)
     return metadata, header, rows
-
-
-def _numeric_columns(header: list[str],
-                     rows: list[list[str]]) -> dict[str, list[float]]:
-    cols: dict[str, list[float]] = {}
-    for idx, name in enumerate(header):
-        if name == "segment":
-            continue
-        try:
-            cols[name] = [float(r[idx]) for r in rows]
-        except ValueError:
-            continue
-    return cols
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -102,18 +97,33 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
-    """Render the fidelity columns of a CSV file as an 800x500 line chart."""
-    metadata, header, rows = read_csv(csv_path)
-    cols = _numeric_columns(header, rows)
-    if "t" not in cols or len(cols) < 2:
-        raise ConfigError(
-            f"{csv_path} has no plottable time/fidelity columns")
-    t = cols["t"]
-    series = {k: v for k, v in cols.items() if k != "t"}
+    """Render the fidelity columns of a CSV file as an 800x500 line chart.
 
-    x_lo, x_hi = min(t), max(t)
-    y_vals = [v for vs in series.values() for v in vs]
-    y_lo, y_hi = min(y_vals), max(y_vals)
+    Every column but `segment` is plotted against `t`, so every cell of
+    those columns must be a number.
+    """
+    metadata: dict[str, str] = {}
+    with open(csv_path, newline="") as fh:
+        header, rows = _table(fh, csv_path, metadata)
+        names = [name for name in header if name != "segment"]
+        if "t" not in names or len(names) < 2:
+            raise ConfigError(
+                f"{csv_path} has no plottable time/fidelity columns")
+        pick = operator.itemgetter(*map(header.index, names))
+        columns: list[list[float]] = [[] for _ in names]
+        try:
+            for row in rows:
+                for column, cell in zip(columns, pick(row)):
+                    column.append(float(cell))
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(
+                f"{csv_path} has a missing or non-numeric cell") from exc
+    series = {name: np.array(column) for name, column in zip(names, columns)}
+    t = series.pop("t")
+
+    x_lo, x_hi = float(t.min()), float(t.max())
+    y_lo = float(min(values.min() for values in series.values()))
+    y_hi = float(max(values.max() for values in series.values()))
     pad = 0.02 * (y_hi - y_lo) if y_hi > y_lo else 0.05
     y_lo -= pad
     y_hi += pad
@@ -121,10 +131,10 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
     plot_w = _CANVAS_W - _MARGIN_L - _MARGIN_R
     plot_h = _CANVAS_H - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -160,9 +170,12 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
             f'text-anchor="end">{yv:.4g}</text>')
 
     legend_y = _MARGIN_T + 10
+    # sx and sy take whole columns: the same operations in the same order
+    xs = [f"{px:.2f}," for px in sx(t).tolist()]
     for name, values in series.items():
         color = _COLORS.get(name, "#333333")
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(t, values))
+        pts = " ".join([f"{px}{py:.2f}"
+                        for px, py in zip(xs, sy(values).tolist())])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>')

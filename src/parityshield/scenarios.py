@@ -22,6 +22,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._version import __version__
 from .decoupling import DdSchedule, dd_fidelity
 from .errors import ConfigError, StateError, ValidationFailure
@@ -279,37 +281,36 @@ def _trace_metadata(cfg: ScenarioConfig) -> dict[str, str]:
 
 def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
     """Evaluate one fidelity column per schedule over the scenario grid."""
-    grid = time_grid(cfg)
+    grid = np.array(time_grid(cfg))
     state = cfg.initial_state
     params = cfg.params
 
-    columns: dict[str, list] = {"t": grid}
+    columns: dict[str, np.ndarray] = {"t": grid}
     finite_scheds: list[FinitePulseSchedule] = []
     # a sample counts as free only if it is free for every finite schedule
     # present; comparisons are restricted to those points
-    segment = [FREE_SEGMENT] * len(grid)
+    in_pulse = np.zeros(grid.shape, bool)
     for sched in cfg.schedules:
         if sched is None:
             if "F_free" in columns:
                 raise ConfigError("duplicate free-evolution entry")
-            columns["F_free"] = free_fidelity(state, grid, params)
+            columns["F_free"] = np.array(free_fidelity(state, grid, params))
         elif isinstance(sched, ZenoSchedule):
             if "F_zeno" in columns:
                 raise ConfigError("duplicate measurement schedule")
-            columns["F_zeno"] = zeno_fidelity(state, grid, sched, params)
+            columns["F_zeno"] = np.array(
+                zeno_fidelity(state, grid, sched, params))
         elif isinstance(sched, DdSchedule):
             if "F_dd" in columns:
                 raise ConfigError("duplicate instantaneous pulse schedule")
-            columns["F_dd"] = dd_fidelity(state, grid, sched, params)
+            columns["F_dd"] = np.array(dd_fidelity(state, grid, sched, params))
         else:
             name = f"F_ddN{sched.n_duty}"
             if name in columns:
                 raise ConfigError(f"duplicate duty setting {sched.n_duty}")
-            tagged = finite_dd_fidelity(state, grid, sched, params)
-            columns[name] = [f for f, _ in tagged]
-            for i, (_, tag) in enumerate(tagged):
-                if tag == IN_PULSE_SEGMENT:
-                    segment[i] = IN_PULSE_SEGMENT
+            values, tags = zip(*finite_dd_fidelity(state, grid, sched, params))
+            columns[name] = np.array(values)
+            in_pulse |= np.array(tags, dtype=object) == IN_PULSE_SEGMENT
             finite_scheds.append(sched)
 
     header = ["t"]
@@ -320,20 +321,20 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
         header.append(f"F_ddN{sched.n_duty}")
     if finite_scheds:
         header.append("segment")
+        segment = np.full(grid.shape, FREE_SEGMENT, dtype=object)
+        segment[in_pulse] = IN_PULSE_SEGMENT
+        columns["segment"] = segment
 
-    for name in header:
-        if name in ("t", "segment"):
+    for name in header[1:]:
+        if name == "segment":
             continue
-        bad = [v for v in columns[name] if not (0.0 <= v <= 1.0)]
-        if bad:
-            raise StateError(
-                f"{name} left the unit interval: worst value {max(bad)}")
+        values = columns[name]
+        bad = ~((0.0 <= values) & (values <= 1.0))
+        if np.count_nonzero(bad):
+            raise StateError(f"{name} left the unit interval: "
+                             f"worst value {np.max(values[bad])}")
 
-    rows = []
-    for i, t in enumerate(grid):
-        row = [columns[name][i] if name != "segment" else segment[i]
-               for name in header]
-        rows.append(tuple(row))
+    rows = list(zip(*(columns[name].tolist() for name in header)))
     return EvolutionTrace(header, rows, _trace_metadata(cfg))
 
 

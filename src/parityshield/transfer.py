@@ -17,18 +17,19 @@ damping constant, and ends in the map (x, x') -> (x, k x'):
 * k = 1 closes a drive window, whose exact pi phase is common to the
   single-excitation sector and therefore absorbed.
 
-Free decay has no cycle.  One evaluator walks the requested times in
-sorted order, advances the cycle-start state once per cycle by the cycle
-matrix and applies E inside the current cycle; nothing outlives the call.
+Free decay has no cycle.  One evaluator works on all requested times at
+once as numpy arrays: the state at the start of cycle m comes from binary
+powers of the cycle matrix, O(log m) and independent of the other times,
+and E is applied inside the current cycle; nothing outlives the call.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError
 from .model import ModelParams, OddParityState
@@ -43,6 +44,16 @@ _SERIES_LIMIT = 1e-4
 # tolerates t / period landing a few ulps below an integer, and assigns a
 # segment boundary instant to the earlier segment
 _GRID_FUZZ = 1e-12
+
+# past this many cycles m * period no longer resolves the time into the cycle
+_MAX_CYCLES = 2.0 ** 53
+
+# Every product of two complex factors goes through the ufunc: numpy's
+# scalar arithmetic rounds a complex product without the fused multiply-add
+# of its array loops, and a single time is evaluated on 0-d arrays, whose
+# results are numpy scalars.  With the ufunc a time gives the same bits
+# alone as inside a sequence.
+_mul = np.multiply
 
 
 @dataclass(frozen=True)
@@ -59,70 +70,135 @@ class Cycle:
     slope_factor: float
 
 
+def _on(own, f, z):
+    """f(z) where own is true and 0 elsewhere; f never sees the rest."""
+    return f(z, out=np.zeros(np.shape(z), complex), where=own)
+
+
 def propagator(lam_c: complex, r_sq: float):
-    """E(., lam_c): the map (x, x', s) -> (x(s), x'(s)) on every branch.
+    """E(., lam_c) as a 2x2 matrix function of the duration, on every branch.
 
     Closed form of x'' + lam_c x' + r_sq x = 0 with split root
     omega = sqrt(lam_c^2 - 4 r_sq): a series in (omega s / 2)^2 near a
     degenerate root, pure exponentials once Re(lam_c) s passes the
-    overflow threshold, cosh/sinh in between.
+    overflow threshold, cosh/sinh in between.  The returned function maps
+    durations s and a mask own (arrays of one shape, 0-d for a single
+    time) to the entries (e00, e01, e10, e11) that carry (x, x') over s.
+    Each branch sees only the durations it owns, 0 elsewhere, so none can
+    overflow on another branch's duration; entries off own are meaningless.
     """
     lam_c = complex(lam_c)
     omega = cmath.sqrt(lam_c * lam_c - 4.0 * r_sq)
 
-    def step(x: complex, xd: complex, s: float) -> tuple[complex, complex]:
-        h = omega * s / 2.0
-        if abs(h) <= _SERIES_LIMIT:
-            u = h * h
-            damp = cmath.exp(-lam_c * s / 2.0)
-            ch = damp * (1.0 + u / 2.0 * (1.0 + u / 12.0))
-            sn = damp * s / 2.0 * (1.0 + u / 6.0 * (1.0 + u / 20.0))
-        elif lam_c.real * s > _SPLIT_THRESHOLD:
-            em = cmath.exp(-(lam_c - omega) * s / 2.0)
-            ep = cmath.exp(-(lam_c + omega) * s / 2.0)
-            ch = (em + ep) / 2.0
-            sn = (em - ep) / (2.0 * omega)
-        else:
-            damp = cmath.exp(-lam_c * s / 2.0)
-            ch = damp * cmath.cosh(h)
-            sn = damp * cmath.sinh(h) / omega
+    def series(s, h, own):
+        u = _mul(h, h)
+        damp = _on(own, np.exp, -lam_c / 2.0 * s)
+        return (_mul(damp, 1.0 + _mul(u / 2.0, 1.0 + u / 12.0)),
+                _mul(damp * (s / 2.0), 1.0 + _mul(u / 6.0, 1.0 + u / 20.0)))
+
+    def split(s, h, own):
+        em = _on(own, np.exp, -(lam_c - omega) / 2.0 * s)
+        ep = _on(own, np.exp, -(lam_c + omega) / 2.0 * s)
+        return (em + ep) / 2.0, (em - ep) / (2.0 * omega)
+
+    def middle(s, h, own):
+        damp = _on(own, np.exp, -lam_c / 2.0 * s)
+        return (_mul(damp, _on(own, np.cosh, h)),
+                _mul(damp, _on(own, np.sinh, h)) / omega)
+
+    def matrix(s, own):
+        s = np.where(own, s, 0.0)
+        h = omega / 2.0 * s
+        near = own & (np.abs(h) <= _SERIES_LIMIT)
+        far = own & ~near & (lam_c.real * s > _SPLIT_THRESHOLD)
         # ch = e^{-lam_c s/2} cosh h, sn = e^{-lam_c s/2} sinh(h) / omega
-        return (ch * x + (2.0 * xd + lam_c * x) * sn,
-                ch * xd - (lam_c * xd + 2.0 * r_sq * x) * sn)
-    return step
+        ch = sn = 0.0
+        for branch, terms in ((near, series), (far, split),
+                              (own & ~(near | far), middle)):
+            if np.count_nonzero(branch):
+                c, n = terms(np.where(branch, s, 0.0),
+                             np.where(branch, h, 0.0), branch)
+                ch, sn = np.where(branch, c, ch), np.where(branch, n, sn)
+        lam_sn = _mul(lam_c, sn)
+        return ch + lam_sn, 2.0 * sn, -2.0 * r_sq * sn, ch - lam_sn
+    return matrix
+
+
+def _apply(e, x, xd, own):
+    """(x, x') -> (e00 x + e01 x', e10 x + e11 x') where own; the rest kept."""
+    e00, e01, e10, e11 = e
+    return (np.where(own, _mul(e00, x) + _mul(e01, xd), x),
+            np.where(own, _mul(e10, x) + _mul(e11, xd), xd))
+
+
+def _positions(ts: np.ndarray, period: float | None):
+    """(completed cycles, time into the current cycle) for an array of times.
+
+    The single time check of the package: every time must be finite and
+    nonnegative, and span at most 2**53 cycles.  A period of None (free
+    decay) never completes a cycle.
+    """
+    bad = ~(np.isfinite(ts) & (ts >= 0.0))
+    if np.count_nonzero(bad):
+        raise ParameterError(
+            f"time must be finite and nonnegative, got {ts[bad][0]}")
+    if period is None:
+        return np.zeros(ts.shape), ts
+    if np.count_nonzero(ts > period * _MAX_CYCLES):
+        raise ParameterError(
+            f"time spans more than 2**53 cycles of {period}, got {np.max(ts)}")
+    m = np.floor(ts / period + _GRID_FUZZ)
+    theta = ts - m * period
+    return m, np.where(theta > 0.0, theta, 0.0)
 
 
 def cycle_position(t: float, period: float | None) -> tuple[int, float]:
-    """(completed cycles, time into the current cycle) at time t.
-
-    The single time check of the package: t must be finite and
-    nonnegative.  A period of None (free decay) never completes a cycle.
-    """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ParameterError(f"time must be finite and nonnegative, got {t}")
-    if period is None:
-        return 0, t
-    m = int(math.floor(t / period + _GRID_FUZZ))
-    theta = t - m * period
-    return m, (theta if theta > 0.0 else 0.0)
+    """(completed cycles, time into the current cycle) at time t."""
+    m, theta = _positions(np.array(t, dtype=float), period)
+    return int(m), float(theta)
 
 
-def _steps(params: ModelParams, cycle: Cycle | None):
+def _segments(params: ModelParams, cycle: Cycle | None):
     r_sq = params.r_rate * params.r_rate
     segments = ((math.inf, 0.0),) if cycle is None else cycle.segments
     return [(length, propagator(complex(params.lam, -rate), r_sq))
             for length, rate in segments]
 
 
-def _cycle_matrix(steps, slope_factor: float):
-    # images of (1, 0) and (0, 1) under one full cycle
-    columns = []
-    for x, xd in ((1.0, 0.0), (0.0, 1.0)):
-        for length, step in steps:
-            x, xd = step(x, xd, length)
-        columns.append((x, slope_factor * xd))
-    (c00, c10), (c01, c11) = columns
-    return c00, c01, c10, c11
+def _cycle_matrix(whole, slope_factor: float):
+    # product of the matrices over each whole segment, then (x, x') ->
+    # (x, k x')
+    c = (1.0, 0.0, 0.0, 1.0)
+    for e in whole:
+        e00, e01, e10, e11 = (complex(v) for v in e)
+        c = (e00 * c[0] + e01 * c[2], e00 * c[1] + e01 * c[3],
+             e10 * c[0] + e11 * c[2], e10 * c[1] + e11 * c[3])
+    return c[0], c[1], slope_factor * c[2], slope_factor * c[3]
+
+
+def _powers(m, c):
+    """c**m applied to (1, 0), for an array m of whole numbers.
+
+    Binary powers: O(log m).  The squarings are the same for every entry,
+    so each state depends on its own m only.
+    """
+    x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
+    while np.count_nonzero(m):
+        x, xd = _apply(c, x, xd, m % 2.0 == 1.0)
+        c00, c01, c10, c11 = c
+        c = (c00 * c00 + c01 * c10, c00 * c01 + c01 * c11,
+             c10 * c00 + c11 * c10, c10 * c01 + c11 * c11)
+        m = m // 2.0
+    return x, xd
+
+
+def _cycle_starts(m, c):
+    """States (x, x') after m cycles from (1, 0), one power per distinct m."""
+    if not np.ndim(m):
+        return _powers(m, c)
+    distinct, which = np.unique(m, return_inverse=True)
+    x, xd = _powers(distinct, c)
+    return x[which], xd[which]
 
 
 def cycle_start(m: int, params: ModelParams,
@@ -130,49 +206,48 @@ def cycle_start(m: int, params: ModelParams,
     """State (x, x') at the start of cycle m, after the end-of-cycle map."""
     if m < 0:
         raise ParameterError(f"cycle index must be >= 0, got {m}")
-    c00, c01, c10, c11 = _cycle_matrix(_steps(params, cycle),
-                                       cycle.slope_factor)
-    x, xd = 1.0, 0.0
-    for _ in range(m):
-        x, xd = c00 * x + c01 * xd, c10 * x + c11 * xd
-    return x, xd
+    whole = [matrix(length, True)
+             for length, matrix in _segments(params, cycle)]
+    x, xd = _cycle_starts(np.array(float(m)),
+                          _cycle_matrix(whole, cycle.slope_factor))
+    return complex(x), complex(xd)
 
 
 def evaluate(t, params: ModelParams, cycle: Cycle | None, value):
     """value(x, x', segment index, time into segment) at each requested time.
 
-    t is a float or a sequence of times in any order.  A float gives one
-    value; a sequence gives a list in the order of t, and each entry is
-    bit-identical to the value the same time gives alone.  The cycle
-    (None for free decay) starts from x = 1, x' = 0.
+    t is a float or a sequence (or array) of times in any order.  value
+    takes arrays and returns an array or a tuple of arrays.  A float gives
+    one Python value (or tuple); a sequence gives a list of them in the
+    order of t, and each entry is bit-identical to the value the same time
+    gives alone.  The cycle (None for free decay) starts from x = 1, x' = 0.
     """
-    scalar = isinstance(t, numbers.Real)
-    ts = [t] if scalar else t
-    order = range(len(ts))
-    if any(b < a for a, b in itertools.pairwise(ts)):
-        order = sorted(order, key=ts.__getitem__)
-    steps = _steps(params, cycle)
+    # a float becomes a 0-d array: it has no shape buffer, so a single-time
+    # call leaves nothing behind in numpy's small-buffer cache
+    ts = np.array(t, dtype=float)
+    segments = _segments(params, cycle)
+    period = None if cycle is None else cycle.period
+    m, theta = _positions(ts, period)
     if cycle is None:
-        period = None
+        x, xd = np.ones(ts.shape, complex), np.zeros(ts.shape, complex)
     else:
-        period = cycle.period
-        c00, c01, c10, c11 = _cycle_matrix(steps, cycle.slope_factor)
-    last = len(steps) - 1
-    out = [None] * len(ts)
-    done, x0, xd0 = 0, 1.0, 0.0
-    for i in order:
-        m, theta = cycle_position(float(ts[i]), period)
-        while done < m:
-            x0, xd0 = c00 * x0 + c01 * xd0, c10 * x0 + c11 * xd0
-            done += 1
-        x, xd, k = x0, xd0, 0
-        while k < last and theta > steps[k][0] + _GRID_FUZZ * period:
-            x, xd = steps[k][1](x, xd, steps[k][0])
-            theta -= steps[k][0]
-            k += 1
-        x, xd = steps[k][1](x, xd, theta)
-        out[i] = value(x, xd, k, theta)
-    return out[0] if scalar else out
+        # E over each whole segment, shared by every time
+        whole = [matrix(length, True) for length, matrix in segments]
+        x, xd = _cycle_starts(m, _cycle_matrix(whole, cycle.slope_factor))
+    k = np.zeros(ts.shape, int)
+    for j, (length, _) in enumerate(segments[:-1]):
+        later = (k == j) & (theta > length + _GRID_FUZZ * period)
+        x, xd = _apply(whole[j], x, xd, later)
+        theta = np.where(later, theta - length, theta)
+        k = np.where(later, j + 1, k)
+    for j, (_, matrix) in enumerate(segments):
+        own = k == j
+        x, xd = _apply(matrix(theta, own), x, xd, own)
+    out = value(x, xd, k, theta)
+    if not isinstance(out, tuple):
+        return np.asarray(out).tolist()
+    columns = [np.asarray(column).tolist() for column in out]
+    return tuple(columns) if ts.ndim == 0 else list(zip(*columns))
 
 
 def overlap(state: OddParityState):
@@ -182,14 +257,14 @@ def overlap(state: OddParityState):
     and the superradiant amplitude carry the same drive phase, which
     cancels in the modulus.  The overlap of two unit vectors has modulus
     at most 1; the cap removes the rounding excess where the propagated x
-    stays within an ulp of 1, and lets NaN through.  Extra positional
-    arguments are ignored, so the result can be passed to evaluate as its
-    value function.
+    stays within an ulp of 1, and lets NaN through.  x is an array; extra
+    positional arguments are ignored, so the result can be passed to
+    evaluate as its value function.
     """
     w1 = abs(state.beta1) ** 2
     w2 = abs(state.beta2) ** 2
 
     def value(x, *_):
-        v = abs(w1 + w2 * x)
-        return 1.0 if v > 1.0 else v    # min() doubles the per-sample cost
+        v = np.abs(w1 + w2 * x)
+        return np.where(v > 1.0, 1.0, v)
     return value

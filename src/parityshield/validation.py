@@ -92,6 +92,17 @@ def _beta2_closed_free(times: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.array(free_survival(times, params))
 
 
+def _ode_residual(values, step, lam, r_sq):
+    """Largest |f'' + lam f' + R^2 f| by central differences, over
+    consecutive (f(t0 - step), f(t0), f(t0 + step)) triples of values."""
+    worst = 0.0
+    for f0, f1, f2 in zip(values[0::3], values[1::3], values[2::3]):
+        second = (f2 - 2 * f1 + f0) / step ** 2
+        first = (f2 - f0) / (2 * step)
+        worst = max(worst, abs(second + lam * first + r_sq * f1))
+    return worst
+
+
 def _check(name, measured, tol, comparator="<="):
     ok = measured <= tol if comparator == "<=" else measured >= tol
     return CheckResult(name, float(measured), float(tol), comparator, ok)
@@ -188,15 +199,14 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     # slope reverses sign at each pulse instant; one-sided second-order
     # differences, defect normalized by the allowed band
     h = 1e-6
+    instants = [m * _CASE1_TAU for m in range(1, 10)]
+    xi = dd_survival([t0 + d for t0 in instants
+                      for d in (-2 * h, -h, 0.0, h, 2 * h)], sched_dd, params)
     worst = 0.0
-    for m in range(1, 10):
-        t0 = m * _CASE1_TAU
-
-        def xi(x):
-            return dd_survival(x, sched_dd, params)
-
-        right = (-3 * xi(t0) + 4 * xi(t0 + h) - xi(t0 + 2 * h)) / (2 * h)
-        left = (3 * xi(t0) - 4 * xi(t0 - h) + xi(t0 - 2 * h)) / (2 * h)
+    for j in range(0, len(xi), 5):
+        back2, back1, here, ahead1, ahead2 = xi[j:j + 5]
+        right = (-3 * here + 4 * ahead1 - ahead2) / (2 * h)
+        left = (3 * here - 4 * back1 + back2) / (2 * h)
         band = 1e-5 * abs(left) + 1e-9
         worst = max(worst, abs(right + left) / band)
     results.append(_check("dd_slope_reversal", worst,
@@ -204,17 +214,12 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
 
     # interval equation residual away from the pulse instants
     hh = 1e-4
-    worst = 0.0
-    for t0 in np.linspace(0.02, 0.98, 33):
-        if min(abs(t0 - round(t0 / _CASE1_TAU) * _CASE1_TAU),
-               abs(t0 % _CASE1_TAU)) < 3 * hh:
-            continue
-        f0 = dd_survival(t0 - hh, sched_dd, params)
-        f1 = dd_survival(t0, sched_dd, params)
-        f2 = dd_survival(t0 + hh, sched_dd, params)
-        second = (f2 - 2 * f1 + f0) / hh ** 2
-        first = (f2 - f0) / (2 * hh)
-        worst = max(worst, abs(second + lam * first + r_sq * f1))
+    interior = [t0 for t0 in np.linspace(0.02, 0.98, 33)
+                if min(abs(t0 - round(t0 / _CASE1_TAU) * _CASE1_TAU),
+                       abs(t0 % _CASE1_TAU)) >= 3 * hh]
+    worst = _ode_residual(
+        dd_survival([t for t0 in interior for t in (t0 - hh, t0, t0 + hh)],
+                    sched_dd, params), hh, lam, r_sq)
     results.append(_check("dd_interval_ode_residual", worst,
                           tols["dd_interval_ode_residual"]))
 
@@ -233,28 +238,23 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     # amplitude modulus continuous across window edges
     sched_f = FinitePulseSchedule(_CASE2_TAU, 10)
     eps = 1e-9
-    worst = 0.0
-    for m in range(5):
-        for edge in (m * _CASE2_TAU + sched_f.free_length,
-                     (m + 1) * _CASE2_TAU):
-            lo = abs(finite_dd_survival(edge - eps, sched_f, params)[0])
-            hi = abs(finite_dd_survival(edge + eps, sched_f, params)[0])
-            worst = max(worst, abs(hi - lo))
+    edges = [edge for m in range(5)
+             for edge in (m * _CASE2_TAU + sched_f.free_length,
+                          (m + 1) * _CASE2_TAU)]
+    sides = [abs(value) for value, _ in finite_dd_survival(
+        [t for edge in edges for t in (edge - eps, edge + eps)],
+        sched_f, params)]
+    worst = max(abs(hi - lo) for lo, hi in zip(sides[0::2], sides[1::2]))
     results.append(_check("finite_window_edge_continuity", worst,
                           tols["finite_window_edge_continuity"]))
 
     # free-segment piece of the finite protocol still solves the interval ODE
-    worst = 0.0
-    for t0 in (0.05, 0.25, 0.31, 0.52, 0.71, 0.93):
-        tag, _, _ = sched_f.segment_of(t0)
-        if tag != FREE_SEGMENT:
-            continue
-        f0 = finite_dd_survival(t0 - hh, sched_f, params)[0]
-        f1 = finite_dd_survival(t0, sched_f, params)[0]
-        f2 = finite_dd_survival(t0 + hh, sched_f, params)[0]
-        second = (f2 - 2 * f1 + f0) / hh ** 2
-        first = (f2 - f0) / (2 * hh)
-        worst = max(worst, abs(second + lam * first + r_sq * f1))
+    free_points = [t0 for t0 in (0.05, 0.25, 0.31, 0.52, 0.71, 0.93)
+                   if sched_f.segment_of(t0)[0] == FREE_SEGMENT]
+    worst = _ode_residual(
+        [value for value, _ in finite_dd_survival(
+            [t for t0 in free_points for t in (t0 - hh, t0, t0 + hh)],
+            sched_f, params)], hh, lam, r_sq)
     results.append(_check("finite_free_segment_ode_residual", worst,
                           tols["finite_free_segment_ode_residual"]))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 import parityshield as ps
@@ -89,3 +91,113 @@ def test_full_trace_round_trip(tmp_path):
     assert float(rows2[-1][3]) == trace.rows[-1][3]
     render_svg(path, tmp_path / "fig2.svg")
     assert (tmp_path / "fig2.svg").stat().st_size > 1000
+
+
+# the per-point renderer that render_svg replaced, kept as the reference
+def _reference_svg(csv_path) -> str:
+    from parityshield.output import (_CANVAS_H, _CANVAS_W, _COLORS,
+                                     _MARGIN_B, _MARGIN_L, _MARGIN_R,
+                                     _MARGIN_T, _ticks)
+    metadata, header, rows = {}, [], []
+    with open(csv_path, newline="") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    metadata[key.strip()] = value
+                continue
+            cells = next(csv.reader([line]))
+            if header:
+                rows.append(cells)
+            else:
+                header = cells
+    cols = {name: [float(r[i]) for r in rows]
+            for i, name in enumerate(header) if name != "segment"}
+    t = cols.pop("t")
+    x_lo, x_hi = min(t), max(t)
+    y_vals = [v for vs in cols.values() for v in vs]
+    y_lo, y_hi = min(y_vals), max(y_vals)
+    pad = 0.02 * (y_hi - y_lo) if y_hi > y_lo else 0.05
+    y_lo -= pad
+    y_hi += pad
+    plot_w = _CANVAS_W - _MARGIN_L - _MARGIN_R
+    plot_h = _CANVAS_H - _MARGIN_T - _MARGIN_B
+
+    def sx(x):
+        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y):
+        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS_W}" '
+        f'height="{_CANVAS_H}" viewBox="0 0 {_CANVAS_W} {_CANVAS_H}">',
+        f'<rect width="{_CANVAS_W}" height="{_CANVAS_H}" fill="white"/>',
+        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
+        f'height="{plot_h}" fill="none" stroke="black"/>',
+    ]
+    title = metadata.get("run_id", "")
+    if title:
+        parts.append(
+            f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" '
+            f'font-size="14">{title}</text>')
+    for xv in _ticks(x_lo, x_hi):
+        px = sx(xv)
+        parts.append(
+            f'<line x1="{px:.2f}" y1="{_MARGIN_T + plot_h}" x2="{px:.2f}" '
+            f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
+        parts.append(
+            f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 20}" '
+            f'font-family="sans-serif" font-size="11" '
+            f'text-anchor="middle">{xv:g}</text>')
+    for yv in _ticks(y_lo, y_hi):
+        py = sy(yv)
+        parts.append(
+            f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" '
+            f'y2="{py:.2f}" stroke="black"/>')
+        parts.append(
+            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" '
+            f'font-family="sans-serif" font-size="11" '
+            f'text-anchor="end">{yv:.4g}</text>')
+    legend_y = _MARGIN_T + 10
+    for name, values in cols.items():
+        color = _COLORS.get(name, "#333333")
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(t, values))
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>')
+        lx = _CANVAS_W - _MARGIN_R + 12
+        parts.append(
+            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" '
+            f'y2="{legend_y}" stroke="{color}" stroke-width="2"/>')
+        parts.append(
+            f'<text x="{lx + 28}" y="{legend_y + 4}" '
+            f'font-family="sans-serif" font-size="12">{name}</text>')
+        legend_y += 18
+    parts.append(
+        f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_CANVAS_H - 12}" '
+        f'font-family="sans-serif" font-size="12" text-anchor="middle">'
+        't</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_svg_matches_per_point_renderer(tmp_path):
+    trace = ps.compute_trace(ps.build_scenario("fig3"))
+    assert len(trace.rows) > 2000 and "segment" in trace.header
+    csv_path = tmp_path / "fig3.csv"
+    write_csv(csv_path, trace.metadata, trace.header, trace.rows)
+    render_svg(csv_path, tmp_path / "fig3.svg")
+    assert (tmp_path / "fig3.svg").read_text() == _reference_svg(csv_path)
+
+
+def test_svg_rejects_non_numeric_cell(tmp_path, small_table):
+    metadata, header, rows = small_table
+    csv_path = tmp_path / "probe.csv"
+    write_csv(csv_path, metadata, header, rows[:1] + [(0.5, "x", 0.9, "free")])
+    with pytest.raises(ps.ConfigError):
+        render_svg(csv_path, tmp_path / "probe.svg")

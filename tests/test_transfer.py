@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import parityshield as ps
+from parityshield import transfer
 
 DD = ps.DdSchedule(0.1)
 ZENO = ps.ZenoSchedule(0.1)
@@ -118,3 +121,205 @@ def test_sequence_equals_scalar(params, tau, n_duty, times):
     for name, fidelity in _protocols(tau, n_duty).items():
         assert fidelity(state, times, params) == [
             fidelity(state, t, params) for t in times], name
+
+
+# ---------------------------------------------------------------------------
+# the array evaluator against the per-time cmath walker it replaced
+
+_SPLIT, _SERIES, _FUZZ = 600.0, 1e-4, 1e-12
+
+
+def _walker_propagator(lam_c, r_sq):
+    omega = cmath.sqrt(lam_c * lam_c - 4.0 * r_sq)
+
+    def step(x, xd, s):
+        h = omega * s / 2.0
+        if abs(h) <= _SERIES:
+            u = h * h
+            damp = cmath.exp(-lam_c * s / 2.0)
+            ch = damp * (1.0 + u / 2.0 * (1.0 + u / 12.0))
+            sn = damp * s / 2.0 * (1.0 + u / 6.0 * (1.0 + u / 20.0))
+        elif lam_c.real * s > _SPLIT:
+            em = cmath.exp(-(lam_c - omega) * s / 2.0)
+            ep = cmath.exp(-(lam_c + omega) * s / 2.0)
+            ch = (em + ep) / 2.0
+            sn = (em - ep) / (2.0 * omega)
+        else:
+            damp = cmath.exp(-lam_c * s / 2.0)
+            ch = damp * cmath.cosh(h)
+            sn = damp * cmath.sinh(h) / omega
+        return (ch * x + (2.0 * xd + lam_c * x) * sn,
+                ch * xd - (lam_c * xd + 2.0 * r_sq * x) * sn)
+    return step
+
+
+def _walker_steps(params, cycle):
+    r_sq = params.r_rate ** 2
+    segments = ((math.inf, 0.0),) if cycle is None else cycle.segments
+    return [(length, _walker_propagator(complex(params.lam, -rate), r_sq))
+            for length, rate in segments]
+
+
+def _walker_matrix(steps, slope_factor):
+    columns = []
+    for x, xd in ((1.0, 0.0), (0.0, 1.0)):
+        for length, step in steps:
+            x, xd = step(x, xd, length)
+        columns.append((x, slope_factor * xd))
+    (c00, c10), (c01, c11) = columns
+    return c00, c01, c10, c11
+
+
+def _walk(times, params, cycle):
+    """(x, x', segment index) per time: cycle starts stepped one by one."""
+    steps = _walker_steps(params, cycle)
+    if cycle is not None:
+        c00, c01, c10, c11 = _walker_matrix(steps, cycle.slope_factor)
+    out = {}
+    done, x0, xd0 = 0, 1.0, 0.0
+    for t in sorted(times):
+        if cycle is None:
+            m, theta = 0, t
+        else:
+            m = int(math.floor(t / cycle.period + _FUZZ))
+            theta = max(t - m * cycle.period, 0.0)
+        while done < m:
+            x0, xd0 = c00 * x0 + c01 * xd0, c10 * x0 + c11 * xd0
+            done += 1
+        x, xd, k = x0, xd0, 0
+        while (k < len(steps) - 1
+               and theta > steps[k][0] + _FUZZ * cycle.period):
+            x, xd = steps[k][1](x, xd, steps[k][0])
+            theta -= steps[k][0]
+            k += 1
+        x, xd = steps[k][1](x, xd, theta)
+        out[t] = (x, xd, k)
+    return [out[t] for t in times]
+
+
+def _state(x, xd, k, theta):
+    return x, xd, k
+
+
+def _assert_matches_walker(times, params, cycle, tol=1e-12):
+    got = transfer.evaluate(times, params, cycle, _state)
+    want = _walk(times, params, cycle)
+    for t, (x, xd, k), (x_ref, xd_ref, k_ref) in zip(times, got, want):
+        assert k == k_ref, t
+        assert abs(x - x_ref) <= tol, (t, x, x_ref)
+        assert abs(xd - xd_ref) <= tol * max(1.0, abs(xd_ref)), (t, xd, xd_ref)
+
+
+def _cycles(tau):
+    return {"free": None,
+            "zeno": ps.ZenoSchedule(tau).cycle,
+            "dd": ps.DdSchedule(tau).cycle,
+            "finite": ps.FinitePulseSchedule(tau, 10).cycle}
+
+
+@pytest.mark.parametrize("protocol", ["free", "zeno", "dd", "finite"])
+@pytest.mark.parametrize("rate", [0.8, 1.0, 1.7],
+                         ids=["overdamped", "critical", "underdamped"])
+def test_matches_walker_on_every_branch(rate, protocol):
+    p = ps.ModelParams.from_effective_rate(2.0, rate)
+    times = [0.0, *(0.0253 * j for j in range(1, 400)), 3.7, 0.6, 1e-3]
+    _assert_matches_walker(times, p, _cycles(0.2)[protocol])
+
+
+def test_matches_walker_in_split_form_region():
+    p = ps.ModelParams.from_mode_splitting(5000.0, 4000.0)
+    cycle = ps.FinitePulseSchedule(1.0, 10).cycle
+    times = [0.01 * j for j in range(501)] + [0.9 - 1e-9, 0.9 + 1e-9]
+    _assert_matches_walker(times, p, cycle)
+    _assert_matches_walker(times, p, None)
+
+
+def test_matches_walker_in_series_region():
+    p = ps.ModelParams.from_mode_splitting(1e-9, 1.5e-14)
+    times = [0.0037 * j for j in range(271)]
+    for cycle in _cycles(0.2).values():
+        _assert_matches_walker(times, p, cycle)
+
+
+def test_matches_walker_at_window_edges(case1):
+    sched = ps.FinitePulseSchedule(0.2, 10)
+    times = [edge + d for m in range(25)
+             for edge in (m * 0.2 + sched.free_length, (m + 1) * 0.2)
+             for d in (-1e-9, 0.0, 1e-9)]
+    _assert_matches_walker(times, case1, sched.cycle)
+
+
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite"])
+def test_matches_walker_after_many_cycles(case1, protocol):
+    cycle = _cycles(0.1)[protocol]
+    times = [0.1 * m + 0.05 for m in (0, 1, 99, 1000, 4321, 9999)]
+    _assert_matches_walker(times, case1, cycle)
+
+
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite"])
+def test_cycle_start_matches_sequential_stepping(case1, protocol):
+    cycle = _cycles(0.1)[protocol]
+    c00, c01, c10, c11 = _walker_matrix(_walker_steps(case1, cycle),
+                                        cycle.slope_factor)
+    checkpoints = {0, 1, 2, 3, 7, 64, 100, 1234, 10000}
+    x, xd = 1.0, 0.0
+    for m in range(max(checkpoints) + 1):
+        if m in checkpoints:
+            got = transfer.cycle_start(m, case1, cycle)
+            assert abs(got[0] - x) <= 1e-12, m
+            assert abs(got[1] - xd) <= 1e-12 * max(1.0, abs(xd)), m
+        x, xd = c00 * x + c01 * xd, c10 * x + c11 * xd
+
+
+def test_empty_sequence_gives_empty_list(case1):
+    for name in sorted(set(CLOSED_FORMS) - {"free_evolve", "segment_of"}):
+        assert CLOSED_FORMS[name]([], case1) == [], name
+
+
+def test_ndarray_input(case1):
+    times = np.array([0.7, 0.05, 0.33])
+    assert ps.dd_fidelity(STATE, times, DD, case1) == [
+        ps.dd_fidelity(STATE, float(t), DD, case1) for t in times]
+    tagged = ps.finite_dd_fidelity(STATE, times, FINITE, case1)
+    assert [type(v) for pair in tagged for v in pair] == [float, str] * 3
+
+
+def test_more_than_2_53_cycles_rejected(case1):
+    # t / period would overflow to inf and the binary powers never end
+    with pytest.raises(ps.ParameterError):
+        ps.dd_survival(1e300, ps.DdSchedule(1e-10), case1)
+
+
+def test_nan_inside_ndarray_rejected(case1):
+    with pytest.raises(ps.ParameterError):
+        ps.dd_survival(np.array([0.5, np.nan, 0.7]), DD, case1)
+
+
+# ---------------------------------------------------------------------------
+# continuity: across window edges and across the critical branch
+
+@given(params=model_params(), tau=st.floats(0.02, 1.0),
+       n_duty=st.integers(2, 50), m=st.integers(0, 40),
+       closing=st.booleans())
+def test_fidelity_continuous_at_window_edges(params, tau, n_duty, m,
+                                             closing):
+    # a mixed state, so the drive phase inside a window reaches the overlap
+    state = ps.OddParityState.initial(0.6, 0.8)
+    sched = ps.FinitePulseSchedule(tau, n_duty)
+    edge = m * tau + (tau if closing else sched.free_length)
+    (lo, _), (hi, _) = ps.finite_dd_fidelity(state, [edge - 1e-9, edge + 1e-9],
+                                             sched, params)
+    assert abs(hi - lo) <= 1e-6
+
+
+@given(lam=st.floats(0.1, 10.0), t=st.floats(0.0, 10.0),
+       tau=st.floats(0.02, 1.0), n_duty=st.integers(2, 50))
+def test_fidelity_continuous_across_critical_branch(lam, t, tau, n_duty):
+    below = ps.ModelParams.from_effective_rate(lam, lam / 2.0 * (1 - 1e-9))
+    at = ps.ModelParams.from_effective_rate(lam, lam / 2.0)
+    above = ps.ModelParams.from_effective_rate(lam, lam / 2.0 * (1 + 1e-9))
+    assert (below.branch, at.branch, above.branch) == (
+        ps.BRANCH_OVERDAMPED, ps.BRANCH_CRITICAL, ps.BRANCH_UNDERDAMPED)
+    for name, fidelity in _protocols(tau, n_duty).items():
+        values = [_value(fidelity(STATE, t, p)) for p in (below, at, above)]
+        assert max(values) - min(values) <= 1e-6, name
