@@ -16,19 +16,18 @@ a brute-force memory-kernel integrator:
 from ._version import __version__
 from .decoupling import DdSchedule, RecursionCoeffs, dd_coefficients, \
     dd_fidelity, dd_survival
-from .errors import (ConfigError, DegeneracyError, ParameterError,
-                     ParityShieldError, StateError, ValidationFailure)
+from .errors import (ConfigError, ParameterError, ParityShieldError,
+                     StateError, ValidationFailure)
 from .finite_pulse import (FREE_SEGMENT, IN_PULSE_SEGMENT,
                            FinitePulseSchedule, finite_dd_coefficients,
                            finite_dd_fidelity, finite_dd_survival)
-from .free_evolution import (FreeEvolutionResult, free_evolve, free_fidelity,
-                             free_survival, free_survival_slope)
+from .free_evolution import free_fidelity, free_survival, free_survival_slope
 from .model import (BRANCH_CRITICAL, BRANCH_OVERDAMPED, BRANCH_UNDERDAMPED,
                     ModelParams, OddParityState, PhysicalAmplitudes,
                     apply_double_pi_pulse, decompose, recompose)
 from .oracle import (DIRECT_QUADRATURE, EXACT_AUGMENTED, OracleConfig,
-                     OracleTrace, integrate_dd, integrate_finite,
-                     integrate_free)
+                     OracleTrace, integrate, integrate_dd,
+                     integrate_finite, integrate_free)
 from .scenarios import (EvolutionTrace, ScenarioConfig, build_scenario,
                         check_fig2_ordering, check_fig3_ordering,
                         compute_trace, dump_config, format_schedule,
@@ -44,16 +43,15 @@ __all__ = [
     "ModelParams", "OddParityState", "PhysicalAmplitudes",
     "apply_double_pi_pulse", "decompose", "recompose",
     "ParityShieldError", "ConfigError", "ParameterError", "StateError",
-    "ValidationFailure", "DegeneracyError",
-    "FreeEvolutionResult", "free_survival", "free_survival_slope",
-    "free_evolve", "free_fidelity",
+    "ValidationFailure",
+    "free_survival", "free_survival_slope", "free_fidelity",
     "ZenoSchedule", "zeno_amplitude", "zeno_fidelity",
     "DdSchedule", "RecursionCoeffs", "dd_coefficients", "dd_survival",
     "dd_fidelity",
     "FinitePulseSchedule", "FREE_SEGMENT", "IN_PULSE_SEGMENT",
     "finite_dd_coefficients", "finite_dd_survival", "finite_dd_fidelity",
     "OracleConfig", "OracleTrace", "EXACT_AUGMENTED", "DIRECT_QUADRATURE",
-    "integrate_free", "integrate_dd", "integrate_finite",
+    "integrate", "integrate_free", "integrate_dd", "integrate_finite",
     "ScenarioConfig", "EvolutionTrace", "build_scenario", "compute_trace",
     "time_grid", "parse_schedule", "format_schedule", "parse_initial_state",
     "load_config", "dump_config", "run_fig1", "run_fig2", "run_fig3",

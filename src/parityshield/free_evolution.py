@@ -9,8 +9,6 @@ one propagator in ``transfer``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ModelParams, OddParityState
 from .transfer import evaluate, overlap
 
@@ -28,32 +26,6 @@ def free_survival(t, params: ModelParams):
 def free_survival_slope(t, params: ModelParams):
     """Time derivative of free_survival.  Zero at t = 0 on every branch."""
     return evaluate(t, params, None, lambda x, xd, *_: xd.real)
-
-
-@dataclass(frozen=True)
-class FreeEvolutionResult:
-    """State at time t plus the population leaked into the reservoir."""
-
-    state_t: OddParityState
-    leak_population: float
-
-
-def free_evolve(state0: OddParityState, t: float,
-                params: ModelParams) -> FreeEvolutionResult:
-    """Propagate an odd-parity state freely for time t.
-
-    The leaked population is the weight transferred to the ground state
-    with one reservoir photon; excitation-number conservation fixes it as
-    the lost system norm, so
-
-        |beta1|^2 + |beta2(t)|^2 + leak == |beta1|^2 + |beta2(0)|^2
-
-    holds to rounding.
-    """
-    s = free_survival(t, params)
-    beta2_t = state0.beta2 * s
-    leak = abs(state0.beta2) ** 2 * (1.0 - s * s)
-    return FreeEvolutionResult(OddParityState(state0.beta1, beta2_t), leak)
 
 
 def free_fidelity(state0: OddParityState, t, params: ModelParams):

@@ -6,23 +6,29 @@ integrates the coupled physical amplitudes (r1, r2) on |10> and |01> under
     dr_i/dt = -alpha_i * integral_0^t f(t - k) S(k) dk,
     S = alpha1 r1 + alpha2 r2,   f(s) = W^2 e^{-lam s},
 
-plus the protocol-specific modifications: sign-flipped history segments for
-instantaneous pulses, and an explicit drive rotation during finite-duration
-pulse windows.
+plus the schedule: a pulse flips the sign of the past history, a drive
+window rotates the amplitudes at its drive rate.  One entry point,
+`integrate`, reads only the timing of the schedule's cycle (period,
+(duration, drive rate) segments, whether it ends in a pulse) into two
+per-step lists that both backends share: whether the history changes sign
+at step k, and the drive rate during step k.  Free decay is the schedule
+None.
 
 Two backends with no shared numerics:
 
 * exact-augmented: the exponential kernel admits an exact state-space
   embedding via history accumulators h_i with dh_i/dt = W^2 alpha_i S -
   (pole) h_i, turning the system into a small ODE solved by a fixed-step
-  classical stepper.  Fast default.
+  classical stepper; a drive rate phi shifts the pole to lam - i phi.
+  Fast default.
 * direct-quadrature: the history integral is re-evaluated every step by
   trapezoidal quadrature over the stored past, as one dot product of the
   sampled kernel with S weighted by fixed signed trapezoid weights (the
   sign of each node's pulse segment; zero at interior pulse instants,
   where the neighbouring trapezoids cancel), plus the endpoint half
-  weight.  O(n^2) in the step count, maximally independent (no
-  recurrence over the kernel); second-order by construction.
+  weight; a drive enters as an explicit rotation term.  O(n^2) in the
+  step count, maximally independent (no recurrence over the kernel);
+  second-order by construction.
 
 A leak accumulator integrates the outflow 2 Re(h1 conj(r1) + h2 conj(r2))
 (equivalently 2 Re(I conj(S)) for the quadrature backend) so the trace can
@@ -43,7 +49,7 @@ from .model import ModelParams, OddParityState, recompose
 EXACT_AUGMENTED = "exact-augmented"
 DIRECT_QUADRATURE = "direct-quadrature"
 
-# absolute slack for "dt divides the schedule interval"
+# absolute slack for "dt divides a schedule segment"
 _DIV_TOL = 1e-12
 
 
@@ -104,12 +110,39 @@ def _steps_for(t_max: float, dt: float) -> int:
     return n
 
 
-def _grid_multiple(interval: float, dt: float, what: str) -> int:
-    k = round(interval / dt)
-    if k < 1 or abs(k * dt - interval) > _DIV_TOL:
+def _step_timing(sched, n: int,
+                 dt: float) -> tuple[list[bool], list[float]]:
+    """Per-step history sign flips and drive rates from the schedule's cycle.
+
+    flips[k] is true when step k starts at a pulse instant; rates[k] is the
+    drive rate during step k.  Every segment must span a whole number of at
+    least 50 steps.
+    """
+    if sched is None:
+        return [False] * n, [0.0] * n
+    cycle = sched.cycle
+    if cycle.slope_factor not in (1.0, -1.0):
         raise ConfigError(
-            f"step {dt} does not divide the {what} {interval}")
-    return k
+            "the oracle integrates pulses and drive windows only, not a "
+            f"cycle ending in (x, x') -> (x, {cycle.slope_factor} x')")
+    pattern, cycle_steps = [], 0
+    for duration, rate in cycle.segments:
+        k = round(duration / dt)
+        if abs(k * dt - duration) > _DIV_TOL:
+            raise ConfigError(
+                f"step {dt} does not divide the schedule segment {duration}")
+        if k < 50:
+            raise ConfigError(
+                f"need at least 50 steps per schedule segment, got {k}")
+        cycle_steps += k
+        # a cycle longer than the run is only spelled out up to step n
+        pattern += [rate] * min(k, n - len(pattern))
+    rates = (pattern * (n // cycle_steps + 1))[:n]
+    flips = [False] * n
+    if cycle.slope_factor == -1.0:
+        for k in range(cycle_steps, n, cycle_steps):
+            flips[k] = True
+    return flips, rates
 
 
 def _check_resolution(dt: float, params: ModelParams):
@@ -147,9 +180,8 @@ def _make_trace(params: ModelParams, dt: float, ks: list[int],
 # exact-augmented backend
 
 def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
-                   r1: complex, r2: complex,
-                   flip_every: int | None,
-                   window: tuple[int, int, float] | None) -> OracleTrace:
+                   r1: complex, r2: complex, flips: list[bool],
+                   rates: list[float]) -> OracleTrace:
     dt = cfg.dt_num
     lam = params.lam
     w_sq = params.w_coupling * params.w_coupling
@@ -162,10 +194,10 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
     ks = [0]
     r1s, r2s, leaks = [r1], [r2], [0.0]
     rk4 = cfg.method_order == 4
-    if window is not None:
-        cycle_steps, free_steps, phi_w = window
-        pole_window = complex(lam, -phi_w)
-    pole_free = complex(lam)
+    # a drive window shifts the kernel pole to lam - i phi
+    pole_of = {phi: complex(lam, -phi) if phi else complex(lam)
+               for phi in set(rates)}
+    poles = [pole_of[phi] for phi in rates]
 
     def rhs(v1, v2, g1, g2, pole):
         s = al1 * v1 + al2 * v2
@@ -175,15 +207,12 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
                 2.0 * (g1 * v1.conjugate() + g2 * v2.conjugate()).real)
 
     for k in range(n):
-        if flip_every is not None and k and k % flip_every == 0:
+        if flips[k]:
             # pulse instant: history accumulators change sign, amplitudes
             # stay continuous
             h1 = -h1
             h2 = -h2
-        if window is not None:
-            pole = pole_window if (k % cycle_steps) >= free_steps else pole_free
-        else:
-            pole = pole_free
+        pole = poles[k]
 
         if rk4:
             a = rhs(r1, r2, h1, h2, pole)
@@ -220,9 +249,8 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
 # direct-quadrature backend
 
 def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
-                    r1_0: complex, r2_0: complex,
-                    flip_every: int | None,
-                    window: tuple[int, int, float] | None) -> OracleTrace:
+                    r1_0: complex, r2_0: complex, flips: list[bool],
+                    rates: list[float]) -> OracleTrace:
     dt = cfg.dt_num
     lam = params.lam
     w_sq = params.w_coupling * params.w_coupling
@@ -241,15 +269,12 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     # trapezoid weight of each past node with the sign of its history
     # segment; at an interior pulse instant the neighbouring trapezoids
     # cancel.  ws[k] = u[k] S_k is written once S_k is final.
-    u = np.full(n + 1, dt)
-    if flip_every is not None:
-        u[(nodes // flip_every) % 2 == 1] = -dt
-        u[flip_every::flip_every] = 0.0
+    pulse = np.array(flips + [False])
+    u = np.where(np.cumsum(pulse) % 2 == 1, -dt, dt)
+    u[pulse] = 0.0
     u[0] = dt / 2.0
     ws = np.zeros(n + 1, dtype=complex)
     ws[0] = u[0] * s_hist[0]
-    if window is not None:
-        cycle_steps, free_steps, phi_w = window
 
     def history(j: int, rel: float, end_sign: float, s_end: complex) -> complex:
         # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) over [0, t_j]
@@ -261,19 +286,15 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
         return complex(rel * (ker_rev[n - j:n] @ ws[:j])
                        + end_sign * end_w * s_end)
 
+    rel = 1.0
     for k in range(n):
-        rel, end_sign = 1.0, 1.0
-        if flip_every is not None:
-            interval = k // flip_every
-            rel = -1.0 if interval % 2 else 1.0
-            if k and k % flip_every == 0:
-                # k is a pulse instant: the history at k ends on the
-                # previous, opposite-signed segment
-                end_sign = -1.0
-        if window is not None:
-            phi = phi_w if (k % cycle_steps) >= free_steps else 0.0
-        else:
-            phi = 0.0
+        end_sign = 1.0
+        if flips[k]:
+            # k is a pulse instant: the history at k ends on the previous,
+            # opposite-signed segment
+            rel = -rel
+            end_sign = -1.0
+        phi = rates[k]
         # Heun: predictor with left-endpoint history, corrector re-evaluates
         # the integral including the predicted endpoint
         hist0 = history(k, rel, end_sign, s_hist[k])
@@ -292,13 +313,16 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
         out1 = 2.0 * (hist1 * s_hist[k + 1].conjugate()).real
         leak[k + 1] = leak[k] + dt / 2 * (out0 + out1)
 
-    if window is not None:
-        # reported amplitudes absorb each completed window's drive phase so
-        # free-segment samples follow the cycle-to-cycle convention
-        cyc, pos = np.divmod(nodes, cycle_steps)
-        in_window = np.maximum(0, pos - free_steps)
-        phase = np.exp(1j * phi_w * dt *
-                       (cyc * (cycle_steps - free_steps) + in_window))
+    if any(rates):
+        # reported amplitudes absorb the drive phase accumulated so far so
+        # free-segment samples follow the cycle-to-cycle convention; each
+        # rate times its whole number of driven steps avoids the rounding
+        # a running float sum would accumulate
+        driven = np.array([0.0] + rates)
+        turn = 0.0
+        for phi in set(rates) - {0.0}:
+            turn = turn + 1j * phi * dt * np.cumsum(driven == phi)
+        phase = np.exp(turn)
         r1 = r1 * phase
         r2 = r2 * phase
 
@@ -311,60 +335,38 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
 # ---------------------------------------------------------------------------
 # public entry points
 
-def integrate_free(params: ModelParams, t_max: float, cfg: OracleConfig,
-                   state0: OddParityState | None = None) -> OracleTrace:
-    """Integrate the free memory-kernel dynamics on [0, t_max]."""
+def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
+              state0: OddParityState | None = None) -> OracleTrace:
+    """Integrate on [0, t_max] under a schedule (None for free decay).
+
+    Only the timing of ``sched.cycle`` is read.  A pulse flips the sign of
+    the past history; the test suite cross-checks the augmented backend's
+    negated accumulators against the quadrature backend's signed weights.
+    """
     _check_resolution(cfg.dt_num, params)
     n = _steps_for(t_max, cfg.dt_num)
+    flips, rates = _step_timing(sched, n, cfg.dt_num)
     r1, r2 = _initial_physical(params, state0)
-    if cfg.history_mode == EXACT_AUGMENTED:
-        return _run_augmented(params, n, cfg, r1, r2, None, None)
-    return _run_quadrature(params, n, cfg, r1, r2, None, None)
+    run = (_run_augmented if cfg.history_mode == EXACT_AUGMENTED
+           else _run_quadrature)
+    return run(params, n, cfg, r1, r2, flips, rates)
+
+
+def integrate_free(params: ModelParams, t_max: float, cfg: OracleConfig,
+                   state0: OddParityState | None = None) -> OracleTrace:
+    """Free memory-kernel dynamics: ``integrate`` with no schedule."""
+    return integrate(params, None, t_max, cfg, state0)
 
 
 def integrate_dd(params: ModelParams, sched: DdSchedule, t_max: float,
                  cfg: OracleConfig,
                  state0: OddParityState | None = None) -> OracleTrace:
-    """Integrate with instantaneous pulses at every multiple of tau.
-
-    The pulses enter as alternating signs on past history segments; in the
-    augmented backend that is realized by negating the history accumulators
-    at each pulse instant, an equivalence the test suite cross-checks
-    against the quadrature backend.
-    """
-    _check_resolution(cfg.dt_num, params)
-    n = _steps_for(t_max, cfg.dt_num)
-    cycle_steps = _grid_multiple(sched.tau, cfg.dt_num, "pulse interval")
-    if cycle_steps < 50:
-        raise ConfigError(
-            f"need at least 50 steps per pulse interval, got {cycle_steps}")
-    r1, r2 = _initial_physical(params, state0)
-    if cfg.history_mode == EXACT_AUGMENTED:
-        return _run_augmented(params, n, cfg, r1, r2, cycle_steps, None)
-    return _run_quadrature(params, n, cfg, r1, r2, cycle_steps, None)
+    """Instantaneous pulses at every multiple of tau: ``integrate``."""
+    return integrate(params, sched, t_max, cfg, state0)
 
 
 def integrate_finite(params: ModelParams, sched: FinitePulseSchedule,
                      t_max: float, cfg: OracleConfig,
                      state0: OddParityState | None = None) -> OracleTrace:
-    """Integrate with finite-duration pulse windows.
-
-    During the final tau/N of each cycle the amplitudes rotate at rate
-    N pi / tau; the augmented backend shifts the kernel pole accordingly,
-    the quadrature backend keeps the plain kernel and applies the rotation
-    term explicitly, then transforms to the same reported convention.
-    """
-    _check_resolution(cfg.dt_num, params)
-    n = _steps_for(t_max, cfg.dt_num)
-    window_steps = _grid_multiple(sched.window_length, cfg.dt_num,
-                                  "pulse window")
-    cycle_steps = _grid_multiple(sched.tau, cfg.dt_num, "pulse interval")
-    if window_steps < 50:
-        raise ConfigError(
-            f"need at least 50 steps per pulse window, got {window_steps}")
-    free_steps = cycle_steps - window_steps
-    window = (cycle_steps, free_steps, sched.phase_rate)
-    r1, r2 = _initial_physical(params, state0)
-    if cfg.history_mode == EXACT_AUGMENTED:
-        return _run_augmented(params, n, cfg, r1, r2, None, window)
-    return _run_quadrature(params, n, cfg, r1, r2, None, window)
+    """Drive windows over the final tau/N of each cycle: ``integrate``."""
+    return integrate(params, sched, t_max, cfg, state0)

@@ -229,14 +229,14 @@ def time_grid(cfg: ScenarioConfig) -> list[float]:
     for sched in cfg.schedules:
         if sched is None:
             continue
-        step = sched.delta_t if isinstance(sched, ZenoSchedule) else sched.tau
-        edges = ([sched.free_length]
-                 if isinstance(sched, FinitePulseSchedule) else [])
+        cycle = sched.cycle
+        period = cycle.period
+        ends = list(itertools.accumulate(d for d, _ in cycle.segments))[:-1]
         m = 1
-        while m * step <= cfg.t_max + _MERGE_TOL:
-            candidates.append(min(m * step, cfg.t_max))
-            for e in edges:
-                b = (m - 1) * step + e
+        while m * period <= cfg.t_max + _MERGE_TOL:
+            candidates.append(min(m * period, cfg.t_max))
+            for e in ends:
+                b = (m - 1) * period + e
                 if b <= cfg.t_max + _MERGE_TOL:
                     candidates.append(min(b, cfg.t_max))
             m += 1

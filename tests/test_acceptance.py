@@ -28,7 +28,7 @@ def _report(num: int, desc: str, ok: bool, detail: str) -> None:
 
 
 def _closed_free(times):
-    return np.array([ps.free_survival(float(t), CASE1) for t in times])
+    return np.array(ps.free_survival(times, CASE1))
 
 
 def test_criterion_01_free_oracle_both_backends():
@@ -66,8 +66,7 @@ def test_criterion_03_pulse_recursion_vs_oracle():
     t0 = time.perf_counter()
     tr = ps.integrate_dd(CASE1, sched, 1.0, cfg)
     elapsed = time.perf_counter() - t0
-    closed = np.array([ps.dd_survival(float(t), sched, CASE1)
-                       for t in tr.times])
+    closed = np.array(ps.dd_survival(tr.times, sched, CASE1))
     err = float(np.max(np.abs(tr.beta2 - closed)))
     ok = err < 1e-6 and elapsed < 10.0
     _report(3, "pulse recursion vs oracle", ok,
@@ -79,9 +78,9 @@ def test_criterion_04_protocol_ordering():
     sched_z = ps.ZenoSchedule(TAU1)
     sched_d = ps.DdSchedule(TAU1)
     ts = [j / 1000 for j in range(1001)]
-    f_dd = [ps.dd_fidelity(state, t, sched_d, CASE1) for t in ts]
-    f_z = [ps.zeno_fidelity(state, t, sched_z, CASE1) for t in ts]
-    f_fr = [ps.free_fidelity(state, t, CASE1) for t in ts]
+    f_dd = ps.dd_fidelity(state, ts, sched_d, CASE1)
+    f_z = ps.zeno_fidelity(state, ts, sched_z, CASE1)
+    f_fr = ps.free_fidelity(state, ts, CASE1)
     zeno_end = f_z[-1]
     ok = min(f_dd) > zeno_end
     worst_gap = math.inf
@@ -122,10 +121,10 @@ def test_criterion_06_finite_pulse_map_vs_oracle():
     for n in (10, 20):
         sched = ps.FinitePulseSchedule(TAU2, n)
         tr = ps.integrate_finite(CASE1, sched, 1.0, cfg)
-        for t, b2 in zip(tr.times, tr.beta2):
+        closed = ps.finite_dd_survival(tr.times, sched, CASE1)
+        for t, b2, (value, _) in zip(tr.times, tr.beta2, closed):
             if sched.segment_of(float(t))[0] != ps.FREE_SEGMENT:
                 continue
-            value, _ = ps.finite_dd_survival(float(t), sched, CASE1)
             worst = max(worst, abs(complex(b2) - value))
     ok = worst < 1e-4
     _report(6, "finite-pulse map vs oracle, N in {10, 20}", ok,

@@ -74,8 +74,7 @@ def test_interval_equation_residual(case1, sched):
 
 
 def test_minimum_is_first_pulse_value(case1, sched):
-    values = [ps.dd_survival(t, sched, case1)
-              for t in np.linspace(0.0, 1.0, 2001)]
+    values = ps.dd_survival(np.linspace(0.0, 1.0, 2001), sched, case1)
     assert min(values) == pytest.approx(ps.free_survival(TAU, case1),
                                         abs=1e-12)
     assert ps.dd_survival(TAU, sched, case1) == pytest.approx(
@@ -105,6 +104,29 @@ def test_no_memory_retained(case1, sched):
     assert after - before <= 0
 
 
+def test_retained_memory_does_not_grow_with_horizon(case1):
+    # a call that walks 100 times more cycles may leave nothing more behind;
+    # a cache of per-cycle states fails this at any size.  The schedules
+    # appear in no other test, so no earlier call has filled such a cache.
+    sched = ps.DdSchedule(0.07)
+    finite = ps.FinitePulseSchedule(0.14, 10)
+    ps.dd_survival(1.0, sched, case1)            # first-call allocations
+    ps.finite_dd_survival(1.0, finite, case1)
+
+    def retained(t):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ps.dd_survival(t, sched, case1)
+            ps.finite_dd_survival(t, finite, case1)
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    near = retained(1e2)
+    assert retained(1e4) <= near
+
+
 def test_near_critical_branches_agree():
     lam = 2.0
     crit = ps.ModelParams.from_effective_rate(lam, 1.0)
@@ -124,7 +146,7 @@ def test_underdamped_recursion_against_oracle(cfg_aug):
     p = ps.ModelParams.from_effective_rate(1.0, 2.0)
     sched = ps.DdSchedule(0.1)
     tr = ps.integrate_dd(p, sched, 0.5, cfg_aug)
-    closed = np.array([ps.dd_survival(float(t), sched, p) for t in tr.times])
+    closed = np.array(ps.dd_survival(tr.times, sched, p))
     assert float(np.max(np.abs(tr.beta2 - closed))) < 1e-6
 
 

@@ -14,7 +14,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _closed_free(times, params):
-    return np.array([ps.free_survival(float(t), params) for t in times])
+    return np.array(ps.free_survival(times, params))
 
 
 def test_free_augmented_matches_closed_form(case1, free_trace_aug):
@@ -70,8 +70,7 @@ def test_convergence_orders(case1):
 
 def test_pulsed_run_matches_recursion(case1, dd_trace_aug):
     sched = ps.DdSchedule(TAU)
-    closed = np.array([ps.dd_survival(float(t), sched, case1)
-                       for t in dd_trace_aug.times])
+    closed = np.array(ps.dd_survival(dd_trace_aug.times, sched, case1))
     assert float(np.max(np.abs(dd_trace_aug.beta2 - closed))) < 1e-6
 
 
@@ -102,11 +101,11 @@ def test_interval_longer_than_horizon_reduces_to_free(case1, cfg_aug,
 def test_finite_run_matches_map(case1, cfg_aug):
     sched = ps.FinitePulseSchedule(0.2, 10)
     tr = ps.integrate_finite(case1, sched, 1.0, cfg_aug)
+    closed = ps.finite_dd_survival(tr.times, sched, case1)
     worst = 0.0
-    for t, b2 in zip(tr.times, tr.beta2):
+    for t, b2, (value, _) in zip(tr.times, tr.beta2, closed):
         if sched.segment_of(float(t))[0] != ps.FREE_SEGMENT:
             continue
-        value, _ = ps.finite_dd_survival(float(t), sched, case1)
         worst = max(worst, abs(complex(b2) - value))
     assert worst < 1e-4
 
@@ -115,11 +114,11 @@ def test_finite_quadrature_backend(case1, cfg_quad):
     # lab-frame formulation with explicit drive term, phase-aligned output
     sched = ps.FinitePulseSchedule(0.2, 10)
     tr = ps.integrate_finite(case1, sched, 1.0, cfg_quad)
+    closed = ps.finite_dd_survival(tr.times, sched, case1)
     worst = 0.0
-    for t, b2 in zip(tr.times, tr.beta2):
+    for t, b2, (value, _) in zip(tr.times, tr.beta2, closed):
         if sched.segment_of(float(t))[0] != ps.FREE_SEGMENT:
             continue
-        value, _ = ps.finite_dd_survival(float(t), sched, case1)
         worst = max(worst, abs(complex(b2) - value))
     assert worst < 5e-3
 
@@ -175,6 +174,48 @@ def test_run_preconditions(case1, cfg_aug):
         # fewer than 50 steps per drive window
         ps.integrate_finite(case1, ps.FinitePulseSchedule(0.2, 10), 1.0,
                             ps.OracleConfig(dt_num=1e-3))
+
+
+MIXED = ps.OddParityState.initial(math.sqrt(0.5), math.sqrt(0.5))
+
+
+@pytest.mark.parametrize("mode", [ps.EXACT_AUGMENTED, ps.DIRECT_QUADRATURE])
+@pytest.mark.parametrize("protocol", ["free", "dd", "finite"])
+def test_integrate_equals_wrapper(case1, protocol, mode):
+    cfg = ps.OracleConfig(dt_num=2e-4, method_order=2, history_mode=mode)
+    if protocol == "free":
+        sched, wrapped = None, ps.integrate_free(case1, 0.4, cfg, MIXED)
+    elif protocol == "dd":
+        sched = ps.DdSchedule(TAU)
+        wrapped = ps.integrate_dd(case1, sched, 0.4, cfg, MIXED)
+    else:
+        sched = ps.FinitePulseSchedule(0.2, 10)
+        wrapped = ps.integrate_finite(case1, sched, 0.4, cfg, MIXED)
+    tr = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
+    for name in ("times", "r1", "r2", "beta1", "beta2", "norm_defect"):
+        assert np.array_equal(getattr(tr, name), getattr(wrapped, name)), name
+
+
+def test_measurement_schedule_has_no_oracle(case1, cfg_aug):
+    with pytest.raises(ps.ConfigError):
+        ps.integrate(case1, ps.ZenoSchedule(TAU), 1.0, cfg_aug)
+
+
+@pytest.mark.parametrize("sched", [
+    ps.DdSchedule(0.10005),                  # 1000.5 steps
+    ps.FinitePulseSchedule(0.2, 3),          # window of 666.67 steps
+    ps.DdSchedule(0.0049),                   # 49 steps
+    ps.FinitePulseSchedule(0.2, 50),         # 40-step window
+], ids=["off-grid", "off-grid-window", "short", "short-window"])
+def test_segment_grid_check(case1, cfg_aug, sched):
+    with pytest.raises(ps.ConfigError):
+        ps.integrate(case1, sched, 1.0, cfg_aug)
+
+
+def test_fifty_step_segments_accepted(case1, cfg_aug):
+    for sched in (ps.DdSchedule(0.005), ps.FinitePulseSchedule(0.01, 2)):
+        tr = ps.integrate(case1, sched, 0.02, cfg_aug)
+        assert len(tr.times) == 201
 
 
 def _segmentwise_quadrature(params, n, dt, r1_0, r2_0, flip_every=None,

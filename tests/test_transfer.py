@@ -21,7 +21,6 @@ CLOSED_FORMS = {
     "free_survival": ps.free_survival,
     "free_survival_slope": ps.free_survival_slope,
     "free_fidelity": lambda t, p: ps.free_fidelity(STATE, t, p),
-    "free_evolve": lambda t, p: ps.free_evolve(STATE, t, p),
     "zeno_amplitude": lambda t, p: ps.zeno_amplitude(t, ZENO, p),
     "zeno_fidelity": lambda t, p: ps.zeno_fidelity(STATE, t, ZENO, p),
     "dd_survival": lambda t, p: ps.dd_survival(t, DD, p),
@@ -41,8 +40,7 @@ def test_bad_time_rejected(name, t, case1):
         CLOSED_FORMS[name](t, case1)
 
 
-@pytest.mark.parametrize("name", sorted(set(CLOSED_FORMS)
-                                        - {"free_evolve", "segment_of"}))
+@pytest.mark.parametrize("name", sorted(set(CLOSED_FORMS) - {"segment_of"}))
 def test_bad_time_rejected_inside_sequence(name, case1):
     with pytest.raises(ps.ParameterError):
         CLOSED_FORMS[name]([0.5, math.nan, 0.7], case1)
@@ -272,7 +270,7 @@ def test_cycle_start_matches_sequential_stepping(case1, protocol):
 
 
 def test_empty_sequence_gives_empty_list(case1):
-    for name in sorted(set(CLOSED_FORMS) - {"free_evolve", "segment_of"}):
+    for name in sorted(set(CLOSED_FORMS) - {"segment_of"}):
         assert CLOSED_FORMS[name]([], case1) == [], name
 
 
