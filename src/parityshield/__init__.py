@@ -32,8 +32,7 @@ from .scenarios import (EvolutionTrace, ScenarioConfig, build_scenario,
                         check_fig2_ordering, check_fig3_ordering,
                         compute_trace, dump_config, format_schedule,
                         load_config, parse_initial_state, parse_schedule,
-                        run_custom, run_fig1, run_fig2, run_fig3, run_sweep,
-                        time_grid)
+                        run_sweep, time_grid)
 from .validation import CheckResult, ValidationReport, run_validation
 from .zeno import ZenoSchedule, zeno_amplitude, zeno_fidelity
 
@@ -54,7 +53,7 @@ __all__ = [
     "integrate", "integrate_free", "integrate_dd", "integrate_finite",
     "ScenarioConfig", "EvolutionTrace", "build_scenario", "compute_trace",
     "time_grid", "parse_schedule", "format_schedule", "parse_initial_state",
-    "load_config", "dump_config", "run_fig1", "run_fig2", "run_fig3",
-    "run_custom", "run_sweep", "check_fig2_ordering", "check_fig3_ordering",
+    "load_config", "dump_config", "run_sweep", "check_fig2_ordering",
+    "check_fig3_ordering",
     "CheckResult", "ValidationReport", "run_validation",
 ]

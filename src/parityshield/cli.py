@@ -103,7 +103,7 @@ def _run_scenario(args) -> int:
     cfg = build_scenario(scenario, options)
     trace = compute_trace(cfg)
     csv_path, svg_path = _out_paths(args, scenario)
-    write_csv(csv_path, trace.metadata, trace.header, trace.rows)
+    write_csv(csv_path, trace.metadata, trace.header, trace.columns)
     render_svg(csv_path, svg_path)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
@@ -120,7 +120,7 @@ def _run_sweep(args) -> int:
     options = _collect_options(args, "sweep")
     trace = run_sweep(options, max_cells=args.max_cells)
     csv_path, _ = _out_paths(args, "sweep")
-    write_csv(csv_path, trace.metadata, trace.header, trace.rows)
+    write_csv(csv_path, trace.metadata, trace.header, trace.columns)
     print(f"wrote {csv_path} ({len(trace.rows)} cells)")
     return 0
 

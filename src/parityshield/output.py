@@ -35,26 +35,23 @@ _MARGIN_T = 30
 _MARGIN_B = 50
 
 
-def _format_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    return repr(float(v))
-
-
 def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
-              rows: list[tuple]) -> None:
-    """Write metadata comments, a header row, and data rows.
+              columns: list[list]) -> None:
+    """Write metadata comments, a header row, and one data row per index
+    of the columns (one list per header name, in header order).
 
-    Floats are serialized with repr (shortest round-trip form) so output is
-    reproducible byte for byte.
+    A column whose first value is a string holds tags, written as they
+    are; every other column is written with repr(float(v)), the shortest
+    round-trip form, so output is reproducible byte for byte.  Neither
+    needs CSV quoting, so only the header goes through csv.writer.
     """
     buf = io.StringIO()
     for key, value in metadata.items():
         buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_value(v) for v in row])
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    cells = [column if column and isinstance(column[0], str)
+             else map(repr, map(float, column)) for column in columns]
+    buf.writelines(f"{row}\n" for row in map(",".join, zip(*cells)))
     Path(path).write_text(buf.getvalue())
 
 

@@ -8,6 +8,10 @@ grid, and an initial state.  The three canonical comparison runs are:
 * fig3: finite-duration pulses (two duty settings) against the
   instantaneous limit and free decay, with a terminal ordering check.
 
+Every scenario runs the same way: ``compute_trace`` evaluates one column
+per schedule, and the CLI writes it out and applies the scenario's
+ordering check, if it has one.
+
 Configs are flat INI files, one section per scenario; every key can be
 overridden from the command line.  Schedules serialize as compact
 descriptors: none | zeno(dt) | dd(tau) | dd-finite(tau,N).
@@ -250,15 +254,20 @@ def time_grid(cfg: ScenarioConfig) -> list[float]:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Column-oriented result table with metadata, ready for CSV export."""
+    """Result table with metadata: one list per header name, in header
+    order, ready for CSV export."""
 
     header: list[str]
-    rows: list[tuple]
+    columns: list[list]
     metadata: dict[str, str]
 
     def column(self, name: str) -> list:
-        idx = self.header.index(name)
-        return [row[idx] for row in self.rows]
+        return self.columns[self.header.index(name)]
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The table row by row, zipped from the columns."""
+        return list(zip(*self.columns))
 
 
 def _trace_metadata(cfg: ScenarioConfig) -> dict[str, str]:
@@ -334,50 +343,34 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
             raise StateError(f"{name} left the unit interval: "
                              f"worst value {np.max(values[bad])}")
 
-    rows = list(zip(*(columns[name].tolist() for name in header)))
-    return EvolutionTrace(header, rows, _trace_metadata(cfg))
+    return EvolutionTrace(header, [columns[name].tolist() for name in header],
+                          _trace_metadata(cfg))
 
 
 # ---------------------------------------------------------------------------
-# canonical runs
-
-def _require_scenario(cfg: ScenarioConfig, expected: str):
-    if cfg.scenario != expected:
-        raise ConfigError(
-            f"configuration is for {cfg.scenario!r}, expected {expected!r}")
-
-
-def run_fig1(cfg: ScenarioConfig) -> EvolutionTrace:
-    """Instantaneous pulses vs repeated measurement at equal interval."""
-    _require_scenario(cfg, "fig1")
-    return compute_trace(cfg)
-
+# ordering checks
 
 def check_fig2_ordering(trace: EvolutionTrace) -> None:
-    """Pulse curve above measurement curve above free decay past the
-    first operation; strictly separated beyond t = 0.2."""
+    """Pulse curve above measurement curve above free decay once every
+    schedule has acted (before that the curves coincide); strictly
+    separated past twice the longest period."""
+    period = max(sched.cycle.period
+                 for sched in map(parse_schedule,
+                                  trace.metadata["schedules"].split("|"))
+                 if sched is not None)
     t = trace.column("t")
     f_dd = trace.column("F_dd")
     f_zeno = trace.column("F_zeno")
     f_free = trace.column("F_free")
     for i, ti in enumerate(t):
-        if ti <= 0.1 + _MERGE_TOL:
+        if ti <= period + _MERGE_TOL:
             continue
-        strict = ti > 0.2 + _MERGE_TOL
+        strict = ti > 2.0 * period + _MERGE_TOL
         floor = 1e-6 if strict else -1e-12
         if f_dd[i] - f_zeno[i] < floor or f_zeno[i] - f_free[i] < floor:
             raise ValidationFailure(
                 f"protocol ordering violated at t={ti}: "
                 f"F_dd={f_dd[i]}, F_zeno={f_zeno[i]}, F_free={f_free[i]}")
-
-
-def run_fig2(cfg: ScenarioConfig, check: bool = True) -> EvolutionTrace:
-    """Free decay vs measurement vs instantaneous pulses, with ordering check."""
-    _require_scenario(cfg, "fig2")
-    trace = compute_trace(cfg)
-    if check:
-        check_fig2_ordering(trace)
-    return trace
 
 
 def check_fig3_ordering(trace: EvolutionTrace) -> None:
@@ -398,20 +391,6 @@ def check_fig3_ordering(trace: EvolutionTrace) -> None:
                 f"{name_hi}={hi}")
 
 
-def run_fig3(cfg: ScenarioConfig, check: bool = True) -> EvolutionTrace:
-    """Finite-duration pulses vs the instantaneous limit vs free decay."""
-    _require_scenario(cfg, "fig3")
-    trace = compute_trace(cfg)
-    if check:
-        check_fig3_ordering(trace)
-    return trace
-
-
-def run_custom(cfg: ScenarioConfig) -> EvolutionTrace:
-    _require_scenario(cfg, "custom")
-    return compute_trace(cfg)
-
-
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
@@ -426,8 +405,12 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     row per cell with the terminal fidelity of every protocol the keys
     describe; rows are ordered lexicographically in the sorted axis
     coordinates, values ascending.  An empty axis set yields an empty table.
+    ``n_duty`` without ``tau`` is refused: no column would depend on it.
     """
     given = {k: v for k, v in options.items() if v is not None}
+    if "n_duty" in given and "tau" not in given:
+        raise ConfigError("n_duty needs tau: without a pulse interval no "
+                          "protocol depends on the duty parameter")
 
     axes: dict[str, list[str]] = {}
     for key, value in given.items():
@@ -449,7 +432,7 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
 
     has_zeno = "delta_t" in given or "tau" in given
     has_dd = "tau" in given
-    has_finite = "tau" in given and "n_duty" in given
+    has_finite = "n_duty" in given
     header = list(axis_names) + ["F_free"]
     if has_zeno:
         header.append("F_zeno")
@@ -458,15 +441,15 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     if has_finite:
         header.append("F_ddN")
 
+    columns: list[list] = [[] for _ in header]
     if not axis_names:
-        return EvolutionTrace(header, [], metadata)
+        return EvolutionTrace(header, columns, metadata)
 
     total = math.prod(len(axes[k]) for k in axis_names)
     if total > max_cells:
         raise ConfigError(
             f"sweep has {total} cells, exceeding the cap of {max_cells}")
 
-    rows: list[tuple] = []
     for combo in itertools.product(*(axes[k] for k in axis_names)):
         cell = dict(base)
         cell.update(dict(zip(axis_names, combo)))
@@ -488,6 +471,7 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
             sched = FinitePulseSchedule(float(cell["tau"]),
                                         int(cell["n_duty"]))
             row.append(finite_dd_fidelity(state, t_max, sched, params)[0])
-        rows.append(tuple(row))
+        for column, value in zip(columns, row):
+            column.append(value)
 
-    return EvolutionTrace(header, rows, metadata)
+    return EvolutionTrace(header, columns, metadata)

@@ -25,6 +25,14 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("tau", ["0.3", "0.5"])
+def test_fig2_ordering_waits_for_longest_period(tmp_path, capsys, tau):
+    # before the first operation at t = tau all three curves coincide
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--tau", tau, "--out", str(out)]) == 0
+    assert "ordering check passed" in capsys.readouterr().out
+
+
 def test_fig3_fails_ordering_but_writes_outputs(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     assert main(["fig3", "--out", str(out)]) == 2
@@ -57,6 +65,14 @@ def test_sweep_table(tmp_path):
     assert header == ["tau", "F_free", "F_zeno", "F_dd"]
     assert len(rows) == 3
     assert metadata["axes"] == "tau=0.05,0.1,0.2"
+
+
+def test_sweep_duty_parameter_without_interval_exits_one(tmp_path, capsys):
+    # without tau no column depends on n_duty: every row would be the same
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n-duty", "10,20", "--out", str(out)]) == 1
+    assert "n_duty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_with_cli_override(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parityshield as ps
 
@@ -302,3 +304,33 @@ def test_quadrature_matches_segmentwise_trapezoid(case1, protocol):
     assert float(np.max(np.abs(tr.r1 - r1))) < 1e-13
     assert float(np.max(np.abs(tr.r2 - r2))) < 1e-13
     assert float(np.max(np.abs(tr_leak - leak))) < 1e-13
+
+
+# closed form against a coarse augmented run on random parameters: with
+# dt = 2e-3 and tau = 50 N dt every drive window is 50 steps and the free
+# segment 50 (N - 1); lam <= 5 keeps lam dt <= 0.01.  Over 200 random
+# cases the worst free-segment gaps were 1.7e-7 (dd-finite) and 7.3e-10
+# (dd), so each bound below leaves a margin of more than 5x.
+_COARSE_DT = 2e-3
+
+
+@settings(max_examples=20)
+@given(lam=st.floats(0.5, 5.0),
+       ratio=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0)),
+       n_duty=st.integers(2, 10))
+def test_closed_forms_match_coarse_oracle(lam, ratio, n_duty):
+    p = ps.ModelParams.from_effective_rate(lam, ratio * lam / 2.0)
+    assert p.branch in (ps.BRANCH_OVERDAMPED, ps.BRANCH_UNDERDAMPED)
+    cfg = ps.OracleConfig(dt_num=_COARSE_DT, method_order=4,
+                          history_mode=ps.EXACT_AUGMENTED)
+    tau = 50 * n_duty * _COARSE_DT
+    finite = ps.FinitePulseSchedule(tau, n_duty)
+    tr = ps.integrate(p, finite, 3 * tau, cfg)
+    gap = max(abs(complex(b2) - value) for b2, (value, tag) in
+              zip(tr.beta2, ps.finite_dd_survival(tr.times, finite, p))
+              if tag == ps.FREE_SEGMENT)
+    assert gap < 1e-6
+    dd = ps.DdSchedule(tau)
+    tr = ps.integrate(p, dd, 3 * tau, cfg)
+    closed = np.array(ps.dd_survival(tr.times, dd, p))
+    assert float(np.max(np.abs(tr.beta2 - closed))) < 5e-9

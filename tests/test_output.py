@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import pytest
 
@@ -12,21 +13,23 @@ from parityshield.output import read_csv, render_svg, write_csv
 def small_table():
     metadata = {"tool": "parityshield", "run_id": "probe", "lam": "2.0"}
     header = ["t", "F_free", "F_dd", "segment"]
-    rows = [
-        (0.0, 1.0, 1.0, "free"),
-        (0.5, 0.9, 0.99, "free"),
-        (1.0, 0.7982309094947353, 0.9971493266340058, "in_pulse"),
+    columns = [
+        [0.0, 0.5, 1.0],
+        [1.0, 0.9, 0.7982309094947353],
+        [1.0, 0.99, 0.9971493266340058],
+        ["free", "free", "in_pulse"],
     ]
-    return metadata, header, rows
+    return metadata, header, columns
 
 
 def test_csv_round_trip(tmp_path, small_table):
-    metadata, header, rows = small_table
+    metadata, header, columns = small_table
     path = tmp_path / "probe.csv"
-    write_csv(path, metadata, header, rows)
+    write_csv(path, metadata, header, columns)
     meta2, header2, rows2 = read_csv(path)
     assert meta2 == metadata
     assert header2 == header
+    rows = list(zip(*columns))
     assert len(rows2) == len(rows)
     for row, row2 in zip(rows, rows2):
         for v, s in zip(row, row2):
@@ -37,18 +40,18 @@ def test_csv_round_trip(tmp_path, small_table):
 
 
 def test_csv_writes_are_deterministic(tmp_path, small_table):
-    metadata, header, rows = small_table
+    metadata, header, columns = small_table
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    write_csv(a, metadata, header, rows)
-    write_csv(b, metadata, header, rows)
+    write_csv(a, metadata, header, columns)
+    write_csv(b, metadata, header, columns)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_layout(tmp_path, small_table):
-    metadata, header, rows = small_table
+    metadata, header, columns = small_table
     path = tmp_path / "probe.csv"
-    write_csv(path, metadata, header, rows)
+    write_csv(path, metadata, header, columns)
     lines = path.read_text().splitlines()
     comment = [ln for ln in lines if ln.startswith("#")]
     assert comment == [f"# {k}={v}" for k, v in metadata.items()]
@@ -56,10 +59,10 @@ def test_csv_layout(tmp_path, small_table):
 
 
 def test_svg_renders_from_csv_alone(tmp_path, small_table):
-    metadata, header, rows = small_table
+    metadata, header, columns = small_table
     csv_path = tmp_path / "probe.csv"
     svg_path = tmp_path / "probe.svg"
-    write_csv(csv_path, metadata, header, rows)
+    write_csv(csv_path, metadata, header, columns)
     render_svg(csv_path, svg_path)
     text = svg_path.read_text()
     assert text.lstrip().startswith("<svg")
@@ -71,9 +74,9 @@ def test_svg_renders_from_csv_alone(tmp_path, small_table):
 
 
 def test_svg_deterministic(tmp_path, small_table):
-    metadata, header, rows = small_table
+    metadata, header, columns = small_table
     csv_path = tmp_path / "probe.csv"
-    write_csv(csv_path, metadata, header, rows)
+    write_csv(csv_path, metadata, header, columns)
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
     render_svg(csv_path, a)
@@ -82,15 +85,44 @@ def test_svg_deterministic(tmp_path, small_table):
 
 
 def test_full_trace_round_trip(tmp_path):
-    trace = ps.run_fig2(ps.build_scenario("fig2"))
+    trace = ps.compute_trace(ps.build_scenario("fig2"))
+    ps.check_fig2_ordering(trace)
     path = tmp_path / "fig2.csv"
-    write_csv(path, trace.metadata, trace.header, trace.rows)
+    write_csv(path, trace.metadata, trace.header, trace.columns)
     meta2, header2, rows2 = read_csv(path)
     assert meta2 == trace.metadata
     assert header2 == trace.header
-    assert float(rows2[-1][3]) == trace.rows[-1][3]
+    assert float(rows2[-1][3]) == trace.column("F_dd")[-1]
     render_svg(path, tmp_path / "fig2.svg")
     assert (tmp_path / "fig2.svg").stat().st_size > 1000
+
+
+# the per-row writer that write_csv replaced, kept as the reference
+def _reference_csv(metadata, header, rows) -> str:
+    def fmt(v):
+        return v if isinstance(v, str) else repr(float(v))
+
+    buf = io.StringIO()
+    for key, value in metadata.items():
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ps.compute_trace(ps.build_scenario("fig3")),
+    lambda: ps.run_sweep({"tau": "0.1,0.2", "n_duty": "20,10"}),
+    lambda: ps.run_sweep({}),
+], ids=["fig3", "sweep-int-axis", "empty-sweep"])
+def test_csv_matches_per_row_writer(tmp_path, make):
+    trace = make()
+    path = tmp_path / "t.csv"
+    write_csv(path, trace.metadata, trace.header, trace.columns)
+    assert path.read_text() == _reference_csv(trace.metadata, trace.header,
+                                              trace.rows)
 
 
 # the per-point renderer that render_svg replaced, kept as the reference
@@ -188,16 +220,16 @@ def _reference_svg(csv_path) -> str:
 
 def test_svg_matches_per_point_renderer(tmp_path):
     trace = ps.compute_trace(ps.build_scenario("fig3"))
-    assert len(trace.rows) > 2000 and "segment" in trace.header
+    assert len(trace.column("t")) > 2000 and "segment" in trace.header
     csv_path = tmp_path / "fig3.csv"
-    write_csv(csv_path, trace.metadata, trace.header, trace.rows)
+    write_csv(csv_path, trace.metadata, trace.header, trace.columns)
     render_svg(csv_path, tmp_path / "fig3.svg")
     assert (tmp_path / "fig3.svg").read_text() == _reference_svg(csv_path)
 
 
-def test_svg_rejects_non_numeric_cell(tmp_path, small_table):
-    metadata, header, rows = small_table
+def test_svg_rejects_non_numeric_cell(tmp_path):
     csv_path = tmp_path / "probe.csv"
-    write_csv(csv_path, metadata, header, rows[:1] + [(0.5, "x", 0.9, "free")])
+    csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n"
+                        "0.0,1.0,1.0,free\n0.5,x,0.9,free\n")
     with pytest.raises(ps.ConfigError):
         render_svg(csv_path, tmp_path / "probe.svg")

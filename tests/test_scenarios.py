@@ -115,7 +115,8 @@ def test_time_grid_contains_schedule_boundaries():
 
 def test_fig2_trace_values(case1):
     cfg = ps.build_scenario("fig2")
-    trace = ps.run_fig2(cfg)
+    trace = ps.compute_trace(cfg)
+    ps.check_fig2_ordering(trace)
     assert trace.header == ["t", "F_free", "F_zeno", "F_dd"]
     last = trace.rows[-1]
     assert last[0] == pytest.approx(1.0)
@@ -128,14 +129,14 @@ def test_fig2_trace_values(case1):
 
 
 def test_fig1_trace(case1):
-    trace = ps.run_fig1(ps.build_scenario("fig1"))
+    trace = ps.compute_trace(ps.build_scenario("fig1"))
     assert trace.header == ["t", "F_zeno", "F_dd"]
     assert trace.column("F_dd")[-1] == pytest.approx(XI_1, abs=1e-13)
 
 
 def test_fig3_trace_segments():
     cfg = ps.build_scenario("fig3")
-    trace = ps.run_fig3(cfg, check=False)
+    trace = ps.compute_trace(cfg)
     assert trace.header == ["t", "F_free", "F_dd", "F_ddN10", "F_ddN20",
                             "segment"]
     seg = dict(zip(trace.column("t"), trace.column("segment")))
@@ -146,23 +147,16 @@ def test_fig3_trace_segments():
 
 
 def test_fig2_ordering_check_passes():
-    ps.check_fig2_ordering(ps.run_fig2(ps.build_scenario("fig2"),
-                                       check=False))
+    ps.check_fig2_ordering(ps.compute_trace(ps.build_scenario("fig2")))
 
 
 def test_fig3_ordering_check_reports_true_ordering():
     # the finite-duration curves approach the instantaneous limit from
     # above, so the postulated terminal chain cannot hold; the check must
     # say so rather than pass
-    trace = ps.run_fig3(ps.build_scenario("fig3"), check=False)
+    trace = ps.compute_trace(ps.build_scenario("fig3"))
     with pytest.raises(ps.ValidationFailure):
         ps.check_fig3_ordering(trace)
-
-
-def test_scenario_runner_mismatch():
-    cfg = ps.build_scenario("fig2")
-    with pytest.raises(ps.ConfigError):
-        ps.run_fig1(cfg)
 
 
 def test_duplicate_schedules_rejected():
@@ -204,6 +198,7 @@ def test_sweep_two_axes_lexicographic():
 def test_sweep_empty_and_capped():
     empty = ps.run_sweep({})
     assert empty.rows == [] and empty.header == ["F_free"]
+    assert empty.columns == [[]]
     with pytest.raises(ps.ConfigError):
         ps.run_sweep({"tau": "0.1,0.2", "lam": "1,2,3"}, max_cells=5)
 
