@@ -23,17 +23,32 @@ from .oracle import DIRECT_QUADRATURE, EXACT_AUGMENTED
 from .output import render_svg, write_csv
 from .scenarios import (build_scenario, check_fig2_ordering,
                         check_fig3_ordering, compute_trace, load_config,
-                        run_sweep)
+                        option_keys, run_sweep)
 from .validation import run_validation
 
 OUT_DIR_ENV = "PARITYSHIELD_OUT"
 
 _ORDERING_CHECKS = {"fig2": check_fig2_ordering, "fig3": check_fig3_ordering}
 
-# argparse dest -> scenario option key
-_OPTION_KEYS = ("lam", "omega", "r_rate", "tau", "delta_t", "n_duty",
-                "t_max", "samples_per_unit_time", "initial_state",
-                "run_id", "schedules")
+# option key -> (flag, help); a subcommand takes the flags of the keys its
+# run reads
+_FLAGS = {
+    "lam": ("--lambda", "reservoir correlation decay rate"),
+    "omega": ("--omega", "effective mode splitting"),
+    "r_rate": ("--r-rate",
+               "collective coupling rate (alternative to --omega)"),
+    "tau": ("--tau", "pulse repetition interval"),
+    "delta_t": ("--delta-t", "measurement interval (defaults to --tau)"),
+    "n_duty": ("--n-duty", "duty parameter (single value or axis list)"),
+    "n_duty_values": ("--n-duty", "comma-separated duty parameters"),
+    "t_max": ("--t-max", "evolution horizon"),
+    "samples_per_unit_time": ("--samples-per-unit-time",
+                              "uniform sampling density of the output table"),
+    "initial_state": ("--initial-state", "dark | superradiant | mixed(b1,b2)"),
+    "run_id": ("--run-id", "identifier recorded in the output metadata"),
+    "schedules": ("--schedules", "pipe-separated descriptors, e.g. "
+                  "'none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)'"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,43 +59,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_model_options(sub, n_duty_help):
+def _add_run(subs, kind: str, blurb: str, handler):
+    sub = subs.add_parser(kind, help=blurb)
     sub.add_argument("--config", help="INI file with one section per scenario")
-    sub.add_argument("--lambda", dest="lam",
-                     help="reservoir correlation decay rate")
-    sub.add_argument("--omega", help="effective mode splitting")
-    sub.add_argument("--r-rate", dest="r_rate",
-                     help="collective coupling rate (alternative to --omega)")
-    sub.add_argument("--tau", help="pulse repetition interval")
-    sub.add_argument("--delta-t", dest="delta_t",
-                     help="measurement interval (defaults to --tau)")
-    sub.add_argument("--n-duty", dest="n_duty", help=n_duty_help)
-    sub.add_argument("--t-max", dest="t_max", help="evolution horizon")
-    sub.add_argument("--samples-per-unit-time", dest="samples_per_unit_time",
-                     help="uniform sampling density of the output table")
-    sub.add_argument("--initial-state", dest="initial_state",
-                     help="dark | superradiant | mixed(b1,b2)")
-    sub.add_argument("--run-id", dest="run_id",
-                     help="identifier recorded in the output metadata")
+    for key in option_keys(kind):
+        flag, text = _FLAGS[key]
+        sub.add_argument(flag, dest=key, help=text)
     sub.add_argument("--out", help="output CSV path (default under "
                      f"${OUT_DIR_ENV} or the working directory)")
+    sub.set_defaults(handler=handler, kind=kind)
+    return sub
 
 
-def _collect_options(args, section: str,
-                     rename: dict[str, str] | None = None) -> dict[str, str]:
+def _collect_options(args) -> dict[str, str]:
     """Merge config-file section and explicit CLI flags (flags win)."""
     options: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         sections = load_config(args.config)
-        if section not in sections:
+        if args.kind not in sections:
             raise ConfigError(
-                f"config {args.config} has no [{section}] section")
-        options.update(sections[section])
-    rename = rename or {}
-    for key in _OPTION_KEYS:
-        value = getattr(args, key, None)
+                f"config {args.config} has no [{args.kind}] section")
+        options.update(sections[args.kind])
+    for key in option_keys(args.kind):
+        value = getattr(args, key)
         if value is not None:
-            options[rename.get(key, key)] = value
+            options[key] = value
     return options
 
 
@@ -96,11 +99,8 @@ def _out_paths(args, default_name: str) -> tuple[Path, Path]:
 
 
 def _run_scenario(args) -> int:
-    scenario = args.scenario
-    options = _collect_options(
-        args, scenario,
-        rename={"n_duty": "n_duty_values"} if scenario == "fig3" else None)
-    cfg = build_scenario(scenario, options)
+    scenario = args.kind
+    cfg = build_scenario(scenario, _collect_options(args))
     trace = compute_trace(cfg)
     csv_path, svg_path = _out_paths(args, scenario)
     write_csv(csv_path, trace.metadata, trace.header, trace.columns)
@@ -117,8 +117,7 @@ def _run_scenario(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    options = _collect_options(args, "sweep")
-    trace = run_sweep(options, max_cells=args.max_cells)
+    trace = run_sweep(_collect_options(args), max_cells=args.max_cells)
     csv_path, _ = _out_paths(args, "sweep")
     write_csv(csv_path, trace.metadata, trace.header, trace.columns)
     print(f"wrote {csv_path} ({len(trace.rows)} cells)")
@@ -169,21 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
             ("fig2", "free decay vs measurement vs pulses, ordering checked"),
             ("fig3", "finite-duration pulses vs the instantaneous limit"),
             ("custom", "free-form schedule comparison")):
-        sub = subs.add_parser(scenario, help=blurb)
-        n_help = ("comma-separated duty parameters (fig3)"
-                  if scenario == "fig3" else argparse.SUPPRESS)
-        _add_model_options(sub, n_help)
-        if scenario == "custom":
-            sub.add_argument("--schedules",
-                             help="pipe-separated descriptors, e.g. "
-                                  "'none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)'")
-        sub.set_defaults(handler=_run_scenario, scenario=scenario)
-
-    sub = subs.add_parser("sweep", help="terminal-fidelity parameter sweep")
-    _add_model_options(sub, "duty parameter (single value or axis list)")
+        _add_run(subs, scenario, blurb, _run_scenario)
+    sub = _add_run(subs, "sweep", "terminal-fidelity parameter sweep",
+                   _run_sweep)
     sub.add_argument("--max-cells", dest="max_cells", type=int, default=200,
                      help="refuse grids larger than this many cells")
-    sub.set_defaults(handler=_run_sweep)
 
     sub = subs.add_parser("validate",
                           help="run the closed-form vs integrator checks")

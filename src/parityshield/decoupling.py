@@ -10,6 +10,7 @@ decay over tau followed by (x, x') -> (x, -x').
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -24,8 +25,9 @@ class DdSchedule:
     tau: float
 
     def __post_init__(self):
-        if not (self.tau > 0.0):
-            raise ConfigError(f"pulse interval must be positive, got {self.tau}")
+        if not (0.0 < self.tau < math.inf):
+            raise ConfigError(
+                f"pulse interval must be finite and positive, got {self.tau}")
 
     @property
     def cycle(self) -> Cycle:

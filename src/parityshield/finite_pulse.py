@@ -43,8 +43,9 @@ class FinitePulseSchedule:
     n_duty: int
 
     def __post_init__(self):
-        if not (self.tau > 0.0):
-            raise ConfigError(f"cycle interval must be positive, got {self.tau}")
+        if not (0.0 < self.tau < math.inf):
+            raise ConfigError(
+                f"cycle interval must be finite and positive, got {self.tau}")
         if not isinstance(self.n_duty, int) or self.n_duty < 2:
             raise ConfigError(
                 f"duty parameter must be an integer >= 2, got {self.n_duty!r}")

@@ -55,16 +55,11 @@ _DIV_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Fixed-step integration settings.
-
-    sample_every thins the stored trace (every k-th grid point plus the
-    final one); it does not change the integration grid.
-    """
+    """Fixed-step integration settings; the trace keeps every step."""
 
     dt_num: float = 1e-4
     method_order: int = 4
     history_mode: str = EXACT_AUGMENTED
-    sample_every: int = 1
 
     def __post_init__(self):
         if not (self.dt_num > 0.0):
@@ -78,9 +73,6 @@ class OracleConfig:
             raise ConfigError(
                 "direct-quadrature history is trapezoidal and therefore "
                 "second order; method_order must be 2")
-        if not (isinstance(self.sample_every, int) and self.sample_every >= 1):
-            raise ConfigError(
-                f"sample_every must be a positive integer, got {self.sample_every!r}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +152,11 @@ def _initial_physical(params: ModelParams,
     return complex(phys.c10), complex(phys.c01)
 
 
-def _make_trace(params: ModelParams, dt: float, ks: list[int],
+def _make_trace(params: ModelParams, dt: float,
                 r1s: list[complex] | np.ndarray,
                 r2s: list[complex] | np.ndarray,
                 leaks: list[float] | np.ndarray) -> OracleTrace:
-    times = np.array([k * dt for k in ks])
+    times = np.array([k * dt for k in range(len(r1s))])
     r1 = np.array(r1s)
     r2 = np.array(r2s)
     a1 = params.alpha1 / params.alpha
@@ -190,8 +182,6 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
     h1 = 0.0j
     h2 = 0.0j
     leak = 0.0
-    every = cfg.sample_every
-    ks = [0]
     r1s, r2s, leaks = [r1], [r2], [0.0]
     rk4 = cfg.method_order == 4
     # a drive window shifts the kernel pole to lam - i phi
@@ -236,13 +226,10 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
             h1 += dt / 2 * (a[2] + b[2])
             h2 += dt / 2 * (a[3] + b[3])
             leak += dt / 2 * (a[4] + b[4])
-        kk = k + 1
-        if kk % every == 0 or kk == n:
-            ks.append(kk)
-            r1s.append(r1)
-            r2s.append(r2)
-            leaks.append(leak)
-    return _make_trace(params, dt, ks, r1s, r2s, leaks)
+        r1s.append(r1)
+        r2s.append(r2)
+        leaks.append(leak)
+    return _make_trace(params, dt, r1s, r2s, leaks)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +313,7 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
         r1 = r1 * phase
         r2 = r2 * phase
 
-    ks = list(range(0, n + 1, cfg.sample_every))
-    if ks[-1] != n:
-        ks.append(n)
-    return _make_trace(params, dt, ks, r1[ks], r2[ks], leak[ks])
+    return _make_trace(params, dt, r1, r2, leak)
 
 
 # ---------------------------------------------------------------------------

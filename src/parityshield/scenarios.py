@@ -12,9 +12,10 @@ Every scenario runs the same way: ``compute_trace`` evaluates one column
 per schedule, and the CLI writes it out and applies the scenario's
 ordering check, if it has one.
 
-Configs are flat INI files, one section per scenario; every key can be
-overridden from the command line.  Schedules serialize as compact
-descriptors: none | zeno(dt) | dd(tau) | dd-finite(tau,N).
+Configs are flat INI files, one section per scenario; a run reads the
+keys its key table lists, each also a command-line flag, and refuses any
+other.  Schedules serialize as compact descriptors:
+none | zeno(dt) | dd(tau) | dd-finite(tau,N).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -42,7 +43,20 @@ SCENARIO_IDS = ("fig1", "fig2", "fig3", "custom")
 # merging tolerance when snapping schedule boundaries into the time grid
 _MERGE_TOL = 1e-12
 
-_SCHEDULE_RE = re.compile(r"^\s*(none|zeno|dd-finite|dd)\s*(?:\((.*)\))?\s*$")
+# descriptor kind -> (schedule class, argument types); free decay is the
+# schedule None, and type(None)() is None.  The order is the column order
+# of a trace.
+_KINDS = {
+    "none": (type(None), ()),
+    "zeno": (ZenoSchedule, (float,)),
+    "dd": (DdSchedule, (float,)),
+    "dd-finite": (FinitePulseSchedule, (float, int)),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+
+# longest kind first, so dd-finite is not read as dd
+_SCHEDULE_RE = re.compile(r"^\s*(%s)\s*(?:\((.*)\))?\s*$"
+                          % "|".join(sorted(_KINDS, key=len, reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -53,35 +67,25 @@ def parse_schedule(text: str):
     m = _SCHEDULE_RE.match(text)
     if not m:
         raise ConfigError(f"unrecognized schedule descriptor {text!r}")
-    kind, args = m.group(1), m.group(2)
+    kind, args = m.groups()
+    cls, types = _KINDS[kind]
     parts = [p.strip() for p in args.split(",")] if args else []
+    if len(parts) != len(types):
+        raise ConfigError(
+            f"{kind!r} takes {len(types)} argument(s), got {text!r}")
     try:
-        if kind == "none":
-            if parts:
-                raise ConfigError(f"'none' takes no arguments, got {text!r}")
-            return None
-        if kind == "zeno":
-            (dt,) = parts
-            return ZenoSchedule(float(dt))
-        if kind == "dd":
-            (tau,) = parts
-            return DdSchedule(float(tau))
-        (tau, n) = parts
-        return FinitePulseSchedule(float(tau), int(n))
-    except (ValueError, TypeError) as exc:
+        return cls(*(convert(p) for convert, p in zip(types, parts)))
+    except ValueError as exc:
         raise ConfigError(f"bad schedule descriptor {text!r}: {exc}") from exc
 
 
 def format_schedule(sched) -> str:
+    kind = _KIND_OF.get(type(sched))
+    if kind is None:
+        raise ConfigError(f"unknown schedule object {sched!r}")
     if sched is None:
-        return "none"
-    if isinstance(sched, ZenoSchedule):
-        return f"zeno({sched.delta_t!r})"
-    if isinstance(sched, DdSchedule):
-        return f"dd({sched.tau!r})"
-    if isinstance(sched, FinitePulseSchedule):
-        return f"dd-finite({sched.tau!r},{sched.n_duty})"
-    raise ConfigError(f"unknown schedule object {sched!r}")
+        return kind
+    return f"{kind}({','.join(map(repr, astuple(sched)))})"
 
 
 def parse_initial_state(text: str) -> tuple[OddParityState, str]:
@@ -128,20 +132,50 @@ class ScenarioConfig:
                 f"{self.samples_per_unit_time}")
 
 
+# every key a run reads, with its default (None: no default); a key outside
+# the table is refused
 _COMMON_DEFAULTS = {
     "lam": "2.0",
     "omega": "1.0",
+    "r_rate": None,
     "t_max": "1.0",
     "samples_per_unit_time": "2000",
     "initial_state": "superradiant",
+    "run_id": None,
 }
 
 _SCENARIO_DEFAULTS = {
-    "fig1": {"tau": "0.1"},
-    "fig2": {"tau": "0.1"},
+    "fig1": {"tau": "0.1", "delta_t": None},
+    "fig2": {"tau": "0.1", "delta_t": None},
     "fig3": {"tau": "0.2", "n_duty_values": "10,20"},
     "custom": {"schedules": "none"},
 }
+
+_AXIS_KEYS = ("lam", "omega", "r_rate", "tau", "delta_t", "n_duty", "t_max")
+
+
+def option_keys(kind: str) -> tuple[str, ...]:
+    """The option keys a run of kind (a scenario id or "sweep") reads."""
+    if kind == "sweep":
+        return (*_AXIS_KEYS, "initial_state", "run_id")
+    if kind not in SCENARIO_IDS:
+        raise ConfigError(f"unknown scenario {kind!r}")
+    return (*_COMMON_DEFAULTS, *_SCENARIO_DEFAULTS[kind])
+
+
+def _merged(kind: str, options: dict | None) -> tuple[dict, set[str]]:
+    """(defaults updated by the given options, the given keys) for a run
+    of kind; a key the run does not read is refused."""
+    options = options or {}
+    keys = option_keys(kind)
+    unread = sorted(set(options) - set(keys))
+    if unread:
+        raise ConfigError(f"{kind} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(keys)}")
+    given = {k: v for k, v in options.items() if v is not None}
+    table = {**_COMMON_DEFAULTS, **_SCENARIO_DEFAULTS.get(kind, {})}
+    defaults = {k: table[k] for k in keys if table.get(k) is not None}
+    return {**defaults, **given}, set(given)
 
 
 def _params_from_options(opts: dict[str, str],
@@ -158,15 +192,7 @@ def _params_from_options(opts: dict[str, str],
 
 def build_scenario(scenario: str, options: dict[str, str] | None = None) -> ScenarioConfig:
     """Assemble a ScenarioConfig from merged config/CLI key-value options."""
-    if scenario not in SCENARIO_IDS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    opts = dict(_COMMON_DEFAULTS)
-    opts.update(_SCENARIO_DEFAULTS[scenario])
-    user_keys = set()
-    if options:
-        given = {k: v for k, v in options.items() if v is not None}
-        opts.update(given)
-        user_keys = set(given)
+    opts, user_keys = _merged(scenario, options)
     params = _params_from_options(opts, user_keys)
     state, state_name = parse_initial_state(opts["initial_state"])
 
@@ -289,62 +315,49 @@ def _trace_metadata(cfg: ScenarioConfig) -> dict[str, str]:
 
 
 def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
-    """Evaluate one fidelity column per schedule over the scenario grid."""
+    """Evaluate one fidelity column per schedule over the scenario grid.
+
+    Columns follow the kind table's order, finite pulses by duty parameter.
+    """
     grid = np.array(time_grid(cfg))
     state = cfg.initial_state
     params = cfg.params
+    order = list(_KIND_OF)
 
-    columns: dict[str, np.ndarray] = {"t": grid}
-    finite_scheds: list[FinitePulseSchedule] = []
+    header, columns = ["t"], [grid.tolist()]
     # a sample counts as free only if it is free for every finite schedule
     # present; comparisons are restricted to those points
-    in_pulse = np.zeros(grid.shape, bool)
-    for sched in cfg.schedules:
+    in_pulse = None
+    for sched in sorted(cfg.schedules, key=lambda s: (
+            order.index(type(s)), getattr(s, "n_duty", 0))):
         if sched is None:
-            if "F_free" in columns:
-                raise ConfigError("duplicate free-evolution entry")
-            columns["F_free"] = np.array(free_fidelity(state, grid, params))
+            name, values = "F_free", free_fidelity(state, grid, params)
         elif isinstance(sched, ZenoSchedule):
-            if "F_zeno" in columns:
-                raise ConfigError("duplicate measurement schedule")
-            columns["F_zeno"] = np.array(
-                zeno_fidelity(state, grid, sched, params))
+            name, values = "F_zeno", zeno_fidelity(state, grid, sched, params)
         elif isinstance(sched, DdSchedule):
-            if "F_dd" in columns:
-                raise ConfigError("duplicate instantaneous pulse schedule")
-            columns["F_dd"] = np.array(dd_fidelity(state, grid, sched, params))
+            name, values = "F_dd", dd_fidelity(state, grid, sched, params)
         else:
             name = f"F_ddN{sched.n_duty}"
-            if name in columns:
-                raise ConfigError(f"duplicate duty setting {sched.n_duty}")
             values, tags = zip(*finite_dd_fidelity(state, grid, sched, params))
-            columns[name] = np.array(values)
-            in_pulse |= np.array(tags, dtype=object) == IN_PULSE_SEGMENT
-            finite_scheds.append(sched)
-
-    header = ["t"]
-    for name in ("F_free", "F_zeno", "F_dd"):
-        if name in columns:
-            header.append(name)
-    for sched in sorted(finite_scheds, key=lambda s: s.n_duty):
-        header.append(f"F_ddN{sched.n_duty}")
-    if finite_scheds:
-        header.append("segment")
-        segment = np.full(grid.shape, FREE_SEGMENT, dtype=object)
-        segment[in_pulse] = IN_PULSE_SEGMENT
-        columns["segment"] = segment
-
-    for name in header[1:]:
-        if name == "segment":
-            continue
-        values = columns[name]
-        bad = ~((0.0 <= values) & (values <= 1.0))
+            tagged = np.array(tags, dtype=object) == IN_PULSE_SEGMENT
+            in_pulse = tagged if in_pulse is None else in_pulse | tagged
+        if name in header:
+            raise ConfigError(f"duplicate column {name}: "
+                              f"{format_schedule(sched)}")
+        array = np.array(values)
+        bad = ~((0.0 <= array) & (array <= 1.0))
         if np.count_nonzero(bad):
             raise StateError(f"{name} left the unit interval: "
-                             f"worst value {np.max(values[bad])}")
+                             f"worst value {np.max(array[bad])}")
+        header.append(name)
+        columns.append(list(values))
 
-    return EvolutionTrace(header, [columns[name].tolist() for name in header],
-                          _trace_metadata(cfg))
+    if in_pulse is not None:
+        segment = np.full(grid.shape, FREE_SEGMENT, dtype=object)
+        segment[in_pulse] = IN_PULSE_SEGMENT
+        header.append("segment")
+        columns.append(segment.tolist())
+    return EvolutionTrace(header, columns, _trace_metadata(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +407,6 @@ def check_fig3_ordering(trace: EvolutionTrace) -> None:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-_AXIS_KEYS = ("lam", "omega", "r_rate", "tau", "delta_t", "n_duty", "t_max")
-
-
 def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     """Grid sweep over any subset of the model/schedule parameters.
 
@@ -407,25 +417,19 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     coordinates, values ascending.  An empty axis set yields an empty table.
     ``n_duty`` without ``tau`` is refused: no column would depend on it.
     """
-    given = {k: v for k, v in options.items() if v is not None}
+    base, given = _merged("sweep", options)
     if "n_duty" in given and "tau" not in given:
         raise ConfigError("n_duty needs tau: without a pulse interval no "
                           "protocol depends on the duty parameter")
 
-    axes: dict[str, list[str]] = {}
-    for key, value in given.items():
-        if key in _AXIS_KEYS:
-            axes[key] = sorted((p.strip() for p in str(value).split(",")),
-                               key=float)
-
-    base = dict(_COMMON_DEFAULTS)
-    base.update({k: v for k, v in given.items() if k not in axes})
-
+    axes = {key: sorted((p.strip() for p in str(base[key]).split(",")),
+                        key=float)
+            for key in given.intersection(_AXIS_KEYS)}
     axis_names = sorted(axes)
     metadata = {
         "tool": "parityshield",
         "version": __version__,
-        "run_id": given.get("run_id", "sweep"),
+        "run_id": base.get("run_id", "sweep"),
         "scenario": "sweep",
         "axes": "|".join(f"{k}={','.join(axes[k])}" for k in axis_names),
     }
@@ -453,7 +457,7 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     for combo in itertools.product(*(axes[k] for k in axis_names)):
         cell = dict(base)
         cell.update(dict(zip(axis_names, combo)))
-        params = _params_from_options(cell, set(given) | set(axis_names))
+        params = _params_from_options(cell, given)
         state, _ = parse_initial_state(cell["initial_state"])
         t_max = float(cell["t_max"])
         row: list = [int(v) if k == "n_duty" else float(v)

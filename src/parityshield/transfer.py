@@ -42,8 +42,11 @@ _SPLIT_THRESHOLD = 600.0
 _SERIES_LIMIT = 1e-4
 
 # tolerates t / period landing a few ulps below an integer, and assigns a
-# segment boundary instant to the earlier segment
+# segment boundary instant to the earlier segment; in cycle counting it
+# grows by a few ulps of t / period, since m * period / period is off by
+# about m ulps
 _GRID_FUZZ = 1e-12
+_EPS = np.finfo(float).eps
 
 # past this many cycles m * period no longer resolves the time into the cycle
 _MAX_CYCLES = 2.0 ** 53
@@ -147,7 +150,8 @@ def _positions(ts: np.ndarray, period: float | None):
     if np.count_nonzero(ts > period * _MAX_CYCLES):
         raise ParameterError(
             f"time spans more than 2**53 cycles of {period}, got {np.max(ts)}")
-    m = np.floor(ts / period + _GRID_FUZZ)
+    q = ts / period
+    m = np.floor(q + (_GRID_FUZZ + 4.0 * _EPS * q))
     theta = ts - m * period
     return m, np.where(theta > 0.0, theta, 0.0)
 

@@ -10,6 +10,7 @@ the conditional no-click branch with its shrunken norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -24,9 +25,9 @@ class ZenoSchedule:
     delta_t: float
 
     def __post_init__(self):
-        if not (self.delta_t > 0.0):
-            raise ConfigError(
-                f"measurement interval must be positive, got {self.delta_t}")
+        if not (0.0 < self.delta_t < math.inf):
+            raise ConfigError("measurement interval must be finite and "
+                              f"positive, got {self.delta_t}")
 
     @property
     def cycle(self) -> Cycle:

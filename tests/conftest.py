@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import argparse
+
 import pytest
 from hypothesis import settings
 
 import parityshield as ps
+from parityshield.cli import build_parser
 
 # property tests draw the same examples on every run and never time out
 # on a slow or shared host; no example database is written
@@ -19,6 +22,13 @@ CASE2_TAU = 0.2
 @pytest.fixture(scope="session")
 def case1():
     return ps.ModelParams.from_mode_splitting(2.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def subcommands():
+    """Subcommand name -> its argument parser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import pytest
 
 from parityshield.cli import main
 from parityshield.output import read_csv
+from parityshield.scenarios import option_keys
 
 
 def test_fig2_writes_outputs(tmp_path, capsys):
@@ -98,6 +99,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["breakdown"]) == 1
     assert main(["fig2", "--no-such-flag"]) == 1
     assert main([]) == 1
+    # a subcommand takes no flag for a key its run does not read
+    out = tmp_path / "x.csv"
+    for argv in (["fig2", "--n-duty", "10"], ["fig3", "--delta-t", "0.1"],
+                 ["custom", "--tau", "0.3", "--schedules", "dd(0.1)"],
+                 ["sweep", "--tau", "0.1", "--samples-per-unit-time", "500"]):
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        assert not out.exists()
     capsys.readouterr()
 
 
@@ -108,6 +116,21 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["custom", "--schedules", "wibble(1)"]) == 1
     captured = capsys.readouterr()
     assert "error" in captured.err
+    # a config key the run does not read is refused, not dropped
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[fig2]\ntua = 0.05\n")
+    out = tmp_path / "typo.csv"
+    assert main(["fig2", "--config", str(ini), "--out", str(out)]) == 1
+    assert "tua" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "custom", "sweep"])
+def test_flags_are_the_keys_the_run_reads(subcommands, kind):
+    dests = {a.dest for a in subcommands[kind]._actions
+             if a.option_strings} - {"help"}
+    extra = {"max_cells"} if kind == "sweep" else set()
+    assert dests == {*option_keys(kind), "config", "out", *extra}
 
 
 @pytest.mark.parametrize("args", [

@@ -138,14 +138,6 @@ def test_dark_amplitude_constant_under_all_protocols(case1, cfg_aug):
         assert float(np.max(np.abs(tr.beta1 - tr.beta1[0]))) < 1e-8
 
 
-def test_sample_thinning(case1):
-    cfg = ps.OracleConfig(dt_num=1e-3, sample_every=10)
-    tr = ps.integrate_free(case1, 1.0, cfg)
-    assert len(tr.times) == 101
-    assert tr.times[-1] == pytest.approx(1.0)
-    assert tr.times[1] - tr.times[0] == pytest.approx(1e-2)
-
-
 def test_config_validation():
     with pytest.raises(ps.ConfigError):
         ps.OracleConfig(dt_num=0.0)
@@ -155,8 +147,6 @@ def test_config_validation():
         ps.OracleConfig(history_mode="spline")
     with pytest.raises(ps.ConfigError):
         ps.OracleConfig(history_mode=ps.DIRECT_QUADRATURE, method_order=4)
-    with pytest.raises(ps.ConfigError):
-        ps.OracleConfig(sample_every=0)
 
 
 def test_run_preconditions(case1, cfg_aug):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from parityshield.scenarios import _merged
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -18,3 +20,28 @@ def test_python_examples_run():
     assert len(namespace["curve"]) == 4
     assert namespace["fig2"].header == ["t", "F_free", "F_zeno", "F_dd"]
     assert 0.0 < namespace["final_dd"] < 1.0
+
+
+def test_flag_table_matches_parser(subcommands):
+    # each subcommand column lists exactly the flags it takes, with the
+    # config key it sets and its default ("yes": none)
+    lines = README.read_text().splitlines()
+    cells = [[c.strip().strip("`") for c in line.strip("|").split("|")]
+             for line in lines if line.startswith(("| flag |", "| `--"))]
+    (_, _, *kinds), *rows = cells
+    for j, kind in enumerate(kinds):
+        actions = {s: a for a in subcommands[kind]._actions
+                   for s in a.option_strings}
+        defaults = {} if kind == "validate" else _merged(kind, {})[0]
+        listed = set()
+        for flag, key, *marks in rows:
+            if not marks[j]:
+                continue
+            listed.add(flag)
+            action = actions[flag]
+            assert action.dest == (key or action.dest), (kind, flag)
+            default = (defaults.get(key) if action.default is None
+                       else action.default)
+            want = "yes" if default is None else str(default)
+            assert marks[j] == want, (kind, flag)
+        assert listed == set(actions) - {"-h", "--help"}, kind

@@ -22,7 +22,8 @@ def test_schedule_descriptor_round_trip(text):
 
 @pytest.mark.parametrize("text", [
     "pulse(0.1)", "zeno()", "zeno(0.1,0.2)", "dd-finite(0.2)", "none(1)",
-    "dd(abc)", "dd-finite(0.2,2.5)",
+    "dd(abc)", "dd-finite(0.2,2.5)", "dd(inf)", "zeno(inf)",
+    "dd-finite(inf,10)",
 ])
 def test_bad_descriptors_rejected(text):
     with pytest.raises(ps.ConfigError):
@@ -79,6 +80,13 @@ def test_parameter_source_rules():
         ps.build_scenario("fig2", {"samples_per_unit_time": "10"})
     with pytest.raises(ps.ConfigError):
         ps.build_scenario("breakdown")
+
+
+def test_unread_keys_refused():
+    with pytest.raises(ps.ConfigError, match="n_duty"):
+        ps.build_scenario("fig2", {"n_duty": "10"})
+    with pytest.raises(ps.ConfigError, match="schedules"):
+        ps.run_sweep({"tau": "0.1", "schedules": "none"})
 
 
 def test_custom_schedule_list():

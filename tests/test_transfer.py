@@ -288,6 +288,25 @@ def test_more_than_2_53_cycles_rejected(case1):
         ps.dd_survival(1e300, ps.DdSchedule(1e-10), case1)
 
 
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.2, 0.25, 0.3])
+def test_cycle_start_instants_in_their_cycle(tau):
+    # m * tau / tau is off by about m ulps: every cycle start must still
+    # land in cycle m, and an instant 1e-9 earlier in cycle m - 1
+    m = np.arange(1.0, 3e6, 997.0)
+    starts, _ = transfer._positions(m * tau, tau)
+    before, _ = transfer._positions(m * tau - 1e-9, tau)
+    assert np.array_equal(starts, m) and np.array_equal(before, m - 1.0)
+
+
+def test_far_cycle_start_is_free(case1):
+    sched = ps.FinitePulseSchedule(0.1, 10)
+    t = 20481 * 0.1
+    assert sched.segment_of(t) == (ps.FREE_SEGMENT, 20481, 0.0)
+    at, tag = ps.finite_dd_survival(t, sched, case1)
+    later, _ = ps.finite_dd_survival(t + 1e-9, sched, case1)
+    assert tag == ps.FREE_SEGMENT and abs(at - later) < 1e-6
+
+
 def test_nan_inside_ndarray_rejected(case1):
     with pytest.raises(ps.ParameterError):
         ps.dd_survival(np.array([0.5, np.nan, 0.7]), DD, case1)
