@@ -14,14 +14,8 @@ a brute-force memory-kernel integrator:
 """
 
 from ._version import __version__
-from .decoupling import DdSchedule, RecursionCoeffs, dd_coefficients, \
-    dd_fidelity, dd_survival
 from .errors import (ConfigError, ParameterError, ParityShieldError,
                      StateError, ValidationFailure)
-from .finite_pulse import (FREE_SEGMENT, IN_PULSE_SEGMENT,
-                           FinitePulseSchedule, finite_dd_coefficients,
-                           finite_dd_fidelity, finite_dd_survival)
-from .free_evolution import free_fidelity, free_survival, free_survival_slope
 from .model import (BRANCH_CRITICAL, BRANCH_OVERDAMPED, BRANCH_UNDERDAMPED,
                     ModelParams, OddParityState, PhysicalAmplitudes,
                     apply_double_pi_pulse, decompose, recompose)
@@ -33,8 +27,13 @@ from .scenarios import (EvolutionTrace, ScenarioConfig, build_scenario,
                         compute_trace, dump_config, format_schedule,
                         load_config, parse_initial_state, parse_schedule,
                         run_sweep, time_grid)
+from .transfer import (FREE_SEGMENT, IN_PULSE_SEGMENT, DdSchedule,
+                       FinitePulseSchedule, RecursionCoeffs, ZenoSchedule,
+                       dd_coefficients, dd_fidelity, dd_survival,
+                       finite_dd_coefficients, finite_dd_fidelity,
+                       finite_dd_survival, free_fidelity, free_survival,
+                       free_survival_slope, zeno_amplitude, zeno_fidelity)
 from .validation import CheckResult, ValidationReport, run_validation
-from .zeno import ZenoSchedule, zeno_amplitude, zeno_fidelity
 
 __all__ = [
     "__version__",

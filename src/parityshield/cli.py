@@ -139,7 +139,7 @@ def _run_validate(args) -> int:
              EXACT_AUGMENTED: (EXACT_AUGMENTED,),
              DIRECT_QUADRATURE: (DIRECT_QUADRATURE,)}[args.oracle_mode]
     report = run_validation(tolerance_overrides=overrides or None,
-                            dt_num=float(args.dt_num),
+                            dt_num=args.dt_num,
                             oracle_modes=modes)
     text = "\n".join(report.lines())
     print(text)
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("validate",
                           help="run the closed-form vs integrator checks")
-    sub.add_argument("--dt-num", dest="dt_num", default="1e-4",
+    sub.add_argument("--dt-num", dest="dt_num", type=float, default="1e-4",
                      help="integrator step size")
     sub.add_argument("--oracle-mode", dest="oracle_mode", default="both",
                      choices=["both", EXACT_AUGMENTED, DIRECT_QUADRATURE],

@@ -1,7 +1,8 @@
 """Independent brute-force integration of the memory-kernel dynamics.
 
-This module never touches the closed forms it is meant to validate.  It
-integrates the coupled physical amplitudes (r1, r2) on |10> and |01> under
+This module never touches the closed forms it is meant to validate: it
+imports only ``model`` and ``errors`` from the package.  It integrates the
+coupled physical amplitudes (r1, r2) on |10> and |01> under
 
     dr_i/dt = -alpha_i * integral_0^t f(t - k) S(k) dk,
     S = alpha1 r1 + alpha2 r2,   f(s) = W^2 e^{-lam s},
@@ -41,9 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoupling import DdSchedule
 from .errors import ConfigError
-from .finite_pulse import FinitePulseSchedule
 from .model import ModelParams, OddParityState, recompose
 
 EXACT_AUGMENTED = "exact-augmented"
@@ -342,15 +341,14 @@ def integrate_free(params: ModelParams, t_max: float, cfg: OracleConfig,
     return integrate(params, None, t_max, cfg, state0)
 
 
-def integrate_dd(params: ModelParams, sched: DdSchedule, t_max: float,
-                 cfg: OracleConfig,
+def integrate_dd(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
                  state0: OddParityState | None = None) -> OracleTrace:
     """Instantaneous pulses at every multiple of tau: ``integrate``."""
     return integrate(params, sched, t_max, cfg, state0)
 
 
-def integrate_finite(params: ModelParams, sched: FinitePulseSchedule,
-                     t_max: float, cfg: OracleConfig,
+def integrate_finite(params: ModelParams, sched, t_max: float,
+                     cfg: OracleConfig,
                      state0: OddParityState | None = None) -> OracleTrace:
     """Drive windows over the final tau/N of each cycle: ``integrate``."""
     return integrate(params, sched, t_max, cfg, state0)

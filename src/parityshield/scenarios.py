@@ -30,13 +30,11 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ._version import __version__
-from .decoupling import DdSchedule, dd_fidelity
 from .errors import ConfigError, StateError, ValidationFailure
-from .finite_pulse import (FREE_SEGMENT, IN_PULSE_SEGMENT, FinitePulseSchedule,
-                           finite_dd_fidelity)
-from .free_evolution import free_fidelity
 from .model import ModelParams, OddParityState
-from .zeno import ZenoSchedule, zeno_fidelity
+from .transfer import (FREE_SEGMENT, IN_PULSE_SEGMENT, DdSchedule,
+                       FinitePulseSchedule, ZenoSchedule, dd_fidelity,
+                       finite_dd_fidelity, free_fidelity, zeno_fidelity)
 
 SCENARIO_IDS = ("fig1", "fig2", "fig3", "custom")
 
@@ -124,8 +122,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIO_IDS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if not (self.t_max > 0.0):
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
+        if not (0.0 < self.t_max < math.inf):
+            raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
+        if any(type(sched) not in _KIND_OF for sched in self.schedules):
+            raise ConfigError(f"unknown schedule object in {self.schedules!r}")
         if self.samples_per_unit_time < 100:
             raise ConfigError(
                 "samples_per_unit_time must be at least 100, got "
@@ -178,16 +178,31 @@ def _merged(kind: str, options: dict | None) -> tuple[dict, set[str]]:
     return {**defaults, **given}, set(given)
 
 
-def _params_from_options(opts: dict[str, str],
-                         user_keys: set[str]) -> ModelParams:
+def _number(opts: dict, key: str, kind=float, many: bool = False):
+    """opts[key] read as text: a float, or a whole number for kind=int ("10",
+    not "10.0"); with many, (number, stripped text) pairs of comma-separated
+    text in ascending number.  ConfigError names the key of bad text."""
+    text = str(opts[key])
+    try:
+        if many:
+            return sorted(((kind(p), p.strip()) for p in text.split(",")),
+                          key=lambda pair: pair[0])
+        return kind(text)
+    except ValueError as exc:
+        noun = "number" if kind is float else "whole number"
+        what = f"comma-separated {noun}s" if many else f"a {noun}"
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
+
+
+def _params_from_options(opts: dict, user_keys: set[str]) -> ModelParams:
     # defaults always carry omega, so r_rate can only appear user-supplied;
     # reject the ambiguous case of both given explicitly
-    lam = float(opts["lam"])
+    lam = _number(opts, "lam")
     if "r_rate" in opts:
         if "omega" in user_keys:
             raise ConfigError("give either omega or r_rate, not both")
-        return ModelParams.from_effective_rate(lam, float(opts["r_rate"]))
-    return ModelParams.from_mode_splitting(lam, float(opts["omega"]))
+        return ModelParams.from_effective_rate(lam, _number(opts, "r_rate"))
+    return ModelParams.from_mode_splitting(lam, _number(opts, "omega"))
 
 
 def build_scenario(scenario: str, options: dict[str, str] | None = None) -> ScenarioConfig:
@@ -200,24 +215,23 @@ def build_scenario(scenario: str, options: dict[str, str] | None = None) -> Scen
         schedules = tuple(parse_schedule(s)
                           for s in opts["schedules"].split("|"))
     else:
-        tau = float(opts["tau"])
-        delta_t = float(opts.get("delta_t", tau))   # measurement interval
-        # defaults to the pulse interval for an equal-frequency comparison
+        tau = _number(opts, "tau")
+        # unless given, measure at the pulse interval (equal frequency)
+        delta_t = _number(opts, "delta_t" if "delta_t" in opts else "tau")
         if scenario == "fig1":
             schedules = (ZenoSchedule(delta_t), DdSchedule(tau))
         elif scenario == "fig2":
             schedules = (None, ZenoSchedule(delta_t), DdSchedule(tau))
         else:
-            ns = [int(x) for x in opts["n_duty_values"].split(",")]
-            schedules = (None,
-                         *(FinitePulseSchedule(tau, n) for n in sorted(ns)),
+            ns = _number(opts, "n_duty_values", int, many=True)
+            schedules = (None, *(FinitePulseSchedule(tau, n) for n, _ in ns),
                          DdSchedule(tau))
     return ScenarioConfig(
         scenario=scenario,
         params=params,
         schedules=schedules,
-        t_max=float(opts["t_max"]),
-        samples_per_unit_time=int(opts["samples_per_unit_time"]),
+        t_max=_number(opts, "t_max"),
+        samples_per_unit_time=_number(opts, "samples_per_unit_time", int),
         initial_state=state,
         initial_state_name=state_name,
         run_id=opts.get("run_id", scenario),
@@ -422,22 +436,23 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
         raise ConfigError("n_duty needs tau: without a pulse interval no "
                           "protocol depends on the duty parameter")
 
-    axes = {key: sorted((p.strip() for p in str(base[key]).split(",")),
-                        key=float)
-            for key in given.intersection(_AXIS_KEYS)}
-    axis_names = sorted(axes)
+    # axis name -> (value, text as given) pairs in ascending value, by name
+    axes = {key: _number(base, key, int if key == "n_duty" else float,
+                         many=True)
+            for key in sorted(given.intersection(_AXIS_KEYS))}
     metadata = {
         "tool": "parityshield",
         "version": __version__,
         "run_id": base.get("run_id", "sweep"),
         "scenario": "sweep",
-        "axes": "|".join(f"{k}={','.join(axes[k])}" for k in axis_names),
+        "axes": "|".join(f"{k}={','.join(text for _, text in axes[k])}"
+                         for k in axes),
     }
 
     has_zeno = "delta_t" in given or "tau" in given
     has_dd = "tau" in given
     has_finite = "n_duty" in given
-    header = list(axis_names) + ["F_free"]
+    header = [*axes, "F_free"]
     if has_zeno:
         header.append("F_zeno")
     if has_dd:
@@ -446,34 +461,31 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
         header.append("F_ddN")
 
     columns: list[list] = [[] for _ in header]
-    if not axis_names:
+    if not axes:
         return EvolutionTrace(header, columns, metadata)
 
-    total = math.prod(len(axes[k]) for k in axis_names)
+    total = math.prod(map(len, axes.values()))
     if total > max_cells:
         raise ConfigError(
             f"sweep has {total} cells, exceeding the cap of {max_cells}")
 
-    for combo in itertools.product(*(axes[k] for k in axis_names)):
-        cell = dict(base)
-        cell.update(dict(zip(axis_names, combo)))
+    for combo in itertools.product(*axes.values()):
+        row: list = [value for value, _ in combo]
+        cell = {**base, **dict(zip(axes, row))}
         params = _params_from_options(cell, given)
         state, _ = parse_initial_state(cell["initial_state"])
-        t_max = float(cell["t_max"])
-        row: list = [int(v) if k == "n_duty" else float(v)
-                     for k, v in zip(axis_names, combo)]
+        t_max = _number(cell, "t_max")
         row.append(free_fidelity(state, t_max, params))
         if has_zeno:
-            delta_t = float(cell["delta_t"] if "delta_t" in cell
-                            else cell["tau"])
+            delta_t = _number(cell, "delta_t" if "delta_t" in cell else "tau")
             row.append(zeno_fidelity(state, t_max, ZenoSchedule(delta_t),
                                      params))
         if has_dd:
-            row.append(dd_fidelity(state, t_max, DdSchedule(float(cell["tau"])),
-                                   params))
+            row.append(dd_fidelity(state, t_max,
+                                   DdSchedule(_number(cell, "tau")), params))
         if has_finite:
-            sched = FinitePulseSchedule(float(cell["tau"]),
-                                        int(cell["n_duty"]))
+            sched = FinitePulseSchedule(_number(cell, "tau"),
+                                        _number(cell, "n_duty", int))
             row.append(finite_dd_fidelity(state, t_max, sched, params)[0])
         for column, value in zip(columns, row):
             column.append(value)

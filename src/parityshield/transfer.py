@@ -1,4 +1,4 @@
-"""Transfer-matrix core shared by every protocol.
+"""Closed forms of every protocol on one transfer-matrix core.
 
 Between interventions the superradiant survival factor x obeys
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .model import ModelParams, OddParityState
 
 # beyond this value of Re(lam_c) * s the hyperbolic factors overflow before
@@ -156,12 +156,6 @@ def _positions(ts: np.ndarray, period: float | None):
     return m, np.where(theta > 0.0, theta, 0.0)
 
 
-def cycle_position(t: float, period: float | None) -> tuple[int, float]:
-    """(completed cycles, time into the current cycle) at time t."""
-    m, theta = _positions(np.array(t, dtype=float), period)
-    return int(m), float(theta)
-
-
 def _segments(params: ModelParams, cycle: Cycle | None):
     r_sq = params.r_rate * params.r_rate
     segments = ((math.inf, 0.0),) if cycle is None else cycle.segments
@@ -272,3 +266,245 @@ def overlap(state: OddParityState):
         v = np.abs(w1 + w2 * x)
         return np.where(v > 1.0, 1.0, v)
     return value
+
+
+# protocols: schedules, linked to the core by their cycle, and closed forms
+
+def _require_interval(what: str, value: float) -> None:
+    if not (0.0 < value < math.inf):
+        raise ConfigError(
+            f"{what} interval must be finite and positive, got {value}")
+
+
+def _real(x, *_):
+    return x.real
+
+
+def free_survival(t, params: ModelParams):
+    """Survival factor of the superradiant amplitude after time t.
+
+    Free decay has no cycle; its envelopes on the three damping branches
+    join continuously.  Real on every branch; equals 1 at t = 0, stays in
+    [-1, 1], and is strictly positive in the overdamped and critical
+    regimes.  t is a float or a sequence of times (giving a list).
+    """
+    return evaluate(t, params, None, _real)
+
+
+def free_survival_slope(t, params: ModelParams):
+    """Time derivative of free_survival.  Zero at t = 0 on every branch."""
+    return evaluate(t, params, None, lambda x, xd, *_: xd.real)
+
+
+def free_fidelity(state0: OddParityState, t, params: ModelParams):
+    """Modulus of the overlap between the initial and the evolved state."""
+    return evaluate(t, params, None, overlap(state0))
+
+
+@dataclass(frozen=True)
+class ZenoSchedule:
+    """Repeated vacuum projection every delta_t time units.
+
+    Each projection that finds no photon restarts the free decay from the
+    (unrenormalized) surviving amplitude: the cycle is free decay over
+    delta_t followed by (x, x') -> (x, 0), so after n = floor(t / delta_t)
+    measurements the superradiant factor is survival(delta_t)^n *
+    survival(t - n delta_t).  No renormalization is applied: the curve
+    tracks the conditional no-click branch with its shrunken norm.
+    """
+
+    delta_t: float
+
+    def __post_init__(self):
+        _require_interval("measurement", self.delta_t)
+
+    @property
+    def cycle(self) -> Cycle:
+        return Cycle(self.delta_t, ((self.delta_t, 0.0),), 0.0)
+
+
+def zeno_amplitude(t, sched: ZenoSchedule, params: ModelParams):
+    """Superradiant survival factor under repeated vacuum projection.
+
+    t is a float or a sequence of times (giving a list).
+    """
+    return evaluate(t, params, sched.cycle, _real)
+
+
+def zeno_fidelity(state0: OddParityState, t, sched: ZenoSchedule,
+                  params: ModelParams):
+    """Modulus of overlap with the initial state under the measurement protocol."""
+    return evaluate(t, params, sched.cycle, overlap(state0))
+
+
+@dataclass(frozen=True)
+class DdSchedule:
+    """One instantaneous double-pi-phase pulse at every multiple of tau.
+
+    A pulse flips the sign of the ground-plus-photon amplitude relative to
+    the single-excitation sector, which negates the accumulated reservoir
+    back-action.  Between pulses the superradiant factor obeys the same
+    damped-oscillator equation as in free decay; at each pulse the value is
+    continuous while the slope reverses sign, so the cycle is free decay
+    over tau followed by (x, x') -> (x, -x').
+    """
+
+    tau: float
+
+    def __post_init__(self):
+        _require_interval("pulse", self.tau)
+
+    @property
+    def cycle(self) -> Cycle:
+        return Cycle(self.tau, ((self.tau, 0.0),), -1.0)
+
+
+@dataclass(frozen=True)
+class RecursionCoeffs:
+    """Interval-solution coefficients for the interval [m tau, (m+1) tau].
+
+    On the interval x = e^{-lam s/2} (a cosh(omega s/2) + b sinh(omega s/2))
+    (cos/sin on the underdamped branch), so a = x and
+    b = (2 x' + lam x) / omega at the interval start.  Real for
+    instantaneous pulses, complex for finite-duration ones.  On the critical
+    branch `b` stores the finite product (split root * b), i.e. omega is
+    taken as 1.
+    """
+
+    a: complex
+    b: complex
+    m: int
+
+    @classmethod
+    def from_state(cls, x: complex, xd: complex, m: int,
+                   params: ModelParams) -> "RecursionCoeffs":
+        omega = params.omega or 1.0
+        return cls(x, (2.0 * xd + params.lam * x) / omega, m)
+
+
+def dd_coefficients(m: int, sched: DdSchedule,
+                    params: ModelParams) -> RecursionCoeffs:
+    """Coefficients of the damped-oscillator solution on interval m.
+
+    Interval 0 reproduces free decay; each later pair follows from
+    continuity of the value and reversal of the slope at the pulse instant.
+    """
+    x, xd = cycle_start(m, params, sched.cycle)
+    return RecursionCoeffs.from_state(x.real, xd.real, m, params)
+
+
+def dd_survival(t, sched: DdSchedule, params: ModelParams):
+    """Piecewise superradiant survival factor under the pulse train.
+
+    t is a float or a sequence of times (giving a list).
+    """
+    return evaluate(t, params, sched.cycle, _real)
+
+
+def dd_fidelity(state0: OddParityState, t, sched: DdSchedule,
+                params: ModelParams):
+    """Modulus of overlap with the initial state under instantaneous pulses."""
+    return evaluate(t, params, sched.cycle, overlap(state0))
+
+
+FREE_SEGMENT = "free"
+IN_PULSE_SEGMENT = "in_pulse"
+
+# segment index within a cycle -> tag; an object array hands out the two
+# tag strings themselves, not a copy per time
+_TAGS = np.array([FREE_SEGMENT, IN_PULSE_SEGMENT], dtype=object)
+
+
+@dataclass(frozen=True)
+class FinitePulseSchedule:
+    """Cycle interval tau with the final tau/N of each cycle driven.
+
+    Each cycle of length tau is free for the first (1 - 1/N) tau and driven
+    for the final tau/N, during which both qubits are phase-rotated at rate
+    N pi / tau.  Over one window the single-excitation sector gains exactly
+    a pi phase relative to the ground sector, so N -> infinity recovers the
+    instantaneous protocol.
+
+    In the frame co-rotating with the drive the superradiant factor obeys
+    the same second-order interval equation as in free decay but with the
+    damping constant shifted to lam - i N pi / tau inside windows.  A cycle
+    is therefore two segments of the shared propagator, on every damping
+    branch; the window's pi phase is common to the single-excitation sector
+    and is absorbed at the cycle end.
+    """
+
+    tau: float
+    n_duty: int
+
+    def __post_init__(self):
+        _require_interval("cycle", self.tau)
+        if not isinstance(self.n_duty, int) or self.n_duty < 2:
+            raise ConfigError(
+                f"duty parameter must be an integer >= 2, got {self.n_duty!r}")
+
+    @property
+    def gamma(self) -> float:
+        """Phase-rate parameter N pi / (2 tau)."""
+        return self.n_duty * math.pi / (2.0 * self.tau)
+
+    @property
+    def free_length(self) -> float:
+        return (1.0 - 1.0 / self.n_duty) * self.tau
+
+    @property
+    def window_length(self) -> float:
+        return self.tau / self.n_duty
+
+    @property
+    def phase_rate(self) -> float:
+        """Drive rotation rate inside windows, N pi / tau (twice gamma)."""
+        return self.n_duty * math.pi / self.tau
+
+    @property
+    def cycle(self) -> Cycle:
+        return Cycle(self.tau, ((self.free_length, 0.0),
+                                (self.window_length, self.phase_rate)), 1.0)
+
+    def segment_of(self, t: float) -> tuple[str, int, float]:
+        """Classify t as ("free" | "in_pulse", cycle index, offset into cycle)."""
+        m, theta = _positions(np.array(t, dtype=float), self.tau)
+        free = theta <= self.free_length + _GRID_FUZZ * self.tau
+        return FREE_SEGMENT if free else IN_PULSE_SEGMENT, int(m), float(theta)
+
+
+def finite_dd_coefficients(m: int, sched: FinitePulseSchedule,
+                           params: ModelParams) -> RecursionCoeffs:
+    """Complex interval coefficients for cycle m of the finite-duration protocol."""
+    x, xd = cycle_start(m, params, sched.cycle)
+    return RecursionCoeffs.from_state(complex(x), complex(xd), m, params)
+
+
+def finite_dd_survival(t, sched: FinitePulseSchedule, params: ModelParams):
+    """Superradiant amplitude at time t, tagged free or in_pulse.
+
+    Completed windows each contribute an exact pi phase that is common to
+    the whole single-excitation sector; those are absorbed, so free-segment
+    values line up cycle to cycle.  Within a window the partial drive phase
+    is included in the returned amplitude.  t is a float, giving one
+    (amplitude, tag) pair, or a sequence of times, giving a list of them.
+    """
+    rate = sched.phase_rate
+
+    def value(x, xd, k, into):
+        phase = np.exp(-1j * rate * into)
+        return np.where(k == 1, _mul(x, phase), x), _TAGS[k]
+    return evaluate(t, params, sched.cycle, value)
+
+
+def finite_dd_fidelity(state0: OddParityState, t,
+                       sched: FinitePulseSchedule, params: ModelParams):
+    """Modulus of overlap with the initial state, tagged free or in_pulse.
+
+    Inside windows both the dark and the superradiant amplitude carry the
+    same drive phase, which therefore cancels in the modulus; the reported
+    value stays continuous across window edges.  Scalar and sequence t as
+    in finite_dd_survival.
+    """
+    fidelity = overlap(state0)
+    return evaluate(t, params, sched.cycle,
+                    lambda x, xd, k, into: (fidelity(x), _TAGS[k]))

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoupling import DdSchedule, dd_survival
 from .errors import ConfigError
-from .finite_pulse import (FREE_SEGMENT, FinitePulseSchedule,
-                           finite_dd_fidelity, finite_dd_survival)
-from .free_evolution import free_survival
 from .model import ModelParams, OddParityState
 from .oracle import (DIRECT_QUADRATURE, EXACT_AUGMENTED, OracleConfig,
                      integrate_dd, integrate_finite, integrate_free)
-from .zeno import ZenoSchedule, zeno_amplitude
+from .transfer import (FREE_SEGMENT, DdSchedule, FinitePulseSchedule,
+                       ZenoSchedule, dd_survival, finite_dd_fidelity,
+                       finite_dd_survival, free_survival, zeno_amplitude)
 
 
 @dataclass(frozen=True)

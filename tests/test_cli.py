@@ -109,6 +109,51 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+# option text that is no number, or an infinite horizon
+_NOT_NUMBERS = [
+    ["fig2", "--tau", "abc"],
+    ["custom", "--lambda", "two"],
+    ["fig2", "--samples-per-unit-time", "1e9"],
+    ["fig3", "--n-duty", "10,x"],
+    ["sweep", "--tau", "0.1,abc"],
+    ["sweep", "--tau", "0.1", "--n-duty", "1.5"],
+    ["validate", "--dt-num", "abc"],
+    ["fig2", "--t-max", "inf"],
+]
+
+
+def _argv_id(argv):
+    return "-".join(part.lstrip("-") for part in argv)
+
+
+@pytest.mark.parametrize("argv", _NOT_NUMBERS, ids=_argv_id)
+def test_non_numeric_options_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [a for a in _NOT_NUMBERS
+                                  if a[0] != "validate"], ids=_argv_id)
+def test_non_numeric_config_values_exit_one(tmp_path, capsys, subcommands,
+                                            argv):
+    # the same values set in a config section
+    kind, *flags = argv
+    dests = {s: a.dest for a in subcommands[kind]._actions
+             for s in a.option_strings}
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{kind}]\n" + "".join(
+        f"{dests[flag]} = {value}\n"
+        for flag, value in zip(flags[0::2], flags[1::2])))
+    out = tmp_path / "x.csv"
+    assert main([kind, "--config", str(ini), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert dests[flags[-2]] in err and "Traceback" not in err
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["fig2", "--omega", "3.0", "--out",
                  str(tmp_path / "x.csv")]) == 1

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import pkgutil
 import re
 from pathlib import Path
 
+import parityshield
 from parityshield.scenarios import _merged
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,3 +47,10 @@ def test_flag_table_matches_parser(subcommands):
             want = "yes" if default is None else str(default)
             assert marks[j] == want, (kind, flag)
         assert listed == set(actions) - {"-h", "--help"}, kind
+
+
+def test_layout_lists_every_module():
+    layout = README.read_text().split("## Layout\n", 1)[1].split("\n## ")[0]
+    listed = re.findall(r"^- `(\w+)`", layout, re.M)
+    modules = {m.name for m in pkgutil.iter_modules(parityshield.__path__)}
+    assert sorted(listed) == sorted(modules - {"_version"})

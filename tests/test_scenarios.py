@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -87,6 +88,14 @@ def test_unread_keys_refused():
         ps.build_scenario("fig2", {"n_duty": "10"})
     with pytest.raises(ps.ConfigError, match="schedules"):
         ps.run_sweep({"tau": "0.1", "schedules": "none"})
+
+
+@pytest.mark.parametrize("schedules", [
+    ("dd(0.1)",), (None, 0.1), (ps.DdSchedule(0.1), ps.DdSchedule),
+])
+def test_scenario_config_refuses_what_is_not_a_schedule(schedules):
+    with pytest.raises(ps.ConfigError, match="unknown schedule object"):
+        dataclasses.replace(ps.build_scenario("fig2"), schedules=schedules)
 
 
 def test_custom_schedule_list():
