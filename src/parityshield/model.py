@@ -71,23 +71,28 @@ class ModelParams:
     branch: str
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise ParameterError(f"decay rate must be positive, got {self.lam}")
-        if not (self.w_coupling > 0.0):
+        if not (0.0 < self.lam < math.inf):
             raise ParameterError(
-                f"coupling strength must be positive, got {self.w_coupling}")
+                f"decay rate must be finite and positive, got {self.lam}")
+        if not (0.0 < self.w_coupling < math.inf):
+            raise ParameterError("coupling strength must be finite and "
+                                 f"positive, got {self.w_coupling}")
         if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
             raise ParameterError(
                 "coupling weights must be positive reals, got "
                 f"({self.alpha1}, {self.alpha2})")
+        # the damping split squares both rates; past the float range the
+        # squares are inf and the branch tag is meaningless
+        if not (math.isfinite(self.lam * self.lam)
+                and math.isfinite(4.0 * self.r_rate * self.r_rate)):
+            raise ParameterError(
+                "rates overflow the damping split lam^2 - 4 R^2: "
+                f"lam={self.lam}, R={self.r_rate}")
 
     @classmethod
     def from_couplings(cls, lam: float, w_coupling: float,
                        alpha1: float, alpha2: float) -> "ModelParams":
         """Build from the full microscopic set (lam, W, alpha1, alpha2)."""
-        if not (alpha1 > 0.0 and alpha2 > 0.0):
-            raise ParameterError(
-                f"coupling weights must be positive reals, got ({alpha1}, {alpha2})")
         alpha = math.hypot(alpha1, alpha2)
         r_rate = alpha * w_coupling
         omega, branch = _classify(lam, r_rate)

@@ -328,6 +328,15 @@ def _trace_metadata(cfg: ScenarioConfig) -> dict[str, str]:
     }
 
 
+def _require_unit_interval(name: str, values) -> None:
+    """StateError naming the column unless every fidelity is in [0, 1]."""
+    array = np.array(values)
+    bad = ~((0.0 <= array) & (array <= 1.0))
+    if np.count_nonzero(bad):
+        raise StateError(f"{name} left the unit interval: "
+                         f"worst value {np.max(array[bad])}")
+
+
 def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
     """Evaluate one fidelity column per schedule over the scenario grid.
 
@@ -358,11 +367,7 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
         if name in header:
             raise ConfigError(f"duplicate column {name}: "
                               f"{format_schedule(sched)}")
-        array = np.array(values)
-        bad = ~((0.0 <= array) & (array <= 1.0))
-        if np.count_nonzero(bad):
-            raise StateError(f"{name} left the unit interval: "
-                             f"worst value {np.max(array[bad])}")
+        _require_unit_interval(name, values)
         header.append(name)
         columns.append(list(values))
 
@@ -430,6 +435,7 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     describe; rows are ordered lexicographically in the sorted axis
     coordinates, values ascending.  An empty axis set yields an empty table.
     ``n_duty`` without ``tau`` is refused: no column would depend on it.
+    A fidelity outside [0, 1] raises StateError, as in compute_trace.
     """
     base, given = _merged("sweep", options)
     if "n_duty" in given and "tau" not in given:
@@ -490,4 +496,6 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
         for column, value in zip(columns, row):
             column.append(value)
 
+    for name, column in zip(header[len(axes):], columns[len(axes):]):
+        _require_unit_interval(name, column)
     return EvolutionTrace(header, columns, metadata)

@@ -86,10 +86,6 @@ _DEFAULT_TOLS = {
 }
 
 
-def _beta2_closed_free(times: np.ndarray, params: ModelParams) -> np.ndarray:
-    return np.array(free_survival(times, params))
-
-
 def _ode_residual(values, step, lam, r_sq):
     """Largest |f'' + lam f' + R^2 f| by central differences, over
     consecutive (f(t0 - step), f(t0), f(t0 + step)) triples of values."""
@@ -99,11 +95,6 @@ def _ode_residual(values, step, lam, r_sq):
         first = (f2 - f0) / (2 * step)
         worst = max(worst, abs(second + lam * first + r_sq * f1))
     return worst
-
-
-def _check(name, measured, tol, comparator="<="):
-    ok = measured <= tol if comparator == "<=" else measured >= tol
-    return CheckResult(name, float(measured), float(tol), comparator, ok)
 
 
 def run_validation(tolerance_overrides: dict[str, float] | None = None,
@@ -133,66 +124,59 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     lam = params.lam
     sched_dd = DdSchedule(_CASE1_TAU)
     results: list[CheckResult] = []
+
+    def check(name, measured, comparator="<="):
+        tol = tols[name]
+        ok = measured <= tol if comparator == "<=" else measured >= tol
+        results.append(CheckResult(name, float(measured), float(tol),
+                                   comparator, ok))
+
     cfg_fast = OracleConfig(dt_num=dt_num, method_order=4,
                             history_mode=EXACT_AUGMENTED)
     cfg_slow = OracleConfig(dt_num=dt_num, method_order=2,
                             history_mode=DIRECT_QUADRATURE)
 
     # free decay: closed form vs both backends, and backend vs backend
-    tr_aug = integrate_free(params, 1.0, cfg_fast) if use_aug else None
-    tr_quad = integrate_free(params, 1.0, cfg_slow) if use_quad else None
-    if tr_aug is not None:
-        closed = _beta2_closed_free(tr_aug.times, params)
-        results.append(_check("free_closed_form_vs_augmented",
-                              np.max(np.abs(tr_aug.beta2 - closed)),
-                              tols["free_closed_form_vs_augmented"]))
+    if use_aug:
+        tr_aug = integrate_free(params, 1.0, cfg_fast)
+        check("free_closed_form_vs_augmented", np.max(np.abs(
+            tr_aug.beta2 - free_survival(tr_aug.times, params))))
         norm = np.abs(tr_aug.r1) ** 2 + np.abs(tr_aug.r2) ** 2
-        results.append(_check("free_norm_monotone",
-                              float(np.max(np.diff(norm))),
-                              tols["free_norm_monotone"]))
-    if tr_quad is not None:
-        closed = _beta2_closed_free(tr_quad.times, params)
-        results.append(_check("free_closed_form_vs_quadrature",
-                              np.max(np.abs(tr_quad.beta2 - closed)),
-                              tols["free_closed_form_vs_quadrature"]))
-    if tr_aug is not None and tr_quad is not None:
-        results.append(_check("free_backend_agreement",
-                              np.max(np.abs(tr_aug.beta2 - tr_quad.beta2)),
-                              tols["free_backend_agreement"]))
+        check("free_norm_monotone", float(np.max(np.diff(norm))))
+    if use_quad:
+        tr_quad = integrate_free(params, 1.0, cfg_slow)
+        check("free_closed_form_vs_quadrature", np.max(np.abs(
+            tr_quad.beta2 - free_survival(tr_quad.times, params))))
+    if use_aug and use_quad:
+        check("free_backend_agreement",
+              np.max(np.abs(tr_aug.beta2 - tr_quad.beta2)))
 
     # dark state decouples entirely
     if use_aug:
         tr_dark = integrate_free(params, 1.0, cfg_fast,
                                  state0=OddParityState.dark())
-        dark_defect = max(
+        check("dark_state_frozen", max(
             float(np.max(np.abs(tr_dark.beta2))),
-            float(np.max(np.abs(tr_dark.beta1 - tr_dark.beta1[0]))))
-        results.append(_check("dark_state_frozen", dark_defect,
-                              tols["dark_state_frozen"]))
+            float(np.max(np.abs(tr_dark.beta1 - tr_dark.beta1[0])))))
 
     # measurement protocol closed form
     sched_z = ZenoSchedule(_CASE1_TAU)
     composed = free_survival(_CASE1_TAU, params) ** 10
-    results.append(_check("zeno_composition_identity",
-                          abs(zeno_amplitude(1.0, sched_z, params) - composed),
-                          tols["zeno_composition_identity"]))
+    check("zeno_composition_identity",
+          abs(zeno_amplitude(1.0, sched_z, params) - composed))
     dt_small = 1e-3
     ratio = (1.0 - free_survival(dt_small, params)) / (r_sq * dt_small ** 2 / 2.0)
-    results.append(_check("zeno_quadratic_limit", abs(ratio - 1.0),
-                          tols["zeno_quadratic_limit"]))
+    check("zeno_quadratic_limit", abs(ratio - 1.0))
 
     # instantaneous pulses: closed form vs oracle, backend agreement
-    tr_dd = integrate_dd(params, sched_dd, 1.0, cfg_fast) if use_aug else None
-    if tr_dd is not None:
-        closed_dd = np.array(dd_survival(tr_dd.times, sched_dd, params))
-        results.append(_check("dd_recursion_vs_augmented",
-                              np.max(np.abs(tr_dd.beta2 - closed_dd)),
-                              tols["dd_recursion_vs_augmented"]))
+    if use_aug:
+        tr_dd = integrate_dd(params, sched_dd, 1.0, cfg_fast)
+        check("dd_recursion_vs_augmented", np.max(np.abs(
+            tr_dd.beta2 - dd_survival(tr_dd.times, sched_dd, params))))
         if use_quad:
             tr_dd_q = integrate_dd(params, sched_dd, 1.0, cfg_slow)
-            results.append(_check("dd_backend_agreement",
-                                  np.max(np.abs(tr_dd.beta2 - tr_dd_q.beta2)),
-                                  tols["dd_backend_agreement"]))
+            check("dd_backend_agreement",
+                  np.max(np.abs(tr_dd.beta2 - tr_dd_q.beta2)))
 
     # slope reverses sign at each pulse instant; one-sided second-order
     # differences, defect normalized by the allowed band
@@ -207,8 +191,7 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
         left = (3 * here - 4 * back1 + back2) / (2 * h)
         band = 1e-5 * abs(left) + 1e-9
         worst = max(worst, abs(right + left) / band)
-    results.append(_check("dd_slope_reversal", worst,
-                          tols["dd_slope_reversal"]))
+    check("dd_slope_reversal", worst)
 
     # interval equation residual away from the pulse instants
     hh = 1e-4
@@ -218,8 +201,7 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     worst = _ode_residual(
         dd_survival([t for t0 in interior for t in (t0 - hh, t0, t0 + hh)],
                     sched_dd, params), hh, lam, r_sq)
-    results.append(_check("dd_interval_ode_residual", worst,
-                          tols["dd_interval_ode_residual"]))
+    check("dd_interval_ode_residual", worst)
 
     # finite-duration pulses: map vs oracle on free-segment samples
     if use_aug:
@@ -231,7 +213,7 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
             worst = max(abs(complex(b2) - value)
                         for b2, (value, tag) in zip(tr_f.beta2, closed_f)
                         if tag == FREE_SEGMENT)
-            results.append(_check(name, worst, tols[name]))
+            check(name, worst)
 
     # amplitude modulus continuous across window edges
     sched_f = FinitePulseSchedule(_CASE2_TAU, 10)
@@ -243,8 +225,7 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
         [t for edge in edges for t in (edge - eps, edge + eps)],
         sched_f, params)]
     worst = max(abs(hi - lo) for lo, hi in zip(sides[0::2], sides[1::2]))
-    results.append(_check("finite_window_edge_continuity", worst,
-                          tols["finite_window_edge_continuity"]))
+    check("finite_window_edge_continuity", worst)
 
     # free-segment piece of the finite protocol still solves the interval ODE
     free_points = [t0 for t0 in (0.05, 0.25, 0.31, 0.52, 0.71, 0.93)
@@ -253,8 +234,7 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
         [value for value, _ in finite_dd_survival(
             [t for t0 in free_points for t in (t0 - hh, t0, t0 + hh)],
             sched_f, params)], hh, lam, r_sq)
-    results.append(_check("finite_free_segment_ode_residual", worst,
-                          tols["finite_free_segment_ode_residual"]))
+    check("finite_free_segment_ode_residual", worst)
 
     # N -> infinity reproduces instantaneous pulses; approach is monotone
     state = OddParityState.superradiant()
@@ -269,11 +249,9 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
             for (f, tag), x in zip(
                 finite_dd_fidelity(state, ts, sched_n, params), inst)
             if tag == FREE_SEGMENT)
-    results.append(_check("finite_instantaneous_limit", devs[10000],
-                          tols["finite_instantaneous_limit"]))
+    check("finite_instantaneous_limit", devs[10000])
     drops = [devs[a] - devs[b] for a, b in ((10, 20), (20, 40), (40, 80))]
-    results.append(_check("finite_limit_monotone_in_n", min(drops),
-                          tols["finite_limit_monotone_in_n"], ">="))
+    check("finite_limit_monotone_in_n", min(drops), ">=")
 
     # mixed state: dark amplitude untouched by any protocol
     if use_aug:
@@ -286,8 +264,7 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
                                     state0=mixed)):
             worst = max(worst,
                         float(np.max(np.abs(tr.beta1 - tr.beta1[0]))))
-        results.append(_check("dark_protected_all_protocols", worst,
-                              tols["dark_protected_all_protocols"]))
+        check("dark_protected_all_protocols", worst)
 
     # fixed-step convergence orders against the closed free solution
     if use_aug:
@@ -295,13 +272,11 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
             cfg = OracleConfig(dt_num=dt, method_order=order)
             tr = integrate_free(params, 1.0, cfg)
             return float(np.max(np.abs(
-                tr.beta2 - _beta2_closed_free(tr.times, params))))
+                tr.beta2 - free_survival(tr.times, params))))
 
-        results.append(_check("convergence_order_rk4",
-                              max_err(4, 0.04) / max_err(4, 0.02),
-                              tols["convergence_order_rk4"], ">="))
-        results.append(_check("convergence_order_rk2",
-                              max_err(2, 0.04) / max_err(2, 0.02),
-                              tols["convergence_order_rk2"], ">="))
+        check("convergence_order_rk4", max_err(4, 0.04) / max_err(4, 0.02),
+              ">=")
+        check("convergence_order_rk2", max_err(2, 0.04) / max_err(2, 0.02),
+              ">=")
 
     return ValidationReport(results)

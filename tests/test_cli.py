@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from parityshield import scenarios
 from parityshield.cli import main
 from parityshield.output import read_csv
 from parityshield.scenarios import option_keys
+from parityshield.validation import _DEFAULT_TOLS
 
 
 def test_fig2_writes_outputs(tmp_path, capsys):
@@ -66,6 +70,17 @@ def test_sweep_table(tmp_path):
     assert header == ["tau", "F_free", "F_zeno", "F_dd"]
     assert len(rows) == 3
     assert metadata["axes"] == "tau=0.05,0.1,0.2"
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_sweep_fidelity_outside_unit_interval_exits_one(tmp_path, capsys,
+                                                       monkeypatch, bad):
+    monkeypatch.setattr(scenarios, "dd_fidelity", lambda *args: bad)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--tau", "0.1", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "F_dd left the unit interval" in err and "Traceback" not in err
 
 
 def test_sweep_duty_parameter_without_interval_exits_one(tmp_path, capsys):
@@ -170,6 +185,22 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+# rates that are infinite, or whose squares overflow the damping split
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda", "1e200", "--r-rate", "1", "--tau", "0.1"],
+    ["sweep", "--lambda", "2", "--r-rate", "1e160", "--tau", "0.1"],
+    ["sweep", "--lambda", "inf,2", "--tau", "0.1"],
+    ["fig2", "--lambda", "inf"],
+    ["fig2", "--lambda", "2", "--r-rate", "inf"],
+], ids=_argv_id)
+def test_unusable_rates_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "custom", "sweep"])
 def test_flags_are_the_keys_the_run_reads(subcommands, kind):
     dests = {a.dest for a in subcommands[kind]._actions
@@ -213,6 +244,20 @@ def test_validate_negative_control(capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "dd_recursion_vs_augmented" in out and "FAIL" in out
+
+
+def test_each_check_reports_its_own_tolerance(capsys):
+    # one distinct sentinel per check: a check that read another check's
+    # tolerance would print that one's sentinel
+    sentinels = {name: 1000.0 * (i + 1)
+                 for i, name in enumerate(_DEFAULT_TOLS)}
+    main(["validate", *(f"--tolerance={name}={value}"
+                        for name, value in sentinels.items())])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("20 checks")
+    reported = [(ln.split()[0], float(ln.split()[3])) for ln in lines[:-1]]
+    assert sorted(name for name, _ in reported) == sorted(_DEFAULT_TOLS)
+    assert dict(reported) == sentinels
 
 
 def test_validate_rejects_unknown_check():

@@ -77,10 +77,29 @@ def test_underdamped_params():
     (ps.ModelParams.from_effective_rate, (0.0, 1.0)),
     (ps.ModelParams.from_couplings, (2.0, 0.5, -0.6, 0.8)),
     (ps.ModelParams.from_couplings, (2.0, 0.5, 0.6, 0.0)),
+    # infinite rates, and rates whose squares overflow the damping split
+    (ps.ModelParams.from_mode_splitting, (math.inf, 1.0)),
+    (ps.ModelParams.from_mode_splitting, (1e200, 1.0)),
+    (ps.ModelParams.from_mode_splitting, (2.0, 1e160)),
+    (ps.ModelParams.from_effective_rate, (math.inf, 1.0)),
+    (ps.ModelParams.from_effective_rate, (2.0, math.inf)),
+    (ps.ModelParams.from_effective_rate, (1e200, 1.0)),
+    (ps.ModelParams.from_effective_rate, (2.0, 1e160)),
+    (ps.ModelParams.from_couplings, (math.inf, 0.5, 0.6, 0.8)),
+    (ps.ModelParams.from_couplings, (2.0, math.inf, 0.6, 0.8)),
+    (ps.ModelParams.from_couplings, (1e200, 0.5, 0.6, 0.8)),
+    (ps.ModelParams.from_couplings, (2.0, 1e160, 0.6, 0.8)),
 ])
 def test_bad_parameters_rejected(ctor, args):
     with pytest.raises(ps.ParameterError):
         ctor(*args)
+
+
+def test_weight_check_message():
+    # from_couplings leaves the weight check to the dataclass
+    with pytest.raises(ps.ParameterError, match=r"coupling weights must be "
+                       r"positive reals, got \(-0\.6, 0\.8\)"):
+        ps.ModelParams.from_couplings(2.0, 0.5, -0.6, 0.8)
 
 
 def test_decompose_recompose_round_trip(case1):

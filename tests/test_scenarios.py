@@ -6,6 +6,7 @@ import math
 import pytest
 
 import parityshield as ps
+from parityshield import scenarios
 
 ETA_10 = 0.7982309094947353
 ZENO_1 = 0.9654506861313339
@@ -218,6 +219,13 @@ def test_sweep_empty_and_capped():
     assert empty.columns == [[]]
     with pytest.raises(ps.ConfigError):
         ps.run_sweep({"tau": "0.1,0.2", "lam": "1,2,3"}, max_cells=5)
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_sweep_refuses_fidelity_outside_unit_interval(monkeypatch, bad):
+    monkeypatch.setattr(scenarios, "dd_fidelity", lambda *args: bad)
+    with pytest.raises(ps.StateError, match="F_dd"):
+        ps.run_sweep({"tau": "0.1"})
 
 
 def test_sweep_r_rate_axis():
