@@ -119,6 +119,10 @@ class ModelParams:
         Only meaningful when the split is real (omega <= lam); the
         underdamped regime must be entered through an explicit rate.
         """
+        # inf - inf would reach the split below as NaN
+        for name, value in (("decay rate", lam), ("mode splitting", omega)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not (lam > 0.0):
             raise ParameterError(f"decay rate must be positive, got {lam}")
         if not (0.0 <= omega <= lam):

@@ -262,16 +262,13 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     ws = np.zeros(n + 1, dtype=complex)
     ws[0] = u[0] * s_hist[0]
 
-    def history(j: int, rel: float, end_sign: float, s_end: complex) -> complex:
-        # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) over [0, t_j]
-        # as one dot product over the past plus the endpoint half weight;
-        # rel makes the current interval positive, end_sign is the sign of
-        # the segment that ends at j relative to it
-        if j == 0:
-            return 0.0j
-        return complex(rel * (ker_rev[n - j:n] @ ws[:j])
-                       + end_sign * end_w * s_end)
-
+    # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) over [0, t_j] is
+    # one dot product over the past plus the endpoint half weight; rel makes
+    # the current interval positive, end_sign is the sign of the segment
+    # that ends at j relative to it.  past is the dot product at node k: the
+    # corrector of step k computes it for node k + 1, and the predictor of
+    # step k + 1 reuses it
+    past = 0.0j
     rel = 1.0
     for k in range(n):
         end_sign = 1.0
@@ -283,12 +280,14 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
         phi = rates[k]
         # Heun: predictor with left-endpoint history, corrector re-evaluates
         # the integral including the predicted endpoint
-        hist0 = history(k, rel, end_sign, s_hist[k])
+        hist0 = (complex(rel * past + end_sign * end_w * s_hist[k]) if k
+                 else 0.0j)
         d1_0 = -1j * phi * r1[k] - al1 * hist0
         d2_0 = -1j * phi * r2[k] - al2 * hist0
         r1p = r1[k] + dt * d1_0
         r2p = r2[k] + dt * d2_0
-        hist1 = history(k + 1, rel, 1.0, al1 * r1p + al2 * r2p)
+        past = ker_rev[n - k - 1:n] @ ws[:k + 1]
+        hist1 = complex(rel * past + end_w * (al1 * r1p + al2 * r2p))
         d1_1 = -1j * phi * r1p - al1 * hist1
         d2_1 = -1j * phi * r2p - al2 * hist1
         r1[k + 1] = r1[k] + dt / 2 * (d1_0 + d1_1)

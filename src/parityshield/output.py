@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,29 +96,38 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
     """Render the fidelity columns of a CSV file as an 800x500 line chart.
 
-    Every column but `segment` is plotted against `t`, so every cell of
-    those columns must be a number.
+    Every column but `segment` is plotted against `t`.  The metadata and
+    header are read as read_csv reads them; the data rows go to one
+    np.loadtxt call.  A missing or non-finite cell, fewer than two rows or
+    a zero time span raise ConfigError.
     """
     metadata: dict[str, str] = {}
     with open(csv_path, newline="") as fh:
-        header, rows = _table(fh, csv_path, metadata)
+        # the row iterator is lazy, so fh now stands just past the header
+        header, _ = _table(fh, csv_path, metadata)
         names = [name for name in header if name != "segment"]
         if "t" not in names or len(names) < 2:
             raise ConfigError(
                 f"{csv_path} has no plottable time/fidelity columns")
-        pick = operator.itemgetter(*map(header.index, names))
-        columns: list[list[float]] = [[] for _ in names]
         try:
-            for row in rows:
-                for column, cell in zip(columns, pick(row)):
-                    column.append(float(cell))
-        except (ValueError, IndexError) as exc:
+            # an empty remainder is refused below, not warned about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2,
+                                  usecols=[header.index(n) for n in names])
+        except ValueError as exc:
             raise ConfigError(
                 f"{csv_path} has a missing or non-numeric cell") from exc
-    series = {name: np.array(column) for name, column in zip(names, columns)}
+    if len(data) < 2:
+        raise ConfigError(f"{csv_path} needs at least two data rows to plot")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{csv_path} has a cell that is not a finite number")
+    series = dict(zip(names, data.T))
     t = series.pop("t")
 
     x_lo, x_hi = float(t.min()), float(t.max())
+    if x_hi == x_lo:
+        raise ConfigError(f"{csv_path} spans no time: every t is {x_lo}")
     y_lo = float(min(values.min() for values in series.values()))
     y_hi = float(max(values.max() for values in series.values()))
     pad = 0.02 * (y_hi - y_lo) if y_hi > y_lo else 0.05
@@ -168,11 +177,10 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
 
     legend_y = _MARGIN_T + 10
     # sx and sy take whole columns: the same operations in the same order
-    xs = [f"{px:.2f}," for px in sx(t).tolist()]
+    xs = list(map("%.2f,".__mod__, sx(t).tolist()))
     for name, values in series.items():
         color = _COLORS.get(name, "#333333")
-        pts = " ".join([f"{px}{py:.2f}"
-                        for px, py in zip(xs, sy(values).tolist())])
+        pts = " ".join(map("%s%.2f".__mod__, zip(xs, sy(values).tolist())))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>')

@@ -201,6 +201,15 @@ def test_unusable_rates_exit_one(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_infinite_mode_splitting_exits_one_naming_it(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["fig2", "--lambda", "inf", "--omega", "inf",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: decay rate must be finite, got inf\n", err
+
+
 @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "custom", "sweep"])
 def test_flags_are_the_keys_the_run_reads(subcommands, kind):
     dests = {a.dest for a in subcommands[kind]._actions

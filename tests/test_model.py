@@ -95,6 +95,17 @@ def test_bad_parameters_rejected(ctor, args):
         ctor(*args)
 
 
+@pytest.mark.parametrize("lam, omega, name", [
+    (math.inf, math.inf, "decay rate"),
+    (math.inf, 1.0, "decay rate"),
+    (2.0, math.inf, "mode splitting"),
+    (2.0, math.nan, "mode splitting"),
+])
+def test_mode_splitting_names_non_finite_value(lam, omega, name):
+    with pytest.raises(ps.ParameterError, match=f"{name} must be finite"):
+        ps.ModelParams.from_mode_splitting(lam, omega)
+
+
 def test_weight_check_message():
     # from_couplings leaves the weight check to the dataclass
     with pytest.raises(ps.ParameterError, match=r"coupling weights must be "

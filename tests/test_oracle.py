@@ -324,3 +324,78 @@ def test_closed_forms_match_coarse_oracle(lam, ratio, n_duty):
     tr = ps.integrate(p, dd, 3 * tau, cfg)
     closed = np.array(ps.dd_survival(tr.times, dd, p))
     assert float(np.max(np.abs(tr.beta2 - closed))) < 5e-9
+
+
+def _two_dot_quadrature(params, n, cfg, r1_0, r2_0, flips, rates):
+    # reference: the quadrature loop with the history dot product taken
+    # afresh in the predictor and in the corrector of every step
+    from parityshield.oracle import _make_trace
+    dt = cfg.dt_num
+    w_sq = params.w_coupling * params.w_coupling
+    al1, al2 = params.alpha1, params.alpha2
+    r1 = np.zeros(n + 1, dtype=complex)
+    r2 = np.zeros(n + 1, dtype=complex)
+    leak = np.zeros(n + 1)
+    r1[0], r2[0] = r1_0, r2_0
+    s_hist = np.zeros(n + 1, dtype=complex)
+    s_hist[0] = al1 * r1_0 + al2 * r2_0
+    ker_rev = (w_sq * np.exp(-params.lam * dt
+                             * np.arange(n + 1)[::-1])).astype(complex)
+    end_w = w_sq * dt / 2.0
+    pulse = np.array(flips + [False])
+    u = np.where(np.cumsum(pulse) % 2 == 1, -dt, dt)
+    u[pulse] = 0.0
+    u[0] = dt / 2.0
+    ws = np.zeros(n + 1, dtype=complex)
+    ws[0] = u[0] * s_hist[0]
+
+    def history(j, rel, end_sign, s_end):
+        if j == 0:
+            return 0.0j
+        return complex(rel * (ker_rev[n - j:n] @ ws[:j])
+                       + end_sign * end_w * s_end)
+
+    rel = 1.0
+    for k in range(n):
+        end_sign = 1.0
+        if flips[k]:
+            rel = -rel
+            end_sign = -1.0
+        phi = rates[k]
+        hist0 = history(k, rel, end_sign, s_hist[k])
+        d1_0 = -1j * phi * r1[k] - al1 * hist0
+        d2_0 = -1j * phi * r2[k] - al2 * hist0
+        r1p = r1[k] + dt * d1_0
+        r2p = r2[k] + dt * d2_0
+        hist1 = history(k + 1, rel, 1.0, al1 * r1p + al2 * r2p)
+        d1_1 = -1j * phi * r1p - al1 * hist1
+        d2_1 = -1j * phi * r2p - al2 * hist1
+        r1[k + 1] = r1[k] + dt / 2 * (d1_0 + d1_1)
+        r2[k + 1] = r2[k] + dt / 2 * (d2_0 + d2_1)
+        s_hist[k + 1] = al1 * r1[k + 1] + al2 * r2[k + 1]
+        ws[k + 1] = u[k + 1] * s_hist[k + 1]
+        out0 = 2.0 * (hist0 * s_hist[k].conjugate()).real
+        out1 = 2.0 * (hist1 * s_hist[k + 1].conjugate()).real
+        leak[k + 1] = leak[k] + dt / 2 * (out0 + out1)
+    if any(rates):
+        driven = np.array([0.0] + rates)
+        turn = 0.0
+        for phi in set(rates) - {0.0}:
+            turn = turn + 1j * phi * dt * np.cumsum(driven == phi)
+        r1 = r1 * np.exp(turn)
+        r2 = r2 * np.exp(turn)
+    return _make_trace(params, dt, r1, r2, leak)
+
+
+@pytest.mark.parametrize("sched", [
+    None, ps.DdSchedule(TAU), ps.FinitePulseSchedule(0.2, 10),
+], ids=["free", "dd", "dd-finite"])
+def test_quadrature_reuses_history_bitwise(case1, monkeypatch, sched):
+    # 2000 steps: dd flips every 500, dd-finite has 100-step windows
+    cfg = ps.OracleConfig(dt_num=2e-4, method_order=2,
+                          history_mode=ps.DIRECT_QUADRATURE)
+    tr = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
+    monkeypatch.setattr(ps.oracle, "_run_quadrature", _two_dot_quadrature)
+    ref = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
+    for name in ("r1", "r2", "beta2", "norm_defect"):
+        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name

@@ -233,3 +233,44 @@ def test_svg_rejects_non_numeric_cell(tmp_path):
                         "0.0,1.0,1.0,free\n0.5,x,0.9,free\n")
     with pytest.raises(ps.ConfigError):
         render_svg(csv_path, tmp_path / "probe.svg")
+
+
+def test_svg_rejects_missing_cell(tmp_path):
+    csv_path = tmp_path / "probe.csv"
+    csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n"
+                        "0.0,1.0,1.0,free\n0.5,0.9\n")
+    with pytest.raises(ps.ConfigError):
+        render_svg(csv_path, tmp_path / "probe.svg")
+
+
+def test_svg_parse_accepts_what_csv_reader_accepted(tmp_path, small_table):
+    # a blank line, a quoted numeric cell and a segment column that is not
+    # last plot exactly as the clean file does
+    metadata, header, columns = small_table
+    clean = tmp_path / "clean.csv"
+    write_csv(clean, metadata, header, columns)
+    messy = tmp_path / "messy.csv"
+    messy.write_text("# tool=parityshield\n# run_id=probe\n# lam=2.0\n"
+                     "t,segment,F_free,F_dd\n"
+                     "0.0,free,1.0,1.0\n\n"
+                     '0.5,free,"0.9",0.99\n'
+                     "1.0,in_pulse,0.7982309094947353,0.9971493266340058\n")
+    render_svg(clean, tmp_path / "clean.svg")
+    render_svg(messy, tmp_path / "messy.svg")
+    assert ((tmp_path / "messy.svg").read_bytes()
+            == (tmp_path / "clean.svg").read_bytes())
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("", "at least two data rows"),
+    ("0.0,1.0,1.0,free\n", "at least two data rows"),
+    ("0.5,1.0,1.0,free\n0.5,0.9,0.99,free\n", "spans no time"),
+    ("0.0,1.0,1.0,free\n0.5,nan,0.99,free\n", "not a finite number"),
+    ("0.0,1.0,1.0,free\n0.5,0.9,-inf,free\n", "not a finite number"),
+], ids=["header-only", "one-row", "zero-time-span", "nan", "-inf"])
+def test_svg_refuses_unplottable_table(tmp_path, rows, reason):
+    csv_path = tmp_path / "probe.csv"
+    csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n" + rows)
+    with pytest.raises(ps.ConfigError, match=reason):
+        render_svg(csv_path, tmp_path / "probe.svg")
+    assert not (tmp_path / "probe.svg").exists()
