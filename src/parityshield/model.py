@@ -148,9 +148,10 @@ class OddParityState:
     beta2: complex
 
     def __post_init__(self):
-        if self.norm_sq > 1.0 + _NORM_SLACK:
+        # written so that a NaN norm fails it too
+        if not self.norm_sq <= 1.0 + _NORM_SLACK:
             raise StateError(
-                f"odd-parity norm {self.norm_sq} exceeds 1; "
+                f"odd-parity norm {self.norm_sq} is not at most 1; "
                 "leakage can only remove weight")
 
     @property
@@ -161,7 +162,7 @@ class OddParityState:
     def initial(cls, beta1: complex, beta2: complex) -> "OddParityState":
         """Strictly normalized constructor for t = 0 states."""
         n = abs(beta1) ** 2 + abs(beta2) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise StateError(f"initial state must be normalized, |.|^2 = {n}")
         return cls(complex(beta1), complex(beta2))
 
@@ -182,9 +183,9 @@ class PhysicalAmplitudes:
     c01: complex
 
     def __post_init__(self):
-        if self.norm_sq > 1.0 + _NORM_SLACK:
+        if not self.norm_sq <= 1.0 + _NORM_SLACK:
             raise StateError(
-                f"physical norm {self.norm_sq} exceeds 1")
+                f"physical norm {self.norm_sq} is not at most 1")
 
     @property
     def norm_sq(self) -> float:
@@ -193,7 +194,7 @@ class PhysicalAmplitudes:
     @classmethod
     def initial(cls, c10: complex, c01: complex) -> "PhysicalAmplitudes":
         n = abs(c10) ** 2 + abs(c01) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise StateError(f"initial state must be normalized, |.|^2 = {n}")
         return cls(complex(c10), complex(c01))
 

@@ -7,13 +7,13 @@ coupled physical amplitudes (r1, r2) on |10> and |01> under
     dr_i/dt = -alpha_i * integral_0^t f(t - k) S(k) dk,
     S = alpha1 r1 + alpha2 r2,   f(s) = W^2 e^{-lam s},
 
-plus the schedule: a pulse flips the sign of the past history, a drive
-window rotates the amplitudes at its drive rate.  One entry point,
+plus the schedule: each segment end multiplies the past history by the
+segment's k (-1 a pulse, 0 a projection onto the reservoir vacuum), a
+drive window rotates the amplitudes at its drive rate.  One entry point,
 `integrate`, reads only the timing of the schedule's cycle (period,
-(duration, drive rate) segments, whether it ends in a pulse) into two
-per-step lists that both backends share: whether the history changes sign
-at step k, and the drive rate during step k.  Free decay is the schedule
-None.
+(duration, drive rate, k) segments) into two per-step lists that both
+backends share: the history factor as step k starts, and the drive rate
+during step k.  Free decay is the schedule None.
 
 Two backends with no shared numerics:
 
@@ -27,7 +27,8 @@ Two backends with no shared numerics:
   sampled kernel with S weighted by fixed signed trapezoid weights (the
   sign of each node's pulse segment; zero at interior pulse instants,
   where the neighbouring trapezoids cancel), plus the endpoint half
-  weight; a drive enters as an explicit rotation term.  O(n^2) in the
+  weight, from the last projection on, where the history restarts as at
+  t = 0; a drive enters as an explicit rotation term.  O(n^2) in the
   step count, maximally independent (no recurrence over the kernel);
   second-order by construction.
 
@@ -102,22 +103,17 @@ def _steps_for(t_max: float, dt: float) -> int:
 
 
 def _step_timing(sched, n: int,
-                 dt: float) -> tuple[list[bool], list[float]]:
-    """Per-step history sign flips and drive rates from the schedule's cycle.
+                 dt: float) -> tuple[list[float], list[float]]:
+    """Per-step history factors and drive rates from the schedule's cycle.
 
-    flips[k] is true when step k starts at a pulse instant; rates[k] is the
-    drive rate during step k.  Every segment must span a whole number of at
-    least 50 steps.
+    factors[k] is the k of the segment that ends where step k starts, and 1
+    where none ends; rates[k] is the drive rate during step k.  Every
+    segment must span a whole number of at least 50 steps.
     """
     if sched is None:
-        return [False] * n, [0.0] * n
-    cycle = sched.cycle
-    if cycle.slope_factor not in (1.0, -1.0):
-        raise ConfigError(
-            "the oracle integrates pulses and drive windows only, not a "
-            f"cycle ending in (x, x') -> (x, {cycle.slope_factor} x')")
-    pattern, cycle_steps = [], 0
-    for duration, rate in cycle.segments:
+        return [1.0] * n, [0.0] * n
+    pattern, ends, cycle_steps = [], [], 0
+    for duration, rate, factor in sched.cycle.segments:
         k = round(duration / dt)
         if abs(k * dt - duration) > _DIV_TOL:
             raise ConfigError(
@@ -128,12 +124,11 @@ def _step_timing(sched, n: int,
         cycle_steps += k
         # a cycle longer than the run is only spelled out up to step n
         pattern += [rate] * min(k, n - len(pattern))
+        ends += [1.0] * min(k - 1, n - len(ends)) + [factor]
     rates = (pattern * (n // cycle_steps + 1))[:n]
-    flips = [False] * n
-    if cycle.slope_factor == -1.0:
-        for k in range(cycle_steps, n, cycle_steps):
-            flips[k] = True
-    return flips, rates
+    # no segment ends at step 0
+    factors = ([1.0] + ends * (n // cycle_steps + 1))[:n]
+    return factors, rates
 
 
 def _check_resolution(dt: float, params: ModelParams):
@@ -171,7 +166,7 @@ def _make_trace(params: ModelParams, dt: float,
 # exact-augmented backend
 
 def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
-                   r1: complex, r2: complex, flips: list[bool],
+                   r1: complex, r2: complex, factors: list[float],
                    rates: list[float]) -> OracleTrace:
     dt = cfg.dt_num
     lam = params.lam
@@ -196,11 +191,10 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
                 2.0 * (g1 * v1.conjugate() + g2 * v2.conjugate()).real)
 
     for k in range(n):
-        if flips[k]:
-            # pulse instant: history accumulators change sign, amplitudes
-            # stay continuous
-            h1 = -h1
-            h2 = -h2
+        # a segment end maps the history accumulators, amplitudes stay
+        # continuous
+        h1 *= factors[k]
+        h2 *= factors[k]
         pole = poles[k]
 
         if rk4:
@@ -235,7 +229,7 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
 # direct-quadrature backend
 
 def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
-                    r1_0: complex, r2_0: complex, flips: list[bool],
+                    r1_0: complex, r2_0: complex, factors: list[float],
                     rates: list[float]) -> OracleTrace:
     dt = cfg.dt_num
     lam = params.lam
@@ -252,41 +246,40 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     # the past nodes 0..j-1 of an evaluation at node j
     ker_rev = (w_sq * np.exp(-lam * dt * nodes[::-1])).astype(complex)
     end_w = w_sq * dt / 2.0
-    # trapezoid weight of each past node with the sign of its history
-    # segment; at an interior pulse instant the neighbouring trapezoids
-    # cancel.  ws[k] = u[k] S_k is written once S_k is final.
-    pulse = np.array(flips + [False])
-    u = np.where(np.cumsum(pulse) % 2 == 1, -dt, dt)
-    u[pulse] = 0.0
-    u[0] = dt / 2.0
+    # fac[j] is the k of the segment that ends at node j; the run starts
+    # from an empty history, as after a projection.  signs[j] is the sign
+    # of the segment that starts at j.  u[j] is the trapezoid weight of
+    # node j in that segment plus fac[j] times its half weight in the one
+    # before: zero at a pulse instant, where the neighbouring trapezoids
+    # cancel, dt/2 at a projection.  ws[k] = u[k] S_k is written once S_k
+    # is final.
+    fac = np.array(factors + [1.0])
+    fac[0] = 0.0
+    signs = np.cumprod(np.where(fac < 0.0, -1.0, 1.0))
+    u = dt / 2.0 * signs * (1.0 + fac)
     ws = np.zeros(n + 1, dtype=complex)
     ws[0] = u[0] * s_hist[0]
+    fac, signs = fac.tolist(), signs.tolist()
 
-    # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) over [0, t_j] is
-    # one dot product over the past plus the endpoint half weight; rel makes
-    # the current interval positive, end_sign is the sign of the segment
-    # that ends at j relative to it.  past is the dot product at node k: the
-    # corrector of step k computes it for node k + 1, and the predictor of
-    # step k + 1 reuses it
+    # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) from the last
+    # projection to t_j is one dot product over the past plus the endpoint
+    # half weight; rel makes the current segment positive.  past is the
+    # dot product at node k: the corrector of step k computes it for node
+    # k + 1, and the predictor of step k + 1 reuses it
     past = 0.0j
-    rel = 1.0
     for k in range(n):
-        end_sign = 1.0
-        if flips[k]:
-            # k is a pulse instant: the history at k ends on the previous,
-            # opposite-signed segment
-            rel = -rel
-            end_sign = -1.0
+        rel = signs[k]
+        if not fac[k]:
+            start, past = k, 0.0j
         phi = rates[k]
         # Heun: predictor with left-endpoint history, corrector re-evaluates
         # the integral including the predicted endpoint
-        hist0 = (complex(rel * past + end_sign * end_w * s_hist[k]) if k
-                 else 0.0j)
+        hist0 = complex(rel * past + fac[k] * end_w * s_hist[k])
         d1_0 = -1j * phi * r1[k] - al1 * hist0
         d2_0 = -1j * phi * r2[k] - al2 * hist0
         r1p = r1[k] + dt * d1_0
         r2p = r2[k] + dt * d2_0
-        past = ker_rev[n - k - 1:n] @ ws[:k + 1]
+        past = ker_rev[n - k - 1 + start:n] @ ws[start:k + 1]
         hist1 = complex(rel * past + end_w * (al1 * r1p + al2 * r2p))
         d1_1 = -1j * phi * r1p - al1 * hist1
         d2_1 = -1j * phi * r2p - al2 * hist1
@@ -321,17 +314,18 @@ def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
               state0: OddParityState | None = None) -> OracleTrace:
     """Integrate on [0, t_max] under a schedule (None for free decay).
 
-    Only the timing of ``sched.cycle`` is read.  A pulse flips the sign of
-    the past history; the test suite cross-checks the augmented backend's
-    negated accumulators against the quadrature backend's signed weights.
+    Only the timing of ``sched.cycle`` is read.  Each segment end multiplies
+    the past history by its k; the test suite cross-checks the augmented
+    backend's scaled accumulators against the quadrature backend's signed
+    weights and restarts.
     """
     _check_resolution(cfg.dt_num, params)
     n = _steps_for(t_max, cfg.dt_num)
-    flips, rates = _step_timing(sched, n, cfg.dt_num)
+    factors, rates = _step_timing(sched, n, cfg.dt_num)
     r1, r2 = _initial_physical(params, state0)
     run = (_run_augmented if cfg.history_mode == EXACT_AUGMENTED
            else _run_quadrature)
-    return run(params, n, cfg, r1, r2, flips, rates)
+    return run(params, n, cfg, r1, r2, factors, rates)
 
 
 def integrate_free(params: ModelParams, t_max: float, cfg: OracleConfig,

@@ -10,6 +10,7 @@ disagree with the exported data.
 from __future__ import annotations
 
 import csv
+import html
 import io
 import warnings
 from pathlib import Path
@@ -43,10 +44,14 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     A column whose first value is a string holds tags, written as they
     are; every other column is written with repr(float(v)), the shortest
     round-trip form, so output is reproducible byte for byte.  Neither
-    needs CSV quoting, so only the header goes through csv.writer.
+    needs CSV quoting, so only the header goes through csv.writer.  A
+    metadata key or value holding a line break raises ConfigError before
+    the file is written: the break would end the comment line.
     """
     buf = io.StringIO()
     for key, value in metadata.items():
+        if {"\n", "\r"} & set(f"{key}{value}"):
+            raise ConfigError(f"metadata {key!r} holds a line break")
         buf.write(f"# {key}={value}\n")
     csv.writer(buf, lineterminator="\n").writerow(header)
     cells = [column if column and isinstance(column[0], str)
@@ -154,7 +159,7 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
     if title:
         parts.append(
             f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" '
-            f'font-size="14">{title}</text>')
+            f'font-size="14">{html.escape(title, quote=False)}</text>')
 
     for xv in _ticks(x_lo, x_hi):
         px = sx(xv)

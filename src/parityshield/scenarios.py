@@ -275,7 +275,7 @@ def time_grid(cfg: ScenarioConfig) -> list[float]:
             continue
         cycle = sched.cycle
         period = cycle.period
-        ends = list(itertools.accumulate(d for d, _ in cycle.segments))[:-1]
+        ends = list(itertools.accumulate(s[0] for s in cycle.segments))[:-1]
         m = 1
         while m * period <= cfg.t_max + _MERGE_TOL:
             candidates.append(min(m * period, cfg.t_max))

@@ -10,12 +10,12 @@ finite drive window, in the frame co-rotating with the drive.  The state
 
 Every protocol is free decay cut into cycles of one period.  A cycle runs a
 fixed list of segments, each a duration with the drive rate shifting the
-damping constant, and ends in the map (x, x') -> (x, k x'):
+damping constant, and each ends in its own map (x, x') -> (x, k x'):
 
 * k = 0 projects onto the reservoir vacuum (repeated measurement),
 * k = -1 is an instantaneous double-pi pulse (slope reversal),
-* k = 1 closes a drive window, whose exact pi phase is common to the
-  single-excitation sector and therefore absorbed.
+* k = 1 ends a free segment or a drive window, whose exact pi phase is
+  common to the single-excitation sector and therefore absorbed.
 
 Free decay has no cycle.  One evaluator works on all requested times at
 once as numpy arrays: the state at the start of cycle m comes from binary
@@ -63,14 +63,13 @@ _mul = np.multiply
 class Cycle:
     """One period of a protocol.
 
-    segments: (duration, drive rate) pairs run in order; a drive rate phi
-    shifts the damping constant to lam - i phi.  slope_factor is k in the
-    end-of-cycle map (x, x') -> (x, k x').
+    segments: (duration, drive rate, k) triples run in order; a drive rate
+    phi shifts the damping constant to lam - i phi, and the segment ends in
+    the map (x, x') -> (x, k x').
     """
 
     period: float
-    segments: tuple[tuple[float, float], ...]
-    slope_factor: float
+    segments: tuple[tuple[float, float, float], ...]
 
 
 def _on(own, f, z):
@@ -158,20 +157,22 @@ def _positions(ts: np.ndarray, period: float | None):
 
 def _segments(params: ModelParams, cycle: Cycle | None):
     r_sq = params.r_rate * params.r_rate
-    segments = ((math.inf, 0.0),) if cycle is None else cycle.segments
-    return [(length, propagator(complex(params.lam, -rate), r_sq))
-            for length, rate in segments]
+    segments = ((math.inf, 0.0, 1.0),) if cycle is None else cycle.segments
+    return [(length, propagator(complex(params.lam, -rate), r_sq), k)
+            for length, rate, k in segments]
 
 
-def _cycle_matrix(whole, slope_factor: float):
-    # product of the matrices over each whole segment, then (x, x') ->
-    # (x, k x')
-    c = (1.0, 0.0, 0.0, 1.0)
-    for e in whole:
-        e00, e01, e10, e11 = (complex(v) for v in e)
+def _cycle_matrix(segments):
+    # the map over each whole segment, its end map (x, x') -> (x, k x')
+    # included, and the product of those maps over the cycle
+    whole, c = [], (1.0, 0.0, 0.0, 1.0)
+    for length, matrix, k in segments:
+        e00, e01, e10, e11 = matrix(length, True)
+        whole.append((e00, e01, k * e10, k * e11))
+        e00, e01, e10, e11 = (complex(v) for v in whole[-1])
         c = (e00 * c[0] + e01 * c[2], e00 * c[1] + e01 * c[3],
              e10 * c[0] + e11 * c[2], e10 * c[1] + e11 * c[3])
-    return c[0], c[1], slope_factor * c[2], slope_factor * c[3]
+    return whole, c
 
 
 def _powers(m, c):
@@ -201,13 +202,11 @@ def _cycle_starts(m, c):
 
 def cycle_start(m: int, params: ModelParams,
                 cycle: Cycle) -> tuple[complex, complex]:
-    """State (x, x') at the start of cycle m, after the end-of-cycle map."""
+    """State (x, x') at the start of cycle m, after the last segment's map."""
     if m < 0:
         raise ParameterError(f"cycle index must be >= 0, got {m}")
-    whole = [matrix(length, True)
-             for length, matrix in _segments(params, cycle)]
-    x, xd = _cycle_starts(np.array(float(m)),
-                          _cycle_matrix(whole, cycle.slope_factor))
+    _, c = _cycle_matrix(_segments(params, cycle))
+    x, xd = _cycle_starts(np.array(float(m)), c)
     return complex(x), complex(xd)
 
 
@@ -229,16 +228,16 @@ def evaluate(t, params: ModelParams, cycle: Cycle | None, value):
     if cycle is None:
         x, xd = np.ones(ts.shape, complex), np.zeros(ts.shape, complex)
     else:
-        # E over each whole segment, shared by every time
-        whole = [matrix(length, True) for length, matrix in segments]
-        x, xd = _cycle_starts(m, _cycle_matrix(whole, cycle.slope_factor))
+        # the map over each whole segment, shared by every time
+        whole, c = _cycle_matrix(segments)
+        x, xd = _cycle_starts(m, c)
     k = np.zeros(ts.shape, int)
-    for j, (length, _) in enumerate(segments[:-1]):
+    for j, (length, _, _) in enumerate(segments[:-1]):
         later = (k == j) & (theta > length + _GRID_FUZZ * period)
         x, xd = _apply(whole[j], x, xd, later)
         theta = np.where(later, theta - length, theta)
         k = np.where(later, j + 1, k)
-    for j, (_, matrix) in enumerate(segments):
+    for j, (_, matrix, _) in enumerate(segments):
         own = k == j
         x, xd = _apply(matrix(theta, own), x, xd, own)
     out = value(x, xd, k, theta)
@@ -320,7 +319,7 @@ class ZenoSchedule:
 
     @property
     def cycle(self) -> Cycle:
-        return Cycle(self.delta_t, ((self.delta_t, 0.0),), 0.0)
+        return Cycle(self.delta_t, ((self.delta_t, 0.0, 0.0),))
 
 
 def zeno_amplitude(t, sched: ZenoSchedule, params: ModelParams):
@@ -356,7 +355,7 @@ class DdSchedule:
 
     @property
     def cycle(self) -> Cycle:
-        return Cycle(self.tau, ((self.tau, 0.0),), -1.0)
+        return Cycle(self.tau, ((self.tau, 0.0, -1.0),))
 
 
 @dataclass(frozen=True)
@@ -462,8 +461,8 @@ class FinitePulseSchedule:
 
     @property
     def cycle(self) -> Cycle:
-        return Cycle(self.tau, ((self.free_length, 0.0),
-                                (self.window_length, self.phase_rate)), 1.0)
+        return Cycle(self.tau, ((self.free_length, 0.0, 1.0),
+                                (self.window_length, self.phase_rate, 1.0)))
 
     def segment_of(self, t: float) -> tuple[str, int, float]:
         """Classify t as ("free" | "in_pulse", cycle index, offset into cycle)."""

@@ -112,6 +112,10 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
         unknown = set(tolerance_overrides) - set(tols)
         if unknown:
             raise ConfigError(f"unknown check names: {sorted(unknown)}")
+        for name, tol in tolerance_overrides.items():
+            # a NaN bound would fail its check whatever the measurement
+            if math.isnan(tol):
+                raise ConfigError(f"tolerance of {name} is not a number")
         tols.update(tolerance_overrides)
     bad = set(oracle_modes) - {EXACT_AUGMENTED, DIRECT_QUADRATURE}
     if bad or not oracle_modes:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from xml.etree import ElementTree
 
 import pytest
 
@@ -272,6 +273,42 @@ def test_each_check_reports_its_own_tolerance(capsys):
 def test_validate_rejects_unknown_check():
     assert main(["validate", "--tolerance", "no_such_check=1"]) == 1
     assert main(["validate", "--tolerance", "broken"]) == 1
+
+
+def test_validate_rejects_nan_tolerance(capsys):
+    # a NaN bound is a usage error, not a failed check
+    assert main(["validate", "--tolerance", "dd_slope_reversal=nan"]) == 1
+    captured = capsys.readouterr()
+    assert "dd_slope_reversal" in captured.err and captured.out == ""
+
+
+def test_svg_title_is_escaped(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["fig1", "--run-id", "A&B <x>", "--out", str(out)]) == 0
+    root = ElementTree.parse(out.with_suffix(".svg")).getroot()
+    assert "A&B <x>" in [node.text for node in root]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_line_break_in_metadata_exits_one(tmp_path, capsys, source):
+    # the break would end the metadata comment and start a data row
+    ini = tmp_path / "multi.ini"
+    ini.write_text("[fig1]\nrun_id = a\n  b\n")
+    args = (["--run-id", "a\nb"] if source == "flag"
+            else ["--config", str(ini)])
+    out = tmp_path / "x.csv"
+    assert main(["fig1", *args, "--out", str(out)]) == 1
+    assert "run_id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_amplitude_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["fig1", "--initial-state", "mixed(nan,0)",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "normalized" in err and "nan" in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,9 +189,51 @@ def test_integrate_equals_wrapper(case1, protocol, mode):
         assert np.array_equal(getattr(tr, name), getattr(wrapped, name)), name
 
 
-def test_measurement_schedule_has_no_oracle(case1, cfg_aug):
-    with pytest.raises(ps.ConfigError):
-        ps.integrate(case1, ps.ZenoSchedule(TAU), 1.0, cfg_aug)
+_BACKENDS = {
+    "augmented": (ps.OracleConfig(dt_num=1e-4, method_order=4,
+                                  history_mode=ps.EXACT_AUGMENTED), 1e-12),
+    "quadrature": (ps.OracleConfig(dt_num=1e-4, method_order=2,
+                                   history_mode=ps.DIRECT_QUADRATURE), 1e-7),
+}
+
+
+def _on_cycle(period, segments):
+    """A schedule whose cycle is the given (duration, drive rate, k)s."""
+    return SimpleNamespace(cycle=ps.transfer.Cycle(period, segments))
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+@pytest.mark.parametrize("params", [
+    ps.ModelParams.from_mode_splitting(2.0, 1.0),
+    ps.ModelParams.from_effective_rate(1.0, 0.5),
+    ps.ModelParams.from_effective_rate(2.0, 3.0),
+], ids=["overdamped", "critical", "underdamped"])
+@pytest.mark.parametrize("sched", [
+    ps.ZenoSchedule(TAU),
+    # a pulse, then a projection: a cycle mixing both end maps
+    _on_cycle(2 * TAU, ((TAU, 0.0, -1.0), (TAU, 0.0, 0.0))),
+], ids=["zeno", "pulse-then-projection"])
+def test_projections_match_closed_form(params, backend, sched):
+    # a projection onto the reservoir vacuum empties the history; the
+    # probability it discards stays in the leak accumulator, so the norm
+    # defect keeps measuring integrator drift alone
+    cfg, tol = _BACKENDS[backend]
+    tr = ps.integrate(params, sched, 1.0, cfg, state0=MIXED)
+    closed = np.array(ps.transfer.evaluate(
+        tr.times, params, sched.cycle, lambda x, *_: x))
+    assert float(np.max(np.abs(tr.beta2 - MIXED.beta2 * closed))) <= tol
+    assert float(np.max(np.abs(tr.norm_defect))) <= tol
+    assert float(np.max(np.abs(tr.beta1 - MIXED.beta1))) < 1e-12
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_two_pulse_cycle_equals_dd_bitwise(case1, backend):
+    cfg, _ = _BACKENDS[backend]
+    twice = _on_cycle(2 * TAU, ((TAU, 0.0, -1.0), (TAU, 0.0, -1.0)))
+    tr = ps.integrate(case1, twice, 0.4, cfg, state0=MIXED)
+    ref = ps.integrate(case1, ps.DdSchedule(TAU), 0.4, cfg, state0=MIXED)
+    for name in ("r1", "r2", "beta1", "beta2", "norm_defect"):
+        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize("sched", [
@@ -326,10 +369,12 @@ def test_closed_forms_match_coarse_oracle(lam, ratio, n_duty):
     assert float(np.max(np.abs(tr.beta2 - closed))) < 5e-9
 
 
-def _two_dot_quadrature(params, n, cfg, r1_0, r2_0, flips, rates):
+def _two_dot_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
     # reference: the quadrature loop with the history dot product taken
-    # afresh in the predictor and in the corrector of every step
+    # afresh in the predictor and in the corrector of every step; pulses
+    # only, no projection
     from parityshield.oracle import _make_trace
+    flips = [f == -1.0 for f in factors]
     dt = cfg.dt_num
     w_sq = params.w_coupling * params.w_coupling
     al1, al2 = params.alpha1, params.alpha2

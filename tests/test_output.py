@@ -73,6 +73,19 @@ def test_svg_renders_from_csv_alone(tmp_path, small_table):
     assert "probe" in text                      # run id shown as title
 
 
+@pytest.mark.parametrize("key, value", [
+    ("run_id", "a\nb"), ("run_id", "a\rb"), ("note\nx", "1"),
+], ids=["value-lf", "value-cr", "key-lf"])
+def test_csv_refuses_line_break_in_metadata(tmp_path, small_table, key,
+                                            value):
+    metadata, header, columns = small_table
+    path = tmp_path / "probe.csv"
+    with pytest.raises(ps.ConfigError) as err:
+        write_csv(path, {**metadata, key: value}, header, columns)
+    assert repr(key) in str(err.value)
+    assert not path.exists()
+
+
 def test_svg_deterministic(tmp_path, small_table):
     metadata, header, columns = small_table
     csv_path = tmp_path / "probe.csv"

@@ -153,17 +153,18 @@ def _walker_propagator(lam_c, r_sq):
 
 def _walker_steps(params, cycle):
     r_sq = params.r_rate ** 2
-    segments = ((math.inf, 0.0),) if cycle is None else cycle.segments
-    return [(length, _walker_propagator(complex(params.lam, -rate), r_sq))
-            for length, rate in segments]
+    segments = ((math.inf, 0.0, 1.0),) if cycle is None else cycle.segments
+    return [(length, _walker_propagator(complex(params.lam, -rate), r_sq), k)
+            for length, rate, k in segments]
 
 
-def _walker_matrix(steps, slope_factor):
+def _walker_matrix(steps):
     columns = []
     for x, xd in ((1.0, 0.0), (0.0, 1.0)):
-        for length, step in steps:
+        for length, step, k in steps:
             x, xd = step(x, xd, length)
-        columns.append((x, slope_factor * xd))
+            xd = k * xd
+        columns.append((x, xd))
     (c00, c10), (c01, c11) = columns
     return c00, c01, c10, c11
 
@@ -172,7 +173,7 @@ def _walk(times, params, cycle):
     """(x, x', segment index) per time: cycle starts stepped one by one."""
     steps = _walker_steps(params, cycle)
     if cycle is not None:
-        c00, c01, c10, c11 = _walker_matrix(steps, cycle.slope_factor)
+        c00, c01, c10, c11 = _walker_matrix(steps)
     out = {}
     done, x0, xd0 = 0, 1.0, 0.0
     for t in sorted(times):
@@ -188,6 +189,7 @@ def _walk(times, params, cycle):
         while (k < len(steps) - 1
                and theta > steps[k][0] + _FUZZ * cycle.period):
             x, xd = steps[k][1](x, xd, steps[k][0])
+            xd = steps[k][2] * xd
             theta -= steps[k][0]
             k += 1
         x, xd = steps[k][1](x, xd, theta)
@@ -197,6 +199,10 @@ def _walk(times, params, cycle):
 
 def _state(x, xd, k, theta):
     return x, xd, k
+
+
+def _survival(x, *_):
+    return x
 
 
 def _assert_matches_walker(times, params, cycle, tol=1e-12):
@@ -212,10 +218,14 @@ def _cycles(tau):
     return {"free": None,
             "zeno": ps.ZenoSchedule(tau).cycle,
             "dd": ps.DdSchedule(tau).cycle,
-            "finite": ps.FinitePulseSchedule(tau, 10).cycle}
+            "finite": ps.FinitePulseSchedule(tau, 10).cycle,
+            # a pulse, then a projection: one end map per segment
+            "mixed": transfer.Cycle(2 * tau, ((tau, 0.0, -1.0),
+                                              (tau, 0.0, 0.0)))}
 
 
-@pytest.mark.parametrize("protocol", ["free", "zeno", "dd", "finite"])
+@pytest.mark.parametrize("protocol",
+                         ["free", "zeno", "dd", "finite", "mixed"])
 @pytest.mark.parametrize("rate", [0.8, 1.0, 1.7],
                          ids=["overdamped", "critical", "underdamped"])
 def test_matches_walker_on_every_branch(rate, protocol):
@@ -247,18 +257,17 @@ def test_matches_walker_at_window_edges(case1):
     _assert_matches_walker(times, case1, sched.cycle)
 
 
-@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite"])
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed"])
 def test_matches_walker_after_many_cycles(case1, protocol):
     cycle = _cycles(0.1)[protocol]
     times = [0.1 * m + 0.05 for m in (0, 1, 99, 1000, 4321, 9999)]
     _assert_matches_walker(times, case1, cycle)
 
 
-@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite"])
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed"])
 def test_cycle_start_matches_sequential_stepping(case1, protocol):
     cycle = _cycles(0.1)[protocol]
-    c00, c01, c10, c11 = _walker_matrix(_walker_steps(case1, cycle),
-                                        cycle.slope_factor)
+    c00, c01, c10, c11 = _walker_matrix(_walker_steps(case1, cycle))
     checkpoints = {0, 1, 2, 3, 7, 64, 100, 1234, 10000}
     x, xd = 1.0, 0.0
     for m in range(max(checkpoints) + 1):
@@ -267,6 +276,17 @@ def test_cycle_start_matches_sequential_stepping(case1, protocol):
             assert abs(got[0] - x) <= 1e-12, m
             assert abs(got[1] - xd) <= 1e-12 * max(1.0, abs(xd)), m
         x, xd = c00 * x + c01 * xd, c10 * x + c11 * xd
+
+
+def test_two_pulse_cycle_equals_dd(case1):
+    # the survival factor only: at a pulse between two segments the slope
+    # is the one before the pulse, at the end of a cycle the one after it
+    twice = transfer.Cycle(0.2, ((0.1, 0.0, -1.0), (0.1, 0.0, -1.0)))
+    times = [0.0137 * j for j in range(800)] + [0.1, 0.2, 0.3, 7.0]
+    got = transfer.evaluate(times, case1, twice, _survival)
+    want = transfer.evaluate(times, case1, ps.DdSchedule(0.1).cycle,
+                             _survival)
+    assert max(abs(x - x_ref) for x, x_ref in zip(got, want)) <= 1e-12
 
 
 def test_empty_sequence_gives_empty_list(case1):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import parityshield as ps
@@ -32,6 +34,18 @@ def test_quadrature_backend_alone():
     names = [r.name for r in report.results]
     assert sorted(names) == sorted(_QUADRATURE_ONLY)
     assert report.ok, [r.line() for r in report.results if not r.passed]
+
+
+def test_nan_tolerance_rejected():
+    with pytest.raises(ps.ConfigError, match="dd_slope_reversal"):
+        ps.run_validation({"dd_slope_reversal": math.nan})
+
+
+def test_infinite_tolerance_allowed():
+    report = ps.run_validation({"dd_slope_reversal": math.inf},
+                               oracle_modes=(ps.DIRECT_QUADRATURE,))
+    slope = next(r for r in report.results if r.name == "dd_slope_reversal")
+    assert slope.tolerance == math.inf and slope.passed
 
 
 @pytest.mark.parametrize("modes", [(), ("rk45",),
