@@ -19,9 +19,12 @@ Two backends with no shared numerics:
 
 * exact-augmented: the exponential kernel admits an exact state-space
   embedding via history accumulators h_i with dh_i/dt = W^2 alpha_i S -
-  (pole) h_i, turning the system into a small ODE solved by a fixed-step
-  classical stepper; a drive rate phi shifts the pole to lam - i phi.
-  Fast default.
+  (pole) h_i, turning the system into a linear ODE y' = A y; a drive
+  rate phi shifts the pole to lam - i phi.  One RK4 or Heun step (the
+  RK polynomial, not exp(A dt): a stepper of known order) is y -> y + D y,
+  built once per drive rate; a run of equal steps is advanced by doubling
+  on T^h - I, never on T = I + D, whose rounding would drop the low bits
+  of D and grow with the step count.  Fast default.
 * direct-quadrature: the history integral is re-evaluated every step by
   trapezoidal quadrature over the stored past, as one dot product of the
   sampled kernel with S weighted by fixed signed trapezoid weights (the
@@ -146,18 +149,13 @@ def _initial_physical(params: ModelParams,
     return complex(phys.c10), complex(phys.c01)
 
 
-def _make_trace(params: ModelParams, dt: float,
-                r1s: list[complex] | np.ndarray,
-                r2s: list[complex] | np.ndarray,
-                leaks: list[float] | np.ndarray) -> OracleTrace:
-    times = np.array([k * dt for k in range(len(r1s))])
-    r1 = np.array(r1s)
-    r2 = np.array(r2s)
+def _make_trace(params: ModelParams, dt: float, r1: np.ndarray,
+                r2: np.ndarray, leak: np.ndarray) -> OracleTrace:
+    times = np.arange(len(r1)) * dt
     a1 = params.alpha1 / params.alpha
     a2 = params.alpha2 / params.alpha
     beta1 = a2 * r1 - a1 * r2
     beta2 = a1 * r1 + a2 * r2
-    leak = np.array(leaks)
     defect = 1.0 - (np.abs(r1) ** 2 + np.abs(r2) ** 2 + leak)
     return OracleTrace(times, r1, r2, beta1, beta2, defect)
 
@@ -165,64 +163,66 @@ def _make_trace(params: ModelParams, dt: float,
 # ---------------------------------------------------------------------------
 # exact-augmented backend
 
-def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
-                   r1: complex, r2: complex, factors: list[float],
-                   rates: list[float]) -> OracleTrace:
-    dt = cfg.dt_num
-    lam = params.lam
+def _step_map(params: ModelParams, dt: float, order: int,
+              phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK step of y' = A y, y = (r1, r2, h1, h2), at drive rate phi.
+
+    The step is y -> y + D y with leak increment Re(y^H Q y): D and Q are
+    the stage formulas applied to the identity.
+    """
     w_sq = params.w_coupling * params.w_coupling
     al1, al2 = params.alpha1, params.alpha2
     c1, c2 = w_sq * al1, w_sq * al2
-    h1 = 0.0j
-    h2 = 0.0j
-    leak = 0.0
-    r1s, r2s, leaks = [r1], [r2], [0.0]
-    rk4 = cfg.method_order == 4
     # a drive window shifts the kernel pole to lam - i phi
-    pole_of = {phi: complex(lam, -phi) if phi else complex(lam)
-               for phi in set(rates)}
-    poles = [pole_of[phi] for phi in rates]
+    pole = complex(params.lam, -phi) if phi else complex(params.lam)
+    a = np.array([[0, 0, -1, 0], [0, 0, 0, -1],
+                  [c1 * al1, c1 * al2, -pole, 0],
+                  [c2 * al1, c2 * al2, 0, -pole]])
+    # (node, weight) of each stage: classical RK4, or Heun
+    stages = (((0.0, 1 / 6), (0.5, 1 / 3), (0.5, 1 / 3), (1.0, 1 / 6))
+              if order == 4 else ((0.0, 0.5), (1.0, 0.5)))
+    d = q = slope = 0.0
+    for node, weight in stages:
+        z = np.eye(4) + node * dt * slope
+        slope = a @ z
+        # the leak rate 2 Re(h1 conj(r1) + h2 conj(r2)) at the stage point
+        m = z[:2].conj().T @ z[2:]
+        d = d + weight * dt * slope
+        q = q + weight * dt * (m + m.conj().T)
+    return d, q
 
-    def rhs(v1, v2, g1, g2, pole):
-        s = al1 * v1 + al2 * v2
-        return (-g1, -g2,
-                c1 * s - pole * g1,
-                c2 * s - pole * g2,
-                2.0 * (g1 * v1.conjugate() + g2 * v2.conjugate()).real)
 
-    for k in range(n):
-        # a segment end maps the history accumulators, amplitudes stay
-        # continuous
-        h1 *= factors[k]
-        h2 *= factors[k]
-        pole = poles[k]
-
-        if rk4:
-            a = rhs(r1, r2, h1, h2, pole)
-            b = rhs(r1 + dt / 2 * a[0], r2 + dt / 2 * a[1],
-                    h1 + dt / 2 * a[2], h2 + dt / 2 * a[3], pole)
-            c = rhs(r1 + dt / 2 * b[0], r2 + dt / 2 * b[1],
-                    h1 + dt / 2 * b[2], h2 + dt / 2 * b[3], pole)
-            d = rhs(r1 + dt * c[0], r2 + dt * c[1],
-                    h1 + dt * c[2], h2 + dt * c[3], pole)
-            r1 += dt / 6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0])
-            r2 += dt / 6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1])
-            h1 += dt / 6 * (a[2] + 2 * b[2] + 2 * c[2] + d[2])
-            h2 += dt / 6 * (a[3] + 2 * b[3] + 2 * c[3] + d[3])
-            leak += dt / 6 * (a[4] + 2 * b[4] + 2 * c[4] + d[4])
-        else:
-            a = rhs(r1, r2, h1, h2, pole)
-            b = rhs(r1 + dt * a[0], r2 + dt * a[1],
-                    h1 + dt * a[2], h2 + dt * a[3], pole)
-            r1 += dt / 2 * (a[0] + b[0])
-            r2 += dt / 2 * (a[1] + b[1])
-            h1 += dt / 2 * (a[2] + b[2])
-            h2 += dt / 2 * (a[3] + b[3])
-            leak += dt / 2 * (a[4] + b[4])
-        r1s.append(r1)
-        r2s.append(r2)
-        leaks.append(leak)
-    return _make_trace(params, dt, r1s, r2s, leaks)
+def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
+                   r1: complex, r2: complex, factors: list[float],
+                   rates: list[float]) -> OracleTrace:
+    maps = {phi: _step_map(params, cfg.dt_num, cfg.method_order, phi)
+            for phi in set(rates)}
+    # a run of equal steps ends where a segment ends or the rate changes
+    fac, rate = np.array(factors), np.array(rates)
+    cuts = np.flatnonzero((fac[1:] != 1.0) | (rate[1:] != rate[:-1])) + 1
+    starts = [0, *cuts.tolist()]
+    ys = np.empty((n + 1, 4), dtype=complex)
+    ys[0] = r1, r2, 0.0, 0.0
+    leak = np.zeros(n + 1)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        # a segment end maps the history; the amplitudes stay continuous
+        ys[lo, 2:] *= factors[lo]
+        d, q = maps[rates[lo]]
+        run = ys[lo:hi + 1]
+        # doubling: with e = T^h - I, rows [h, 2h) are rows [0, h) advanced
+        # h steps, and T^2h - I = 2e + e e
+        h, e = 1, d
+        while h < len(run):
+            m = min(h, len(run) - h)
+            np.matmul(run[:m], e.T, out=run[h:h + m])
+            run[h:h + m] += run[:m]
+            e = 2.0 * e + e @ e
+            h *= 2
+        leak[lo + 1:hi + 1] = np.einsum("ij,jk,ik->i", run[:-1].conj(), q,
+                                        run[:-1]).real
+    # copies: views would keep all four columns of ys alive in the trace
+    r1s, r2s = ys[:, :2].T.copy()
+    return _make_trace(params, cfg.dt_num, r1s, r2s, np.cumsum(leak))
 
 
 # ---------------------------------------------------------------------------

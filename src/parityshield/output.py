@@ -64,14 +64,15 @@ def _table(fh, path, metadata: dict[str, str]):
     """Header and an iterator over the data rows of an open CSV file.
 
     One csv.reader reads every line but the comments; their `key=value`
-    bodies go into metadata as the rows are read.  Empty rows are skipped.
+    bodies go into metadata as the rows are read, each key stripped and
+    each value kept as written.  Empty rows are skipped.
     """
     def lines():
         for line in fh:
             if not line.startswith("#"):
                 yield line
                 continue
-            body = line[1:].strip()
+            body = line[1:].rstrip("\r\n")
             if "=" in body:
                 key, _, value = body.partition("=")
                 metadata[key.strip()] = value

@@ -444,3 +444,96 @@ def test_quadrature_reuses_history_bitwise(case1, monkeypatch, sched):
     ref = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
     for name in ("r1", "r2", "beta2", "norm_defect"):
         assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+
+
+def _scalar_augmented(params, n, cfg, r1, r2, factors, rates):
+    # reference: the augmented system stepped one RK4 or Heun step at a
+    # time in Python scalars
+    from parityshield.oracle import _make_trace
+    dt = cfg.dt_num
+    w_sq = params.w_coupling * params.w_coupling
+    al1, al2 = params.alpha1, params.alpha2
+    c1, c2 = w_sq * al1, w_sq * al2
+    h1 = h2 = 0.0j
+    leak = 0.0
+    r1s, r2s, leaks = [r1], [r2], [0.0]
+
+    def rhs(v1, v2, g1, g2, pole):
+        s = al1 * v1 + al2 * v2
+        return (-g1, -g2, c1 * s - pole * g1, c2 * s - pole * g2,
+                2.0 * (g1 * v1.conjugate() + g2 * v2.conjugate()).real)
+
+    for k in range(n):
+        h1 *= factors[k]
+        h2 *= factors[k]
+        pole = complex(params.lam, -rates[k] if rates[k] else 0.0)
+        y = (r1, r2, h1, h2)
+        a = rhs(*y, pole)
+        if cfg.method_order == 4:
+            b = rhs(*(v + dt / 2 * g for v, g in zip(y, a)), pole)
+            c = rhs(*(v + dt / 2 * g for v, g in zip(y, b)), pole)
+            d = rhs(*(v + dt * g for v, g in zip(y, c)), pole)
+            inc = [dt / 6 * (p + 2 * q + 2 * u + w)
+                   for p, q, u, w in zip(a, b, c, d)]
+        else:
+            b = rhs(*(v + dt * g for v, g in zip(y, a)), pole)
+            inc = [dt / 2 * (p + q) for p, q in zip(a, b)]
+        r1, r2, h1, h2 = (v + g for v, g in zip(y, inc))
+        leak += inc[4]
+        r1s.append(r1)
+        r2s.append(r2)
+        leaks.append(leak)
+    return _make_trace(params, dt, np.array(r1s), np.array(r2s),
+                       np.array(leaks))
+
+
+_BRANCHES = {
+    "overdamped": ps.ModelParams.from_mode_splitting(2.0, 1.0),
+    "critical": ps.ModelParams.from_effective_rate(1.0, 0.5),
+    "underdamped": ps.ModelParams.from_effective_rate(2.0, 3.0),
+}
+
+
+def _assert_matches_scalar(monkeypatch, params, sched, t_max, cfg):
+    tr = ps.integrate(params, sched, t_max, cfg, state0=MIXED)
+    monkeypatch.setattr(ps.oracle, "_run_augmented", _scalar_augmented)
+    ref = ps.integrate(params, sched, t_max, cfg, state0=MIXED)
+    for name in ("r1", "r2", "norm_defect"):
+        err = float(np.max(np.abs(getattr(tr, name) - getattr(ref, name))))
+        assert err < 1e-13, name
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+@pytest.mark.parametrize("sched", [
+    None, ps.ZenoSchedule(TAU), ps.DdSchedule(TAU),
+    ps.FinitePulseSchedule(0.2, 10),
+    _on_cycle(2 * TAU, ((TAU, 0.0, -1.0), (TAU, 0.0, 0.0))),
+], ids=["free", "zeno", "dd", "dd-finite", "pulse-then-projection"])
+def test_augmented_step_map_matches_scalar_loop(monkeypatch, branch, order,
+                                                sched):
+    # 10^4 steps, cut into runs at every segment end and drive-rate change
+    cfg = ps.OracleConfig(dt_num=1e-4, method_order=order)
+    _assert_matches_scalar(monkeypatch, _BRANCHES[branch], sched, 1.0, cfg)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dt, t_max", [(1e-3, 0.937), (0.04, 1.0),
+                                       (0.02, 1.0)],
+                         ids=["937-steps", "25-steps", "50-steps"])
+def test_augmented_short_runs_match_scalar_loop(case1, monkeypatch, order,
+                                                dt, t_max):
+    # run lengths that are not powers of two, and the convergence runs
+    cfg = ps.OracleConfig(dt_num=dt, method_order=order)
+    _assert_matches_scalar(monkeypatch, case1, None, t_max, cfg)
+
+
+def test_augmented_rk4_at_rounding_level(case1, free_trace_aug,
+                                         dd_trace_aug):
+    # at dt = 1e-4 the RK4 truncation error is below rounding; advancing a
+    # run by doubling keeps the rounding from growing with the step count
+    closed_dd = np.array(ps.dd_survival(dd_trace_aug.times,
+                                        ps.DdSchedule(TAU), case1))
+    assert float(np.max(np.abs(free_trace_aug.beta2 - _closed_free(
+        free_trace_aug.times, case1)))) < 5e-15
+    assert float(np.max(np.abs(dd_trace_aug.beta2 - closed_dd))) < 5e-15

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from xml.etree import ElementTree
 
 import pytest
 
@@ -84,6 +85,19 @@ def test_csv_refuses_line_break_in_metadata(tmp_path, small_table, key,
         write_csv(path, {**metadata, key: value}, header, columns)
     assert repr(key) in str(err.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("run_id", ["x  ", "  x", " x y\t"],
+                         ids=["trailing", "leading", "both"])
+def test_metadata_value_whitespace_kept(tmp_path, small_table, run_id):
+    metadata, header, columns = small_table
+    csv_path = tmp_path / "probe.csv"
+    svg_path = tmp_path / "probe.svg"
+    write_csv(csv_path, {**metadata, "run_id": run_id}, header, columns)
+    assert read_csv(csv_path)[0]["run_id"] == run_id
+    render_svg(csv_path, svg_path)
+    root = ElementTree.parse(svg_path).getroot()
+    assert run_id in [node.text for node in root]
 
 
 def test_svg_deterministic(tmp_path, small_table):
