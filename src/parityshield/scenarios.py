@@ -25,6 +25,7 @@ import io
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -41,16 +42,21 @@ SCENARIO_IDS = ("fig1", "fig2", "fig3", "custom")
 # merging tolerance when snapping schedule boundaries into the time grid
 _MERGE_TOL = 1e-12
 
-# descriptor kind -> (schedule class, argument types); free decay is the
-# schedule None, and type(None)() is None.  The order is the column order
-# of a trace.
+# most points in a time grid: at 0.67 KiB a point (five schedules), 6.5 GiB
+_MAX_GRID_POINTS = 1e7
+
+# descriptor kind -> (schedule class, argument types, column name, sweep keys
+# supplying the arguments), in the column order of a trace; free decay is the
+# schedule None (type(None)() is None), and a trace appends the duty parameter.
+_Kind = namedtuple("_Kind", "cls types column keys")
 _KINDS = {
-    "none": (type(None), ()),
-    "zeno": (ZenoSchedule, (float,)),
-    "dd": (DdSchedule, (float,)),
-    "dd-finite": (FinitePulseSchedule, (float, int)),
+    "none": _Kind(type(None), (), "F_free", ()),
+    "zeno": _Kind(ZenoSchedule, (float,), "F_zeno", ("delta_t",)),
+    "dd": _Kind(DdSchedule, (float,), "F_dd", ("tau",)),
+    "dd-finite": _Kind(FinitePulseSchedule, (float, int), "F_ddN",
+                       ("tau", "n_duty")),
 }
-_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+_KIND_OF = {row.cls: kind for kind, row in _KINDS.items()}
 
 # longest kind first, so dd-finite is not read as dd
 _SCHEDULE_RE = re.compile(r"^\s*(%s)\s*(?:\((.*)\))?\s*$"
@@ -66,7 +72,7 @@ def parse_schedule(text: str):
     if not m:
         raise ConfigError(f"unrecognized schedule descriptor {text!r}")
     kind, args = m.groups()
-    cls, types = _KINDS[kind]
+    cls, types, *_ = _KINDS[kind]
     parts = [p.strip() for p in args.split(",")] if args else []
     if len(parts) != len(types):
         raise ConfigError(
@@ -264,27 +270,29 @@ def dump_config(cfg: dict[str, dict[str, str]]) -> str:
 # time grid and trace assembly
 
 def time_grid(cfg: ScenarioConfig) -> list[float]:
-    """Uniform grid plus every schedule boundary, strictly increasing."""
-    spu = cfg.samples_per_unit_time
-    n = round(cfg.t_max * spu)
-    candidates = [j / spu for j in range(n + 1)]
-    if candidates[-1] < cfg.t_max - _MERGE_TOL:
-        candidates.append(cfg.t_max)
-    for sched in cfg.schedules:
-        if sched is None:
-            continue
-        cycle = sched.cycle
-        period = cycle.period
-        ends = list(itertools.accumulate(s[0] for s in cycle.segments))[:-1]
-        m = 1
-        while m * period <= cfg.t_max + _MERGE_TOL:
-            candidates.append(min(m * period, cfg.t_max))
-            for e in ends:
-                b = (m - 1) * period + e
-                if b <= cfg.t_max + _MERGE_TOL:
-                    candidates.append(min(b, cfg.t_max))
-            m += 1
-    candidates.sort()
+    """Uniform samples up to t_max, t_max, and every segment end up to t_max
+    of every cycle starting by t_max; strictly increasing.  A grid counted
+    (in float, before any of it is built) past _MAX_GRID_POINTS is refused."""
+    spu, t_max = cfg.samples_per_unit_time, cfg.t_max
+    cycles = [astuple(s.cycle) for s in cfg.schedules if s is not None]
+    count = t_max * spu + sum((t_max / period + 1.0) * len(segments)
+                              for period, segments in cycles)
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"a time grid of {count:.3g} points is over "
+                          f"{_MAX_GRID_POINTS:.0e}; reduce t_max, "
+                          "samples_per_unit_time or the schedules' cycle rates")
+    uniform = np.arange(round(t_max * spu) + 1) / spu
+    parts = [uniform[uniform <= t_max + _MERGE_TOL]]
+    if parts[0][-1] < t_max - _MERGE_TOL:
+        parts.append(np.array([t_max]))
+    for period, segments in cycles:
+        m1 = np.arange(t_max // period + 3.0)  # m - 1, with a margin
+        m1 = m1[m1 * period <= t_max]  # the cycles that start by t_max
+        inner = itertools.accumulate(s[0] for s in segments[:-1])
+        ends = np.concatenate([(m1 + 1.0) * period,
+                               *(m1 * period + e for e in inner)])
+        parts.append(np.minimum(ends[ends <= t_max + _MERGE_TOL], t_max))
+    candidates = np.sort(np.concatenate(parts)).tolist()
     grid = [candidates[0]]
     for t in candidates[1:]:
         if t - grid[-1] > _MERGE_TOL:
@@ -337,31 +345,34 @@ def _require_unit_interval(name: str, values) -> None:
                          f"worst value {np.max(array[bad])}")
 
 
+def _fidelity(state: OddParityState, t, sched, params: ModelParams):
+    """(fidelity, window tags or None) under sched at t, a time or an array."""
+    if sched is None:
+        return free_fidelity(state, t, params), None
+    if isinstance(sched, ZenoSchedule):
+        return zeno_fidelity(state, t, sched, params), None
+    if isinstance(sched, DdSchedule):
+        return dd_fidelity(state, t, sched, params), None
+    pairs = finite_dd_fidelity(state, t, sched, params)
+    return tuple(zip(*pairs)) if np.ndim(t) else pairs
+
+
 def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
     """Evaluate one fidelity column per schedule over the scenario grid.
 
     Columns follow the kind table's order, finite pulses by duty parameter.
     """
     grid = np.array(time_grid(cfg))
-    state = cfg.initial_state
-    params = cfg.params
-    order = list(_KIND_OF)
-
     header, columns = ["t"], [grid.tolist()]
     # a sample counts as free only if it is free for every finite schedule
     # present; comparisons are restricted to those points
     in_pulse = None
     for sched in sorted(cfg.schedules, key=lambda s: (
-            order.index(type(s)), getattr(s, "n_duty", 0))):
-        if sched is None:
-            name, values = "F_free", free_fidelity(state, grid, params)
-        elif isinstance(sched, ZenoSchedule):
-            name, values = "F_zeno", zeno_fidelity(state, grid, sched, params)
-        elif isinstance(sched, DdSchedule):
-            name, values = "F_dd", dd_fidelity(state, grid, sched, params)
-        else:
-            name = f"F_ddN{sched.n_duty}"
-            values, tags = zip(*finite_dd_fidelity(state, grid, sched, params))
+            list(_KIND_OF).index(type(s)), getattr(s, "n_duty", 0))):
+        name = (_KINDS[_KIND_OF[type(sched)]].column
+                + str(getattr(sched, "n_duty", "")))
+        values, tags = _fidelity(cfg.initial_state, grid, sched, cfg.params)
+        if tags is not None:
             tagged = np.array(tags, dtype=object) == IN_PULSE_SEGMENT
             in_pulse = tagged if in_pulse is None else in_pulse | tagged
         if name in header:
@@ -455,16 +466,11 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
                          for k in axes),
     }
 
-    has_zeno = "delta_t" in given or "tau" in given
-    has_dd = "tau" in given
-    has_finite = "n_duty" in given
-    header = [*axes, "F_free"]
-    if has_zeno:
-        header.append("F_zeno")
-    if has_dd:
-        header.append("F_dd")
-    if has_finite:
-        header.append("F_ddN")
+    # a kind takes part when the keys that supply its arguments are given;
+    # delta_t, unless given, is tau: measure at the pulse interval
+    keyed = given | ({"delta_t"} if "tau" in given else set())
+    kinds = [kind for kind in _KINDS.values() if keyed.issuperset(kind.keys)]
+    header = [*axes, *(kind.column for kind in kinds)]
 
     columns: list[list] = [[] for _ in header]
     if not axes:
@@ -478,21 +484,14 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
     for combo in itertools.product(*axes.values()):
         row: list = [value for value, _ in combo]
         cell = {**base, **dict(zip(axes, row))}
+        cell.setdefault("delta_t", cell.get("tau"))
         params = _params_from_options(cell, given)
         state, _ = parse_initial_state(cell["initial_state"])
         t_max = _number(cell, "t_max")
-        row.append(free_fidelity(state, t_max, params))
-        if has_zeno:
-            delta_t = _number(cell, "delta_t" if "delta_t" in cell else "tau")
-            row.append(zeno_fidelity(state, t_max, ZenoSchedule(delta_t),
-                                     params))
-        if has_dd:
-            row.append(dd_fidelity(state, t_max,
-                                   DdSchedule(_number(cell, "tau")), params))
-        if has_finite:
-            sched = FinitePulseSchedule(_number(cell, "tau"),
-                                        _number(cell, "n_duty", int))
-            row.append(finite_dd_fidelity(state, t_max, sched, params)[0])
+        for kind in kinds:
+            sched = kind.cls(*(_number(cell, key, convert)
+                               for key, convert in zip(kind.keys, kind.types)))
+            row.append(_fidelity(state, t_max, sched, params)[0])
         for column, value in zip(columns, row):
             column.append(value)
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import parityshield as ps
 from parityshield import scenarios
@@ -122,13 +125,76 @@ def test_missing_config_rejected(tmp_path):
 
 
 def test_time_grid_contains_schedule_boundaries():
-    cfg = ps.build_scenario("fig3")
-    grid = ps.time_grid(cfg)
-    assert all(b - a > 1e-12 for a, b in zip(grid, grid[1:]))
-    assert grid[0] == 0.0 and abs(grid[-1] - cfg.t_max) < 1e-12
-    for m in range(1, 6):
-        for edge in (m * 0.2, (m - 1) * 0.2 + 0.18):
-            assert any(abs(g - edge) < 1e-9 for g in grid)
+    # (scenario, options, boundaries the grid must hold)
+    cases = [
+        ("fig3", {}, [edge for m in range(1, 6)
+                      for edge in (m * 0.2, (m - 1) * 0.2 + 0.18)]),
+        # t_max between two uniform samples: the grid stops at t_max
+        ("custom", {"schedules": "dd(0.1)", "t_max": "0.2999",
+                    "samples_per_unit_time": "100"}, [0.1, 0.2]),
+        # the window start of a cycle that t_max cuts
+        ("custom", {"schedules": "dd-finite(0.3,7)|dd(0.11)", "t_max": "0.29",
+                    "samples_per_unit_time": "100"}, [0.3 * 6 / 7, 0.11, 0.22]),
+        # one cycle longer than t_max
+        ("custom", {"schedules": "dd-finite(2.0,7)", "t_max": "1.9",
+                    "samples_per_unit_time": "100"}, [2.0 * 6 / 7]),
+    ]
+    for scenario, options, edges in cases:
+        cfg = ps.build_scenario(scenario, options)
+        grid = ps.time_grid(cfg)
+        assert all(b - a > 1e-12 for a, b in zip(grid, grid[1:]))
+        assert grid[0] == 0.0 and abs(grid[-1] - cfg.t_max) < 1e-12, options
+        for edge in edges:
+            assert any(abs(g - edge) < 1e-9 for g in grid), (options, edge)
+
+
+def _reference_grid(cfg):
+    """The time grid by its definition, cycle by cycle: uniform samples up
+    to t_max, then t_max, and every segment end up to t_max of every cycle
+    that starts by t_max, merged greedily."""
+    tol, spu, t_max = 1e-12, cfg.samples_per_unit_time, cfg.t_max
+    points = [j / spu for j in range(round(t_max * spu) + 1)
+              if j / spu <= t_max + tol]
+    if points[-1] < t_max - tol:
+        points.append(t_max)
+    for sched in cfg.schedules:
+        if sched is None:
+            continue
+        period, segments = sched.cycle.period, sched.cycle.segments
+        inner = list(itertools.accumulate(d for d, _, _ in segments[:-1]))
+        m = 1
+        while (m - 1) * period <= t_max:
+            ends = [m * period, *((m - 1) * period + e for e in inner)]
+            points += [min(b, t_max) for b in ends if b <= t_max + tol]
+            m += 1
+    points.sort()
+    grid = points[:1]
+    for t in points[1:]:
+        if t - grid[-1] > tol:
+            grid.append(t)
+    return grid
+
+
+_PERIODS = st.floats(0.05, 1.5)
+_DESCRIPTORS = st.one_of(
+    st.just("none"),
+    _PERIODS.map(lambda p: f"zeno({p!r})"),
+    _PERIODS.map(lambda p: f"dd({p!r})"),
+    st.builds(lambda p, n: f"dd-finite({p!r},{n})", _PERIODS,
+              st.integers(2, 40)))
+
+
+@given(st.lists(_DESCRIPTORS, min_size=1, max_size=3), st.floats(0.1, 3.0),
+       st.integers(100, 400))
+def test_time_grid_matches_its_definition(descriptors, t_max, spu):
+    cfg = ps.build_scenario("custom", {"schedules": "|".join(descriptors),
+                                       "t_max": repr(t_max),
+                                       "samples_per_unit_time": str(spu)})
+    # t_max is not a multiple of any period
+    assume(all(abs(q - round(q)) > 1e-6
+               for q in (t_max / s.cycle.period
+                         for s in cfg.schedules if s is not None)))
+    assert ps.time_grid(cfg) == _reference_grid(cfg)
 
 
 def test_fig2_trace_values(case1):
@@ -183,7 +249,7 @@ def test_duplicate_schedules_rejected():
         ps.compute_trace(cfg)
 
 
-def test_sweep_single_cell_matches_fig2_terminals():
+def test_sweep_single_cell_matches_fig2_terminals(case1):
     trace = ps.run_sweep({"tau": "0.1"})
     assert trace.header == ["tau", "F_free", "F_zeno", "F_dd"]
     assert len(trace.rows) == 1
@@ -192,6 +258,14 @@ def test_sweep_single_cell_matches_fig2_terminals():
     assert row[1] == pytest.approx(ETA_10, abs=1e-13)
     assert row[2] == pytest.approx(ZENO_1, abs=1e-13)
     assert row[3] == pytest.approx(XI_1, abs=1e-13)
+    # a given delta_t, not tau, sets the measurement interval
+    trace = ps.run_sweep({"tau": "0.1", "delta_t": "0.05"})
+    assert trace.header == ["delta_t", "tau", "F_free", "F_zeno", "F_dd"]
+    (row,) = trace.rows
+    state = ps.OddParityState.superradiant()
+    assert row[3] == ps.zeno_fidelity(state, 1.0, ps.ZenoSchedule(0.05), case1)
+    assert row[3] != pytest.approx(ZENO_1, abs=1e-6)
+    assert row[4] == pytest.approx(XI_1, abs=1e-13)
 
 
 def test_sweep_protection_monotone_in_interval():
@@ -200,6 +274,11 @@ def test_sweep_protection_monotone_in_interval():
     assert taus == sorted(taus)
     f_dd = trace.column("F_dd")
     assert all(a > b for a, b in zip(f_dd, f_dd[1:]))
+    f_zeno = trace.column("F_zeno")
+    assert all(a > b for a, b in zip(f_zeno, f_zeno[1:]))
+    # delta_t alone describes measurement only
+    trace = ps.run_sweep({"delta_t": "0.05,0.1"})
+    assert trace.header == ["delta_t", "F_free", "F_zeno"]
     f_zeno = trace.column("F_zeno")
     assert all(a > b for a, b in zip(f_zeno, f_zeno[1:]))
 
