@@ -29,10 +29,11 @@ from .scenarios import (EvolutionTrace, ScenarioConfig, build_scenario,
                         run_sweep, time_grid)
 from .transfer import (FREE_SEGMENT, IN_PULSE_SEGMENT, DdSchedule,
                        FinitePulseSchedule, RecursionCoeffs, ZenoSchedule,
-                       dd_coefficients, dd_fidelity, dd_survival,
-                       finite_dd_coefficients, finite_dd_fidelity,
-                       finite_dd_survival, free_fidelity, free_survival,
-                       free_survival_slope, zeno_amplitude, zeno_fidelity)
+                       coefficients, dd_coefficients, dd_fidelity,
+                       dd_survival, fidelity, finite_dd_coefficients,
+                       finite_dd_fidelity, finite_dd_survival, free_fidelity,
+                       free_survival, free_survival_slope, survival,
+                       zeno_amplitude, zeno_fidelity)
 from .validation import CheckResult, ValidationReport, run_validation
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "apply_double_pi_pulse", "decompose", "recompose",
     "ParityShieldError", "ConfigError", "ParameterError", "StateError",
     "ValidationFailure",
+    "survival", "fidelity", "coefficients",
     "free_survival", "free_survival_slope", "free_fidelity",
     "ZenoSchedule", "zeno_amplitude", "zeno_fidelity",
     "DdSchedule", "RecursionCoeffs", "dd_coefficients", "dd_survival",

@@ -202,9 +202,14 @@ def _cycle_starts(m, c):
 
 def cycle_start(m: int, params: ModelParams,
                 cycle: Cycle) -> tuple[complex, complex]:
-    """State (x, x') at the start of cycle m, after the last segment's map."""
-    if m < 0:
-        raise ParameterError(f"cycle index must be >= 0, got {m}")
+    """State (x, x') at the start of cycle m, after the last segment's map.
+
+    Free decay (cycle None) has the one cycle m = 0."""
+    if m < 0 or (cycle is None and m):
+        raise ParameterError(
+            f"cycle index must be >= 0 (0 for free decay), got {m}")
+    if cycle is None:
+        return 1.0 + 0.0j, 0.0j
     _, c = _cycle_matrix(_segments(params, cycle))
     x, xd = _cycle_starts(np.array(float(m)), c)
     return complex(x), complex(xd)
@@ -237,9 +242,13 @@ def evaluate(t, params: ModelParams, cycle: Cycle | None, value):
         x, xd = _apply(whole[j], x, xd, later)
         theta = np.where(later, theta - length, theta)
         k = np.where(later, j + 1, k)
-    for j, (_, matrix, _) in enumerate(segments):
+    for j, (length, matrix, end) in enumerate(segments):
         own = k == j
         x, xd = _apply(matrix(theta, own), x, xd, own)
+        if j < len(segments) - 1 and end != 1.0:
+            # x' on an inner segment end is after its map, as on a cycle end
+            xd = np.where(own & (theta >= length - _GRID_FUZZ * period),
+                          end * xd, xd)
     out = value(x, xd, k, theta)
     if not isinstance(out, tuple):
         return np.asarray(out).tolist()
@@ -279,27 +288,6 @@ def _real(x, *_):
     return x.real
 
 
-def free_survival(t, params: ModelParams):
-    """Survival factor of the superradiant amplitude after time t.
-
-    Free decay has no cycle; its envelopes on the three damping branches
-    join continuously.  Real on every branch; equals 1 at t = 0, stays in
-    [-1, 1], and is strictly positive in the overdamped and critical
-    regimes.  t is a float or a sequence of times (giving a list).
-    """
-    return evaluate(t, params, None, _real)
-
-
-def free_survival_slope(t, params: ModelParams):
-    """Time derivative of free_survival.  Zero at t = 0 on every branch."""
-    return evaluate(t, params, None, lambda x, xd, *_: xd.real)
-
-
-def free_fidelity(state0: OddParityState, t, params: ModelParams):
-    """Modulus of the overlap between the initial and the evolved state."""
-    return evaluate(t, params, None, overlap(state0))
-
-
 @dataclass(frozen=True)
 class ZenoSchedule:
     """Repeated vacuum projection every delta_t time units.
@@ -320,20 +308,6 @@ class ZenoSchedule:
     @property
     def cycle(self) -> Cycle:
         return Cycle(self.delta_t, ((self.delta_t, 0.0, 0.0),))
-
-
-def zeno_amplitude(t, sched: ZenoSchedule, params: ModelParams):
-    """Superradiant survival factor under repeated vacuum projection.
-
-    t is a float or a sequence of times (giving a list).
-    """
-    return evaluate(t, params, sched.cycle, _real)
-
-
-def zeno_fidelity(state0: OddParityState, t, sched: ZenoSchedule,
-                  params: ModelParams):
-    """Modulus of overlap with the initial state under the measurement protocol."""
-    return evaluate(t, params, sched.cycle, overlap(state0))
 
 
 @dataclass(frozen=True)
@@ -381,37 +355,8 @@ class RecursionCoeffs:
         return cls(x, (2.0 * xd + params.lam * x) / omega, m)
 
 
-def dd_coefficients(m: int, sched: DdSchedule,
-                    params: ModelParams) -> RecursionCoeffs:
-    """Coefficients of the damped-oscillator solution on interval m.
-
-    Interval 0 reproduces free decay; each later pair follows from
-    continuity of the value and reversal of the slope at the pulse instant.
-    """
-    x, xd = cycle_start(m, params, sched.cycle)
-    return RecursionCoeffs.from_state(x.real, xd.real, m, params)
-
-
-def dd_survival(t, sched: DdSchedule, params: ModelParams):
-    """Piecewise superradiant survival factor under the pulse train.
-
-    t is a float or a sequence of times (giving a list).
-    """
-    return evaluate(t, params, sched.cycle, _real)
-
-
-def dd_fidelity(state0: OddParityState, t, sched: DdSchedule,
-                params: ModelParams):
-    """Modulus of overlap with the initial state under instantaneous pulses."""
-    return evaluate(t, params, sched.cycle, overlap(state0))
-
-
 FREE_SEGMENT = "free"
 IN_PULSE_SEGMENT = "in_pulse"
-
-# segment index within a cycle -> tag; an object array hands out the two
-# tag strings themselves, not a copy per time
-_TAGS = np.array([FREE_SEGMENT, IN_PULSE_SEGMENT], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -471,39 +416,85 @@ class FinitePulseSchedule:
         return FREE_SEGMENT if free else IN_PULSE_SEGMENT, int(m), float(theta)
 
 
-def finite_dd_coefficients(m: int, sched: FinitePulseSchedule,
-                           params: ModelParams) -> RecursionCoeffs:
-    """Complex interval coefficients for cycle m of the finite-duration protocol."""
-    x, xd = cycle_start(m, params, sched.cycle)
-    return RecursionCoeffs.from_state(complex(x), complex(xd), m, params)
+def _drive(cycle: Cycle | None):
+    """(drive rate, tag) arrays by segment index; None, after a plain test
+    with no numpy call, if no segment is driven.  The object array hands out
+    the tag strings themselves, not a copy per time."""
+    rates = [] if cycle is None else [rate for _, rate, _ in cycle.segments]
+    if not any(rates):
+        return None
+    return np.array(rates), np.array(
+        [IN_PULSE_SEGMENT if rate else FREE_SEGMENT for rate in rates],
+        dtype=object)
 
 
-def finite_dd_survival(t, sched: FinitePulseSchedule, params: ModelParams):
-    """Superradiant amplitude at time t, tagged free or in_pulse.
+def survival(t, sched, params: ModelParams):
+    """Superradiant survival factor after time t under sched (None: free).
 
-    Completed windows each contribute an exact pi phase that is common to
-    the whole single-excitation sector; those are absorbed, so free-segment
-    values line up cycle to cycle.  Within a window the partial drive phase
-    is included in the returned amplitude.  t is a float, giving one
-    (amplitude, tag) pair, or a sequence of times, giving a list of them.
+    t is a float or a sequence of times, giving a list.  The values are
+    real unless a segment is driven; then they come in (amplitude, tag)
+    pairs, tagged "in_pulse" on a driven segment and "free" elsewhere.  The
+    exact pi phase of each completed window is common to the whole
+    single-excitation sector and absorbed, so free-segment values line up
+    cycle to cycle; inside a window the amplitude carries its segment's
+    partial drive phase exp(-i rate into).
     """
-    rate = sched.phase_rate
+    cycle = None if sched is None else sched.cycle
+    drive = _drive(cycle)
+    if drive is None:
+        return evaluate(t, params, cycle, _real)
+    rates, tags = drive
 
     def value(x, xd, k, into):
+        rate = rates[k]
         phase = np.exp(-1j * rate * into)
-        return np.where(k == 1, _mul(x, phase), x), _TAGS[k]
-    return evaluate(t, params, sched.cycle, value)
+        return np.where(rate != 0.0, _mul(x, phase), x), tags[k]
+    return evaluate(t, params, cycle, value)
 
 
-def finite_dd_fidelity(state0: OddParityState, t,
-                       sched: FinitePulseSchedule, params: ModelParams):
-    """Modulus of overlap with the initial state, tagged free or in_pulse.
+def fidelity(state0: OddParityState, t, sched, params: ModelParams):
+    """Modulus of the overlap with the initial state; t, sched and tags as
+    in survival.  The drive phase cancels in the modulus (see overlap), so
+    the value stays continuous across window edges."""
+    cycle = None if sched is None else sched.cycle
+    drive, value = _drive(cycle), overlap(state0)
+    if drive is None:
+        return evaluate(t, params, cycle, value)
+    tags = drive[1]
+    return evaluate(t, params, cycle, lambda x, xd, k, _: (value(x), tags[k]))
 
-    Inside windows both the dark and the superradiant amplitude carry the
-    same drive phase, which therefore cancels in the modulus; the reported
-    value stays continuous across window edges.  Scalar and sequence t as
-    in finite_dd_survival.
+
+def coefficients(m: int, sched, params: ModelParams) -> RecursionCoeffs:
+    """Coefficients of the damped-oscillator solution on interval m.
+
+    Interval 0 reproduces free decay (sched None has no other); each
+    segment's end map keeps the value and multiplies the slope by its k, so
+    a pulse reverses it.  Real unless the cycle is driven.
     """
-    fidelity = overlap(state0)
-    return evaluate(t, params, sched.cycle,
-                    lambda x, xd, k, into: (fidelity(x), _TAGS[k]))
+    cycle = None if sched is None else sched.cycle
+    x, xd = cycle_start(m, params, cycle)
+    if _drive(cycle) is None:
+        x, xd = x.real, xd.real
+    return RecursionCoeffs.from_state(x, xd, m, params)
+
+
+def free_survival(t, params: ModelParams):
+    """survival with no schedule: real, 1 at t = 0, in [-1, 1], and strictly
+    positive in the overdamped and critical regimes."""
+    return survival(t, None, params)
+
+
+def free_survival_slope(t, params: ModelParams):
+    """Time derivative of free_survival.  Zero at t = 0 on every branch."""
+    return evaluate(t, params, None, lambda x, xd, *_: xd.real)
+
+
+def free_fidelity(state0: OddParityState, t, params: ModelParams):
+    """fidelity with no schedule."""
+    return fidelity(state0, t, None, params)
+
+
+# the per-protocol names: each is the general entry under its schedule
+zeno_amplitude = dd_survival = finite_dd_survival = survival
+zeno_fidelity = dd_fidelity = finite_dd_fidelity = fidelity
+dd_coefficients = finite_dd_coefficients = coefficients

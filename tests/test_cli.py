@@ -125,8 +125,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-# option text that is no number, an infinite horizon, or a time grid too
-# large to build (refused before any of it is built)
+# option text that is no number, an infinite horizon, or a time grid or an
+# oracle run too large to build (refused before any of it is built)
 _NOT_NUMBERS = [
     ["fig2", "--tau", "abc"],
     ["custom", "--lambda", "two"],
@@ -135,6 +135,8 @@ _NOT_NUMBERS = [
     ["sweep", "--tau", "0.1,abc"],
     ["sweep", "--tau", "0.1", "--n-duty", "1.5"],
     ["validate", "--dt-num", "abc"],
+    ["validate", "--dt-num", "5e-324"],
+    ["validate", "--dt-num", "1e-9"],
     ["fig2", "--t-max", "inf"],
     ["custom", "--t-max", "1e306"],
     ["custom", "--schedules", "dd(1e-12)"],

@@ -20,6 +20,17 @@ def _closed_free(times, params):
     return np.array(ps.free_survival(times, params))
 
 
+def _on_cycle(period, segments):
+    """A schedule whose cycle is the given (duration, drive rate, k)s."""
+    return SimpleNamespace(cycle=ps.transfer.Cycle(period, segments))
+
+
+# free, a window of rate * duration = pi, free: a kind with no schedule
+# class whose window is not the last segment
+WINDOW_MID = _on_cycle(0.2, ((0.09, 0.0, 1.0), (0.02, 50 * math.pi, 1.0),
+                             (0.09, 0.0, 1.0)))
+
+
 def test_free_augmented_matches_closed_form(case1, free_trace_aug):
     err = np.max(np.abs(free_trace_aug.beta2 - _closed_free(
         free_trace_aug.times, case1)))
@@ -101,29 +112,24 @@ def test_interval_longer_than_horizon_reduces_to_free(case1, cfg_aug,
     assert float(np.max(np.abs(tr.beta2 - free_trace_aug.beta2))) == 0.0
 
 
+def _free_segment_gap(params, sched, cfg):
+    """Largest |oracle - closed form| over the samples tagged free."""
+    tr = ps.integrate(params, sched, 1.0, cfg)
+    closed = ps.survival(tr.times, sched, params)
+    return max(abs(complex(b2) - value)
+               for b2, (value, tag) in zip(tr.beta2, closed)
+               if tag == ps.FREE_SEGMENT)
+
+
 def test_finite_run_matches_map(case1, cfg_aug):
-    sched = ps.FinitePulseSchedule(0.2, 10)
-    tr = ps.integrate_finite(case1, sched, 1.0, cfg_aug)
-    closed = ps.finite_dd_survival(tr.times, sched, case1)
-    worst = 0.0
-    for t, b2, (value, _) in zip(tr.times, tr.beta2, closed):
-        if sched.segment_of(float(t))[0] != ps.FREE_SEGMENT:
-            continue
-        worst = max(worst, abs(complex(b2) - value))
-    assert worst < 1e-4
+    for sched in (ps.FinitePulseSchedule(0.2, 10), WINDOW_MID):
+        assert _free_segment_gap(case1, sched, cfg_aug) < 1e-4, sched
 
 
 def test_finite_quadrature_backend(case1, cfg_quad):
     # lab-frame formulation with explicit drive term, phase-aligned output
-    sched = ps.FinitePulseSchedule(0.2, 10)
-    tr = ps.integrate_finite(case1, sched, 1.0, cfg_quad)
-    closed = ps.finite_dd_survival(tr.times, sched, case1)
-    worst = 0.0
-    for t, b2, (value, _) in zip(tr.times, tr.beta2, closed):
-        if sched.segment_of(float(t))[0] != ps.FREE_SEGMENT:
-            continue
-        worst = max(worst, abs(complex(b2) - value))
-    assert worst < 5e-3
+    for sched in (ps.FinitePulseSchedule(0.2, 10), WINDOW_MID):
+        assert _free_segment_gap(case1, sched, cfg_quad) < 5e-3, sched
 
 
 def test_dark_amplitude_constant_under_all_protocols(case1, cfg_aug):
@@ -154,6 +160,9 @@ def test_run_preconditions(case1, cfg_aug):
     with pytest.raises(ps.ConfigError):
         ps.integrate_free(case1, -1.0, cfg_aug)
     with pytest.raises(ps.ConfigError):
+        # 1e300 steps: refused before any per-step list is built
+        ps.integrate(case1, None, 1.0, ps.OracleConfig(dt_num=1e-300))
+    with pytest.raises(ps.ConfigError):
         # horizon not on the step grid
         ps.integrate_free(case1, 1.00005, ps.OracleConfig(dt_num=1e-3))
     with pytest.raises(ps.ConfigError):
@@ -170,6 +179,11 @@ def test_run_preconditions(case1, cfg_aug):
 
 
 MIXED = ps.OddParityState.initial(math.sqrt(0.5), math.sqrt(0.5))
+
+
+def test_per_protocol_names_are_integrate():
+    assert ps.integrate_dd is ps.integrate
+    assert ps.integrate_finite is ps.integrate
 
 
 @pytest.mark.parametrize("mode", [ps.EXACT_AUGMENTED, ps.DIRECT_QUADRATURE])
@@ -195,11 +209,6 @@ _BACKENDS = {
     "quadrature": (ps.OracleConfig(dt_num=1e-4, method_order=2,
                                    history_mode=ps.DIRECT_QUADRATURE), 1e-7),
 }
-
-
-def _on_cycle(period, segments):
-    """A schedule whose cycle is the given (duration, drive rate, k)s."""
-    return SimpleNamespace(cycle=ps.transfer.Cycle(period, segments))
 
 
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))

@@ -20,6 +20,9 @@ def test_python_examples_run():
     assert 0.0 < namespace["eta"] < namespace["z"] < namespace["d"] < 1.0
     assert namespace["segment"] == "free"
     assert len(namespace["curve"]) == 4
+    assert 0.0 < namespace["by_protocol"][0] < namespace["by_protocol"][1]
+    assert namespace["by_protocol"][1] < namespace["by_protocol"][2] < 1.0
+    assert namespace["tag"] == "in_pulse"
     assert namespace["fig2"].header == ["t", "F_free", "F_zeno", "F_dd"]
     assert 0.0 < namespace["final_dd"] < 1.0
 

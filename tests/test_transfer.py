@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,6 +194,10 @@ def _walk(times, params, cycle):
             theta -= steps[k][0]
             k += 1
         x, xd = steps[k][1](x, xd, theta)
+        # on an inner segment end, x' after the end's map, as on a cycle end
+        if (k < len(steps) - 1
+                and theta >= steps[k][0] - _FUZZ * cycle.period):
+            xd = steps[k][2] * xd
         out[t] = (x, xd, k)
     return [out[t] for t in times]
 
@@ -221,11 +226,19 @@ def _cycles(tau):
             "finite": ps.FinitePulseSchedule(tau, 10).cycle,
             # a pulse, then a projection: one end map per segment
             "mixed": transfer.Cycle(2 * tau, ((tau, 0.0, -1.0),
-                                              (tau, 0.0, 0.0)))}
+                                              (tau, 0.0, 0.0))),
+            "window-mid": _window_mid(tau)}
 
 
-@pytest.mark.parametrize("protocol",
-                         ["free", "zeno", "dd", "finite", "mixed"])
+def _window_mid(tau):
+    """free, a window of rate * duration = pi, free: no schedule class."""
+    return transfer.Cycle(tau, ((0.45 * tau, 0.0, 1.0),
+                                (0.1 * tau, math.pi / (0.1 * tau), 1.0),
+                                (0.45 * tau, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("protocol", ["free", "zeno", "dd", "finite",
+                                      "mixed", "window-mid"])
 @pytest.mark.parametrize("rate", [0.8, 1.0, 1.7],
                          ids=["overdamped", "critical", "underdamped"])
 def test_matches_walker_on_every_branch(rate, protocol):
@@ -257,14 +270,16 @@ def test_matches_walker_at_window_edges(case1):
     _assert_matches_walker(times, case1, sched.cycle)
 
 
-@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed"])
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed",
+                                      "window-mid"])
 def test_matches_walker_after_many_cycles(case1, protocol):
     cycle = _cycles(0.1)[protocol]
     times = [0.1 * m + 0.05 for m in (0, 1, 99, 1000, 4321, 9999)]
     _assert_matches_walker(times, case1, cycle)
 
 
-@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed"])
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed",
+                                      "window-mid"])
 def test_cycle_start_matches_sequential_stepping(case1, protocol):
     cycle = _cycles(0.1)[protocol]
     c00, c01, c10, c11 = _walker_matrix(_walker_steps(case1, cycle))
@@ -279,14 +294,65 @@ def test_cycle_start_matches_sequential_stepping(case1, protocol):
 
 
 def test_two_pulse_cycle_equals_dd(case1):
-    # the survival factor only: at a pulse between two segments the slope
-    # is the one before the pulse, at the end of a cycle the one after it
+    # value and slope: on a pulse, between two segments or at the end of a
+    # cycle, the slope is the one after the pulse
     twice = transfer.Cycle(0.2, ((0.1, 0.0, -1.0), (0.1, 0.0, -1.0)))
     times = [0.0137 * j for j in range(800)] + [0.1, 0.2, 0.3, 7.0]
-    got = transfer.evaluate(times, case1, twice, _survival)
-    want = transfer.evaluate(times, case1, ps.DdSchedule(0.1).cycle,
-                             _survival)
-    assert max(abs(x - x_ref) for x, x_ref in zip(got, want)) <= 1e-12
+    got = transfer.evaluate(times, case1, twice, _state)
+    want = transfer.evaluate(times, case1, ps.DdSchedule(0.1).cycle, _state)
+    for t, (x, xd, _), (x_ref, xd_ref, _) in zip(times, got, want):
+        assert abs(x - x_ref) <= 1e-12, t
+        assert abs(xd - xd_ref) <= 1e-12, t
+
+
+def test_window_mid_tags_and_phase(case1):
+    # the general entries read the protocol from the cycle alone: a drive
+    # window that is not the last segment needs no schedule class
+    cycle = _window_mid(0.2)
+    sched = SimpleNamespace(cycle=cycle)
+    rate = cycle.segments[1][1]
+    state = ps.OddParityState.initial(0.6, 0.8)
+    w1, w2 = abs(state.beta1) ** 2, abs(state.beta2) ** 2
+    times = [0.2 * m + d for m in (0, 1, 7, 40)
+             for d in (0.03, 0.095, 0.1, 0.105, 0.15)]
+    xs = transfer.evaluate(times, case1, cycle, _survival)
+    amps = ps.survival(times, sched, case1)
+    fids = ps.fidelity(state, times, sched, case1)
+    for t, x, (amp, tag), (fid, fid_tag) in zip(times, xs, amps, fids):
+        into = t % 0.2 - 0.09
+        window = 0.0 < into < 0.02
+        assert tag == fid_tag == (ps.IN_PULSE_SEGMENT if window
+                                  else ps.FREE_SEGMENT), t
+        want = x * cmath.exp(-1j * rate * into) if window else x
+        assert abs(amp - want) <= 1e-12, t
+        assert abs(fid - abs(w1 + w2 * x)) <= 1e-12, t
+    # coefficients are complex for a driven cycle, real otherwise
+    assert isinstance(ps.coefficients(3, sched, case1).a, complex)
+    assert isinstance(ps.coefficients(3, DD, case1).a, float)
+
+
+def test_free_decay_is_schedule_none(case1):
+    times = [0.0, 0.3, 1.7]
+    assert ps.survival(times, None, case1) == ps.free_survival(times, case1)
+    assert ps.fidelity(STATE, times, None, case1) == ps.free_fidelity(
+        STATE, times, case1)
+    c = ps.coefficients(0, None, case1)
+    assert (c.a, c.b, c.m) == (1.0, case1.lam / case1.omega, 0)
+    with pytest.raises(ps.ParameterError):
+        ps.coefficients(1, None, case1)
+
+
+def test_per_protocol_names_are_the_general_entries():
+    for names, general in (
+            (("zeno_amplitude", "dd_survival", "finite_dd_survival"),
+             ps.survival),
+            (("zeno_fidelity", "dd_fidelity", "finite_dd_fidelity"),
+             ps.fidelity),
+            (("dd_coefficients", "finite_dd_coefficients"),
+             ps.coefficients)):
+        for name in names:
+            assert getattr(ps, name) is general, name
+            assert getattr(transfer, name) is general, name
 
 
 def test_empty_sequence_gives_empty_list(case1):
