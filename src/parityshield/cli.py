@@ -21,9 +21,9 @@ from ._version import __version__
 from .errors import ConfigError, ParameterError, StateError, ValidationFailure
 from .oracle import DIRECT_QUADRATURE, EXACT_AUGMENTED
 from .output import render_svg, write_csv
-from .scenarios import (build_scenario, check_fig2_ordering,
-                        check_fig3_ordering, compute_trace, load_config,
-                        option_keys, run_sweep)
+from .scenarios import (MAX_SWEEP_CELLS, build_scenario,
+                        check_fig2_ordering, check_fig3_ordering,
+                        compute_trace, load_config, option_keys, run_sweep)
 from .validation import run_validation
 
 OUT_DIR_ENV = "PARITYSHIELD_OUT"
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run(subs, scenario, blurb, _run_scenario)
     sub = _add_run(subs, "sweep", "terminal-fidelity parameter sweep",
                    _run_sweep)
-    sub.add_argument("--max-cells", dest="max_cells", type=int, default=200,
+    sub.add_argument("--max-cells", type=int, default=MAX_SWEEP_CELLS,
                      help="refuse grids larger than this many cells")
 
     sub = subs.add_parser("validate",

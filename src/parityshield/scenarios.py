@@ -45,6 +45,10 @@ _MERGE_TOL = 1e-12
 # most points in a time grid: at 0.67 KiB a point (five schedules), 6.5 GiB
 _MAX_GRID_POINTS = 1e7
 
+# most cells in a sweep: four columns took 50.3 MiB at 10^4 cells and 225.1
+# MiB at 10^5 (ru_maxrss), about 2 KiB a cell, so 10^6 cells take 1.9 GiB
+MAX_SWEEP_CELLS = 10 ** 6
+
 # descriptor kind -> (schedule class, argument types, column name, sweep keys
 # supplying the arguments), in the column order of a trace; free decay is the
 # schedule None (type(None)() is None), and a trace appends the duty parameter.
@@ -345,16 +349,18 @@ def _require_unit_interval(name: str, values) -> None:
                          f"worst value {np.max(array[bad])}")
 
 
-def _fidelity(state: OddParityState, t, sched, params: ModelParams):
-    """(fidelity, window tags or None) under sched at t, a time or an array."""
+def _fidelity(state: OddParityState, t, sched, params):
+    """(fidelity, tags or None) under sched (one or a list of cells) at t."""
     # each name is transfer.fidelity under its schedule, but the benchmark's
-    # tracer counts calls per name bound here and tests/test_benchmark_tracer
-    # requires each counter, so each kind still calls through its own name
-    if sched is None:
+    # tracer counts calls (one per trace or sweep column) per name bound here
+    # and tests/test_benchmark_tracer requires each counter, so each kind
+    # still calls through its own name
+    kind = sched[0] if isinstance(sched, list) else sched
+    if kind is None:
         return free_fidelity(state, t, params), None
-    if isinstance(sched, ZenoSchedule):
+    if isinstance(kind, ZenoSchedule):
         return zeno_fidelity(state, t, sched, params), None
-    if isinstance(sched, DdSchedule):
+    if isinstance(kind, DdSchedule):
         return dd_fidelity(state, t, sched, params), None
     pairs = finite_dd_fidelity(state, t, sched, params)
     return tuple(zip(*pairs)) if np.ndim(t) else pairs
@@ -440,7 +446,8 @@ def check_fig3_ordering(trace: EvolutionTrace) -> None:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
+def run_sweep(options: dict[str, str],
+              max_cells: int = MAX_SWEEP_CELLS) -> EvolutionTrace:
     """Grid sweep over any subset of the model/schedule parameters.
 
     Every user-supplied sweepable key becomes a grid axis (values may be a
@@ -484,20 +491,21 @@ def run_sweep(options: dict[str, str], max_cells: int = 200) -> EvolutionTrace:
         raise ConfigError(
             f"sweep has {total} cells, exceeding the cap of {max_cells}")
 
+    state, _ = parse_initial_state(base["initial_state"])
+    # each cell's axis values, params, t_max and one schedule per kind
+    params, times, *scheds = cells = [[] for _ in range(len(kinds) + 2)]
     for combo in itertools.product(*axes.values()):
-        row: list = [value for value, _ in combo]
+        row = [value for value, _ in combo]
         cell = {**base, **dict(zip(axes, row))}
         cell.setdefault("delta_t", cell.get("tau"))
-        params = _params_from_options(cell, given)
-        state, _ = parse_initial_state(cell["initial_state"])
-        t_max = _number(cell, "t_max")
-        for kind in kinds:
-            sched = kind.cls(*(_number(cell, key, convert)
-                               for key, convert in zip(kind.keys, kind.types)))
-            row.append(_fidelity(state, t_max, sched, params)[0])
-        for column, value in zip(columns, row):
+        row += [_params_from_options(cell, given), _number(cell, "t_max"), *(
+            kind.cls(*(_number(cell, key, convert) for key, convert
+                       in zip(kind.keys, kind.types))) for kind in kinds)]
+        for column, value in zip(columns[:len(axes)] + cells, row):
             column.append(value)
 
-    for name, column in zip(header[len(axes):], columns[len(axes):]):
-        _require_unit_interval(name, column)
+    for i, (kind, column) in enumerate(zip(kinds, scheds), len(axes)):
+        values, _ = _fidelity(state, times, column, params)
+        _require_unit_interval(kind.column, values)
+        columns[i] = list(values)
     return EvolutionTrace(header, columns, metadata)

@@ -17,15 +17,15 @@ damping constant, and each ends in its own map (x, x') -> (x, k x'):
 * k = 1 ends a free segment or a drive window, whose exact pi phase is
   common to the single-excitation sector and therefore absorbed.
 
-Free decay has no cycle.  One evaluator works on all requested times at
-once as numpy arrays: the state at the start of cycle m comes from binary
-powers of the cycle matrix, O(log m) and independent of the other times,
-and E is applied inside the current cycle; nothing outlives the call.
+Free decay has no cycle.  One evaluator works on cells x times: a cell is
+one parameter set with one cycle, its constants arrays (scalars for one
+cell) broadcast against the times.  Cycle m starts from binary powers of
+the cycle matrix, O(log m) and independent of the other times and cells,
+and E is applied inside the cycle; nothing outlives the call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,12 +51,26 @@ _EPS = np.finfo(float).eps
 # past this many cycles m * period no longer resolves the time into the cycle
 _MAX_CYCLES = 2.0 ** 53
 
-# Every product of two complex factors goes through the ufunc: numpy's
-# scalar arithmetic rounds a complex product without the fused multiply-add
-# of its array loops, and a single time is evaluated on 0-d arrays, whose
-# results are numpy scalars.  With the ufunc a time gives the same bits
-# alone as inside a sequence.
+# Every complex product goes through the ufunc, whose array loops fuse a
+# multiply-add alike in every broadcast and stride (operand order matters),
+# so one time or cell gives the same bits alone as in a batch; omega^2 and
+# the cycle-matrix products keep Python's unfused rounding (_cmul).
 _mul = np.multiply
+
+
+def _cmul(a, b):
+    """a * b rounded as Python's complex product, which scalars keep using."""
+    if isinstance(a, complex) and isinstance(b, complex):
+        return complex(a) * complex(b)
+    out = np.asarray(a.real * b.real - a.imag * b.imag, complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _product(a, b):
+    """The 2x2 product a b of entries (e00, e01, e10, e11)."""
+    return [_cmul(a[i], b[j]) + _cmul(a[i + 1], b[j + 2])
+            for i in (0, 2) for j in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -72,25 +86,24 @@ class Cycle:
     segments: tuple[tuple[float, float, float], ...]
 
 
-def _on(own, f, z):
-    """f(z) where own is true and 0 elsewhere; f never sees the rest."""
-    return f(z, out=np.zeros(np.shape(z), complex), where=own)
+def _on(own, f, *z):
+    """f(*z) where own, 0 elsewhere (shape of z[0]); f sees nothing else."""
+    return f(*z, out=np.zeros(np.shape(z[0]), complex), where=own)
 
 
-def propagator(lam_c: complex, r_sq: float):
+def propagator(lam_c, r_sq):
     """E(., lam_c) as a 2x2 matrix function of the duration, on every branch.
 
     Closed form of x'' + lam_c x' + r_sq x = 0 with split root
     omega = sqrt(lam_c^2 - 4 r_sq): a series in (omega s / 2)^2 near a
     degenerate root, pure exponentials once Re(lam_c) s passes the
     overflow threshold, cosh/sinh in between.  The returned function maps
-    durations s and a mask own (arrays of one shape, 0-d for a single
-    time) to the entries (e00, e01, e10, e11) that carry (x, x') over s.
-    Each branch sees only the durations it owns, 0 elsewhere, so none can
-    overflow on another branch's duration; entries off own are meaningless.
+    durations s and a mask own, broadcast against the per-cell lam_c and
+    r_sq, to the entries (e00, e01, e10, e11) that carry (x, x') over s.
+    Each branch sees and divides only the entries it owns, 0 elsewhere, so
+    none overflows or divides 0 by 0 on another's; the rest is meaningless.
     """
-    lam_c = complex(lam_c)
-    omega = cmath.sqrt(lam_c * lam_c - 4.0 * r_sq)
+    omega = np.sqrt(_cmul(lam_c, lam_c) - 4.0 * r_sq)
 
     def series(s, h, own):
         u = _mul(h, h)
@@ -101,12 +114,12 @@ def propagator(lam_c: complex, r_sq: float):
     def split(s, h, own):
         em = _on(own, np.exp, -(lam_c - omega) / 2.0 * s)
         ep = _on(own, np.exp, -(lam_c + omega) / 2.0 * s)
-        return (em + ep) / 2.0, (em - ep) / (2.0 * omega)
+        return (em + ep) / 2.0, _on(own, np.divide, em - ep, 2.0 * omega)
 
     def middle(s, h, own):
         damp = _on(own, np.exp, -lam_c / 2.0 * s)
-        return (_mul(damp, _on(own, np.cosh, h)),
-                _mul(damp, _on(own, np.sinh, h)) / omega)
+        return (_mul(damp, _on(own, np.cosh, h)), _on(
+            own, np.divide, _mul(damp, _on(own, np.sinh, h)), omega))
 
     def matrix(s, own):
         s = np.where(own, s, 0.0)
@@ -133,12 +146,12 @@ def _apply(e, x, xd, own):
             np.where(own, _mul(e10, x) + _mul(e11, xd), xd))
 
 
-def _positions(ts: np.ndarray, period: float | None):
+def _positions(ts: np.ndarray, period):
     """(completed cycles, time into the current cycle) for an array of times.
 
     The single time check of the package: every time must be finite and
-    nonnegative, and span at most 2**53 cycles.  A period of None (free
-    decay) never completes a cycle.
+    nonnegative, and span at most 2**53 cycles (the error names the cell).
+    A period of None (free decay) never completes a cycle.
     """
     bad = ~(np.isfinite(ts) & (ts >= 0.0))
     if np.count_nonzero(bad):
@@ -146,57 +159,70 @@ def _positions(ts: np.ndarray, period: float | None):
             f"time must be finite and nonnegative, got {ts[bad][0]}")
     if period is None:
         return np.zeros(ts.shape), ts
-    if np.count_nonzero(ts > period * _MAX_CYCLES):
-        raise ParameterError(
-            f"time spans more than 2**53 cycles of {period}, got {np.max(ts)}")
+    if np.count_nonzero(over := ts > period * _MAX_CYCLES):
+        t, cell = (np.broadcast_to(v, over.shape)[over] for v in (ts, period))
+        raise ParameterError(f"time spans more than 2**53 cycles of "
+                             f"{cell[np.argmax(t)]}, got {np.max(t)}")
     q = ts / period
     m = np.floor(q + (_GRID_FUZZ + 4.0 * _EPS * q))
     theta = ts - m * period
     return m, np.where(theta > 0.0, theta, 0.0)
 
 
-def _segments(params: ModelParams, cycle: Cycle | None):
-    r_sq = params.r_rate * params.r_rate
-    segments = ((math.inf, 0.0, 1.0),) if cycle is None else cycle.segments
-    return [(length, propagator(complex(params.lam, -rate), r_sq), k)
-            for length, rate, k in segments]
+def _past(theta, length, period):
+    """Past a segment of this length; its end instant is still in it."""
+    return theta > length + _GRID_FUZZ * period
+
+
+def _segments(params, cycle):
+    """(period, [(length, propagator, k)]), per-cell arrays (scalars for one
+    cell) of one cell or of a sequence of params and one of cycles sharing
+    their end maps k.  Free decay (cycle None) is one endless segment."""
+    one = isinstance(params, ModelParams)
+    ps = [params] if one else list(params)
+    cs = [c or Cycle(None, ((math.inf, 0.0, 1.0),))
+          for c in ([cycle] if one else cycle or [None] * len(ps))]
+    # a list, not a generator: a resized tuple stays on the free list
+    kinds = {(c.period is None, *[k for *_, k in c.segments]) for c in cs}
+    if len(kinds) != 1 or len(cs) != len(ps):
+        raise ParameterError("each cell needs params and a cycle of one kind")
+    (free, *ks), = kinds
+
+    def cells(values):
+        return values[0] if one else np.array(values)
+    r_sq = cells([p.r_rate * p.r_rate for p in ps])
+    return None if free else cells([c.period for c in cs]), [
+        (cells([c.segments[j][0] for c in cs]), propagator(cells(
+            [complex(p.lam, -c.segments[j][1]) for p, c in zip(ps, cs)]),
+            r_sq), k) for j, k in enumerate(ks)]
 
 
 def _cycle_matrix(segments):
     # the map over each whole segment, its end map (x, x') -> (x, k x')
     # included, and the product of those maps over the cycle
-    whole, c = [], (1.0, 0.0, 0.0, 1.0)
+    whole, c = [], (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
     for length, matrix, k in segments:
         e00, e01, e10, e11 = matrix(length, True)
         whole.append((e00, e01, k * e10, k * e11))
-        e00, e01, e10, e11 = (complex(v) for v in whole[-1])
-        c = (e00 * c[0] + e01 * c[2], e00 * c[1] + e01 * c[3],
-             e10 * c[0] + e11 * c[2], e10 * c[1] + e11 * c[3])
+        c = _product(whole[-1], c)
     return whole, c
 
 
 def _powers(m, c):
     """c**m applied to (1, 0), for an array m of whole numbers.
 
-    Binary powers: O(log m).  The squarings are the same for every entry,
-    so each state depends on its own m only.
+    Binary powers: O(log m), once per distinct m of one cell.  Each state
+    depends on its own m and cell only; a finished cell squares zeros.
     """
+    which = ...
+    if np.ndim(m) and not np.ndim(c[0]):
+        m, which = np.unique(m, return_inverse=True)
     x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
     while np.count_nonzero(m):
         x, xd = _apply(c, x, xd, m % 2.0 == 1.0)
-        c00, c01, c10, c11 = c
-        c = (c00 * c00 + c01 * c10, c00 * c01 + c01 * c11,
-             c10 * c00 + c11 * c10, c10 * c01 + c11 * c11)
         m = m // 2.0
-    return x, xd
-
-
-def _cycle_starts(m, c):
-    """States (x, x') after m cycles from (1, 0), one power per distinct m."""
-    if not np.ndim(m):
-        return _powers(m, c)
-    distinct, which = np.unique(m, return_inverse=True)
-    x, xd = _powers(distinct, c)
+        live = [np.where(m > 0.0, e, 0.0) for e in c] if np.ndim(c[0]) else c
+        c = _product(live, live) if np.count_nonzero(m) else c
     return x[which], xd[which]
 
 
@@ -210,35 +236,35 @@ def cycle_start(m: int, params: ModelParams,
             f"cycle index must be >= 0 (0 for free decay), got {m}")
     if cycle is None:
         return 1.0 + 0.0j, 0.0j
-    _, c = _cycle_matrix(_segments(params, cycle))
-    x, xd = _cycle_starts(np.array(float(m)), c)
+    _, c = _cycle_matrix(_segments(params, cycle)[1])
+    x, xd = _powers(np.array(float(m)), c)
     return complex(x), complex(xd)
 
 
-def evaluate(t, params: ModelParams, cycle: Cycle | None, value):
+def evaluate(t, params, cycle, value):
     """value(x, x', segment index, time into segment) at each requested time.
 
-    t is a float or a sequence (or array) of times in any order.  value
-    takes arrays and returns an array or a tuple of arrays.  A float gives
-    one Python value (or tuple); a sequence gives a list of them in the
-    order of t, and each entry is bit-identical to the value the same time
-    gives alone.  The cycle (None for free decay) starts from x = 1, x' = 0.
+    params and cycle are one cell or sequences of cells (see _segments); t
+    is a float or a sequence (or array) of times in any order, broadcast
+    against the cells.  value takes arrays and returns an array or a tuple
+    of arrays.  One cell at a float gives one Python value (or tuple), else
+    a list, each bit-identical alone.  Every cycle starts from x = 1, x' = 0.
     """
     # a float becomes a 0-d array: it has no shape buffer, so a single-time
     # call leaves nothing behind in numpy's small-buffer cache
     ts = np.array(t, dtype=float)
-    segments = _segments(params, cycle)
-    period = None if cycle is None else cycle.period
+    period, segments = _segments(params, cycle)
+    shape = np.broadcast_shapes(ts.shape, np.shape(segments[0][0]))
     m, theta = _positions(ts, period)
-    if cycle is None:
-        x, xd = np.ones(ts.shape, complex), np.zeros(ts.shape, complex)
+    if period is None:
+        x, xd = np.ones(shape, complex), np.zeros(shape, complex)
     else:
-        # the map over each whole segment, shared by every time
+        # the map over each whole segment, shared by every time of a cell
         whole, c = _cycle_matrix(segments)
-        x, xd = _cycle_starts(m, c)
-    k = np.zeros(ts.shape, int)
+        x, xd = _powers(m, c)
+    k = np.zeros(shape, int)
     for j, (length, _, _) in enumerate(segments[:-1]):
-        later = (k == j) & (theta > length + _GRID_FUZZ * period)
+        later = (k == j) & _past(theta, length, period)
         x, xd = _apply(whole[j], x, xd, later)
         theta = np.where(later, theta - length, theta)
         k = np.where(later, j + 1, k)
@@ -253,7 +279,7 @@ def evaluate(t, params: ModelParams, cycle: Cycle | None, value):
     if not isinstance(out, tuple):
         return np.asarray(out).tolist()
     columns = [np.asarray(column).tolist() for column in out]
-    return tuple(columns) if ts.ndim == 0 else list(zip(*columns))
+    return list(zip(*columns)) if shape else tuple(columns)
 
 
 def overlap(state: OddParityState):
@@ -357,6 +383,7 @@ class RecursionCoeffs:
 
 FREE_SEGMENT = "free"
 IN_PULSE_SEGMENT = "in_pulse"
+_TAGS = np.array([FREE_SEGMENT, IN_PULSE_SEGMENT], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -412,26 +439,34 @@ class FinitePulseSchedule:
     def segment_of(self, t: float) -> tuple[str, int, float]:
         """Classify t as ("free" | "in_pulse", cycle index, offset into cycle)."""
         m, theta = _positions(np.array(t, dtype=float), self.tau)
-        free = theta <= self.free_length + _GRID_FUZZ * self.tau
-        return FREE_SEGMENT if free else IN_PULSE_SEGMENT, int(m), float(theta)
+        tag = _TAGS[int(_past(theta, self.free_length, self.tau))]
+        return tag, int(m), float(theta)
 
 
-def _drive(cycle: Cycle | None):
-    """(drive rate, tag) arrays by segment index; None, after a plain test
-    with no numpy call, if no segment is driven.  The object array hands out
-    the tag strings themselves, not a copy per time."""
-    rates = [] if cycle is None else [rate for _, rate, _ in cycle.segments]
-    if not any(rates):
-        return None
-    return np.array(rates), np.array(
-        [IN_PULSE_SEGMENT if rate else FREE_SEGMENT for rate in rates],
-        dtype=object)
+def _drive(sched):
+    """The cycle(s) of sched (None: free decay, or a sequence of cells) and
+    k -> (drive rate, tag) per cell at segment indices k; None, after a plain
+    test with no numpy call, if no segment is driven.  Tags are not copied."""
+    one = not isinstance(sched, (list, tuple))
+    cycles = [s and s.cycle for s in ([sched] if one else sched)]
+    rates = [[rate for _, rate, _ in c.segments] for c in cycles if c]
+    cycle = cycles[0] if one else cycles
+    if not any(map(any, rates)):
+        return cycle, None
+
+    def at(k):
+        rate = 0.0
+        for j, cells in enumerate(zip(*rates)):
+            rate = np.where(k == j, cells[0] if one else np.array(cells), rate)
+        return rate, _TAGS[np.where(rate != 0.0, 1, 0)]
+    return cycle, at
 
 
-def survival(t, sched, params: ModelParams):
+def survival(t, sched, params):
     """Superradiant survival factor after time t under sched (None: free).
 
-    t is a float or a sequence of times, giving a list.  The values are
+    t is a float or a sequence of times, giving a list; sched and params
+    may be matching sequences of cells (see evaluate).  The values are
     real unless a segment is driven; then they come in (amplitude, tag)
     pairs, tagged "in_pulse" on a driven segment and "free" elsewhere.  The
     exact pi phase of each completed window is common to the whole
@@ -439,29 +474,26 @@ def survival(t, sched, params: ModelParams):
     cycle to cycle; inside a window the amplitude carries its segment's
     partial drive phase exp(-i rate into).
     """
-    cycle = None if sched is None else sched.cycle
-    drive = _drive(cycle)
+    cycle, drive = _drive(sched)
     if drive is None:
         return evaluate(t, params, cycle, _real)
-    rates, tags = drive
 
     def value(x, xd, k, into):
-        rate = rates[k]
+        rate, tag = drive(k)
         phase = np.exp(-1j * rate * into)
-        return np.where(rate != 0.0, _mul(x, phase), x), tags[k]
+        return np.where(rate != 0.0, _mul(x, phase), x), tag
     return evaluate(t, params, cycle, value)
 
 
-def fidelity(state0: OddParityState, t, sched, params: ModelParams):
-    """Modulus of the overlap with the initial state; t, sched and tags as
-    in survival.  The drive phase cancels in the modulus (see overlap), so
-    the value stays continuous across window edges."""
-    cycle = None if sched is None else sched.cycle
-    drive, value = _drive(cycle), overlap(state0)
+def fidelity(state0: OddParityState, t, sched, params):
+    """Modulus of the overlap with the initial state; t, sched, params and
+    tags as in survival.  The drive phase cancels in the modulus (see
+    overlap), so the value stays continuous across window edges."""
+    (cycle, drive), value = _drive(sched), overlap(state0)
     if drive is None:
         return evaluate(t, params, cycle, value)
-    tags = drive[1]
-    return evaluate(t, params, cycle, lambda x, xd, k, _: (value(x), tags[k]))
+    return evaluate(t, params, cycle,
+                    lambda x, xd, k, _: (value(x), drive(k)[1]))
 
 
 def coefficients(m: int, sched, params: ModelParams) -> RecursionCoeffs:
@@ -471,9 +503,9 @@ def coefficients(m: int, sched, params: ModelParams) -> RecursionCoeffs:
     segment's end map keeps the value and multiplies the slope by its k, so
     a pulse reverses it.  Real unless the cycle is driven.
     """
-    cycle = None if sched is None else sched.cycle
+    cycle, drive = _drive(sched)
     x, xd = cycle_start(m, params, cycle)
-    if _drive(cycle) is None:
+    if drive is None:
         x, xd = x.real, xd.real
     return RecursionCoeffs.from_state(x, xd, m, params)
 

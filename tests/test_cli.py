@@ -92,6 +92,21 @@ def test_sweep_duty_parameter_without_interval_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--tau", "0.1,1e-300", "--t-max", "1"],
+     "error: time spans more than 2**53 cycles of 1e-300, got 1.0"),
+    (["--tau", "0.1", "--t-max", "1,-1"],
+     "error: time must be finite and nonnegative, got -1.0"),
+], ids=["2**53-cycles", "negative-time"])
+def test_sweep_time_error_names_one_cell(tmp_path, capsys, argv, message):
+    # a column is one evaluation over all cells; its error still names the
+    # period and the time of one cell
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_config_file_with_cli_override(tmp_path):
     ini = tmp_path / "runs.ini"
     ini.write_text("[fig2]\ntau = 0.05\nt_max = 2.0\n")

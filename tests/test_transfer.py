@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +121,119 @@ def test_sequence_equals_scalar(params, tau, n_duty, times):
     for name, fidelity in _protocols(tau, n_duty).items():
         assert fidelity(state, times, params) == [
             fidelity(state, t, params) for t in times], name
+
+
+# ---------------------------------------------------------------------------
+# cells: one cell alone gives the bits it gives inside a batch of cells
+
+def _pulse_then_projection(tau, n_duty):
+    return SimpleNamespace(cycle=transfer.Cycle(
+        2 * tau, ((tau, 0.0, -1.0), (tau, 0.0, 0.0))))
+
+
+# schedule kind -> schedule of one cell from its interval and duty parameter
+SCHEDULES = {
+    "free": lambda tau, n_duty: None,
+    "zeno": lambda tau, n_duty: ps.ZenoSchedule(tau),
+    "dd": lambda tau, n_duty: ps.DdSchedule(tau),
+    "dd-finite": ps.FinitePulseSchedule,
+    "pulse-projection": _pulse_then_projection,
+}
+
+
+@st.composite
+def cells(draw):
+    """(params, tau, n_duty, t): a damping branch, the split-form region
+    (lam = 5000) or the series region (nearly degenerate split root)."""
+    region = draw(st.sampled_from(
+        ["overdamped", "critical", "underdamped", "split", "series"]))
+    lam = draw(st.floats(0.1, 10.0))
+    if region == "split":
+        params = ps.ModelParams.from_mode_splitting(
+            5000.0, draw(st.floats(100.0, 4900.0)))
+    elif region == "series":
+        params = ps.ModelParams.from_mode_splitting(1e-9, 1.5e-14)
+    else:
+        ratio = {"overdamped": draw(st.floats(0.05, 0.95)), "critical": 1.0,
+                 "underdamped": draw(st.floats(1.05, 5.0))}[region]
+        params = ps.ModelParams.from_effective_rate(lam, ratio * lam / 2.0)
+    return (params, draw(st.floats(0.02, 2.0)), draw(st.integers(2, 50)),
+            draw(st.floats(0.0, 50.0)))
+
+
+@given(kind=st.sampled_from(sorted(SCHEDULES)), cell=cells(),
+       others=st.lists(cells(), max_size=6), data=st.data())
+def test_cell_alone_equals_cell_in_batch(kind, cell, others, data):
+    at = data.draw(st.integers(0, len(others)))
+    batch = [*others[:at], cell, *others[at:]]
+    schedule = SCHEDULES[kind]
+    params = [p for p, *_ in batch]
+    scheds = [schedule(tau, n_duty) for _, tau, n_duty, _ in batch]
+    times = [t for *_, t in batch]
+    p, tau, n_duty, t = cell
+    state = ps.OddParityState.initial(0.6, 0.8)
+    for name, closed_form in (
+            ("survival", ps.survival),
+            ("fidelity", lambda *args: ps.fidelity(state, *args))):
+        alone = closed_form(t, schedule(tau, n_duty), p)
+        inside = closed_form(times, scheds, params)
+        assert len(inside) == len(batch), name
+        # repr tells every bit of a float apart, signed zeros included
+        assert repr(inside[at]) == repr(alone), name
+
+
+@given(parts=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
+def test_cycle_products_round_as_python(parts):
+    # the cycle matrix and its squarings round as Python's complex product;
+    # numpy's array loop fuses one real product of each into a multiply-add
+    a, b = complex(*parts[:2]), complex(*parts[2:])
+    got = transfer._cmul(np.array([a, b]), np.array([b, b]))
+    assert [repr(complex(v)) for v in got] == [repr(a * b), repr(b * b)]
+
+
+def test_mixed_branch_batch_raises_no_warning():
+    # the critical cell has split root 0; the cosh/sinh and split forms
+    # divide by it only where their branch owns the entry, which it never
+    # does for that cell
+    params = [ps.ModelParams.from_effective_rate(2.0, rate)
+              for rate in (0.8, 1.0, 1.7, 1.0)]
+    times = [0.05, 0.3, 7.3, 13.1]
+    state = ps.OddParityState.initial(0.6, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, schedule in SCHEDULES.items():
+            scheds = [schedule(0.2, 10) for _ in params]
+            for value in (*ps.survival(times, scheds, params),
+                          *ps.fidelity(state, times, scheds, params)):
+                assert np.all(np.isfinite(value[0] if isinstance(
+                    value, tuple) else value)), kind
+
+
+def test_finished_cell_stops_squaring():
+    # x' doubles at each cycle end, so the first cell's cycle matrix grows
+    # about 2x per cycle; the second cell decays, and its m = 10**5 needs
+    # 16 squarings.  The first cell's m = 3 is done after one, and its
+    # matrix squared 16 times would overflow.
+    cycle = transfer.Cycle(0.1, ((0.1, 0.0, 2.0),))
+    params = [ps.ModelParams.from_effective_rate(lam, 1.0)
+              for lam in (0.01, 50.0)]
+    times = [0.35, 1e4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = transfer.evaluate(times, params, [cycle, cycle], _survival)
+    alone = [transfer.evaluate(t, p, cycle, _survival)
+             for t, p in zip(times, params)]
+    assert repr(batch) == repr(alone)
+    assert all(math.isfinite(abs(x)) for x in batch)
+
+
+def test_batch_needs_one_kind_and_one_cycle_per_params(case1):
+    with pytest.raises(ps.ParameterError):
+        ps.survival([1.0, 1.0], [DD, ZENO], [case1, case1])
+    with pytest.raises(ps.ParameterError):
+        ps.survival([1.0, 1.0], [DD, None], [case1, case1])
+    with pytest.raises(ps.ParameterError):
+        ps.survival([1.0, 1.0], [DD], [case1, case1])
 
 
 # ---------------------------------------------------------------------------
