@@ -34,8 +34,9 @@ from ._version import __version__
 from .errors import ConfigError, StateError, ValidationFailure
 from .model import ModelParams, OddParityState
 from .transfer import (FREE_SEGMENT, IN_PULSE_SEGMENT, DdSchedule,
-                       FinitePulseSchedule, ZenoSchedule, dd_fidelity,
-                       finite_dd_fidelity, free_fidelity, zeno_fidelity)
+                       FinitePulseSchedule, ZenoSchedule, as_cells,
+                       dd_fidelity, finite_dd_fidelity, free_fidelity,
+                       zeno_fidelity)
 
 SCENARIO_IDS = ("fig1", "fig2", "fig3", "custom")
 
@@ -350,12 +351,11 @@ def _require_unit_interval(name: str, values) -> None:
 
 
 def _fidelity(state: OddParityState, t, sched, params):
-    """(fidelity, tags or None) under sched (one or a list of cells) at t."""
+    """(fidelity, tags or None) under sched (one cell or a batch) at t."""
     # each name is transfer.fidelity under its schedule, but the benchmark's
-    # tracer counts calls (one per trace or sweep column) per name bound here
-    # and tests/test_benchmark_tracer requires each counter, so each kind
-    # still calls through its own name
-    kind = sched[0] if isinstance(sched, list) else sched
+    # tracer counts calls (one per trace or sweep column) per name bound
+    # here, and tests/test_benchmark_tracer requires each counter
+    kind = as_cells(sched)[1][0]
     if kind is None:
         return free_fidelity(state, t, params), None
     if isinstance(kind, ZenoSchedule):
@@ -504,8 +504,8 @@ def run_sweep(options: dict[str, str],
         for column, value in zip(columns[:len(axes)] + cells, row):
             column.append(value)
 
-    for i, (kind, column) in enumerate(zip(kinds, scheds), len(axes)):
-        values, _ = _fidelity(state, times, column, params)
-        _require_unit_interval(kind.column, values)
-        columns[i] = list(values)
-    return EvolutionTrace(header, columns, metadata)
+    for i, column in enumerate(scheds, len(axes)):
+        columns[i] = _fidelity(state, times, column, params)[0]
+    for name, column in zip(header[len(axes):], columns[len(axes):]):
+        _require_unit_interval(name, column)
+    return EvolutionTrace(header, [list(c) for c in columns], metadata)

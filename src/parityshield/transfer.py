@@ -18,15 +18,15 @@ damping constant, and each ends in its own map (x, x') -> (x, k x'):
   common to the single-excitation sector and therefore absorbed.
 
 Free decay has no cycle.  One evaluator works on cells x times: a cell is
-one parameter set with one cycle, its constants arrays (scalars for one
-cell) broadcast against the times.  Cycle m starts from binary powers of
-the cycle matrix, O(log m) and independent of the other times and cells,
-and E is applied inside the cycle; nothing outlives the call.
+one parameter set with one cycle, its constants broadcast against the
+times.  Cycle m starts from binary powers of the cycle matrix, O(log m) and
+independent of other times and cells; nothing outlives the call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +59,7 @@ _mul = np.multiply
 
 
 def _cmul(a, b):
-    """a * b rounded as Python's complex product, which scalars keep using."""
-    if isinstance(a, complex) and isinstance(b, complex):
-        return complex(a) * complex(b)
+    """a * b rounded as Python's complex product, on scalars and arrays."""
     out = np.asarray(a.real * b.real - a.imag * b.imag, complex)
     out.imag = a.real * b.imag + a.imag * b.real
     return out
@@ -150,19 +148,21 @@ def _positions(ts: np.ndarray, period):
     """(completed cycles, time into the current cycle) for an array of times.
 
     The single time check of the package: every time must be finite and
-    nonnegative, and span at most 2**53 cycles (the error names the cell).
-    A period of None (free decay) never completes a cycle.
+    nonnegative, and span at most 2**53 cycles.  A batch (per-cell periods)
+    names its first cell in error, one cell its first bad time, else its
+    latest.  A period of None (free decay) never completes a cycle.
     """
     bad = ~(np.isfinite(ts) & (ts >= 0.0))
-    if np.count_nonzero(bad):
+    fail = bad | (ts > (math.inf if period is None else period * _MAX_CYCLES))
+    if np.count_nonzero(fail):
+        i = np.argmax(fail if np.ndim(period) else
+                      bad if np.count_nonzero(bad) else ts)
         raise ParameterError(
-            f"time must be finite and nonnegative, got {ts[bad][0]}")
+            f"time must be finite and nonnegative, got {ts.flat[i]}"
+            if bad.flat[i] else f"time spans more than 2**53 cycles of "
+            f"{np.broadcast_to(period, ts.shape).flat[i]}, got {ts.flat[i]}")
     if period is None:
         return np.zeros(ts.shape), ts
-    if np.count_nonzero(over := ts > period * _MAX_CYCLES):
-        t, cell = (np.broadcast_to(v, over.shape)[over] for v in (ts, period))
-        raise ParameterError(f"time spans more than 2**53 cycles of "
-                             f"{cell[np.argmax(t)]}, got {np.max(t)}")
     q = ts / period
     m = np.floor(q + (_GRID_FUZZ + 4.0 * _EPS * q))
     theta = ts - m * period
@@ -174,25 +174,32 @@ def _past(theta, length, period):
     return theta > length + _GRID_FUZZ * period
 
 
-def _segments(params, cycle):
-    """(period, [(length, propagator, k)]), per-cell arrays (scalars for one
-    cell) of one cell or of a sequence of params and one of cycles sharing
-    their end maps k.  Free decay (cycle None) is one endless segment."""
-    one = isinstance(params, ModelParams)
-    ps = [params] if one else list(params)
-    cs = [c or Cycle(None, ((math.inf, 0.0, 1.0),))
-          for c in ([cycle] if one else cycle or [None] * len(ps))]
+def as_cells(x) -> tuple[bool, list]:
+    """(one, cells): a list or tuple is a batch, anything else one cell."""
+    one = not isinstance(x, (list, tuple))
+    return one, [x] if one else list(x)
+
+
+def _segments(params, cycle, shape=()):
+    """(period, [(length, propagator, k)]) of one cell (scalars) or of a
+    batch (per-cell arrays): params, cycles sharing their end maps k, and
+    times of this shape, one of each per cell.  A cycle None is free decay,
+    one endless segment, for every cell."""
+    one, ps = as_cells(params)
+    one_cycle, cs = (one, [None] * len(ps)) if cycle is None else as_cells(
+        cycle)
+    cs = [c or Cycle(None, ((math.inf, 0.0, 1.0),)) for c in cs]
     # a list, not a generator: a resized tuple stays on the free list
     kinds = {(c.period is None, *[k for *_, k in c.segments]) for c in cs}
-    if len(kinds) != 1 or len(cs) != len(ps):
-        raise ParameterError("each cell needs params and a cycle of one kind")
+    if (one_cycle != one or len(cs) != len(ps) or len(kinds) != 1
+            or not (one or shape == (len(ps),))):
+        raise ParameterError("give one cell, or per cell params, a cycle of "
+                             "one kind and a time")
     (free, *ks), = kinds
-
-    def cells(values):
-        return values[0] if one else np.array(values)
-    r_sq = cells([p.r_rate * p.r_rate for p in ps])
-    return None if free else cells([c.period for c in cs]), [
-        (cells([c.segments[j][0] for c in cs]), propagator(cells(
+    per_cell = operator.itemgetter(0) if one else np.array
+    r_sq = per_cell([p.r_rate * p.r_rate for p in ps])
+    return None if free else per_cell([c.period for c in cs]), [
+        (per_cell([c.segments[j][0] for c in cs]), propagator(per_cell(
             [complex(p.lam, -c.segments[j][1]) for p, c in zip(ps, cs)]),
             r_sq), k) for j, k in enumerate(ks)]
 
@@ -234,9 +241,7 @@ def cycle_start(m: int, params: ModelParams,
     if m < 0 or (cycle is None and m):
         raise ParameterError(
             f"cycle index must be >= 0 (0 for free decay), got {m}")
-    if cycle is None:
-        return 1.0 + 0.0j, 0.0j
-    _, c = _cycle_matrix(_segments(params, cycle)[1])
+    c = cycle and _cycle_matrix(_segments(params, cycle)[1])[1]
     x, xd = _powers(np.array(float(m)), c)
     return complex(x), complex(xd)
 
@@ -244,17 +249,16 @@ def cycle_start(m: int, params: ModelParams,
 def evaluate(t, params, cycle, value):
     """value(x, x', segment index, time into segment) at each requested time.
 
-    params and cycle are one cell or sequences of cells (see _segments); t
-    is a float or a sequence (or array) of times in any order, broadcast
-    against the cells.  value takes arrays and returns an array or a tuple
-    of arrays.  One cell at a float gives one Python value (or tuple), else
-    a list, each bit-identical alone.  Every cycle starts from x = 1, x' = 0.
+    params and cycle are one cell or a batch (see _segments); t is a float
+    or a sequence (or array) of times in any order, one per cell in a batch.
+    value takes arrays and returns an array or a tuple of arrays.  One cell
+    at a float gives one Python value (or tuple), else a list, each
+    bit-identical alone.  Every cycle starts from x = 1, x' = 0.
     """
     # a float becomes a 0-d array: it has no shape buffer, so a single-time
     # call leaves nothing behind in numpy's small-buffer cache
     ts = np.array(t, dtype=float)
-    period, segments = _segments(params, cycle)
-    shape = np.broadcast_shapes(ts.shape, np.shape(segments[0][0]))
+    period, segments = _segments(params, cycle, shape := ts.shape)
     m, theta = _positions(ts, period)
     if period is None:
         x, xd = np.ones(shape, complex), np.zeros(shape, complex)
@@ -444,20 +448,18 @@ class FinitePulseSchedule:
 
 
 def _drive(sched):
-    """The cycle(s) of sched (None: free decay, or a sequence of cells) and
-    k -> (drive rate, tag) per cell at segment indices k; None, after a plain
-    test with no numpy call, if no segment is driven.  Tags are not copied."""
-    one = not isinstance(sched, (list, tuple))
-    cycles = [s and s.cycle for s in ([sched] if one else sched)]
+    """(the cycle of sched, or the cycles of a batch; k -> (drive rate, tag)
+    per cell at segment indices k, or None with no numpy call if undriven)"""
+    one, scheds = as_cells(sched)
+    cycles = [s and s.cycle for s in scheds]
     rates = [[rate for _, rate, _ in c.segments] for c in cycles if c]
     cycle = cycles[0] if one else cycles
     if not any(map(any, rates)):
         return cycle, None
+    table = np.array(rates)
 
     def at(k):
-        rate = 0.0
-        for j, cells in enumerate(zip(*rates)):
-            rate = np.where(k == j, cells[0] if one else np.array(cells), rate)
+        rate = table[0 if one else np.arange(len(table)), k]
         return rate, _TAGS[np.where(rate != 0.0, 1, 0)]
     return cycle, at
 
@@ -466,7 +468,7 @@ def survival(t, sched, params):
     """Superradiant survival factor after time t under sched (None: free).
 
     t is a float or a sequence of times, giving a list; sched and params
-    may be matching sequences of cells (see evaluate).  The values are
+    may be matching batches of cells (see evaluate).  The values are
     real unless a segment is driven; then they come in (amplitude, tag)
     pairs, tagged "in_pulse" on a driven segment and "free" elsewhere.  The
     exact pi phase of each completed window is common to the whole
@@ -490,9 +492,7 @@ def fidelity(state0: OddParityState, t, sched, params):
     tags as in survival.  The drive phase cancels in the modulus (see
     overlap), so the value stays continuous across window edges."""
     (cycle, drive), value = _drive(sched), overlap(state0)
-    if drive is None:
-        return evaluate(t, params, cycle, value)
-    return evaluate(t, params, cycle,
+    return evaluate(t, params, cycle, value if drive is None else
                     lambda x, xd, k, _: (value(x), drive(k)[1]))
 
 

@@ -97,7 +97,9 @@ def test_sweep_duty_parameter_without_interval_exits_one(tmp_path, capsys):
      "error: time spans more than 2**53 cycles of 1e-300, got 1.0"),
     (["--tau", "0.1", "--t-max", "1,-1"],
      "error: time must be finite and nonnegative, got -1.0"),
-], ids=["2**53-cycles", "negative-time"])
+    (["--tau", "1e-300,2e-300", "--t-max", "1,2"],
+     "error: time spans more than 2**53 cycles of 1e-300, got 1.0"),
+], ids=["2**53-cycles", "negative-time", "first-of-many-cells"])
 def test_sweep_time_error_names_one_cell(tmp_path, capsys, argv, message):
     # a column is one evaluation over all cells; its error still names the
     # period and the time of one cell

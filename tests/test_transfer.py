@@ -234,6 +234,37 @@ def test_batch_needs_one_kind_and_one_cycle_per_params(case1):
         ps.survival([1.0, 1.0], [DD, None], [case1, case1])
     with pytest.raises(ps.ParameterError):
         ps.survival([1.0, 1.0], [DD], [case1, case1])
+    # one cell or a batch, decided alike for schedules and params, and a
+    # batch takes one time per cell
+    for t, sched, params in [([1.0, 1.0], [DD, DD], case1),
+                             ([1.0, 1.0], (DD, DD), case1),
+                             ([1.0, 1.0], DD, [case1, case1]),
+                             ([1.0, 1.0, 1.0], [DD, DD], [case1, case1]),
+                             (1.0, [DD, DD], [case1, case1]),
+                             ([1.0], [], [])]:
+        for call in (lambda: ps.survival(t, sched, params),
+                     lambda: ps.fidelity(STATE, t, sched, params)):
+            with pytest.raises(ps.ParameterError):
+                call()
+    with pytest.raises(ps.ParameterError):
+        ps.coefficients(1, [DD], [case1])
+
+
+def test_time_errors_name_one_cell(case1):
+    # one cell names its latest time; a batch its first cell in error
+    with pytest.raises(ps.ParameterError, match=r"of 1e-300, got 3\.0$"):
+        ps.dd_survival([1.0, 3.0, 2.0], ps.DdSchedule(1e-300), case1)
+    with pytest.raises(ps.ParameterError, match=r"of 1e-300, got 1\.0$"):
+        ps.dd_survival([1.0, math.inf], [ps.DdSchedule(1e-300),
+                                        ps.DdSchedule(0.5)], [case1, case1])
+    with pytest.raises(ps.ParameterError, match=r"of 2e-300, got 1\.0$"):
+        ps.dd_survival([1.0, 1.0, math.inf], [
+            ps.DdSchedule(0.5), ps.DdSchedule(2e-300),
+            ps.DdSchedule(1e-300)], [case1] * 3)
+    with pytest.raises(ps.ParameterError, match=r"nonnegative, got -1\.0$"):
+        ps.dd_survival([1.0, -1.0, 1.0], [
+            ps.DdSchedule(0.5), ps.DdSchedule(0.5),
+            ps.DdSchedule(1e-300)], [case1] * 3)
 
 
 # ---------------------------------------------------------------------------
