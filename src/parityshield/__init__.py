@@ -18,15 +18,15 @@ from .errors import (ConfigError, ParameterError, ParityShieldError,
                      StateError, ValidationFailure)
 from .model import (BRANCH_CRITICAL, BRANCH_OVERDAMPED, BRANCH_UNDERDAMPED,
                     ModelParams, OddParityState, PhysicalAmplitudes,
-                    apply_double_pi_pulse, decompose, recompose)
+                    decompose, recompose)
 from .oracle import (DIRECT_QUADRATURE, EXACT_AUGMENTED, OracleConfig,
                      OracleTrace, integrate, integrate_dd,
                      integrate_finite, integrate_free)
 from .scenarios import (EvolutionTrace, ScenarioConfig, build_scenario,
                         check_fig2_ordering, check_fig3_ordering,
-                        compute_trace, dump_config, format_schedule,
-                        load_config, parse_initial_state, parse_schedule,
-                        run_sweep, time_grid)
+                        compute_trace, format_schedule, load_config,
+                        parse_initial_state, parse_schedule, run_sweep,
+                        time_grid)
 from .transfer import (FREE_SEGMENT, IN_PULSE_SEGMENT, DdSchedule,
                        FinitePulseSchedule, RecursionCoeffs, ZenoSchedule,
                        coefficients, dd_coefficients, dd_fidelity,
@@ -40,7 +40,7 @@ __all__ = [
     "__version__",
     "BRANCH_CRITICAL", "BRANCH_OVERDAMPED", "BRANCH_UNDERDAMPED",
     "ModelParams", "OddParityState", "PhysicalAmplitudes",
-    "apply_double_pi_pulse", "decompose", "recompose",
+    "decompose", "recompose",
     "ParityShieldError", "ConfigError", "ParameterError", "StateError",
     "ValidationFailure",
     "survival", "fidelity", "coefficients",
@@ -54,7 +54,7 @@ __all__ = [
     "integrate", "integrate_free", "integrate_dd", "integrate_finite",
     "ScenarioConfig", "EvolutionTrace", "build_scenario", "compute_trace",
     "time_grid", "parse_schedule", "format_schedule", "parse_initial_state",
-    "load_config", "dump_config", "run_sweep", "check_fig2_ordering",
+    "load_config", "run_sweep", "check_fig2_ordering",
     "check_fig3_ordering",
     "CheckResult", "ValidationReport", "run_validation",
 ]

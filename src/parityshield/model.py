@@ -4,8 +4,8 @@ Two qubits coupled to a common zero-temperature reservoir with a Lorentzian
 spectral line admit, within the single-excitation (odd-parity) sector, a
 decoupled "dark" superposition and a maximally coupled "superradiant" one.
 Everything downstream works in that two-dimensional basis, so this module
-holds the parameter bookkeeping, the basis change from the physical
-{|10>, |01>} amplitudes, and the double-pi-phase pulse operator.
+holds the parameter bookkeeping and the basis change from the physical
+{|10>, |01>} amplitudes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ def _classify(lam: float, r_rate: float) -> tuple[float, str]:
     if disc > 0.0:
         return math.sqrt(disc), BRANCH_OVERDAMPED
     return math.sqrt(-disc), BRANCH_UNDERDAMPED
+
+
+def _weight(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, inf past the float range (a power raises instead)."""
+    return abs(a) * abs(a) + abs(b) * abs(b)
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,12 @@ class OddParityState:
 
     @property
     def norm_sq(self) -> float:
-        return abs(self.beta1) ** 2 + abs(self.beta2) ** 2
+        return _weight(self.beta1, self.beta2)
 
     @classmethod
     def initial(cls, beta1: complex, beta2: complex) -> "OddParityState":
         """Strictly normalized constructor for t = 0 states."""
-        n = abs(beta1) ** 2 + abs(beta2) ** 2
+        n = _weight(beta1, beta2)
         if not abs(n - 1.0) <= 1e-12:
             raise StateError(f"initial state must be normalized, |.|^2 = {n}")
         return cls(complex(beta1), complex(beta2))
@@ -189,11 +194,11 @@ class PhysicalAmplitudes:
 
     @property
     def norm_sq(self) -> float:
-        return abs(self.c10) ** 2 + abs(self.c01) ** 2
+        return _weight(self.c10, self.c01)
 
     @classmethod
     def initial(cls, c10: complex, c01: complex) -> "PhysicalAmplitudes":
-        n = abs(c10) ** 2 + abs(c01) ** 2
+        n = _weight(c10, c01)
         if not abs(n - 1.0) <= 1e-12:
             raise StateError(f"initial state must be normalized, |.|^2 = {n}")
         return cls(complex(c10), complex(c01))
@@ -221,18 +226,3 @@ def recompose(state: OddParityState, params: ModelParams) -> PhysicalAmplitudes:
     c10 = a2 * state.beta1 + a1 * state.beta2
     c01 = -a1 * state.beta1 + a2 * state.beta2
     return PhysicalAmplitudes(c10, c01)
-
-
-def apply_double_pi_pulse(
-        amplitudes: tuple[complex, complex, complex],
-) -> tuple[complex, complex, complex]:
-    """Simultaneous pi-phase pulse on both qubits, acting on (c10, c01, c00).
-
-    Each single-excitation amplitude picks up one pi phase and the doubly
-    rotated ground amplitude picks up two; up to a global sign that is
-    (c10, c01, c00) -> (c10, c01, -c00).  In the reduced model the flip of
-    the ground amplitude relative to the single-excitation sector is the
-    whole effect of the pulse.
-    """
-    c10, c01, c00 = amplitudes
-    return (c10, c01, -c00)

@@ -21,7 +21,6 @@ none | zeno(dt) | dd(tau) | dd-finite(tau,N).
 from __future__ import annotations
 
 import configparser
-import io
 import itertools
 import math
 import re
@@ -259,16 +258,6 @@ def load_config(path) -> dict[str, dict[str, str]]:
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return {name: dict(parser[name]) for name in parser.sections()}
-
-
-def dump_config(cfg: dict[str, dict[str, str]]) -> str:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    for section in cfg:
-        parser[section] = cfg[section]
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

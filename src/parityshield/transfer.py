@@ -25,6 +25,7 @@ independent of other times and cells; nothing outlives the call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -50,6 +51,10 @@ _EPS = np.finfo(float).eps
 
 # past this many cycles m * period no longer resolves the time into the cycle
 _MAX_CYCLES = 2.0 ** 53
+# from this period on every finite time lies within _MAX_CYCLES cycles
+_MAX_PERIOD = np.finfo(float).max / _MAX_CYCLES
+# below this magnitude a product of two floats stays in the float range
+_HALF_RANGE = 2.0 ** 511
 
 # Every complex product goes through the ufunc, whose array loops fuse a
 # multiply-add alike in every broadcast and stride (operand order matters),
@@ -63,6 +68,13 @@ def _cmul(a, b):
     out = np.asarray(a.real * b.real - a.imag * b.imag, complex)
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _overflow_to_inf(loud):
+    """Let products overflow to inf, as meant, if any loud; else a no-op, as
+    entering np.errstate leaves a new context-variable mapping behind."""
+    return (np.errstate(over="ignore") if np.count_nonzero(loud)
+            else contextlib.nullcontext())
 
 
 def _product(a, b):
@@ -101,7 +113,13 @@ def propagator(lam_c, r_sq):
     Each branch sees and divides only the entries it owns, 0 elsewhere, so
     none overflows or divides 0 by 0 on another's; the rest is meaningless.
     """
-    omega = np.sqrt(_cmul(lam_c, lam_c) - 4.0 * r_sq)
+    # a drive rate past about 1e154 overflows the split to inf: refused
+    with _overflow_to_inf(np.maximum(np.abs(lam_c), r_sq) >= _HALF_RANGE):
+        sq = _cmul(lam_c, lam_c) - 4.0 * r_sq
+    if np.count_nonzero(bad := ~np.isfinite(sq)):
+        rate = np.ravel(-np.imag(lam_c))[np.argmax(bad)]
+        raise ParameterError(f"drive rate {rate} overflows the damping split")
+    omega = np.sqrt(sq)
 
     def series(s, h, own):
         u = _mul(h, h)
@@ -121,17 +139,19 @@ def propagator(lam_c, r_sq):
 
     def matrix(s, own):
         s = np.where(own, s, 0.0)
-        h = omega / 2.0 * s
-        near = own & (np.abs(h) <= _SERIES_LIMIT)
-        far = own & ~near & (lam_c.real * s > _SPLIT_THRESHOLD)
-        # ch = e^{-lam_c s/2} cosh h, sn = e^{-lam_c s/2} sinh(h) / omega
-        ch = sn = 0.0
-        for branch, terms in ((near, series), (far, split),
-                              (own & ~(near | far), middle)):
-            if np.count_nonzero(branch):
-                c, n = terms(np.where(branch, s, 0.0),
-                             np.where(branch, h, 0.0), branch)
-                ch, sn = np.where(branch, c, ch), np.where(branch, n, sn)
+        # past the float range: h, lam_c s inf (not near, far), exponents -inf
+        with _overflow_to_inf(s >= _HALF_RANGE):
+            h = omega / 2.0 * s
+            near = own & (np.abs(h) <= _SERIES_LIMIT)
+            far = own & ~near & (lam_c.real * s > _SPLIT_THRESHOLD)
+            # ch = e^{-lam_c s/2} cosh h, sn = e^{-lam_c s/2} sinh(h) / omega
+            ch = sn = 0.0
+            for branch, terms in ((near, series), (far, split),
+                                  (own & ~(near | far), middle)):
+                if np.count_nonzero(branch):
+                    c, n = terms(np.where(branch, s, 0.0),
+                                 np.where(branch, h, 0.0), branch)
+                    ch, sn = np.where(branch, c, ch), np.where(branch, n, sn)
         lam_sn = _mul(lam_c, sn)
         return ch + lam_sn, 2.0 * sn, -2.0 * r_sq * sn, ch - lam_sn
     return matrix
@@ -153,7 +173,8 @@ def _positions(ts: np.ndarray, period):
     latest.  A period of None (free decay) never completes a cycle.
     """
     bad = ~(np.isfinite(ts) & (ts >= 0.0))
-    fail = bad | (ts > (math.inf if period is None else period * _MAX_CYCLES))
+    fail = bad | (ts > (math.inf if period is None else
+                        np.minimum(period, _MAX_PERIOD) * _MAX_CYCLES))
     if np.count_nonzero(fail):
         i = np.argmax(fail if np.ndim(period) else
                       bad if np.count_nonzero(bad) else ts)
@@ -238,9 +259,13 @@ def cycle_start(m: int, params: ModelParams,
     """State (x, x') at the start of cycle m, after the last segment's map.
 
     Free decay (cycle None) has the one cycle m = 0."""
-    if m < 0 or (cycle is None and m):
-        raise ParameterError(
-            f"cycle index must be >= 0 (0 for free decay), got {m}")
+    try:
+        whole = 0 <= operator.index(m) <= (_MAX_CYCLES if cycle else 0)
+    except TypeError:
+        whole = False
+    if not whole:
+        raise ParameterError("cycle index must be a whole number in "
+                             f"[0, 2**53] (0 for free decay), got {m!r}")
     c = cycle and _cycle_matrix(_segments(params, cycle)[1])[1]
     x, xd = _powers(np.array(float(m)), c)
     return complex(x), complex(xd)
@@ -418,11 +443,6 @@ class FinitePulseSchedule:
                 f"duty parameter must be an integer >= 2, got {self.n_duty!r}")
 
     @property
-    def gamma(self) -> float:
-        """Phase-rate parameter N pi / (2 tau)."""
-        return self.n_duty * math.pi / (2.0 * self.tau)
-
-    @property
     def free_length(self) -> float:
         return (1.0 - 1.0 / self.n_duty) * self.tau
 
@@ -432,7 +452,7 @@ class FinitePulseSchedule:
 
     @property
     def phase_rate(self) -> float:
-        """Drive rotation rate inside windows, N pi / tau (twice gamma)."""
+        """Drive rotation rate inside windows, N pi / tau."""
         return self.n_duty * math.pi / self.tau
 
     @property

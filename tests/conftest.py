@@ -24,6 +24,16 @@ def case1():
     return ps.ModelParams.from_mode_splitting(2.0, 1.0)
 
 
+@pytest.fixture()
+def dd_sched():
+    return ps.DdSchedule(CASE1_TAU)
+
+
+@pytest.fixture()
+def sched10():
+    return ps.FinitePulseSchedule(CASE2_TAU, 10)
+
+
 @pytest.fixture(scope="session")
 def subcommands():
     """Subcommand name -> its argument parser."""

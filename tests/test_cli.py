@@ -208,13 +208,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
-# rates that are infinite, or whose squares overflow the damping split
+# rates that are infinite, or whose squares overflow the damping split (a
+# window's drive rate 10 pi / 1e-300 too), and an amplitude whose square
+# overflows the norm
 @pytest.mark.parametrize("argv", [
     ["sweep", "--lambda", "1e200", "--r-rate", "1", "--tau", "0.1"],
     ["sweep", "--lambda", "2", "--r-rate", "1e160", "--tau", "0.1"],
     ["sweep", "--lambda", "inf,2", "--tau", "0.1"],
     ["fig2", "--lambda", "inf"],
     ["fig2", "--lambda", "2", "--r-rate", "inf"],
+    ["sweep", "--tau", "1e-300", "--n-duty", "10", "--t-max", "1e-299"],
+    ["fig1", "--initial-state", "mixed(1e200,1)"],
 ], ids=_argv_id)
 def test_unusable_rates_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
@@ -255,6 +259,24 @@ def test_extreme_parameters_exit_zero(tmp_path, capsys, args):
     _, header, _ = read_csv(out)
     assert header == ["t", "F_ddN10", "segment"]
     assert capsys.readouterr().err == ""
+
+
+# exponents and cycle bounds that overflow to inf on purpose
+@pytest.mark.parametrize("argv, header, row", [
+    (["--t-max", "1.7e308"], ["t_max", "F_free"], ["1.7e+308", "0.0"]),
+    (["--lambda", "1e150", "--r-rate", "1e-150", "--t-max", "1e300"],
+     ["lam", "r_rate", "t_max", "F_free"], ["1e+150", "1e-150", "1e+300",
+                                            "1.0"]),
+    (["--tau", "1e300", "--t-max", "1e300"],
+     ["t_max", "tau", "F_free", "F_zeno", "F_dd"],
+     ["1e+300", "1e+300", "0.0", "0.0", "0.0"]),
+], ids=["horizon", "rates", "period"])
+def test_sweep_past_the_float_range_warns_nothing(tmp_path, capsys, argv,
+                                                  header, row):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_csv(out)[1:] == (header, [row])
 
 
 def test_validate_passes(tmp_path, capsys):

@@ -154,19 +154,23 @@ def test_state_normalization_guard():
     assert s.norm_sq == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("make", [
+EACH_STATE_CONSTRUCTOR = pytest.mark.parametrize("make", [
     ps.OddParityState, ps.OddParityState.initial,
     ps.PhysicalAmplitudes, ps.PhysicalAmplitudes.initial,
 ], ids=["state", "state-initial", "physical", "physical-initial"])
+
+
+@EACH_STATE_CONSTRUCTOR
 def test_nan_amplitude_rejected(make):
     # NaN compares false, so a norm check written as "norm > 1" lets it in
     with pytest.raises(ps.StateError, match="nan"):
         make(math.nan, 0.0)
 
 
-def test_double_pi_pulse_flips_ground_amplitude():
-    amps = (0.3 + 0.1j, 0.2 - 0.4j, 0.5 + 0.0j)
-    flipped = ps.apply_double_pi_pulse(amps)
-    assert flipped[0] == amps[0] and flipped[1] == amps[1]
-    assert flipped[2] == -amps[2]
-    assert ps.apply_double_pi_pulse(flipped) == amps    # involution
+
+@EACH_STATE_CONSTRUCTOR
+def test_overflowing_amplitude_rejected(make):
+    # |1e200|^2 is past the float range: the norm is inf and refused, not an
+    # OverflowError
+    with pytest.raises(ps.StateError, match="inf"):
+        make(1e200, 0.0)

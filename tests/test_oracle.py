@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import parityshield as ps
 
 TAU = 0.1
+FINITE_TAU = 0.2
 
 # numpy < 2.0 has the same rule under its old name
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -546,3 +547,46 @@ def test_augmented_rk4_at_rounding_level(case1, free_trace_aug,
     assert float(np.max(np.abs(free_trace_aug.beta2 - _closed_free(
         free_trace_aug.times, case1)))) < 5e-15
     assert float(np.max(np.abs(dd_trace_aug.beta2 - closed_dd))) < 5e-15
+
+
+def test_underdamped_recursion_against_oracle(cfg_aug):
+    p = ps.ModelParams.from_effective_rate(1.0, 2.0)
+    sched = ps.DdSchedule(0.1)
+    tr = ps.integrate_dd(p, sched, 0.5, cfg_aug)
+    closed = np.array(ps.dd_survival(tr.times, sched, p))
+    assert float(np.max(np.abs(tr.beta2 - closed))) < 1e-6
+
+
+def _worst_free_segment_gap(params, sched, t_max):
+    # closed form against the augmented integrator on free-segment samples
+    cfg = ps.OracleConfig(dt_num=1e-4, method_order=4,
+                          history_mode=ps.EXACT_AUGMENTED)
+    tr = ps.integrate_finite(params, sched, t_max, cfg)
+    closed = ps.finite_dd_survival(tr.times, sched, params)
+    return max(abs(complex(b2) - value)
+               for b2, (value, tag) in zip(tr.beta2, closed)
+               if tag == ps.FREE_SEGMENT)
+
+
+@pytest.mark.parametrize("lam, rate, branch", [
+    (2.0, 1.0, ps.BRANCH_CRITICAL),
+    (1.0, 2.0, ps.BRANCH_UNDERDAMPED),
+], ids=["critical", "underdamped"])
+def test_non_overdamped_branches_match_oracle(lam, rate, branch):
+    p = ps.ModelParams.from_effective_rate(lam, rate)
+    assert p.branch == branch
+    sched = ps.FinitePulseSchedule(FINITE_TAU, 10)
+    assert _worst_free_segment_gap(p, sched, 1.0) < 1e-8
+    c = ps.finite_dd_coefficients(3, sched, p)
+    assert math.isfinite(abs(c.a)) and math.isfinite(abs(c.b))
+
+
+def test_degenerate_split_matches_oracle():
+    # both characteristic roots nearly coincide (split root 1.5e-14); the
+    # propagator's series form handles it without any linear solve
+    p = ps.ModelParams.from_mode_splitting(1e-9, 1.5e-14)
+    assert p.branch == ps.BRANCH_OVERDAMPED
+    sched = ps.FinitePulseSchedule(FINITE_TAU, 10)
+    assert _worst_free_segment_gap(p, sched, 1.0) < 1e-12
+    c = ps.finite_dd_coefficients(1, sched, p)
+    assert math.isfinite(abs(c.a)) and math.isfinite(abs(c.b))

@@ -1,0 +1,56 @@
+from __future__ import annotations
+
+import math
+
+import pytest
+
+import parityshield as ps
+
+FINITE_TAU = 0.2
+
+
+def test_schedule_geometry(sched10):
+    assert sched10.phase_rate == pytest.approx(10 * math.pi / FINITE_TAU)
+    assert sched10.free_length == pytest.approx(0.18)
+    assert sched10.window_length == pytest.approx(0.02)
+
+
+def test_segment_classification(sched10):
+    assert sched10.segment_of(0.05) == ("free", 0, pytest.approx(0.05))
+    tag, m, theta = sched10.segment_of(0.19)
+    assert (tag, m) == (ps.IN_PULSE_SEGMENT, 0)
+    assert theta == pytest.approx(0.19)
+    tag, m, theta = sched10.segment_of(0.2)
+    assert (tag, m) == (ps.FREE_SEGMENT, 1)
+    assert theta == pytest.approx(0.0, abs=1e-15)
+    # the boundary instant itself still counts as free
+    assert sched10.segment_of(0.18)[0] == ps.FREE_SEGMENT
+    assert sched10.segment_of(0.18 + 1e-13)[0] == ps.FREE_SEGMENT
+    assert sched10.segment_of(0.18 + 1e-9)[0] == ps.IN_PULSE_SEGMENT
+
+
+def test_invalid_schedule():
+    with pytest.raises(ps.ConfigError):
+        ps.FinitePulseSchedule(0.0, 10)
+    with pytest.raises(ps.ConfigError):
+        ps.FinitePulseSchedule(FINITE_TAU, 1)
+    with pytest.raises(ps.ConfigError):
+        ps.FinitePulseSchedule(FINITE_TAU, 2.5)
+
+
+def test_zeno_invalid_inputs(case1):
+    with pytest.raises(ps.ConfigError):
+        ps.ZenoSchedule(0.0)
+    with pytest.raises(ps.ConfigError):
+        ps.ZenoSchedule(-0.1)
+    with pytest.raises(ps.ParameterError):
+        ps.zeno_amplitude(-1.0, ps.ZenoSchedule(0.1), case1)
+
+
+def test_dd_invalid_inputs(case1, dd_sched):
+    with pytest.raises(ps.ConfigError):
+        ps.DdSchedule(0.0)
+    with pytest.raises(ps.ParameterError):
+        ps.dd_survival(-0.5, dd_sched, case1)
+    with pytest.raises(ps.ParameterError):
+        ps.dd_coefficients(-1, dd_sched, case1)

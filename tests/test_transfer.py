@@ -267,6 +267,23 @@ def test_time_errors_name_one_cell(case1):
             ps.DdSchedule(1e-300)], [case1] * 3)
 
 
+def test_drive_rate_overflowing_the_split_rejected(case1):
+    # (lam - i 10 pi / 1e-300)^2 is past the float range: refused at every
+    # time, t = 0 and no time at all included, and a batch names its first
+    # cell in error
+    sched = ps.FinitePulseSchedule(1e-300, 10)
+    for t in (0.0, 1e-299, [0.0, 1e-299], []):
+        with pytest.raises(ps.ParameterError,
+                           match=r"^drive rate 3\.141592653589793e\+301 "):
+            ps.fidelity(STATE, t, sched, case1)
+    with pytest.raises(ps.ParameterError,
+                       match=r"^drive rate 3\.14\d*e\+302 "):
+        ps.survival([0.0] * 3, [FINITE, ps.FinitePulseSchedule(1e-301, 10),
+                                sched], [case1] * 3)
+    with pytest.raises(ps.ParameterError, match="^drive rate"):
+        ps.coefficients(0, sched, case1)
+
+
 # ---------------------------------------------------------------------------
 # the array evaluator against the per-time cmath walker it replaced
 
