@@ -7,24 +7,10 @@ import pytest
 
 import parityshield as ps
 
-# frozen free-decay factor at t = 1 and survival amplitude after ten pulse
-# intervals
-ETA_10 = 0.7982309094947353
+# frozen survival amplitude after ten pulse intervals
 XI_1 = 0.9971493266340058
 
 FINITE_TAU = 0.2
-
-
-def test_dark_state_is_fixed_point(case1):
-    dark = ps.OddParityState.dark()
-    for t in (0.1, 1.0, 10.0):
-        assert ps.free_fidelity(dark, t, case1) == 1.0
-
-
-def test_fidelity_interpolates(case1):
-    state = ps.OddParityState.initial(0.6, 0.8)
-    f = ps.free_fidelity(state, 1.0, case1)
-    assert f == pytest.approx(0.36 + 0.64 * ETA_10, abs=1e-14)
 
 
 def test_zeno_fidelity_mixes_dark_weight(case1):
