@@ -55,6 +55,8 @@ _MAX_CYCLES = 2.0 ** 53
 _MAX_PERIOD = np.finfo(float).max / _MAX_CYCLES
 # below this magnitude a product of two floats stays in the float range
 _HALF_RANGE = 2.0 ** 511
+# e^x is 0.0 for every float x below this
+_EXP_FLOOR = -746.0
 
 # Every complex product goes through the ufunc, whose array loops fuse a
 # multiply-add alike in every broadcast and stride (operand order matters),
@@ -101,6 +103,12 @@ def _on(own, f, *z):
     return f(*z, out=np.zeros(np.shape(z[0]), complex), where=own)
 
 
+def _decay(own, z):
+    """_on(own, np.exp, z), and 0 where z is not finite but its real part
+    underflows e^z: an overflowed phase would give NaN for a modulus of 0."""
+    return _on(own & (np.isfinite(z) | ~(z.real < _EXP_FLOOR)), np.exp, z)
+
+
 def propagator(lam_c, r_sq):
     """E(., lam_c) as a 2x2 matrix function of the duration, on every branch.
 
@@ -128,8 +136,8 @@ def propagator(lam_c, r_sq):
                 _mul(damp * (s / 2.0), 1.0 + _mul(u / 6.0, 1.0 + u / 20.0)))
 
     def split(s, h, own):
-        em = _on(own, np.exp, -(lam_c - omega) / 2.0 * s)
-        ep = _on(own, np.exp, -(lam_c + omega) / 2.0 * s)
+        em = _decay(own, -(lam_c - omega) / 2.0 * s)
+        ep = _decay(own, -(lam_c + omega) / 2.0 * s)
         return (em + ep) / 2.0, _on(own, np.divide, em - ep, 2.0 * omega)
 
     def middle(s, h, own):

@@ -270,7 +270,10 @@ def test_extreme_parameters_exit_zero(tmp_path, capsys, args):
     (["--tau", "1e300", "--t-max", "1e300"],
      ["t_max", "tau", "F_free", "F_zeno", "F_dd"],
      ["1e+300", "1e+300", "0.0", "0.0", "0.0"]),
-], ids=["horizon", "rates", "period"])
+    (["--lambda", "1", "--r-rate", "3", "--t-max", "1.7e308"],
+     ["lam", "r_rate", "t_max", "F_free"], ["1.0", "3.0", "1.7e+308",
+                                            "0.0"]),
+], ids=["horizon", "rates", "period", "underdamped-horizon"])
 def test_sweep_past_the_float_range_warns_nothing(tmp_path, capsys, argv,
                                                   header, row):
     out = tmp_path / "x.csv"

@@ -456,6 +456,110 @@ def test_quadrature_reuses_history_bitwise(case1, monkeypatch, sched):
         assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
 
 
+def _numpy_scalar_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
+    # reference: the quadrature loop as it stood when its step ran on numpy
+    # scalars read out of the arrays, kept frozen to pin the Python-scalar
+    # loop to it bit for bit
+    from parityshield.oracle import _make_trace
+    dt = cfg.dt_num
+    lam = params.lam
+    w_sq = params.w_coupling * params.w_coupling
+    al1, al2 = params.alpha1, params.alpha2
+    r1 = np.zeros(n + 1, dtype=complex)
+    r2 = np.zeros(n + 1, dtype=complex)
+    leak = np.zeros(n + 1)
+    r1[0], r2[0] = r1_0, r2_0
+    s_hist = np.zeros(n + 1, dtype=complex)
+    s_hist[0] = al1 * r1_0 + al2 * r2_0
+    nodes = np.arange(n + 1)
+    # ker_rev[n - m] = W^2 e^{-lam m dt}, so ker_rev[n - j:n] lines up with
+    # the past nodes 0..j-1 of an evaluation at node j
+    ker_rev = (w_sq * np.exp(-lam * dt * nodes[::-1])).astype(complex)
+    end_w = w_sq * dt / 2.0
+    # fac[j] is the k of the segment that ends at node j; the run starts
+    # from an empty history, as after a projection.  signs[j] is the sign
+    # of the segment that starts at j.  u[j] is the trapezoid weight of
+    # node j in that segment plus fac[j] times its half weight in the one
+    # before: zero at a pulse instant, where the neighbouring trapezoids
+    # cancel, dt/2 at a projection.  ws[k] = u[k] S_k is written once S_k
+    # is final.
+    fac = np.array(factors + [1.0])
+    fac[0] = 0.0
+    signs = np.cumprod(np.where(fac < 0.0, -1.0, 1.0))
+    u = dt / 2.0 * signs * (1.0 + fac)
+    ws = np.zeros(n + 1, dtype=complex)
+    ws[0] = u[0] * s_hist[0]
+    fac, signs = fac.tolist(), signs.tolist()
+
+    # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) from the last
+    # projection to t_j is one dot product over the past plus the endpoint
+    # half weight; rel makes the current segment positive.  past is the
+    # dot product at node k: the corrector of step k computes it for node
+    # k + 1, and the predictor of step k + 1 reuses it
+    past = 0.0j
+    for k in range(n):
+        rel = signs[k]
+        if not fac[k]:
+            start, past = k, 0.0j
+        phi = rates[k]
+        # Heun: predictor with left-endpoint history, corrector re-evaluates
+        # the integral including the predicted endpoint
+        hist0 = complex(rel * past + fac[k] * end_w * s_hist[k])
+        d1_0 = -1j * phi * r1[k] - al1 * hist0
+        d2_0 = -1j * phi * r2[k] - al2 * hist0
+        r1p = r1[k] + dt * d1_0
+        r2p = r2[k] + dt * d2_0
+        past = ker_rev[n - k - 1 + start:n] @ ws[start:k + 1]
+        hist1 = complex(rel * past + end_w * (al1 * r1p + al2 * r2p))
+        d1_1 = -1j * phi * r1p - al1 * hist1
+        d2_1 = -1j * phi * r2p - al2 * hist1
+        r1[k + 1] = r1[k] + dt / 2 * (d1_0 + d1_1)
+        r2[k + 1] = r2[k] + dt / 2 * (d2_0 + d2_1)
+        s_hist[k + 1] = al1 * r1[k + 1] + al2 * r2[k + 1]
+        ws[k + 1] = u[k + 1] * s_hist[k + 1]
+        out0 = 2.0 * (hist0 * s_hist[k].conjugate()).real
+        out1 = 2.0 * (hist1 * s_hist[k + 1].conjugate()).real
+        leak[k + 1] = leak[k] + dt / 2 * (out0 + out1)
+
+    if any(rates):
+        # reported amplitudes absorb the drive phase accumulated so far so
+        # free-segment samples follow the cycle-to-cycle convention; each
+        # rate times its whole number of driven steps avoids the rounding
+        # a running float sum would accumulate
+        driven = np.array([0.0] + rates)
+        turn = 0.0
+        for phi in set(rates) - {0.0}:
+            turn = turn + 1j * phi * dt * np.cumsum(driven == phi)
+        phase = np.exp(turn)
+        r1 = r1 * phase
+        r2 = r2 * phase
+
+    return _make_trace(params, dt, r1, r2, leak)
+
+
+# 10^4 steps for every schedule, 2 * 10^4 for dd-finite
+@pytest.mark.parametrize("sched, t_max", [
+    (None, 1.0), (ps.ZenoSchedule(TAU), 1.0), (ps.DdSchedule(TAU), 1.0),
+    (ps.FinitePulseSchedule(FINITE_TAU, 10), 1.0),
+    (ps.FinitePulseSchedule(FINITE_TAU, 10), 2.0),
+], ids=["free", "zeno", "dd", "dd-finite", "dd-finite-2e4"])
+@pytest.mark.parametrize("params", [
+    ps.ModelParams.from_mode_splitting(2.0, 1.0),
+    ps.ModelParams.from_couplings(2.0, 0.8, 0.9, 0.5),
+], ids=["equal", "unequal"])
+def test_quadrature_matches_numpy_scalar_loop_bitwise(monkeypatch, params,
+                                                      sched, t_max):
+    cfg = ps.OracleConfig(dt_num=1e-4, method_order=2,
+                          history_mode=ps.DIRECT_QUADRATURE)
+    state = ps.OddParityState.initial(0.6, 0.8j)
+    tr = ps.integrate(params, sched, t_max, cfg, state0=state)
+    monkeypatch.setattr(ps.oracle, "_run_quadrature",
+                        _numpy_scalar_quadrature)
+    ref = ps.integrate(params, sched, t_max, cfg, state0=state)
+    for name in ("r1", "r2", "beta2", "norm_defect"):
+        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+
+
 def _scalar_augmented(params, n, cfg, r1, r2, factors, rates):
     # reference: the augmented system stepped one RK4 or Heun step at a
     # time in Python scalars
