@@ -11,6 +11,7 @@ holds the parameter bookkeeping and the basis change from the physical
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, StateError
@@ -21,6 +22,9 @@ BRANCH_UNDERDAMPED = "underdamped"
 
 # relative width of the window around lam^2 == 4 R^2 tagged as critical
 _CRITICAL_RTOL = 1e-12
+
+# below this (the smallest normal float) a square has lost digits or is 0
+_TINY = sys.float_info.min
 
 # norm may only shrink during evolution; allow this much float slack above 1
 _NORM_SLACK = 1e-12
@@ -93,6 +97,11 @@ class ModelParams:
             raise ParameterError(
                 "rates overflow the damping split lam^2 - 4 R^2: "
                 f"lam={self.lam}, R={self.r_rate}")
+        # with both squares that small every pair reads as critical, omega 0
+        if max(self.lam * self.lam, 4.0 * self.r_rate * self.r_rate) < _TINY:
+            raise ParameterError(
+                "rates underflow the damping split lam^2 - 4 R^2: "
+                f"lam={self.lam}, R={self.r_rate}")
 
     @classmethod
     def from_couplings(cls, lam: float, w_coupling: float,
@@ -135,6 +144,10 @@ class ModelParams:
                 f"real damping split requires 0 <= omega <= lam, got "
                 f"omega={omega}, lam={lam}; use from_effective_rate for the "
                 "oscillatory regime")
+        if lam * lam < _TINY:  # and so is 4 R^2, at most lam^2
+            raise ParameterError(
+                "rates underflow the damping split lam^2 - 4 R^2: "
+                f"lam={lam}, omega={omega}")
         r_rate = math.sqrt((lam - omega) * (lam + omega)) / 2.0
         if not (r_rate > 0.0):
             raise ParameterError("omega == lam gives zero coupling rate")

@@ -49,16 +49,15 @@ _MAX_GRID_POINTS = 1e7
 # MiB at 10^5 (ru_maxrss), about 2 KiB a cell, so 10^6 cells take 1.9 GiB
 MAX_SWEEP_CELLS = 10 ** 6
 
-# descriptor kind -> (schedule class, argument types, column name, sweep keys
-# supplying the arguments), in the column order of a trace; free decay is the
-# schedule None (type(None)() is None), and a trace appends the duty parameter.
-_Kind = namedtuple("_Kind", "cls types column keys")
+# descriptor kind -> (schedule class, column name, sweep keys supplying the
+# arguments, each of its key's type) in trace column order; free decay is the
+# schedule None (type(None)() is None); a trace appends the duty parameter.
+_Kind = namedtuple("_Kind", "cls column keys")
 _KINDS = {
-    "none": _Kind(type(None), (), "F_free", ()),
-    "zeno": _Kind(ZenoSchedule, (float,), "F_zeno", ("delta_t",)),
-    "dd": _Kind(DdSchedule, (float,), "F_dd", ("tau",)),
-    "dd-finite": _Kind(FinitePulseSchedule, (float, int), "F_ddN",
-                       ("tau", "n_duty")),
+    "none": _Kind(type(None), "F_free", ()),
+    "zeno": _Kind(ZenoSchedule, "F_zeno", ("delta_t",)),
+    "dd": _Kind(DdSchedule, "F_dd", ("tau",)),
+    "dd-finite": _Kind(FinitePulseSchedule, "F_ddN", ("tau", "n_duty")),
 }
 _KIND_OF = {row.cls: kind for kind, row in _KINDS.items()}
 
@@ -76,13 +75,14 @@ def parse_schedule(text: str):
     if not m:
         raise ConfigError(f"unrecognized schedule descriptor {text!r}")
     kind, args = m.groups()
-    cls, types, *_ = _KINDS[kind]
+    cls, _, keys = _KINDS[kind]
     parts = [p.strip() for p in args.split(",")] if args else []
-    if len(parts) != len(types):
+    if len(parts) != len(keys):
         raise ConfigError(
-            f"{kind!r} takes {len(types)} argument(s), got {text!r}")
+            f"{kind!r} takes {len(keys)} argument(s), got {text!r}")
     try:
-        return cls(*(convert(p) for convert, p in zip(types, parts)))
+        return cls(*(_KEY_TYPES.get(key, float)(p)
+                     for key, p in zip(keys, parts)))
     except ValueError as exc:
         raise ConfigError(f"bad schedule descriptor {text!r}: {exc}") from exc
 
@@ -99,10 +99,8 @@ def format_schedule(sched) -> str:
 def parse_initial_state(text: str) -> tuple[OddParityState, str]:
     """Named initial state -> (state, canonical name)."""
     body = text.strip()
-    if body == "dark":
-        return OddParityState.dark(), "dark"
-    if body == "superradiant":
-        return OddParityState.superradiant(), "superradiant"
+    if body in ("dark", "superradiant"):
+        return getattr(OddParityState, body)(), body
     m = re.match(r"^mixed\((.+),(.+)\)$", body)
     if m:
         try:
@@ -134,6 +132,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not (0.0 < self.t_max < math.inf):
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
+        if self.t_max <= _MERGE_TOL:  # the grid would merge it into t = 0
+            raise ConfigError(f"t_max must be above the grid merge tolerance "
+                              f"{_MERGE_TOL}, got {self.t_max}")
         if any(type(sched) not in _KIND_OF for sched in self.schedules):
             raise ConfigError(f"unknown schedule object in {self.schedules!r}")
         if self.samples_per_unit_time < 100:
@@ -163,6 +164,10 @@ _SCENARIO_DEFAULTS = {
 
 _AXIS_KEYS = ("lam", "omega", "r_rate", "tau", "delta_t", "n_duty", "t_max")
 
+# numeric keys read as whole numbers ("10", not "10.0"); any other is a float
+_KEY_TYPES = dict.fromkeys(("n_duty", "n_duty_values",
+                            "samples_per_unit_time"), int)
+
 
 def option_keys(kind: str) -> tuple[str, ...]:
     """The option keys a run of kind (a scenario id or "sweep") reads."""
@@ -188,37 +193,35 @@ def _merged(kind: str, options: dict | None) -> tuple[dict, set[str]]:
     return {**defaults, **given}, set(given)
 
 
-def _number(opts: dict, key: str, kind=float, many: bool = False):
-    """opts[key] read as text: a float, or a whole number for kind=int ("10",
-    not "10.0"); with many, (number, stripped text) pairs of comma-separated
-    text in ascending number.  ConfigError names the key of bad text."""
-    text = str(opts[key])
+def _number(opts: dict, key: str, many: bool = False):
+    """Text opts[key] as its key's type; many: (number, stripped text) pairs
+    of comma-separated text by number.  ConfigError names a bad text's key."""
+    text, kind = opts[key], _KEY_TYPES.get(key, float)
     try:
         if many:
             return sorted(((kind(p), p.strip()) for p in text.split(",")),
                           key=lambda pair: pair[0])
         return kind(text)
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         noun = "number" if kind is float else "whole number"
         what = f"comma-separated {noun}s" if many else f"a {noun}"
         raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
 
 
-def _params_from_options(opts: dict, user_keys: set[str]) -> ModelParams:
-    # defaults always carry omega, so r_rate can only appear user-supplied;
-    # reject the ambiguous case of both given explicitly
-    lam = _number(opts, "lam")
-    if "r_rate" in opts:
-        if "omega" in user_keys:
-            raise ConfigError("give either omega or r_rate, not both")
-        return ModelParams.from_effective_rate(lam, _number(opts, "r_rate"))
-    return ModelParams.from_mode_splitting(lam, _number(opts, "omega"))
+def _rate(given: set[str]):
+    """(rate key, ModelParams constructor): r_rate if given, else omega."""
+    if "r_rate" not in given:
+        return "omega", ModelParams.from_mode_splitting
+    if "omega" in given:
+        raise ConfigError("give either omega or r_rate, not both")
+    return "r_rate", ModelParams.from_effective_rate
 
 
 def build_scenario(scenario: str, options: dict[str, str] | None = None) -> ScenarioConfig:
     """Assemble a ScenarioConfig from merged config/CLI key-value options."""
-    opts, user_keys = _merged(scenario, options)
-    params = _params_from_options(opts, user_keys)
+    opts, given = _merged(scenario, options)
+    lam, (rate_key, make_params) = _number(opts, "lam"), _rate(given)
+    params = make_params(lam, _number(opts, rate_key))
     state, state_name = parse_initial_state(opts["initial_state"])
 
     if scenario == "custom":
@@ -233,7 +236,7 @@ def build_scenario(scenario: str, options: dict[str, str] | None = None) -> Scen
         elif scenario == "fig2":
             schedules = (None, ZenoSchedule(delta_t), DdSchedule(tau))
         else:
-            ns = _number(opts, "n_duty_values", int, many=True)
+            ns = _number(opts, "n_duty_values", many=True)
             schedules = (None, *(FinitePulseSchedule(tau, n) for n, _ in ns),
                          DdSchedule(tau))
     return ScenarioConfig(
@@ -241,7 +244,7 @@ def build_scenario(scenario: str, options: dict[str, str] | None = None) -> Scen
         params=params,
         schedules=schedules,
         t_max=_number(opts, "t_max"),
-        samples_per_unit_time=_number(opts, "samples_per_unit_time", int),
+        samples_per_unit_time=_number(opts, "samples_per_unit_time"),
         initial_state=state,
         initial_state_name=state_name,
         run_id=opts.get("run_id", scenario),
@@ -453,8 +456,7 @@ def run_sweep(options: dict[str, str],
                           "protocol depends on the duty parameter")
 
     # axis name -> (value, text as given) pairs in ascending value, by name
-    axes = {key: _number(base, key, int if key == "n_duty" else float,
-                         many=True)
+    axes = {key: _number(base, key, many=True)
             for key in sorted(given.intersection(_AXIS_KEYS))}
     metadata = {
         "tool": "parityshield",
@@ -470,10 +472,8 @@ def run_sweep(options: dict[str, str],
     keyed = given | ({"delta_t"} if "tau" in given else set())
     kinds = [kind for kind in _KINDS.values() if keyed.issuperset(kind.keys)]
     header = [*axes, *(kind.column for kind in kinds)]
-
-    columns: list[list] = [[] for _ in header]
     if not axes:
-        return EvolutionTrace(header, columns, metadata)
+        return EvolutionTrace(header, [[] for _ in header], metadata)
 
     total = math.prod(map(len, axes.values()))
     if total > max_cells:
@@ -481,20 +481,20 @@ def run_sweep(options: dict[str, str],
             f"sweep has {total} cells, exceeding the cap of {max_cells}")
 
     state, _ = parse_initial_state(base["initial_state"])
-    # each cell's axis values, params, t_max and one schedule per kind
-    params, times, *scheds = cells = [[] for _ in range(len(kinds) + 2)]
-    for combo in itertools.product(*axes.values()):
-        row = [value for value, _ in combo]
-        cell = {**base, **dict(zip(axes, row))}
-        cell.setdefault("delta_t", cell.get("tau"))
-        row += [_params_from_options(cell, given), _number(cell, "t_max"), *(
-            kind.cls(*(_number(cell, key, convert) for key, convert
-                       in zip(kind.keys, kind.types))) for kind in kinds)]
-        for column, value in zip(columns[:len(axes)] + cells, row):
-            column.append(value)
-
-    for i, column in enumerate(scheds, len(axes)):
-        columns[i] = _fidelity(state, times, column, params)[0]
+    rate_key, make_params = _rate(given)
+    # key -> its number in each cell, in row order: an axis runs through its
+    # values, a held key repeats its default
+    cells = {key: [_number(base, key)] * total
+             for key in ("lam", rate_key, "t_max") if key not in axes}
+    cells.update(zip(axes, map(list, zip(*itertools.product(
+        *([value for value, _ in pairs] for pairs in axes.values()))))))
+    cells.setdefault("delta_t", cells.get("tau"))
+    params = list(map(make_params, cells["lam"], cells[rate_key]))
+    # one schedule per cell and kind; free decay is None for every cell
+    scheds = [list(map(kind.cls, *(cells[key] for key in kind.keys)))
+              if kind.keys else None for kind in kinds]
+    columns = [cells[key] for key in axes] + [
+        _fidelity(state, cells["t_max"], sched, params)[0] for sched in scheds]
     for name, column in zip(header[len(axes):], columns[len(axes):]):
         _require_unit_interval(name, column)
     return EvolutionTrace(header, [list(c) for c in columns], metadata)

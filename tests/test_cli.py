@@ -142,8 +142,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-# option text that is no number, an infinite horizon, or a time grid or an
-# oracle run too large to build (refused before any of it is built)
+# option text that is no number, an infinite horizon or one that the grid
+# merges into t = 0, or a time grid or an oracle run too large to build
+# (refused before any of it is built)
 _NOT_NUMBERS = [
     ["fig2", "--tau", "abc"],
     ["custom", "--lambda", "two"],
@@ -157,6 +158,7 @@ _NOT_NUMBERS = [
     ["fig2", "--t-max", "inf"],
     ["custom", "--t-max", "1e306"],
     ["custom", "--schedules", "dd(1e-12)"],
+    ["custom", "--t-max", "1e-13"],
 ]
 
 
@@ -209,8 +211,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
 
 # rates that are infinite, or whose squares overflow the damping split (a
-# window's drive rate 10 pi / 1e-300 too), and an amplitude whose square
-# overflows the norm
+# window's drive rate 10 pi / 1e-300 too) or both underflow it, and an
+# amplitude whose square overflows the norm
 @pytest.mark.parametrize("argv", [
     ["sweep", "--lambda", "1e200", "--r-rate", "1", "--tau", "0.1"],
     ["sweep", "--lambda", "2", "--r-rate", "1e160", "--tau", "0.1"],
@@ -219,6 +221,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
     ["fig2", "--lambda", "2", "--r-rate", "inf"],
     ["sweep", "--tau", "1e-300", "--n-duty", "10", "--t-max", "1e-299"],
     ["fig1", "--initial-state", "mixed(1e200,1)"],
+    ["sweep", "--lambda", "1e-200", "--r-rate", "3e-200", "--tau", "1e199",
+     "--t-max", "1e200"],
+    ["sweep", "--lambda", "1e-300", "--r-rate", "1e-300", "--tau", "1e300",
+     "--n-duty", "10", "--t-max", "1e300"],
 ], ids=_argv_id)
 def test_unusable_rates_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"

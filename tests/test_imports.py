@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import parityshield
 
 PACKAGE = Path(parityshield.__file__).parent
 TESTS = Path(__file__).parent
+ROOT = TESTS.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(parityshield.__path__))
 
 
@@ -79,3 +82,32 @@ def test_no_test_module_binds_a_name_twice():
         twice += sorted({f"{path.name}::{n}" for n in names
                          if names.count(n) > 1})
     assert twice == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read (an ast.Name not stored to) or taken as
+    an attribute in tree."""
+    return Counter(
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+
+
+def test_every_package_name_is_used():
+    # a top-level name of the package that nothing reads outside its own
+    # definition, in src/ or tests/, and that neither the README nor the
+    # benchmark names, is dead code
+    trees = {path: ast.parse(path.read_text())
+             for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]}
+    read = sum(map(_references, trees.values()), Counter())
+    named = set(re.findall(r"\w+", "\n".join(
+        path.read_text() for path in [ROOT / "README.md",
+                                      *(ROOT / "perfbench").glob("*.py")])))
+    dead = [f"{path.stem}.{name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in trees[path].body
+            for name in _top_level_names(ast.Module([node], []))
+            if not (name.startswith("__") and name.endswith("__"))
+            and read[name] == _references(node)[name] and name not in named]
+    assert dead == []

@@ -95,6 +95,32 @@ def test_bad_parameters_rejected(ctor, args):
         ctor(*args)
 
 
+@pytest.mark.parametrize("ctor, args", [
+    (ps.ModelParams.from_mode_splitting, (1e-200, 5e-201)),
+    (ps.ModelParams.from_mode_splitting, (1e-200, 1e-200)),
+    (ps.ModelParams.from_effective_rate, (1e-200, 3e-200)),
+    (ps.ModelParams.from_effective_rate, (1e-300, 1e-300)),
+    (ps.ModelParams.from_couplings, (1e-200, 3e-200, 0.6, 0.8)),
+], ids=["splitting", "splitting-zero-rate", "rate", "rate-1e-300",
+        "couplings"])
+def test_underflowing_rates_rejected(ctor, args):
+    # lam^2 and 4 R^2 both below the smallest normal float: every pair
+    # would read as critical with omega = 0
+    with pytest.raises(ps.ParameterError, match="rates underflow the damping "
+                       r"split lam\^2 - 4 R\^2: lam=1e-[23]00, "):
+        ctor(*args)
+
+
+def test_smallest_normal_square_accepted():
+    # one square at the smallest normal float is enough for the split
+    lam = 1.5e-154
+    assert lam * lam >= 2.2250738585072014e-308
+    p = ps.ModelParams.from_effective_rate(lam, 1e-200)
+    assert p.branch == ps.BRANCH_OVERDAMPED and p.omega == lam
+    assert ps.ModelParams.from_effective_rate(1e-200, lam).branch == (
+        ps.BRANCH_UNDERDAMPED)
+
+
 @pytest.mark.parametrize("lam, omega, name", [
     (math.inf, math.inf, "decay rate"),
     (math.inf, 1.0, "decay rate"),

@@ -87,6 +87,15 @@ def test_parameter_source_rules():
         ps.build_scenario("breakdown")
 
 
+def test_option_values_are_text():
+    # option values are read as text; an axis given as a number is refused,
+    # not a traceback
+    with pytest.raises(ps.ConfigError, match="tau must be comma-separated"):
+        ps.run_sweep({"tau": 0.1})
+    with pytest.raises(ps.ConfigError, match="n_duty_values must be"):
+        ps.build_scenario("fig3", {"n_duty_values": [10, 20]})
+
+
 def test_unread_keys_refused():
     with pytest.raises(ps.ConfigError, match="n_duty"):
         ps.build_scenario("fig2", {"n_duty": "10"})
@@ -289,6 +298,31 @@ def test_sweep_two_axes_lexicographic():
     coords = [(row[0], row[1]) for row in trace.rows]
     assert coords == [(10, 0.1), (10, 0.2), (20, 0.1), (20, 0.2)]
     assert all(isinstance(row[0], int) for row in trace.rows)
+
+
+def test_sweep_row_is_the_closed_form_alone():
+    # a column is one evaluation over all cells; each of its values must be
+    # the bits of that cell's own closed-form call
+    trace = ps.run_sweep({"r_rate": "0.5,1,3", "tau": "0.1,0.3",
+                          "delta_t": "0.2,0.05", "n_duty": "4,10",
+                          "t_max": "1,3.7",
+                          "initial_state": "mixed(0.6,0.8j)"})
+    assert trace.header == ["delta_t", "n_duty", "r_rate", "t_max", "tau",
+                            "F_free", "F_zeno", "F_dd", "F_ddN"]
+    assert [row[:5] for row in trace.rows] == list(itertools.product(
+        [0.05, 0.2], [4, 10], [0.5, 1.0, 3.0], [1.0, 3.7], [0.1, 0.3]))
+    state, _ = ps.parse_initial_state("mixed(0.6,0.8j)")
+    branches = set()
+    for delta_t, n_duty, rate, t, tau, *values in trace.rows:
+        p = ps.ModelParams.from_effective_rate(2.0, rate)
+        branches.add(p.branch)
+        finite, _ = ps.fidelity(state, t, ps.FinitePulseSchedule(tau, n_duty),
+                                p)
+        assert values == [ps.free_fidelity(state, t, p),
+                          ps.fidelity(state, t, ps.ZenoSchedule(delta_t), p),
+                          ps.fidelity(state, t, ps.DdSchedule(tau), p),
+                          finite]
+    assert len(branches) == 3
 
 
 def test_sweep_empty_and_capped():

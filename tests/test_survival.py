@@ -191,3 +191,28 @@ def test_first_free_segment_matches_free_decay(case1, sched10):
 def test_negative_time_rejected(case1, sched10):
     with pytest.raises(ps.ParameterError):
         ps.finite_dd_survival(-0.1, sched10, case1)
+
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-50, 1e-100, 1e-150, 2.0 ** -498])
+@pytest.mark.parametrize("lam, rate", [(2.0, 0.5), (2.0, 1.0), (1.0, 3.0)],
+                         ids=["overdamped", "critical", "underdamped"])
+def test_survival_is_scale_invariant(lam, rate, s):
+    # x depends on lam t, R t and t / tau only; down to s = 1e-150 the
+    # square of each rate is a normal float (below that a pair is refused)
+    times = [0.0, 0.37, 1.0, 2.5]
+
+    def run(s):
+        p = ps.ModelParams.from_effective_rate(lam * s, rate * s)
+        scheds = (None, ps.ZenoSchedule(0.1 / s), ps.DdSchedule(0.1 / s),
+                  ps.FinitePulseSchedule(0.2 / s, 10))
+        return p.branch, [ps.survival([t / s for t in times], sched, p)
+                          for sched in scheds]
+
+    (branch, want), (scaled_branch, got) = run(1.0), run(s)
+    assert scaled_branch == branch
+    for values, expected in zip(got, want):
+        if isinstance(expected[0], tuple):    # driven: (amplitude, tag) pairs
+            assert [tag for _, tag in values] == [tag for _, tag in expected]
+            values, expected = [x for x, _ in values], [x for x, _ in expected]
+        assert np.max(np.abs(np.subtract(values, expected))) <= 1e-13
