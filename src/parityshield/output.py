@@ -5,6 +5,13 @@ settings, an overridable run id; never a timestamp), then a header row, then
 data rows.  Two runs with the same configuration produce byte-identical
 files.  The SVG renderer consumes only a CSV file, so plots can never
 disagree with the exported data.
+
+The polyline coordinates are Python's `'%.2f'` text, made for a whole
+column at once by `_fixed2`: k = rint(fl(100 v)) is the correctly rounded
+hundredths count except where fl(100 v) is exactly a half-integer, since
+rounding is monotone and every half-integer below 2**52 is a float.  There
+the exact sign of 100 v - fl(100 v) (Dekker's product error) picks the
+side, and an exact tie keeps rint's half to even, as `'%.2f'` does.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import csv
 import html
 import io
+import math
 import warnings
 from pathlib import Path
 
@@ -99,13 +107,46 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _fixed2(values: np.ndarray, tail: str) -> tuple[np.ndarray, np.ndarray]:
+    """`'%.2f' % v + tail` for each v >= 0 of a column, as ASCII rows.
+
+    Returns a uint8 matrix with one right-aligned row per value and the
+    mask of its bytes to keep (leading zeros dropped), so that
+    `chars[keep].tobytes()` is the concatenated text.  See the module
+    docstring for why the digits equal Python's.
+    """
+    f = 100.0 * values
+    k = np.rint(f)
+    tie = np.flatnonzero(np.abs(f - k) == 0.5)
+    if tie.size:
+        v = values[tie]
+        c = v * 134217729.0             # 2**27 + 1: Veltkamp's split
+        hi = c - (c - v)
+        err = (100.0 * hi - f[tie]) + 100.0 * (v - hi)
+        k[tie] = np.rint(f[tie] + 0.25 * np.sign(err))
+    k = k.astype(np.int32)
+    width = len(str(int(k.max()) // 100))
+    chars = np.empty((len(k), width + 4), np.uint8)
+    keep = np.ones(chars.shape, bool)
+    chars[:, -1] = ord(tail)
+    chars[:, -4] = ord(".")
+    # hundredths, tenths, then the integer digits right to left
+    for place, col in enumerate([-2, -3, *range(-5, -5 - width, -1)]):
+        chars[:, col] = k // 10 ** place % 10 + ord("0")
+        if place > 2:
+            keep[:, col] = k >= 10 ** place
+    return chars, keep
+
+
 def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
     """Render the fidelity columns of a CSV file as an 800x500 line chart.
 
     Every column but `segment` is plotted against `t`.  The metadata and
     header are read as read_csv reads them; the data rows go to one
-    np.loadtxt call.  A missing or non-finite cell, fewer than two rows or
-    a zero time span raise ConfigError.
+    np.loadtxt call.  A missing or non-finite cell, fewer than two rows, a
+    zero time span or a time or padded value span that overflows raise
+    ConfigError, so every coordinate lies on the canvas, where _fixed2
+    writes its text.
     """
     metadata: dict[str, str] = {}
     with open(csv_path, newline="") as fh:
@@ -134,11 +175,19 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
     x_lo, x_hi = float(t.min()), float(t.max())
     if x_hi == x_lo:
         raise ConfigError(f"{csv_path} spans no time: every t is {x_lo}")
+    if not math.isfinite(x_hi - x_lo):
+        raise ConfigError(
+            f"{csv_path} spans too long a time to plot: t from {x_lo} "
+            f"to {x_hi}")
     y_lo = float(min(values.min() for values in series.values()))
     y_hi = float(max(values.max() for values in series.values()))
     pad = 0.02 * (y_hi - y_lo) if y_hi > y_lo else 0.05
     y_lo -= pad
     y_hi += pad
+    if not math.isfinite(y_hi - y_lo):
+        raise ConfigError(
+            f"{csv_path} spans too wide a value range to plot: padded, "
+            f"{y_lo} to {y_hi}")
 
     plot_w = _CANVAS_W - _MARGIN_L - _MARGIN_R
     plot_h = _CANVAS_H - _MARGIN_T - _MARGIN_B
@@ -183,10 +232,13 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
 
     legend_y = _MARGIN_T + 10
     # sx and sy take whole columns: the same operations in the same order
-    xs = list(map("%.2f,".__mod__, sx(t).tolist()))
+    x_chars, x_keep = _fixed2(sx(t), ",")
     for name, values in series.items():
         color = _COLORS.get(name, "#333333")
-        pts = " ".join(map("%s%.2f".__mod__, zip(xs, sy(values).tolist())))
+        y_chars, y_keep = _fixed2(sy(values), " ")
+        keep = np.hstack((x_keep, y_keep))
+        keep[-1, -1] = False            # no space after the last point
+        pts = np.hstack((x_chars, y_chars))[keep].tobytes().decode()
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>')

@@ -4,10 +4,14 @@ import csv
 import io
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import parityshield as ps
-from parityshield.output import read_csv, render_svg, write_csv
+from parityshield.cli import main
+from parityshield.output import _fixed2, read_csv, render_svg, write_csv
 
 
 @pytest.fixture()
@@ -254,6 +258,42 @@ def test_svg_matches_per_point_renderer(tmp_path):
     assert (tmp_path / "fig3.svg").read_text() == _reference_svg(csv_path)
 
 
+def test_svg_of_the_cli_matches_per_point_renderer(tmp_path):
+    # the benchmark's long-trace schedules, on a shorter horizon
+    csv_path = tmp_path / "trace.csv"
+    assert main(["custom", "--schedules",
+                 "none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)|dd-finite(0.2,20)",
+                 "--t-max", "2", "--lambda", "3.077", "--omega", "1.939",
+                 "--out", str(csv_path)]) == 0
+    svg = (tmp_path / "trace.svg").read_text()
+    assert svg.count("<polyline") == 5
+    assert svg == _reference_svg(csv_path)
+
+
+def _fixed2_text(values) -> list[str]:
+    chars, keep = _fixed2(np.asarray(values, dtype=float), " ")
+    return chars[keep].tobytes().decode().split()
+
+
+@given(st.lists(st.one_of(
+    st.floats(0, 1000, exclude_max=True),
+    st.integers(0, 10**5 - 1).map(lambda j: (j + 0.5) / 100)), min_size=1))
+def test_fixed2_is_percent_two_f(values):
+    assert _fixed2_text(values) == ["%.2f" % v for v in values]
+
+
+def test_fixed2_on_ties_and_near_ties():
+    # every exact tie, rounded half to even, and every hundredths midpoint
+    # with both of its float neighbours; fl(100 v) is a half-integer at
+    # many of the midpoints, where rint of it alone rounds the wrong way
+    eighths = np.arange(8000) / 8
+    mids = (np.arange(10**5) + 0.5) / 100
+    values = np.concatenate([eighths, mids, np.nextafter(mids, 0),
+                             np.nextafter(mids, 2000)])
+    assert _fixed2_text(values) == ["%.2f" % v for v in values.tolist()]
+    assert _fixed2_text([30.045, 0.015, 0.125]) == ["30.05", "0.01", "0.12"]
+
+
 def test_svg_rejects_non_numeric_cell(tmp_path):
     csv_path = tmp_path / "probe.csv"
     csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n"
@@ -294,7 +334,10 @@ def test_svg_parse_accepts_what_csv_reader_accepted(tmp_path, small_table):
     ("0.5,1.0,1.0,free\n0.5,0.9,0.99,free\n", "spans no time"),
     ("0.0,1.0,1.0,free\n0.5,nan,0.99,free\n", "not a finite number"),
     ("0.0,1.0,1.0,free\n0.5,0.9,-inf,free\n", "not a finite number"),
-], ids=["header-only", "one-row", "zero-time-span", "nan", "-inf"])
+    ("-1e308,1.0,1.0,free\n1e308,0.9,0.99,free\n", "too long a time"),
+    ("0.0,1e308,1.0,free\n0.5,-1e308,0.99,free\n", "too wide a value range"),
+], ids=["header-only", "one-row", "zero-time-span", "nan", "-inf",
+        "time-span-overflow", "value-span-overflow"])
 def test_svg_refuses_unplottable_table(tmp_path, rows, reason):
     csv_path = tmp_path / "probe.csv"
     csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n" + rows)
