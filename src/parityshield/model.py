@@ -102,6 +102,11 @@ class ModelParams:
             raise ParameterError(
                 "rates underflow the damping split lam^2 - 4 R^2: "
                 f"lam={self.lam}, R={self.r_rate}")
+        # a subnormal 4 R^2 has lost digits of R^2
+        if 0.0 < 4.0 * self.r_rate * self.r_rate < _TINY:
+            raise ParameterError(
+                f"collective rate R={self.r_rate} gives a subnormal 4 R^2, "
+                "which keeps only a few digits")
 
     @classmethod
     def from_couplings(cls, lam: float, w_coupling: float,

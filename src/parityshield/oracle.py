@@ -326,14 +326,21 @@ def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
     Only the timing of ``sched.cycle`` is read.  Each segment end multiplies
     the past history by its k; the test suite cross-checks the augmented
     backend's scaled accumulators against the quadrature backend's signed
-    weights and restarts.
+    weights and restarts.  Those weights carry only the sign and the zero
+    of k, so the quadrature backend refuses any k but -1, 0 and 1 with
+    ConfigError.
     """
     _check_resolution(cfg.dt_num, params)
     n = _steps_for(t_max, cfg.dt_num)
-    factors, rates = _step_timing(sched, n, cfg.dt_num)
-    r1, r2 = _initial_physical(params, state0)
     run = (_run_augmented if cfg.history_mode == EXACT_AUGMENTED
            else _run_quadrature)
+    # the quadrature weights read only the sign and the zero of each k
+    if run is _run_quadrature and sched is not None and not {
+            k for *_, k in sched.cycle.segments} <= {-1.0, 0.0, 1.0}:
+        raise ConfigError("the direct-quadrature backend takes segment ends "
+                          "k of -1, 0 or 1 only")
+    factors, rates = _step_timing(sched, n, cfg.dt_num)
+    r1, r2 = _initial_physical(params, state0)
     return run(params, n, cfg, r1, r2, factors, rates)
 
 

@@ -6,24 +6,56 @@ data rows.  Two runs with the same configuration produce byte-identical
 files.  The SVG renderer consumes only a CSV file, so plots can never
 disagree with the exported data.
 
-The polyline coordinates are Python's `'%.2f'` text, made for a whole
-column at once by `_fixed2`: k = rint(fl(100 v)) is the correctly rounded
-hundredths count except where fl(100 v) is exactly a half-integer, since
-rounding is monotone and every half-integer below 2**52 is a float.  There
-the exact sign of 100 v - fl(100 v) (Dekker's product error) picks the
-side, and an exact tie keeps rint's half to even, as `'%.2f'` does.
+Numbers become text a whole column at once: each value is a row of ASCII
+bytes in a uint8 matrix, with a mask of the bytes to keep, and the kept
+bytes of the columns side by side, row by row, are the text (`_joined`).
+
+The polyline coordinates are Python's `'%.2f'` text, made by `_fixed2`:
+k = rint(fl(100 v)) is the correctly rounded hundredths count except where
+fl(100 v) is exactly a half-integer, since rounding is monotone and every
+half-integer below 2**52 is a float.  There the exact sign of 100 v -
+fl(100 v) (Dekker's product error) picks the side, and an exact tie keeps
+rint's half to even, as `'%.2f'` does.
+
+CSV cells are `repr(float(v))`, the shortest decimal that reads back as v
+(Steele & White, PLDI 1990).  For 1e-6 < v < 1e16, `_shortest` finds its
+digits by exact float arithmetic:
+
+* P = v 10**s lies in [1e16, 1e17), with 10**s exact (s <= 22).  P is
+  taken exactly, as fl(P) plus Dekker's product error, and s is checked
+  on that exact P: for v = nextafter(1e-4, 0), fl(v 10**20) is 1e16.
+* v's rounding interval, scaled, reaches half the gap to each float
+  neighbour: a power of two times 10**s, so exact.
+* At most one multiple of 100 (15 significant digits) fits in it, so the
+  one nearest P is the answer if it lies within.  Otherwise it is the
+  nearer multiple of 10 within (an exact tie to the even one), otherwise
+  P rounded half to even, which always lies within.
+* Each comparison is exact: P = n + frac with n an int64 and 0 <= frac <
+  1, and frac and the fractional parts of the gaps are multiples of
+  2**-51, so their sums are floats.
+* Whether an interval end counts as inside never matters in this range:
+  an end has more binary places than v, hence more decimal places, so
+  when an end is a candidate v itself is one as short, at distance 0.
+  (From 2**53 on, the ends are odd integers and v is an even one.)
+
+v >= 1e-4 is written in fixed notation and smaller v in exponent form,
+both from these digits.  0.0, negatives, v <= 1e-6 (where no exact 10**s
+reaches 1e16), v >= 1e16, nan and inf take repr itself, as does every cell
+of a table under _KERNEL_ROWS rows, where the numpy calls' fixed cost is
+the larger.  The rows go to the file in blocks of _BLOCK_ROWS, which bounds
+the memory of the byte matrices.
 """
 
 from __future__ import annotations
 
 import csv
 import html
-import io
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -44,6 +76,21 @@ _MARGIN_T = 30
 _MARGIN_B = 50
 
 
+# rows per block of CSV text: bounds the memory of its byte matrices
+_BLOCK_ROWS = 8192
+# below this many rows, repr per cell beats the numpy kernel's fixed cost
+_KERNEL_ROWS = 1000
+
+# 10**s is exact as a float up to s = 22
+_POW10 = np.array([float(10 ** s) for s in range(23)])
+# "00" to "99" as two-byte codes, stored in the byte order of the text
+_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
+                       np.uint16)
+# _SPANS[a, b] keeps bytes a to b - 1 of a 38-byte row of _float_text
+_SPANS = ((np.arange(38) >= np.arange(38)[:, None, None])
+          & (np.arange(38) < np.arange(39)[:, None]))
+
+
 def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
               columns: list[list]) -> None:
     """Write metadata comments, a header row, and one data row per index
@@ -54,18 +101,190 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     round-trip form, so output is reproducible byte for byte.  Neither
     needs CSV quoting, so only the header goes through csv.writer.  A
     metadata key or value holding a line break raises ConfigError before
-    the file is written: the break would end the comment line.
+    the file is written: the break would end the comment line.  The rows
+    go to the file in blocks of _BLOCK_ROWS (see the module docstring); if
+    a block fails, as on a cell that float() refuses, the file is removed.
     """
-    buf = io.StringIO()
     for key, value in metadata.items():
         if {"\n", "\r"} & set(f"{key}{value}"):
             raise ConfigError(f"metadata {key!r} holds a line break")
-        buf.write(f"# {key}={value}\n")
-    csv.writer(buf, lineterminator="\n").writerow(header)
-    cells = [column if column and isinstance(column[0], str)
-             else map(repr, map(float, column)) for column in columns]
-    buf.writelines(f"{row}\n" for row in map(",".join, zip(*cells)))
-    Path(path).write_text(buf.getvalue())
+    rows = min(map(len, columns), default=0)
+    tags = [bool(rows) and isinstance(column[0], str) for column in columns]
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(f"# {key}={value}\n"
+                          for key, value in metadata.items())
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for start in range(0, rows, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, rows)
+                block = [column[start:stop] for column in columns]
+                fh.write(_rows_text(block, tags, rows >= _KERNEL_ROWS))
+    except BaseException:
+        # a cell that float() refuses shows only in its block: leave no
+        # file cut off after the blocks before it
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _rows_text(block: list[list], tags: list[bool], kernel: bool) -> str:
+    """The CSV rows of a block of columns: from byte matrices if kernel,
+    else joined from repr per cell."""
+    if not kernel:
+        cells = [c if tag else _repr_text(c) for c, tag in zip(block, tags)]
+        return "".join(f"{row}\n" for row in map(",".join, zip(*cells)))
+    tails = [","] * (len(block) - 1) + ["\n"]
+    return _joined((_tag_text if tag else _float_text)(cells, tail)
+                   for cells, tag, tail in zip(block, tags, tails)).decode()
+
+
+def _repr_text(cells):
+    """repr(float(v)) of each cell: the per-cell rule."""
+    return map(repr, map(float, cells))
+
+
+def _tag_text(cells: list[str], tail: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each tag + tail as a row of UTF-8 bytes, with the mask of its bytes."""
+    try:
+        text = np.array(cells, "S")
+    except UnicodeEncodeError:
+        text = np.array([cell.encode() for cell in cells])
+    chars = np.empty((len(cells), text.itemsize + 1), np.uint8)
+    chars[:, :-1] = text.view(np.uint8).reshape(len(cells), -1)
+    chars[:, -1] = ord(tail)
+    return chars, chars != 0
+
+
+def _float_text(cells, tail: str) -> tuple[np.ndarray, np.ndarray]:
+    """repr(float(v)) + tail for each cell, as ASCII rows and a keep-mask.
+
+    A row is a frame of 16 integer and 20 fraction places around a point
+    at byte 16.  One sliding window places a cell's 17 digits from
+    _shortest in the frame, and the mask keeps them from the first integer
+    digit (the units digit at least) to the last significant one (one
+    fraction digit at least).  Exponent form puts the first digit in the
+    units place and writes e-0X over bytes 33 to 36.  Any other cell is
+    repr's text, left-aligned.  The rows are cut to the bytes that some
+    row keeps, and the tail follows.
+    """
+    values = np.fromiter(cells, float, len(cells))
+    n = len(values)
+    # float(1e-6) lies below 10**-6, where no exact 10**s reaches 1e16
+    kernel = (values > 1e-6) & (values < 1e16)
+    sig, exp10 = _shortest(np.where(kernel, values, 1.0))
+    digits = _digits(sig, 17)
+    sci = exp10 < -4
+    lead = np.where(sci, 0, exp10)          # exponent of the first place
+    # the window at lead + 4 puts the first digit, byte 19 of pad, at
+    # frame place 15 - lead
+    pad = np.full((n, 55), ord("0"), np.uint8)
+    pad[:, 19:36] = digits
+    frame = sliding_window_view(pad, 36, axis=1)[np.arange(n), lead + 4]
+    chars = np.empty((n, 38), np.uint8)
+    chars[:, :16] = frame[:, :16]
+    chars[:, 16] = ord(".")
+    chars[:, 17:37] = frame[:, 16:]
+    # frame place past the last significant digit, and its byte
+    past = 32 - lead - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    start = 15 - np.maximum(lead, 0)
+    stop = np.maximum(past + (past > 16), np.where(sci, 16, 18))
+    keep = _SPANS[start, stop]
+    lo, hi = start.min(), stop.max()
+    if sci_rows := np.flatnonzero(sci).tolist():
+        chars[sci_rows, 33:36] = np.frombuffer(b"e-0", np.uint8)
+        chars[sci_rows, 36] = ord("0") - exp10[sci_rows]
+        keep[sci_rows, 33:37] = True
+        hi = 37
+    if rest := np.flatnonzero(~kernel).tolist():
+        text = np.array(list(_repr_text(cells[i] for i in rest)), "S24")
+        text = text.view(np.uint8).reshape(-1, 24)
+        chars[rest, :24] = text
+        keep[rest] = False
+        keep[rest, :24] = text != 0
+        lo, hi = 0, max(hi, 24)
+    chars[:, hi] = ord(tail)
+    keep[:, hi] = True
+    return chars[:, lo:hi + 1], keep[:, lo:hi + 1]
+
+
+def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """repr's digits of each 1e-6 < v < 1e16, as the int64 of its first 17
+    significant digits (zero-padded) and the decimal exponent of the first.
+
+    See the module docstring for the method and why each step is exact.
+    """
+    s = np.clip(16 - np.floor(np.log10(v)).astype(np.intp), 1, 22)
+    p, err = _two_product(v, _POW10[s])
+    # log10, and fl(v 10**s) too, can round across a power of ten
+    step = (((p < 1e16) | ((p == 1e16) & (err < 0))).view(np.int8)
+            - ((p > 1e17) | ((p == 1e17) & (err >= 0))).view(np.int8))
+    fix = np.flatnonzero(step)
+    if fix.size:
+        s[fix] += step[fix]
+        p[fix], err[fix] = _two_product(v[fix], _POW10[s[fix]])
+    # P = v 10**s = n + frac exactly, with n an int64 and 0 <= frac < 1
+    whole = np.floor(err)
+    n = p.astype(np.int64) + whole.astype(np.int64)
+    frac = err - whole
+    # half the gap to each float neighbour, scaled: a power of two times
+    # 10**s, so exact; below a power of two the gap is half as wide
+    above = 0.5 * np.spacing(v) * _POW10[s]
+    below = np.where(v.view(np.int64) & (2 ** 52 - 1) == 0, 0.5 * above, above)
+
+    def within(gap, sign):
+        # the candidate n + d (up, sign 1) or n - d (down, sign -1), d an
+        # integer, lies within gap of P when d - floor(gap) <= gap -
+        # floor(gap) + sign frac: both sides exact
+        whole = np.floor(gap)
+        bound = gap - whole + sign * frac
+        whole = whole.astype(np.int64)
+        return lambda d: d - whole <= bound
+    down, up = within(below, -1.0), within(above, 1.0)
+
+    r100 = n % 100
+    r10 = r100 % 10
+    # 15 digits: only the multiple of 100 nearest P can lie within
+    up15 = r100 >= 50
+    in15 = np.where(up15, up(100 - r100), down(r100))
+    # 16 digits: the nearer multiple of 10 that lies within, a tie to even
+    lo16, hi16 = down(r10), up(10 - r10)
+    nearer_lo = (r10 < 5) | ((r10 == 5) & (frac == 0) & (r100 // 10 % 2 == 0))
+    up16 = hi16 & ~(lo16 & nearer_lo)
+    # 17 digits: P rounded half to even, always within
+    up17 = (frac > 0.5) | ((frac == 0.5) & (r10 % 2 == 1))
+    sig = np.where(in15, n - r100 + 100 * up15,
+                   np.where(lo16 | hi16, n - r10 + 10 * up16, n + up17))
+    # rounding up to 10**17 starts the next decade
+    top = sig == 10 ** 17
+    sig[top] = 10 ** 16
+    return sig, 16 - s + top
+
+
+def _two_product(a, b):
+    """(fl(a b), a b - fl(a b)): Dekker's product with Veltkamp's split
+    (2**27 + 1) of each factor, exact while nothing overflows."""
+    def split(x):
+        c = x * 134217729.0
+        hi = c - (c - x)
+        return hi, x - hi
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _digits(k: np.ndarray, count: int) -> np.ndarray:
+    """The last `count` decimal digits of each integer k >= 0, as rows of
+    ASCII, two digits per division."""
+    pairs = np.empty((len(k), (count + 1) // 2), np.uint16)
+    for col in range(pairs.shape[1] - 1, -1, -1):
+        k, pair = np.divmod(k, 100)
+        pairs[:, col] = _PAIRS[pair]
+    return pairs.view(np.uint8)[:, count % 2:]
+
+
+def _joined(pieces) -> bytes:
+    """The kept bytes of (chars, keep) pieces side by side, row by row."""
+    chars, keep = zip(*pieces)
+    return np.hstack(chars)[np.hstack(keep)].tobytes()
 
 
 def _table(fh, path, metadata: dict[str, str]):
@@ -119,22 +338,19 @@ def _fixed2(values: np.ndarray, tail: str) -> tuple[np.ndarray, np.ndarray]:
     k = np.rint(f)
     tie = np.flatnonzero(np.abs(f - k) == 0.5)
     if tie.size:
-        v = values[tie]
-        c = v * 134217729.0             # 2**27 + 1: Veltkamp's split
-        hi = c - (c - v)
-        err = (100.0 * hi - f[tie]) + 100.0 * (v - hi)
+        err = _two_product(values[tie], 100.0)[1]
         k[tie] = np.rint(f[tie] + 0.25 * np.sign(err))
     k = k.astype(np.int32)
     width = len(str(int(k.max()) // 100))
+    digits = _digits(k, width + 2)
     chars = np.empty((len(k), width + 4), np.uint8)
-    keep = np.ones(chars.shape, bool)
+    chars[:, :width] = digits[:, :width]
+    chars[:, width] = ord(".")
+    chars[:, width + 1:-1] = digits[:, width:]
     chars[:, -1] = ord(tail)
-    chars[:, -4] = ord(".")
-    # hundredths, tenths, then the integer digits right to left
-    for place, col in enumerate([-2, -3, *range(-5, -5 - width, -1)]):
-        chars[:, col] = k // 10 ** place % 10 + ord("0")
-        if place > 2:
-            keep[:, col] = k >= 10 ** place
+    keep = np.ones(chars.shape, bool)
+    # integer digits but the units digit, each kept from its place up
+    keep[:, :width - 1] = k[:, None] >= 10 ** np.arange(width + 1, 2, -1)
     return chars, keep
 
 
@@ -143,16 +359,20 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
 
     Every column but `segment` is plotted against `t`.  The metadata and
     header are read as read_csv reads them; the data rows go to one
-    np.loadtxt call.  A missing or non-finite cell, fewer than two rows, a
-    zero time span or a time or padded value span that overflows raise
-    ConfigError, so every coordinate lies on the canvas, where _fixed2
-    writes its text.
+    np.loadtxt call.  A duplicate column name, a missing or non-finite
+    cell, fewer than two rows, a zero time span or a time or padded value
+    span that overflows raise ConfigError, so every coordinate lies on the
+    canvas, where _fixed2 writes its text.
     """
     metadata: dict[str, str] = {}
     with open(csv_path, newline="") as fh:
         # the row iterator is lazy, so fh now stands just past the header
         header, _ = _table(fh, csv_path, metadata)
         names = [name for name in header if name != "segment"]
+        # series are keyed by name: of two columns with one name, one
+        # would go unplotted
+        if len(set(header)) < len(header):
+            raise ConfigError(f"{csv_path} has a duplicate column name")
         if "t" not in names or len(names) < 2:
             raise ConfigError(
                 f"{csv_path} has no plottable time/fidelity columns")
@@ -232,13 +452,11 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
 
     legend_y = _MARGIN_T + 10
     # sx and sy take whole columns: the same operations in the same order
-    x_chars, x_keep = _fixed2(sx(t), ",")
+    x_text = _fixed2(sx(t), ",")
     for name, values in series.items():
         color = _COLORS.get(name, "#333333")
-        y_chars, y_keep = _fixed2(sy(values), " ")
-        keep = np.hstack((x_keep, y_keep))
-        keep[-1, -1] = False            # no space after the last point
-        pts = np.hstack((x_chars, y_chars))[keep].tobytes().decode()
+        # no space after the last point
+        pts = _joined([x_text, _fixed2(sy(values), " ")])[:-1].decode()
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>')

@@ -351,6 +351,14 @@ def _real(x, *_):
     return x.real
 
 
+def _require_real_ends(cycle) -> None:
+    """Refuse an undriven cycle, or batch of cycles, with a non-real end
+    map k: its x is taken real, and Im x would be dropped."""
+    cycles = cycle if isinstance(cycle, list) else [cycle]
+    if any(complex(k).imag for c in cycles if c for *_, k in c.segments):
+        raise ConfigError("an undriven cycle takes real segment ends k only")
+
+
 @dataclass(frozen=True)
 class ZenoSchedule:
     """Repeated vacuum projection every delta_t time units.
@@ -502,10 +510,12 @@ def survival(t, sched, params):
     exact pi phase of each completed window is common to the whole
     single-excitation sector and absorbed, so free-segment values line up
     cycle to cycle; inside a window the amplitude carries its segment's
-    partial drive phase exp(-i rate into).
+    partial drive phase exp(-i rate into).  An undriven cycle whose end
+    map k is not real is refused with ConfigError.
     """
     cycle, drive = _drive(sched)
     if drive is None:
+        _require_real_ends(cycle)
         return evaluate(t, params, cycle, _real)
 
     def value(x, xd, k, into):
@@ -534,6 +544,7 @@ def coefficients(m: int, sched, params: ModelParams) -> RecursionCoeffs:
     cycle, drive = _drive(sched)
     x, xd = cycle_start(m, params, cycle)
     if drive is None:
+        _require_real_ends(cycle)
         x, xd = x.real, xd.real
     return RecursionCoeffs.from_state(x, xd, m, params)
 

@@ -111,6 +111,14 @@ def test_underflowing_rates_rejected(ctor, args):
         ctor(*args)
 
 
+def test_subnormal_rate_square_rejected():
+    # 4 R^2 = 4e-312 keeps a few digits of R^2: accepted, the survival at
+    # t = 1e160 is 3.6e-7 off its scale equivalent (lam, R, t) = (1, 1e-6,
+    # 1e10)
+    with pytest.raises(ps.ParameterError, match="subnormal 4 R\\^2"):
+        ps.ModelParams.from_effective_rate(1e-150, 1e-156)
+
+
 def test_smallest_normal_square_accepted():
     # one square at the smallest normal float is enough for the split
     lam = 1.5e-154

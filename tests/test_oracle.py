@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 from types import SimpleNamespace
 
@@ -234,6 +235,22 @@ def test_projections_match_closed_form(params, backend, sched):
     assert float(np.max(np.abs(tr.beta2 - MIXED.beta2 * closed))) <= tol
     assert float(np.max(np.abs(tr.norm_defect))) <= tol
     assert float(np.max(np.abs(tr.beta1 - MIXED.beta1))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0.5, -cmath.exp(0.3j)],
+                         ids=["half-slope", "pulse-phase-error"])
+def test_general_end_map_refused_by_quadrature(case1, k):
+    # the augmented backend scales the history by any k and follows the
+    # closed form; the quadrature weights carry only the sign and the zero
+    # of k (0.125 off at k = 0.5), so that backend refuses it
+    sched = _on_cycle(TAU, ((TAU, 0.0, k),))
+    cfg, tol = _BACKENDS["augmented"]
+    tr = ps.integrate(case1, sched, 1.0, cfg, state0=MIXED)
+    closed = np.array(ps.transfer.evaluate(
+        tr.times, case1, sched.cycle, lambda x, *_: x))
+    assert float(np.max(np.abs(tr.beta2 - MIXED.beta2 * closed))) <= tol
+    with pytest.raises(ps.ConfigError, match="k of -1, 0 or 1 only"):
+        ps.integrate(case1, sched, 1.0, _BACKENDS["quadrature"][0])
 
 
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))

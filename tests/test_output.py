@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 import parityshield as ps
 from parityshield.cli import main
-from parityshield.output import _fixed2, read_csv, render_svg, write_csv
+from parityshield.output import (_KERNEL_ROWS, _fixed2, _float_text, _joined,
+                                 read_csv, render_svg, write_csv)
 
 
 @pytest.fixture()
@@ -91,6 +93,18 @@ def test_csv_refuses_line_break_in_metadata(tmp_path, small_table, key,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [None, "x"], ids=["none", "text"])
+def test_csv_leaves_no_partial_file(tmp_path, bad):
+    # the bad cell sits in the second block of rows, after the first is
+    # written
+    column = [0.5] * 20000
+    column[15000] = bad
+    path = tmp_path / "probe.csv"
+    with pytest.raises((TypeError, ValueError)):
+        write_csv(path, {"run_id": "probe"}, ["t"], [column])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("run_id", ["x  ", "  x", " x y\t"],
                          ids=["trailing", "leading", "both"])
 def test_metadata_value_whitespace_kept(tmp_path, small_table, run_id):
@@ -147,7 +161,10 @@ def _reference_csv(metadata, header, rows) -> str:
     lambda: ps.compute_trace(ps.build_scenario("fig3")),
     lambda: ps.run_sweep({"tau": "0.1,0.2", "n_duty": "20,10"}),
     lambda: ps.run_sweep({}),
-], ids=["fig3", "sweep-int-axis", "empty-sweep"])
+    # tags that are not ASCII, in a table long enough for the byte matrices
+    lambda: ps.EvolutionTrace(["t", "segment"], [
+        [0.5] * _KERNEL_ROWS, ["naïve", "free"] * (_KERNEL_ROWS // 2)], {}),
+], ids=["fig3", "sweep-int-axis", "empty-sweep", "non-ascii-tags"])
 def test_csv_matches_per_row_writer(tmp_path, make):
     trace = make()
     path = tmp_path / "t.csv"
@@ -294,6 +311,101 @@ def test_fixed2_on_ties_and_near_ties():
     assert _fixed2_text([30.045, 0.015, 0.125]) == ["30.05", "0.01", "0.12"]
 
 
+def _float_text_cells(values) -> list[str]:
+    return _joined([_float_text(list(values), "\n")]).decode().split("\n")[:-1]
+
+
+@given(st.lists(st.one_of(
+    st.floats(),
+    st.floats(1e-6, 1e16),
+    st.floats(1e-6, 1e-4),
+    # 17 significant digits whose last is 5: next to a 16-digit tie
+    st.builds(lambda n, e: (10 * n + 5) * 10.0 ** e,
+              st.integers(10 ** 15, 10 ** 16 - 1), st.integers(-22, -1))),
+    min_size=1))
+def test_float_text_is_repr(values):
+    assert _float_text_cells(values) == [repr(v) for v in values]
+
+
+def _near_ties() -> np.ndarray:
+    # every power of two and of ten around the kernel's range with both
+    # float neighbours; exact decimal ties n + i / 2**j, whose j decimals
+    # end in 5, with 17 significant digits (a 16-digit tie, inside the
+    # rounding interval where the float gap is wide enough) or 18 (a
+    # 17-digit tie); and the named cases: 99152220474451.375 is a 16-digit
+    # tie that goes to the even ...38, and fl(v 10**20) rounds onto 1e16
+    # for v just below 1e-4, whose exact P needs 10**21
+    rng = np.random.default_rng(15)
+    powers = np.concatenate([2.0 ** np.arange(-22, 56),
+                             [float(f"1e{e}") for e in range(-7, 18)]])
+    ties = []
+    for j in range(1, 8):
+        for digits in (17 - j, 18 - j):
+            lo, hi = 10 ** (digits - 1), min(10 ** digits, 2 ** (53 - j))
+            n = rng.integers(lo, hi, 2000) if lo < hi else []
+            i = rng.integers(0, 2 ** (j - 1), len(n))
+            ties.append(n + (2 * i + 1) / 2 ** j)
+    return np.concatenate([powers, np.nextafter(powers, 0),
+                           np.nextafter(powers, np.inf), *ties,
+                           [99152220474451.375, np.nextafter(1e-4, 0)]])
+
+
+def test_float_text_on_ties_and_near_ties():
+    values = _near_ties().tolist()
+    assert _float_text_cells(values) == [repr(v) for v in values]
+    assert _float_text_cells([99152220474451.375, np.nextafter(1e-4, 0)]) == [
+        "99152220474451.38", "9.999999999999999e-05"]
+
+
+@pytest.fixture(scope="module")
+def long_trace(tmp_path_factory):
+    """The CLI's CSV of the benchmark's long trace, and its trace."""
+    schedules = "none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)|dd-finite(0.2,20)"
+    path = tmp_path_factory.mktemp("long") / "trace.csv"
+    assert main(["custom", "--schedules", schedules, "--t-max", "20",
+                 "--lambda", "2.546", "--omega", "1.444",
+                 "--out", str(path)]) == 0
+    return path, ps.compute_trace(ps.build_scenario("custom", {
+        "schedules": schedules, "t_max": "20", "lam": "2.546",
+        "omega": "1.444"}))
+
+
+def test_long_cli_csv_matches_per_row_writer(long_trace):
+    path, trace = long_trace
+    free = np.array(trace.column("F_free"))
+    # the kernel's exponent form, repr's zeros and the block seams
+    assert len(free) == 40001 and free.min() < 1e-4 and 0.0 in trace.column(
+        "t")
+    assert path.read_text() == _reference_csv(trace.metadata, trace.header,
+                                              trace.rows)
+
+
+@pytest.mark.parametrize("rows", [_KERNEL_ROWS - 1, _KERNEL_ROWS],
+                         ids=["repr-per-cell", "kernel"])
+def test_csv_either_side_of_kernel_cutoff(tmp_path, long_trace, rows):
+    _, trace = long_trace
+    columns = [column[-rows:] for column in trace.columns]
+    path = tmp_path / "t.csv"
+    write_csv(path, trace.metadata, trace.header, columns)
+    assert path.read_text() == _reference_csv(trace.metadata, trace.header,
+                                              list(zip(*columns)))
+
+
+def test_csv_memory_stays_below_twice_the_file(tmp_path, long_trace):
+    # the rows go out in blocks; holding the whole text at once took 2.5
+    # times the file (10.5 MiB for 4.2 MiB)
+    _, trace = long_trace
+    path = tmp_path / "t.csv"
+    write_csv(path, trace.metadata, trace.header, trace.columns)
+    tracemalloc.start()
+    try:
+        write_csv(path, trace.metadata, trace.header, trace.columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
+
+
 def test_svg_rejects_non_numeric_cell(tmp_path):
     csv_path = tmp_path / "probe.csv"
     csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n"
@@ -328,19 +440,25 @@ def test_svg_parse_accepts_what_csv_reader_accepted(tmp_path, small_table):
             == (tmp_path / "clean.svg").read_bytes())
 
 
-@pytest.mark.parametrize("rows, reason", [
-    ("", "at least two data rows"),
-    ("0.0,1.0,1.0,free\n", "at least two data rows"),
-    ("0.5,1.0,1.0,free\n0.5,0.9,0.99,free\n", "spans no time"),
-    ("0.0,1.0,1.0,free\n0.5,nan,0.99,free\n", "not a finite number"),
-    ("0.0,1.0,1.0,free\n0.5,0.9,-inf,free\n", "not a finite number"),
-    ("-1e308,1.0,1.0,free\n1e308,0.9,0.99,free\n", "too long a time"),
-    ("0.0,1e308,1.0,free\n0.5,-1e308,0.99,free\n", "too wide a value range"),
+_HEADER = "t,F_free,F_dd,segment\n"
+
+
+@pytest.mark.parametrize("table, reason", [
+    (_HEADER, "at least two data rows"),
+    (_HEADER + "0.0,1.0,1.0,free\n", "at least two data rows"),
+    (_HEADER + "0.5,1.0,1.0,free\n0.5,0.9,0.99,free\n", "spans no time"),
+    (_HEADER + "0.0,1.0,1.0,free\n0.5,nan,0.99,free\n", "not a finite number"),
+    (_HEADER + "0.0,1.0,1.0,free\n0.5,0.9,-inf,free\n", "not a finite number"),
+    (_HEADER + "-1e308,1.0,1.0,free\n1e308,0.9,0.99,free\n",
+     "too long a time"),
+    (_HEADER + "0.0,1e308,1.0,free\n0.5,-1e308,0.99,free\n",
+     "too wide a value range"),
+    ("t,F_free,F_free\n0.0,1.0,0.5\n1.0,0.9,0.4\n", "duplicate column name"),
 ], ids=["header-only", "one-row", "zero-time-span", "nan", "-inf",
-        "time-span-overflow", "value-span-overflow"])
-def test_svg_refuses_unplottable_table(tmp_path, rows, reason):
+        "time-span-overflow", "value-span-overflow", "duplicate-name"])
+def test_svg_refuses_unplottable_table(tmp_path, table, reason):
     csv_path = tmp_path / "probe.csv"
-    csv_path.write_text("# run_id=probe\nt,F_free,F_dd,segment\n" + rows)
+    csv_path.write_text("# run_id=probe\n" + table)
     with pytest.raises(ps.ConfigError, match=reason):
         render_svg(csv_path, tmp_path / "probe.svg")
     assert not (tmp_path / "probe.svg").exists()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import cmath
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,17 +190,41 @@ def test_first_free_segment_matches_free_decay(case1, sched10):
         assert value == pytest.approx(ps.free_survival(t, case1), abs=1e-12)
 
 
+def test_undriven_complex_end_map_refused(case1):
+    # an undriven cycle's survival is taken real, which would drop Im x
+    # (5.6e-3 at t = 1 for a pulse with a 0.3 rad phase error); fidelity
+    # keeps the complex x, and a real k other than -1, 0, 1 stays real
+    def on_cycle(k):
+        return SimpleNamespace(cycle=ps.transfer.Cycle(0.1, ((0.1, 0.0, k),)))
+    times = [0.25, 1.0]
+    sched = on_cycle(-cmath.exp(0.3j))
+    with pytest.raises(ps.ConfigError, match="real segment ends k only"):
+        ps.survival(times, sched, case1)
+    with pytest.raises(ps.ConfigError, match="real segment ends k only"):
+        ps.coefficients(3, sched, case1)
+    x = np.array(ps.transfer.evaluate(times, case1, sched.cycle,
+                                      lambda x, *_: x))
+    assert np.max(np.abs(x.imag)) > 1e-3
+    state = ps.OddParityState(0.6, 0.8)
+    assert ps.fidelity(state, times, sched, case1) == pytest.approx(
+        np.abs(0.36 + 0.64 * x), abs=1e-15)
+    half = on_cycle(0.5)
+    assert ps.survival(times, half, case1) == np.array(ps.transfer.evaluate(
+        times, case1, half.cycle, lambda x, *_: x)).real.tolist()
+
+
 def test_negative_time_rejected(case1, sched10):
     with pytest.raises(ps.ParameterError):
         ps.finite_dd_survival(-0.1, sched10, case1)
 
 
 
-@pytest.mark.parametrize("s", [1e-10, 1e-50, 1e-100, 1e-150, 2.0 ** -498])
+@pytest.mark.parametrize("s", [1e-10, 1e-50, 1e-100, 1e-150, 2.0 ** -498,
+                               2.0 ** -511])
 @pytest.mark.parametrize("lam, rate", [(2.0, 0.5), (2.0, 1.0), (1.0, 3.0)],
                          ids=["overdamped", "critical", "underdamped"])
 def test_survival_is_scale_invariant(lam, rate, s):
-    # x depends on lam t, R t and t / tau only; down to s = 1e-150 the
+    # x depends on lam t, R t and t / tau only; down to s = 2**-511 the
     # square of each rate is a normal float (below that a pair is refused)
     times = [0.0, 0.37, 1.0, 2.5]
 
