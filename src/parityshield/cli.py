@@ -3,8 +3,8 @@
 Subcommands map onto the canonical comparison runs (fig1, fig2, fig3), a
 free-form run (custom), parameter sweeps (sweep), and the closed-form vs
 integrator check suite (validate).  Every run writes a CSV table first and
-renders the SVG strictly from that CSV, so plots can always be regenerated
-from shipped data alone.
+draws the SVG from the columns written, which the file reads back as bit
+for bit, so output.render_svg replots a shipped CSV to the same SVG.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 a physics
 ordering or validation check failed.
@@ -104,7 +104,7 @@ def _run_scenario(args) -> int:
     trace = compute_trace(cfg)
     csv_path, svg_path = _out_paths(args, scenario)
     write_csv(csv_path, trace.metadata, trace.header, trace.columns)
-    render_svg(csv_path, svg_path)
+    render_svg(trace, svg_path)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     # outputs land on disk before the ordering gate so a failed check

@@ -3,8 +3,8 @@
 CSV files carry `#`-prefixed metadata lines (parameters, code version, grid
 settings, an overridable run id; never a timestamp), then a header row, then
 data rows.  Two runs with the same configuration produce byte-identical
-files.  The SVG renderer consumes only a CSV file, so plots can never
-disagree with the exported data.
+files.  The SVG plots the values a CSV holds, read from the file or taken
+from the columns just written, which its shortest round-trip cells keep.
 
 Numbers become text a whole column at once: each value is a row of ASCII
 bytes in a uint8 matrix, with a mask of the bytes to keep, and the kept
@@ -92,9 +92,9 @@ _SPANS = ((np.arange(38) >= np.arange(38)[:, None, None])
 
 
 def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
-              columns: list[list]) -> None:
+              columns: list) -> None:
     """Write metadata comments, a header row, and one data row per index
-    of the columns (one list per header name, in header order).
+    of the columns (one list or array per header name, in header order).
 
     A column whose first value is a string holds tags, written as they
     are; every other column is written with repr(float(v)), the shortest
@@ -126,7 +126,7 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
         raise
 
 
-def _rows_text(block: list[list], tags: list[bool], kernel: bool) -> str:
+def _rows_text(block: list, tags: list[bool], kernel: bool) -> str:
     """The CSV rows of a block of columns: from byte matrices if kernel,
     else joined from repr per cell."""
     if not kernel:
@@ -142,7 +142,7 @@ def _repr_text(cells):
     return map(repr, map(float, cells))
 
 
-def _tag_text(cells: list[str], tail: str) -> tuple[np.ndarray, np.ndarray]:
+def _tag_text(cells, tail: str) -> tuple[np.ndarray, np.ndarray]:
     """Each tag + tail as a row of UTF-8 bytes, with the mask of its bytes."""
     try:
         text = np.array(cells, "S")
@@ -166,7 +166,7 @@ def _float_text(cells, tail: str) -> tuple[np.ndarray, np.ndarray]:
     repr's text, left-aligned.  The rows are cut to the bytes that some
     row keeps, and the tail follows.
     """
-    values = np.fromiter(cells, float, len(cells))
+    values = np.asarray(cells, float)
     n = len(values)
     # float(1e-6) lies below 10**-6, where no exact 10**s reaches 1e16
     kernel = (values > 1e-6) & (values < 1e16)
@@ -354,50 +354,58 @@ def _fixed2(values: np.ndarray, tail: str) -> tuple[np.ndarray, np.ndarray]:
     return chars, keep
 
 
-def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
-    """Render the fidelity columns of a CSV file as an 800x500 line chart.
+def render_svg(source, svg_path: str | Path) -> None:
+    """Render the fidelity columns of a table as an 800x500 line chart.
 
-    Every column but `segment` is plotted against `t`.  The metadata and
-    header are read as read_csv reads them; the data rows go to one
-    np.loadtxt call.  A duplicate column name, a missing or non-finite
-    cell, fewer than two rows, a zero time span or a time or padded value
-    span that overflows raise ConfigError, so every coordinate lies on the
-    canvas, where _fixed2 writes its text.
+    source is a CSV file, or has the header, columns and metadata that
+    write_csv was given (as an EvolutionTrace has), plotted as the file
+    write_csv makes of them.  Every column but `segment` is plotted against
+    `t`.  A file's metadata and header are read as read_csv reads them; its
+    data rows go to one np.loadtxt call.  A duplicate column name, a missing
+    or non-finite cell, fewer than two rows, a zero time span or a time or
+    padded value span that overflows raise ConfigError, so every coordinate
+    lies on the canvas, where _fixed2 writes its text.
     """
+    if hasattr(source, "columns"):
+        return _plot("the table", source.metadata, source.header, svg_path,
+                     lambda usecols: np.column_stack([np.asarray(
+                         source.columns[i], float) for i in usecols]))
     metadata: dict[str, str] = {}
-    with open(csv_path, newline="") as fh:
+    with open(source, newline="") as fh, warnings.catch_warnings():
+        # an empty remainder is refused in _plot, not warned about
+        warnings.simplefilter("ignore", UserWarning)
         # the row iterator is lazy, so fh now stands just past the header
-        header, _ = _table(fh, csv_path, metadata)
-        names = [name for name in header if name != "segment"]
-        # series are keyed by name: of two columns with one name, one
-        # would go unplotted
-        if len(set(header)) < len(header):
-            raise ConfigError(f"{csv_path} has a duplicate column name")
-        if "t" not in names or len(names) < 2:
-            raise ConfigError(
-                f"{csv_path} has no plottable time/fidelity columns")
-        try:
-            # an empty remainder is refused below, not warned about
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2,
-                                  usecols=[header.index(n) for n in names])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{csv_path} has a missing or non-numeric cell") from exc
+        header, _ = _table(fh, source, metadata)
+        _plot(source, metadata, header, svg_path, lambda usecols: np.loadtxt(
+            fh, delimiter=",", quotechar='"', ndmin=2, usecols=usecols))
+
+
+def _plot(label, metadata, header, svg_path, load) -> None:
+    """render_svg's chart of the rows that load(column indices) gives."""
+    names = [name for name in header if name != "segment"]
+    # series are keyed by name: of two same-named columns one would go unplotted
+    if len(set(header)) < len(header):
+        raise ConfigError(f"{label} has a duplicate column name")
+    if "t" not in names or len(names) < 2:
+        raise ConfigError(f"{label} has no plottable time/fidelity columns")
+    try:
+        data = load([header.index(name) for name in names])
+    except ValueError as exc:
+        raise ConfigError(
+            f"{label} has a missing or non-numeric cell") from exc
     if len(data) < 2:
-        raise ConfigError(f"{csv_path} needs at least two data rows to plot")
+        raise ConfigError(f"{label} needs at least two data rows to plot")
     if not np.isfinite(data).all():
-        raise ConfigError(f"{csv_path} has a cell that is not a finite number")
+        raise ConfigError(f"{label} has a cell that is not a finite number")
     series = dict(zip(names, data.T))
     t = series.pop("t")
 
     x_lo, x_hi = float(t.min()), float(t.max())
     if x_hi == x_lo:
-        raise ConfigError(f"{csv_path} spans no time: every t is {x_lo}")
+        raise ConfigError(f"{label} spans no time: every t is {x_lo}")
     if not math.isfinite(x_hi - x_lo):
         raise ConfigError(
-            f"{csv_path} spans too long a time to plot: t from {x_lo} "
+            f"{label} spans too long a time to plot: t from {x_lo} "
             f"to {x_hi}")
     y_lo = float(min(values.min() for values in series.values()))
     y_hi = float(max(values.max() for values in series.values()))
@@ -406,7 +414,7 @@ def render_svg(csv_path: str | Path, svg_path: str | Path) -> None:
     y_hi += pad
     if not math.isfinite(y_hi - y_lo):
         raise ConfigError(
-            f"{csv_path} spans too wide a value range to plot: padded, "
+            f"{label} spans too wide a value range to plot: padded, "
             f"{y_lo} to {y_hi}")
 
     plot_w = _CANVAS_W - _MARGIN_L - _MARGIN_R

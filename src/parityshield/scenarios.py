@@ -266,10 +266,11 @@ def load_config(path) -> dict[str, dict[str, str]]:
 # ---------------------------------------------------------------------------
 # time grid and trace assembly
 
-def time_grid(cfg: ScenarioConfig) -> list[float]:
+def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     """Uniform samples up to t_max, t_max, and every segment end up to t_max
-    of every cycle starting by t_max; strictly increasing.  A grid counted
-    (in float, before any of it is built) past _MAX_GRID_POINTS is refused."""
+    of every cycle starting by t_max; a strictly increasing array.  A grid
+    counted (in float, before any of it is built) past _MAX_GRID_POINTS is
+    refused."""
     spu, t_max = cfg.samples_per_unit_time, cfg.t_max
     cycles = [astuple(s.cycle) for s in cfg.schedules if s is not None]
     count = t_max * spu + sum((t_max / period + 1.0) * len(segments)
@@ -289,24 +290,26 @@ def time_grid(cfg: ScenarioConfig) -> list[float]:
         ends = np.concatenate([(m1 + 1.0) * period,
                                *(m1 * period + e for e in inner)])
         parts.append(np.minimum(ends[ends <= t_max + _MERGE_TOL], t_max))
-    candidates = np.sort(np.concatenate(parts)).tolist()
-    grid = [candidates[0]]
-    for t in candidates[1:]:
-        if t - grid[-1] > _MERGE_TOL:
-            grid.append(t)
-    return grid
+    candidates = np.sort(np.concatenate(parts))
+    # a point past a gap over tol is kept (rounding is monotone); walk the rest
+    keep = np.append(True, np.diff(candidates) > _MERGE_TOL)
+    for j in np.flatnonzero(~keep).tolist():
+        if keep[j - 1]:
+            last = candidates[j - 1]
+        keep[j] = candidates[j] - last > _MERGE_TOL
+    return candidates[keep]
 
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Result table with metadata: one list per header name, in header
-    order, ready for CSV export."""
+    """Result table with metadata: one column per header name, in header
+    order, ready for CSV export; arrays in a trace, lists in a sweep."""
 
     header: list[str]
-    columns: list[list]
+    columns: list
     metadata: dict[str, str]
 
-    def column(self, name: str) -> list:
+    def column(self, name: str):
         return self.columns[self.header.index(name)]
 
     @property
@@ -335,15 +338,15 @@ def _trace_metadata(cfg: ScenarioConfig) -> dict[str, str]:
 
 def _require_unit_interval(name: str, values) -> None:
     """StateError naming the column unless every fidelity is in [0, 1]."""
-    array = np.array(values)
+    array = np.asarray(values)
     bad = ~((0.0 <= array) & (array <= 1.0))
     if np.count_nonzero(bad):
         raise StateError(f"{name} left the unit interval: "
                          f"worst value {np.max(array[bad])}")
 
 
-def _fidelity(state: OddParityState, t, sched, params):
-    """(fidelity, tags or None) under sched (one cell or a batch) at t."""
+def _fidelity(state: OddParityState, t: np.ndarray, sched, params):
+    """(fidelity, tags or None) arrays under sched (one cell or a batch)."""
     # each name is transfer.fidelity under its schedule, but the benchmark's
     # tracer counts calls (one per trace or sweep column) per name bound
     # here, and tests/test_benchmark_tracer requires each counter
@@ -354,8 +357,7 @@ def _fidelity(state: OddParityState, t, sched, params):
         return zeno_fidelity(state, t, sched, params), None
     if isinstance(kind, DdSchedule):
         return dd_fidelity(state, t, sched, params), None
-    pairs = finite_dd_fidelity(state, t, sched, params)
-    return tuple(zip(*pairs)) if np.ndim(t) else pairs
+    return finite_dd_fidelity(state, t, sched, params)
 
 
 def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
@@ -363,8 +365,8 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
 
     Columns follow the kind table's order, finite pulses by duty parameter.
     """
-    grid = np.array(time_grid(cfg))
-    header, columns = ["t"], [grid.tolist()]
+    grid = time_grid(cfg)
+    header, columns = ["t"], [grid]
     # a sample counts as free only if it is free for every finite schedule
     # present; comparisons are restricted to those points
     in_pulse = None
@@ -374,20 +376,18 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
                 + str(getattr(sched, "n_duty", "")))
         values, tags = _fidelity(cfg.initial_state, grid, sched, cfg.params)
         if tags is not None:
-            tagged = np.array(tags, dtype=object) == IN_PULSE_SEGMENT
+            tagged = tags == IN_PULSE_SEGMENT
             in_pulse = tagged if in_pulse is None else in_pulse | tagged
         if name in header:
             raise ConfigError(f"duplicate column {name}: "
                               f"{format_schedule(sched)}")
         _require_unit_interval(name, values)
         header.append(name)
-        columns.append(list(values))
+        columns.append(values)
 
     if in_pulse is not None:
-        segment = np.full(grid.shape, FREE_SEGMENT, dtype=object)
-        segment[in_pulse] = IN_PULSE_SEGMENT
         header.append("segment")
-        columns.append(segment.tolist())
+        columns.append(np.where(in_pulse, IN_PULSE_SEGMENT, FREE_SEGMENT))
     return EvolutionTrace(header, columns, _trace_metadata(cfg))
 
 
@@ -402,32 +402,30 @@ def check_fig2_ordering(trace: EvolutionTrace) -> None:
                  for sched in map(parse_schedule,
                                   trace.metadata["schedules"].split("|"))
                  if sched is not None)
-    t = trace.column("t")
-    f_dd = trace.column("F_dd")
-    f_zeno = trace.column("F_zeno")
-    f_free = trace.column("F_free")
-    for i, ti in enumerate(t):
-        if ti <= period + _MERGE_TOL:
-            continue
-        strict = ti > 2.0 * period + _MERGE_TOL
-        floor = 1e-6 if strict else -1e-12
-        if f_dd[i] - f_zeno[i] < floor or f_zeno[i] - f_free[i] < floor:
-            raise ValidationFailure(
-                f"protocol ordering violated at t={ti}: "
-                f"F_dd={f_dd[i]}, F_zeno={f_zeno[i]}, F_free={f_free[i]}")
+    t, f_dd, f_zeno, f_free = (np.asarray(trace.column(name), float)
+                               for name in ("t", "F_dd", "F_zeno", "F_free"))
+    floor = np.where(t > 2.0 * period + _MERGE_TOL, 1e-6, -1e-12)
+    bad = ~(t <= period + _MERGE_TOL) & ((f_dd - f_zeno < floor)
+                                        | (f_zeno - f_free < floor))
+    if np.count_nonzero(bad):
+        i = np.argmax(bad)
+        raise ValidationFailure(
+            f"protocol ordering violated at t={float(t[i])}: "
+            f"F_dd={float(f_dd[i])}, F_zeno={float(f_zeno[i])}, "
+            f"F_free={float(f_free[i])}")
 
 
 def check_fig3_ordering(trace: EvolutionTrace) -> None:
     """Terminal ordering: free decay, then finite-duration curves in
     increasing duty parameter, then the instantaneous curve, evaluated at
     the last free-segment sample."""
-    seg = trace.column("segment")
-    idx = max(i for i, s in enumerate(seg) if s == FREE_SEGMENT)
-    t = trace.column("t")[idx]
+    idx = np.flatnonzero(
+        np.asarray(trace.column("segment")) == FREE_SEGMENT)[-1]
+    t = float(trace.column("t")[idx])
     finite_names = sorted((n for n in trace.header if n.startswith("F_ddN")),
                           key=lambda n: int(n[5:]))
     chain = ["F_free", *finite_names, "F_dd"]
-    values = [(name, trace.column(name)[idx]) for name in chain]
+    values = [(name, float(trace.column(name)[idx])) for name in chain]
     for (name_lo, lo), (name_hi, hi) in zip(values, values[1:]):
         if lo > hi + 1e-12:
             raise ValidationFailure(
@@ -493,8 +491,9 @@ def run_sweep(options: dict[str, str],
     # one schedule per cell and kind; free decay is None for every cell
     scheds = [list(map(kind.cls, *(cells[key] for key in kind.keys)))
               if kind.keys else None for kind in kinds]
-    columns = [cells[key] for key in axes] + [
-        _fidelity(state, cells["t_max"], sched, params)[0] for sched in scheds]
-    for name, column in zip(header[len(axes):], columns[len(axes):]):
+    fidelities = [_fidelity(state, np.array(cells["t_max"]), sched, params)[0]
+                  for sched in scheds]
+    for name, column in zip(header[len(axes):], fidelities):
         _require_unit_interval(name, column)
-    return EvolutionTrace(header, [list(c) for c in columns], metadata)
+    return EvolutionTrace(header, [cells[key] for key in axes] + [
+        column.tolist() for column in fidelities], metadata)

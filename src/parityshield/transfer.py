@@ -282,11 +282,11 @@ def cycle_start(m: int, params: ModelParams,
 def evaluate(t, params, cycle, value):
     """value(x, x', segment index, time into segment) at each requested time.
 
-    params and cycle are one cell or a batch (see _segments); t is a float
-    or a sequence (or array) of times in any order, one per cell in a batch.
-    value takes arrays and returns an array or a tuple of arrays.  One cell
-    at a float gives one Python value (or tuple), else a list, each
-    bit-identical alone.  Every cycle starts from x = 1, x' = 0.
+    params and cycle are one cell or a batch (see _segments); t is a float,
+    sequence or ndarray of times in any order, one per cell in a batch.
+    value maps arrays to an array or a tuple of arrays: given as they are
+    for an ndarray t, as a Python value (or tuple) for a float, else a list
+    (of tuples), each bit-identical alone.  Cycles start at x = 1, x' = 0.
     """
     # a float becomes a 0-d array: it has no shape buffer, so a single-time
     # call leaves nothing behind in numpy's small-buffer cache
@@ -313,6 +313,8 @@ def evaluate(t, params, cycle, value):
             xd = np.where(own & (theta >= length - _GRID_FUZZ * period),
                           end * xd, xd)
     out = value(x, xd, k, theta)
+    if isinstance(t, np.ndarray):
+        return out
     if not isinstance(out, tuple):
         return np.asarray(out).tolist()
     columns = [np.asarray(column).tolist() for column in out]
@@ -503,15 +505,15 @@ def _drive(sched):
 def survival(t, sched, params):
     """Superradiant survival factor after time t under sched (None: free).
 
-    t is a float or a sequence of times, giving a list; sched and params
-    may be matching batches of cells (see evaluate).  The values are
-    real unless a segment is driven; then they come in (amplitude, tag)
-    pairs, tagged "in_pulse" on a driven segment and "free" elsewhere.  The
-    exact pi phase of each completed window is common to the whole
-    single-excitation sector and absorbed, so free-segment values line up
-    cycle to cycle; inside a window the amplitude carries its segment's
-    partial drive phase exp(-i rate into).  An undriven cycle whose end
-    map k is not real is refused with ConfigError.
+    t is a float, a sequence (giving a list) or an ndarray (an array); sched
+    and params may be matching batches of cells (see evaluate).  Values are
+    real unless a segment is driven; then they are (amplitude, tag) pairs,
+    or one (amplitudes, tags) pair of arrays, tagged "in_pulse" on a driven
+    segment and "free" elsewhere.  The exact pi phase of each completed
+    window is common to the whole single-excitation sector and absorbed, so
+    free-segment values line up cycle to cycle; inside a window the
+    amplitude carries its segment's partial drive phase exp(-i rate into).
+    An undriven cycle whose end map k is not real is refused with ConfigError.
     """
     cycle, drive = _drive(sched)
     if drive is None:

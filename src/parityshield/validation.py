@@ -213,11 +213,9 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
                              (20, "finite_map_vs_oracle_n20")):
             sched_f = FinitePulseSchedule(_CASE2_TAU, n_duty)
             tr_f = integrate_finite(params, sched_f, 1.0, cfg_fast)
-            values, tags = zip(*finite_dd_survival(tr_f.times, sched_f,
-                                                  params))
+            values, tags = finite_dd_survival(tr_f.times, sched_f, params)
             # np.hypot rounds as Python's abs; np.abs can be an ulp off
-            d = (tr_f.beta2 - np.array(values))[
-                np.array(tags, object) == FREE_SEGMENT]
+            d = (tr_f.beta2 - values)[tags == FREE_SEGMENT]
             check(name, float(np.max(np.hypot(d.real, d.imag))))
 
     # amplitude modulus continuous across window edges
@@ -245,14 +243,13 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     state = OddParityState.superradiant()
     sched_i = DdSchedule(_CASE2_TAU)
     ts = np.linspace(0.0, 1.0, 501)
-    inst = np.array(dd_survival(ts, sched_i, params))
-    inst_mod = np.hypot(inst.real, inst.imag)
+    inst_mod = np.abs(dd_survival(ts, sched_i, params))
     devs = {}
     for n_duty in (10, 20, 40, 80, 10000):
         sched_n = FinitePulseSchedule(_CASE2_TAU, n_duty)
-        fids, tags = zip(*finite_dd_fidelity(state, ts, sched_n, params))
-        devs[n_duty] = float(np.max(np.abs(np.array(fids) - inst_mod)[
-            np.array(tags, object) == FREE_SEGMENT]))
+        fids, tags = finite_dd_fidelity(state, ts, sched_n, params)
+        devs[n_duty] = float(np.max(np.abs(fids - inst_mod)[
+            tags == FREE_SEGMENT]))
     check("finite_instantaneous_limit", devs[10000])
     drops = [devs[a] - devs[b] for a, b in ((10, 20), (20, 40), (40, 80))]
     check("finite_limit_monotone_in_n", min(drops), ">=")

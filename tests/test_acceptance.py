@@ -121,8 +121,8 @@ def test_criterion_06_finite_pulse_map_vs_oracle():
     for n in (10, 20):
         sched = ps.FinitePulseSchedule(TAU2, n)
         tr = ps.integrate_finite(CASE1, sched, 1.0, cfg)
-        closed = ps.finite_dd_survival(tr.times, sched, CASE1)
-        for t, b2, (value, _) in zip(tr.times, tr.beta2, closed):
+        closed, _ = ps.finite_dd_survival(tr.times, sched, CASE1)
+        for t, b2, value in zip(tr.times, tr.beta2, closed):
             if sched.segment_of(float(t))[0] != ps.FREE_SEGMENT:
                 continue
             worst = max(worst, abs(complex(b2) - value))

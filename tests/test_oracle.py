@@ -117,9 +117,9 @@ def test_interval_longer_than_horizon_reduces_to_free(case1, cfg_aug,
 def _free_segment_gap(params, sched, cfg):
     """Largest |oracle - closed form| over the samples tagged free."""
     tr = ps.integrate(params, sched, 1.0, cfg)
-    closed = ps.survival(tr.times, sched, params)
+    closed, tags = ps.survival(tr.times, sched, params)
     return max(abs(complex(b2) - value)
-               for b2, (value, tag) in zip(tr.beta2, closed)
+               for b2, value, tag in zip(tr.beta2, closed, tags)
                if tag == ps.FREE_SEGMENT)
 
 
@@ -386,8 +386,8 @@ def test_closed_forms_match_coarse_oracle(lam, ratio, n_duty):
     tau = 50 * n_duty * _COARSE_DT
     finite = ps.FinitePulseSchedule(tau, n_duty)
     tr = ps.integrate(p, finite, 3 * tau, cfg)
-    gap = max(abs(complex(b2) - value) for b2, (value, tag) in
-              zip(tr.beta2, ps.finite_dd_survival(tr.times, finite, p))
+    gap = max(abs(complex(b2) - value) for b2, value, tag in
+              zip(tr.beta2, *ps.finite_dd_survival(tr.times, finite, p))
               if tag == ps.FREE_SEGMENT)
     assert gap < 1e-6
     dd = ps.DdSchedule(tau)
@@ -683,9 +683,9 @@ def _worst_free_segment_gap(params, sched, t_max):
     cfg = ps.OracleConfig(dt_num=1e-4, method_order=4,
                           history_mode=ps.EXACT_AUGMENTED)
     tr = ps.integrate_finite(params, sched, t_max, cfg)
-    closed = ps.finite_dd_survival(tr.times, sched, params)
+    closed, tags = ps.finite_dd_survival(tr.times, sched, params)
     return max(abs(complex(b2) - value)
-               for b2, (value, tag) in zip(tr.beta2, closed)
+               for b2, value, tag in zip(tr.beta2, closed, tags)
                if tag == ps.FREE_SEGMENT)
 
 

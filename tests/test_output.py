@@ -287,6 +287,39 @@ def test_svg_of_the_cli_matches_per_point_renderer(tmp_path):
     assert svg == _reference_svg(csv_path)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["fig1"], 0), (["fig2"], 0), (["fig3"], 2),
+    (["custom", "--schedules", "none|zeno(0.1)|dd-finite(0.2,20)",
+      "--t-max", "0.4", "--run-id", "a <b> & c"], 0),
+], ids=["fig1", "fig2", "fig3", "custom"])
+def test_cli_svg_is_the_csv_replotted(tmp_path, argv, code):
+    # the CLI plots the columns it has just written; the file replots the
+    # same, byte for byte (fig3 fails its ordering check after writing)
+    csv_path = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(csv_path)]) == code
+    render_svg(csv_path, tmp_path / "replot.svg")
+    assert ((tmp_path / "run.svg").read_bytes()
+            == (tmp_path / "replot.svg").read_bytes())
+
+
+@pytest.mark.parametrize("options", [
+    {"scenario": "fig3"},
+    # under _KERNEL_ROWS rows, so repr per cell
+    {"scenario": "custom", "schedules": "none|dd-finite(0.2,10)",
+     "t_max": "0.3"},
+], ids=["fig3", "short-custom"])
+def test_csv_of_array_columns_matches_lists(tmp_path, options):
+    options = dict(options)
+    trace = ps.compute_trace(ps.build_scenario(options.pop("scenario"),
+                                               options))
+    assert all(isinstance(c, np.ndarray) for c in trace.columns)
+    arrays, lists = tmp_path / "arrays.csv", tmp_path / "lists.csv"
+    write_csv(arrays, trace.metadata, trace.header, trace.columns)
+    write_csv(lists, trace.metadata, trace.header,
+              [column.tolist() for column in trace.columns])
+    assert arrays.read_bytes() == lists.read_bytes()
+
+
 def _fixed2_text(values) -> list[str]:
     chars, keep = _fixed2(np.asarray(values, dtype=float), " ")
     return chars[keep].tobytes().decode().split()
@@ -461,4 +494,11 @@ def test_svg_refuses_unplottable_table(tmp_path, table, reason):
     csv_path.write_text("# run_id=probe\n" + table)
     with pytest.raises(ps.ConfigError, match=reason):
         render_svg(csv_path, tmp_path / "probe.svg")
+    # the same table in memory, numbers as floats, is refused alike
+    metadata, header, rows = read_csv(csv_path)
+    columns = [[row[i] if name == "segment" else float(row[i]) for row in rows]
+               for i, name in enumerate(header)]
+    with pytest.raises(ps.ConfigError, match=reason):
+        render_svg(ps.EvolutionTrace(header, columns, metadata),
+                   tmp_path / "probe.svg")
     assert not (tmp_path / "probe.svg").exists()

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -202,7 +205,131 @@ def test_time_grid_matches_its_definition(descriptors, t_max, spu):
     assume(all(abs(q - round(q)) > 1e-6
                for q in (t_max / s.cycle.period
                          for s in cfg.schedules if s is not None)))
-    assert ps.time_grid(cfg) == _reference_grid(cfg)
+    grid = ps.time_grid(cfg)
+    assert grid.dtype == np.float64 and grid.tolist() == _reference_grid(cfg)
+
+
+# time_grid as it was before it returned an array: sorted candidates merged
+# by a per-point loop, kept as the reference for the run-walking merge
+def _loop_grid(cfg):
+    spu, t_max = cfg.samples_per_unit_time, cfg.t_max
+    cycles = [dataclasses.astuple(s.cycle)
+              for s in cfg.schedules if s is not None]
+    uniform = np.arange(round(t_max * spu) + 1) / spu
+    parts = [uniform[uniform <= t_max + 1e-12]]
+    if parts[0][-1] < t_max - 1e-12:
+        parts.append(np.array([t_max]))
+    for period, segments in cycles:
+        m1 = np.arange(t_max // period + 3.0)
+        m1 = m1[m1 * period <= t_max]
+        inner = itertools.accumulate(s[0] for s in segments[:-1])
+        ends = np.concatenate([(m1 + 1.0) * period,
+                               *(m1 * period + e for e in inner)])
+        parts.append(np.minimum(ends[ends <= t_max + 1e-12], t_max))
+    candidates = np.sort(np.concatenate(parts)).tolist()
+    grid = [candidates[0]]
+    for t in candidates[1:]:
+        if t - grid[-1] > 1e-12:
+            grid.append(t)
+    return grid
+
+
+def _trace_long_configs():
+    """The benchmark's long-trace scenario on every reference entry."""
+    path = Path(__file__).resolve().parent.parent / "perfbench/reference.json"
+    entries = json.loads(path.read_text())["entries"]
+    return [ps.build_scenario("custom", {
+        "schedules": "none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)|"
+                     "dd-finite(0.2,20)", "t_max": "20",
+        "lam": e["inputs"]["lam"], "omega": e["inputs"]["omega"]})
+        for e in entries]
+
+
+def test_time_grid_matches_the_per_point_merge():
+    configs = [ps.build_scenario(s) for s in ("fig1", "fig2", "fig3")]
+    configs += _trace_long_configs()
+    assert len(configs) == 3 + 16
+    for cfg in configs:
+        grid = ps.time_grid(cfg)
+        assert grid.dtype == np.float64
+        assert grid.tolist() == _loop_grid(cfg), cfg.schedules
+
+
+@given(st.one_of(st.sampled_from([0.1, 0.2, 0.25]), st.floats(0.05, 0.5)),
+       st.floats(3e-13, 1e-12), st.integers(3, 5), st.integers(2, 12),
+       st.floats(0.3, 2.0))
+def test_time_grid_merges_clustered_ends_greedily(period, step, count,
+                                                  n_duty, t_max):
+    # periods a relative step apart put the segment ends near time t of the
+    # schedules in chains t step apart: about t = 1 the steps are under the
+    # merge tolerance but the chains are not, so the greedy rule keeps a
+    # point whose predecessor it dropped
+    taus = [period * (1.0 + j * step) for j in range(count)]
+    schedules = [f"dd({tau!r})" for tau in taus] + [
+        f"dd-finite({tau!r},{n_duty})" for tau in taus]
+    cfg = ps.build_scenario("custom", {"schedules": "|".join(schedules),
+                                       "t_max": repr(t_max),
+                                       "samples_per_unit_time": "100"})
+    assert ps.time_grid(cfg).tolist() == _loop_grid(cfg)
+
+
+def _doctored(trace, *edits):
+    """trace with (column name, row, value) edits, columns as arrays."""
+    columns = [np.array(column) for column in trace.columns]
+    for name, row, value in edits:
+        columns[trace.header.index(name)][row] = value
+    return ps.EvolutionTrace(trace.header, columns, trace.metadata)
+
+
+def _as_lists(trace):
+    return ps.EvolutionTrace(trace.header, [np.asarray(c).tolist()
+                                            for c in trace.columns],
+                             trace.metadata)
+
+
+def test_fig2_ordering_message():
+    trace = ps.compute_trace(ps.build_scenario("fig2"))
+    t = trace.column("t").tolist()
+    half, early = t.index(0.5), t.index(0.15)
+    cases = [
+        ((("F_free", half, 0.999),),
+         "t=0.5: F_dd=0.9968324290474482, F_zeno=0.9825735016431768, "
+         "F_free=0.999"),
+        # the first violation is named
+        ((("F_zeno", half, 0.125), ("F_free", half + 7, 0.999)),
+         "t=0.5: F_dd=0.9968324290474482, F_zeno=0.125, "
+         "F_free=0.9320178982366"),
+        # within two periods any drop below the next curve is one
+        ((("F_dd", early, trace.column("F_zeno")[early] - 1e-9),),
+         "t=0.15: F_dd=0.9955864554137364, F_zeno=0.9955864564137363, "
+         "F_free=0.9923571201131408"),
+    ]
+    for edits, where in cases:
+        doctored = _doctored(trace, *edits)
+        for table in (doctored, _as_lists(doctored)):
+            with pytest.raises(ps.ValidationFailure) as info:
+                ps.check_fig2_ordering(table)
+            assert str(info.value) == f"protocol ordering violated at {where}"
+    # before the first pulse period has passed the curves may cross
+    ps.check_fig2_ordering(_doctored(trace, ("F_free", t.index(0.05), 0.999)))
+
+
+def test_fig3_ordering_message():
+    trace = ps.compute_trace(ps.build_scenario("fig3"))
+    last = len(trace.column("t")) - 1
+    cases = [
+        ((("F_free", last, 0.999),),
+         "t=1.0: F_free=0.999 > F_ddN10=0.9883767337924078"),
+        # the last free-segment sample is the one compared
+        ((("segment", last, ps.IN_PULSE_SEGMENT), ("F_ddN20", last, 0.0)),
+         "t=0.98: F_ddN20=0.9884296697577007 > F_dd=0.9884044963958503"),
+    ]
+    for edits, where in cases:
+        doctored = _doctored(trace, *edits)
+        for table in (doctored, _as_lists(doctored)):
+            with pytest.raises(ps.ValidationFailure) as info:
+                ps.check_fig3_ordering(table)
+            assert str(info.value) == f"terminal ordering violated at {where}"
 
 
 def test_fig2_trace_values(case1):

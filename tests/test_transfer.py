@@ -523,11 +523,27 @@ def test_empty_sequence_gives_empty_list(case1):
 
 
 def test_ndarray_input(case1):
-    times = np.array([0.7, 0.05, 0.33])
-    assert ps.dd_fidelity(STATE, times, DD, case1) == [
-        ps.dd_fidelity(STATE, float(t), DD, case1) for t in times]
-    tagged = ps.finite_dd_fidelity(STATE, times, FINITE, case1)
-    assert [type(v) for pair in tagged for v in pair] == [float, str] * 3
+    # an ndarray of times gives arrays, each value bit-equal to its call at
+    # one float, and a driven protocol a (values, tags) tuple of them; a
+    # list of times still gives a list (of pairs)
+    times = np.array([0.7, 0.05, 0.33, 0.19])
+    ones = times.tolist()
+    values = ps.dd_fidelity(STATE, times, DD, case1)
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert values.tolist() == [ps.dd_fidelity(STATE, t, DD, case1)
+                               for t in ones]
+    assert ps.dd_fidelity(STATE, ones, DD, case1) == values.tolist()
+    for closed_form in (ps.finite_dd_fidelity, ps.finite_dd_survival):
+        args = (STATE,) if closed_form is ps.finite_dd_fidelity else ()
+        values, tags = closed_form(*args, times, FINITE, case1)
+        pairs = [closed_form(*args, t, FINITE, case1) for t in ones]
+        assert isinstance(values, np.ndarray) and isinstance(tags, np.ndarray)
+        assert values.tolist() == [value for value, _ in pairs]
+        assert tags.tolist() == [tag for _, tag in pairs] == [
+            ps.FREE_SEGMENT] * 3 + [ps.IN_PULSE_SEGMENT]
+        assert closed_form(*args, ones, FINITE, case1) == pairs
+    tagged = ps.finite_dd_fidelity(STATE, ones, FINITE, case1)
+    assert [type(v) for pair in tagged for v in pair] == [float, str] * 4
 
 
 def test_more_than_2_53_cycles_rejected(case1):
