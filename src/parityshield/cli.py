@@ -23,33 +23,13 @@ from .oracle import DIRECT_QUADRATURE, EXACT_AUGMENTED
 from .output import render_svg, write_csv
 from .scenarios import (MAX_SWEEP_CELLS, build_scenario,
                         check_fig2_ordering, check_fig3_ordering,
-                        compute_trace, load_config, option_keys, run_sweep)
+                        compute_trace, load_config, option_flag, option_keys,
+                        run_sweep)
 from .validation import run_validation
 
 OUT_DIR_ENV = "PARITYSHIELD_OUT"
 
 _ORDERING_CHECKS = {"fig2": check_fig2_ordering, "fig3": check_fig3_ordering}
-
-# option key -> (flag, help); a subcommand takes the flags of the keys its
-# run reads
-_FLAGS = {
-    "lam": ("--lambda", "reservoir correlation decay rate"),
-    "omega": ("--omega", "effective mode splitting"),
-    "r_rate": ("--r-rate",
-               "collective coupling rate (alternative to --omega)"),
-    "tau": ("--tau", "pulse repetition interval"),
-    "delta_t": ("--delta-t", "measurement interval (defaults to --tau)"),
-    "n_duty": ("--n-duty", "duty parameter (single value or axis list)"),
-    "n_duty_values": ("--n-duty", "comma-separated duty parameters"),
-    "t_max": ("--t-max", "evolution horizon"),
-    "samples_per_unit_time": ("--samples-per-unit-time",
-                              "uniform sampling density of the output table"),
-    "initial_state": ("--initial-state", "dark | superradiant | mixed(b1,b2)"),
-    "run_id": ("--run-id", "identifier recorded in the output metadata"),
-    "schedules": ("--schedules", "pipe-separated descriptors, e.g. "
-                  "'none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)'"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1."""
@@ -63,7 +43,7 @@ def _add_run(subs, kind: str, blurb: str, handler):
     sub = subs.add_parser(kind, help=blurb)
     sub.add_argument("--config", help="INI file with one section per scenario")
     for key in option_keys(kind):
-        flag, text = _FLAGS[key]
+        flag, text = option_flag(key)
         sub.add_argument(flag, dest=key, help=text)
     sub.add_argument("--out", help="output CSV path (default under "
                      f"${OUT_DIR_ENV} or the working directory)")

@@ -101,14 +101,23 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     round-trip form, so output is reproducible byte for byte.  Neither
     needs CSV quoting, so only the header goes through csv.writer.  A
     metadata key or value holding a line break raises ConfigError before
-    the file is written: the break would end the comment line.  The rows
-    go to the file in blocks of _BLOCK_ROWS (see the module docstring); if
-    a block fails, as on a cell that float() refuses, the file is removed.
+    the file is written: the break would end the comment line.  So do a
+    header whose length is not the number of columns and columns of
+    unequal length, which would write a misaligned or cut-off table.  The
+    rows go to the file in blocks of _BLOCK_ROWS (see the module
+    docstring); if a block fails, as on a cell that float() refuses, the
+    file is removed.
     """
     for key, value in metadata.items():
         if {"\n", "\r"} & set(f"{key}{value}"):
             raise ConfigError(f"metadata {key!r} holds a line break")
-    rows = min(map(len, columns), default=0)
+    if len(header) != len(columns):
+        raise ConfigError(f"{len(header)} header names for "
+                          f"{len(columns)} columns")
+    lengths = sorted(set(map(len, columns)))
+    if len(lengths) > 1:
+        raise ConfigError(f"columns of unequal lengths {lengths}")
+    rows = lengths[0] if lengths else 0
     tags = [bool(rows) and isinstance(column[0], str) for column in columns]
     try:
         with open(path, "w") as fh:

@@ -13,9 +13,9 @@ per schedule, and the CLI writes it out and applies the scenario's
 ordering check, if it has one.
 
 Configs are flat INI files, one section per scenario; a run reads the
-keys its key table lists, each also a command-line flag, and refuses any
-other.  Schedules serialize as compact descriptors:
-none | zeno(dt) | dd(tau) | dd-finite(tau,N).
+keys its row of the run table lists, each also the command-line flag the
+option table gives it, and refuses any other.  Schedules serialize as
+compact descriptors: none | zeno(dt) | dd(tau) | dd-finite(tau,N).
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def parse_schedule(text: str):
         raise ConfigError(
             f"{kind!r} takes {len(keys)} argument(s), got {text!r}")
     try:
-        return cls(*(_KEY_TYPES.get(key, float)(p)
-                     for key, p in zip(keys, parts)))
+        return cls(*(_OPTIONS[key].type(p) for key, p in zip(keys, parts)))
     except ValueError as exc:
         raise ConfigError(f"bad schedule descriptor {text!r}: {exc}") from exc
 
@@ -143,60 +142,75 @@ class ScenarioConfig:
                 f"{self.samples_per_unit_time}")
 
 
-# every key a run reads, with its default (None: no default); a key outside
-# the table is refused
-_COMMON_DEFAULTS = {
-    "lam": "2.0",
-    "omega": "1.0",
-    "r_rate": None,
-    "t_max": "1.0",
-    "samples_per_unit_time": "2000",
-    "initial_state": "superradiant",
-    "run_id": None,
-}
+# option key -> (flag, value type, help); a numeric key of type int reads
+# whole numbers ("10", not "10.0")
+_Option = namedtuple("_Option", "flag type help")
+_OPTIONS = {key: _Option(*row) for key, *row in (
+    ("lam", "--lambda", float, "reservoir correlation decay rate"),
+    ("omega", "--omega", float, "effective mode splitting"),
+    ("r_rate", "--r-rate", float,
+     "collective coupling rate (alternative to --omega)"),
+    ("tau", "--tau", float, "pulse repetition interval"),
+    ("delta_t", "--delta-t", float,
+     "measurement interval (defaults to --tau)"),
+    ("n_duty", "--n-duty", int, "duty parameter (single value or axis list)"),
+    ("n_duty_values", "--n-duty", int, "comma-separated duty parameters"),
+    ("t_max", "--t-max", float, "evolution horizon"),
+    ("samples_per_unit_time", "--samples-per-unit-time", int,
+     "uniform sampling density of the output table"),
+    ("initial_state", "--initial-state", str,
+     "dark | superradiant | mixed(b1,b2)"),
+    ("run_id", "--run-id", str, "identifier recorded in the output metadata"),
+    ("schedules", "--schedules", str, "pipe-separated descriptors, e.g. "
+     "'none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)'"),
+)}
 
-_SCENARIO_DEFAULTS = {
-    "fig1": {"tau": "0.1", "delta_t": None},
-    "fig2": {"tau": "0.1", "delta_t": None},
-    "fig3": {"tau": "0.2", "n_duty_values": "10,20"},
-    "custom": {"schedules": "none"},
-}
+# run -> every key it reads, in flag order, with its default text (None: no
+# default); a key outside the row is refused.  The sweep reads the
+# scenarios' shared keys but samples_per_unit_time, with their defaults.
+_RUNS = {run: {"lam": "2.0", "omega": "1.0", "r_rate": None, "t_max": "1.0",
+               "samples_per_unit_time": "2000",
+               "initial_state": "superradiant", "run_id": None, **own}
+         for run, own in (("fig1", {"tau": "0.1", "delta_t": None}),
+                          ("fig2", {"tau": "0.1", "delta_t": None}),
+                          ("fig3", {"tau": "0.2", "n_duty_values": "10,20"}),
+                          ("custom", {"schedules": "none"}))}
+_RUNS["sweep"] = {key: _RUNS["custom"].get(key) for key in (
+    "lam", "omega", "r_rate", "tau", "delta_t", "n_duty", "t_max",
+    "initial_state", "run_id")}
 
-_AXIS_KEYS = ("lam", "omega", "r_rate", "tau", "delta_t", "n_duty", "t_max")
 
-# numeric keys read as whole numbers ("10", not "10.0"); any other is a float
-_KEY_TYPES = dict.fromkeys(("n_duty", "n_duty_values",
-                            "samples_per_unit_time"), int)
-
-
-def option_keys(kind: str) -> tuple[str, ...]:
-    """The option keys a run of kind (a scenario id or "sweep") reads."""
-    if kind == "sweep":
-        return (*_AXIS_KEYS, "initial_state", "run_id")
-    if kind not in SCENARIO_IDS:
+def option_keys(kind: str) -> dict[str, str | None]:
+    """The row of a run of kind (a scenario id or "sweep"): each key it
+    reads, in flag order, with its default text or None."""
+    if kind not in _RUNS:
         raise ConfigError(f"unknown scenario {kind!r}")
-    return (*_COMMON_DEFAULTS, *_SCENARIO_DEFAULTS[kind])
+    return dict(_RUNS[kind])
+
+
+def option_flag(key: str) -> tuple[str, str]:
+    """(flag, help) of an option key."""
+    return _OPTIONS[key].flag, _OPTIONS[key].help
 
 
 def _merged(kind: str, options: dict | None) -> tuple[dict, set[str]]:
     """(defaults updated by the given options, the given keys) for a run
     of kind; a key the run does not read is refused."""
     options = options or {}
-    keys = option_keys(kind)
-    unread = sorted(set(options) - set(keys))
+    row = option_keys(kind)
+    unread = sorted(set(options) - set(row))
     if unread:
         raise ConfigError(f"{kind} does not read {', '.join(unread)}; "
-                          f"it reads {', '.join(keys)}")
+                          f"it reads {', '.join(row)}")
     given = {k: v for k, v in options.items() if v is not None}
-    table = {**_COMMON_DEFAULTS, **_SCENARIO_DEFAULTS.get(kind, {})}
-    defaults = {k: table[k] for k in keys if table.get(k) is not None}
+    defaults = {k: v for k, v in row.items() if v is not None}
     return {**defaults, **given}, set(given)
 
 
 def _number(opts: dict, key: str, many: bool = False):
     """Text opts[key] as its key's type; many: (number, stripped text) pairs
     of comma-separated text by number.  ConfigError names a bad text's key."""
-    text, kind = opts[key], _KEY_TYPES.get(key, float)
+    text, kind = opts[key], _OPTIONS[key].type
     try:
         if many:
             return sorted(((kind(p), p.strip()) for p in text.split(",")),
@@ -310,6 +324,9 @@ class EvolutionTrace:
     metadata: dict[str, str]
 
     def column(self, name: str):
+        if name not in self.header:
+            raise ConfigError(f"the trace has no {name!r} column; it has "
+                              f"{', '.join(self.header)}")
         return self.columns[self.header.index(name)]
 
     @property
@@ -418,9 +435,12 @@ def check_fig2_ordering(trace: EvolutionTrace) -> None:
 def check_fig3_ordering(trace: EvolutionTrace) -> None:
     """Terminal ordering: free decay, then finite-duration curves in
     increasing duty parameter, then the instantaneous curve, evaluated at
-    the last free-segment sample."""
-    idx = np.flatnonzero(
-        np.asarray(trace.column("segment")) == FREE_SEGMENT)[-1]
+    the last free-segment sample; a trace with none is refused."""
+    free = np.flatnonzero(np.asarray(trace.column("segment")) == FREE_SEGMENT)
+    if not free.size:
+        raise ConfigError("terminal ordering needs a free-segment sample; "
+                          "every sample of the trace is in a pulse")
+    idx = free[-1]
     t = float(trace.column("t")[idx])
     finite_names = sorted((n for n in trace.header if n.startswith("F_ddN")),
                           key=lambda n: int(n[5:]))
@@ -455,7 +475,7 @@ def run_sweep(options: dict[str, str],
 
     # axis name -> (value, text as given) pairs in ascending value, by name
     axes = {key: _number(base, key, many=True)
-            for key in sorted(given.intersection(_AXIS_KEYS))}
+            for key in sorted(given) if _OPTIONS[key].type is not str}
     metadata = {
         "tool": "parityshield",
         "version": __version__,

@@ -105,6 +105,21 @@ def test_csv_leaves_no_partial_file(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("header, columns, message", [
+    (["t", "F_free"], [[0.0, 0.5, 1.0], [1.0, 0.9]],
+     r"columns of unequal lengths \[2, 3\]"),
+    (["t", "F_free"], [[0.0, 0.5, 1.0]], "2 header names for 1 columns"),
+    (["t"], [[0.0, 0.5], [1.0, 0.9]], "1 header names for 2 columns"),
+], ids=["unequal-columns", "header-longer", "header-shorter"])
+def test_csv_refuses_misshapen_table(tmp_path, header, columns, message):
+    # a table cut to its shortest column, or cells under the wrong name,
+    # would read back as a different table
+    path = tmp_path / "probe.csv"
+    with pytest.raises(ps.ConfigError, match=message):
+        write_csv(path, {"run_id": "probe"}, header, columns)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("run_id", ["x  ", "  x", " x y\t"],
                          ids=["trailing", "leading", "both"])
 def test_metadata_value_whitespace_kept(tmp_path, small_table, run_id):

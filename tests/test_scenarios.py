@@ -332,6 +332,45 @@ def test_fig3_ordering_message():
             assert str(info.value) == f"terminal ordering violated at {where}"
 
 
+@pytest.mark.parametrize("check, scenario, name", [
+    (ps.check_fig2_ordering, "fig1", "F_free"),
+    (ps.check_fig3_ordering, "fig2", "segment"),
+], ids=["fig2-check-of-fig1", "fig3-check-of-fig2"])
+def test_trace_column_names_a_missing_column(check, scenario, name):
+    trace = ps.compute_trace(ps.build_scenario(scenario))
+    with pytest.raises(ps.ConfigError,
+                       match=f"the trace has no '{name}' column; it has t, "):
+        check(trace)
+
+
+def test_fig3_ordering_refuses_a_trace_with_no_free_sample():
+    trace = ps.compute_trace(ps.build_scenario("fig3"))
+    rows = len(trace.column("t"))
+    doctored = _doctored(trace, *(("segment", row, ps.IN_PULSE_SEGMENT)
+                                  for row in range(rows)))
+    with pytest.raises(ps.ConfigError, match="needs a free-segment sample"):
+        ps.check_fig3_ordering(doctored)
+
+
+def test_option_and_run_tables_agree():
+    options, runs = scenarios._OPTIONS, scenarios._RUNS
+    # every option is read by some run, and no run reads one flag twice
+    assert set(options) == {key for row in runs.values() for key in row}
+    for run, row in runs.items():
+        flags = [options[key].flag for key in row]
+        assert len(flags) == len(set(flags)), run
+    # the kinds' argument keys and the sweep's axes are its numeric keys
+    numeric = {key for key in runs["sweep"] if options[key].type is not str}
+    assert {key for kind in scenarios._KINDS.values()
+            for key in kind.keys} <= numeric
+    values = {"n_duty": "10", "initial_state": "dark", "run_id": "probe"}
+    axes = set()
+    for key in runs["sweep"]:
+        trace = ps.run_sweep({"tau": "0.1", key: values.get(key, "1.5")})
+        axes |= set(trace.header) & set(runs["sweep"])
+    assert axes == numeric
+
+
 def test_fig2_trace_values(case1):
     cfg = ps.build_scenario("fig2")
     trace = ps.compute_trace(cfg)
