@@ -126,7 +126,7 @@ def _run_validate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        out.write_text(text + "\n", encoding="utf-8")
         print(f"wrote {out}")
     if not report.ok:
         print("validation failed", file=sys.stderr)

@@ -7,8 +7,9 @@ files.  The SVG plots the values a CSV holds, read from the file or taken
 from the columns just written, which its shortest round-trip cells keep.
 
 Numbers become text a whole column at once: each value is a row of ASCII
-bytes in a uint8 matrix, with a mask of the bytes to keep, and the kept
-bytes of the columns side by side, row by row, are the text (`_joined`).
+bytes in a uint8 matrix, whose 0 bytes are dropped (no text byte is 0),
+and the nonzero bytes of the columns side by side, row by row, are the
+text (`_joined`).
 
 The polyline coordinates are Python's `'%.2f'` text, made by `_fixed2`:
 k = rint(fl(100 v)) is the correctly rounded hundredths count except where
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import csv
 import html
+import io
 import math
 import warnings
 from pathlib import Path
@@ -99,7 +101,9 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     A column whose first value is a string holds tags, written as they
     are; every other column is written with repr(float(v)), the shortest
     round-trip form, so output is reproducible byte for byte.  Neither
-    needs CSV quoting, so only the header goes through csv.writer.  A
+    needs CSV quoting, so only the header goes through csv.writer.  The
+    file is UTF-8 whatever the locale, and text decoded with surrogate
+    escapes (as argv is) gets its original bytes back.  A
     metadata key or value holding a line break raises ConfigError before
     the file is written: the break would end the comment line.  So do a
     header whose length is not the number of columns and columns of
@@ -119,15 +123,16 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
         raise ConfigError(f"columns of unequal lengths {lengths}")
     rows = lengths[0] if lengths else 0
     tags = [bool(rows) and isinstance(column[0], str) for column in columns]
+    head = io.StringIO()
+    head.writelines(f"# {key}={value}\n" for key, value in metadata.items())
+    csv.writer(head, lineterminator="\n").writerow(header)
     try:
-        with open(path, "w") as fh:
-            fh.writelines(f"# {key}={value}\n"
-                          for key, value in metadata.items())
-            csv.writer(fh, lineterminator="\n").writerow(header)
+        with open(path, "wb") as fh:
+            fh.write(head.getvalue().encode("utf-8", "surrogateescape"))
             for start in range(0, rows, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, rows)
                 block = [column[start:stop] for column in columns]
-                fh.write(_rows_text(block, tags, rows >= _KERNEL_ROWS))
+                fh.write(_rows_bytes(block, tags, rows >= _KERNEL_ROWS))
     except BaseException:
         # a cell that float() refuses shows only in its block: leave no
         # file cut off after the blocks before it
@@ -135,15 +140,16 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
         raise
 
 
-def _rows_text(block: list, tags: list[bool], kernel: bool) -> str:
-    """The CSV rows of a block of columns: from byte matrices if kernel,
-    else joined from repr per cell."""
+def _rows_bytes(block: list, tags: list[bool], kernel: bool) -> bytes:
+    """The CSV rows of a block of columns as UTF-8: from byte matrices if
+    kernel, else joined from repr per cell."""
     if not kernel:
         cells = [c if tag else _repr_text(c) for c, tag in zip(block, tags)]
-        return "".join(f"{row}\n" for row in map(",".join, zip(*cells)))
+        return "".join(f"{row}\n" for row in map(",".join, zip(*cells))
+                       ).encode("utf-8", "surrogateescape")
     tails = [","] * (len(block) - 1) + ["\n"]
-    return _joined((_tag_text if tag else _float_text)(cells, tail)
-                   for cells, tag, tail in zip(block, tags, tails)).decode()
+    return _joined([(_tag_text if tag else _float_text)(cells, tail)
+                    for cells, tag, tail in zip(block, tags, tails)])
 
 
 def _repr_text(cells):
@@ -151,29 +157,33 @@ def _repr_text(cells):
     return map(repr, map(float, cells))
 
 
-def _tag_text(cells, tail: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each tag + tail as a row of UTF-8 bytes, with the mask of its bytes."""
-    try:
-        text = np.array(cells, "S")
-    except UnicodeEncodeError:
-        text = np.array([cell.encode() for cell in cells])
-    chars = np.empty((len(cells), text.itemsize + 1), np.uint8)
-    chars[:, :-1] = text.view(np.uint8).reshape(len(cells), -1)
+def _tag_text(cells, tail: str) -> np.ndarray:
+    """Each tag + tail as a row of UTF-8 bytes, 0-padded: a str array's
+    UCS-4 code units are its bytes when all are ASCII, and any other tag
+    is encoded one by one."""
+    text = np.ascontiguousarray(cells, str)
+    units = text.view(np.uint32).reshape(len(text), -1)
+    if units.max() >= 128:
+        units = np.array([cell.encode("utf-8", "surrogateescape")
+                          for cell in text.tolist()])
+        units = units.view(np.uint8).reshape(len(text), -1)
+    chars = np.empty((len(text), units.shape[1] + 1), np.uint8)
+    chars[:, :-1] = units
     chars[:, -1] = ord(tail)
-    return chars, chars != 0
+    return chars
 
 
-def _float_text(cells, tail: str) -> tuple[np.ndarray, np.ndarray]:
-    """repr(float(v)) + tail for each cell, as ASCII rows and a keep-mask.
+def _float_text(cells, tail: str) -> np.ndarray:
+    """repr(float(v)) + tail for each cell, as 0-padded ASCII rows.
 
     A row is a frame of 16 integer and 20 fraction places around a point
     at byte 16.  One sliding window places a cell's 17 digits from
-    _shortest in the frame, and the mask keeps them from the first integer
-    digit (the units digit at least) to the last significant one (one
-    fraction digit at least).  Exponent form puts the first digit in the
-    units place and writes e-0X over bytes 33 to 36.  Any other cell is
-    repr's text, left-aligned.  The rows are cut to the bytes that some
-    row keeps, and the tail follows.
+    _shortest in the frame, and a span mask keeps them from the first
+    integer digit (the units digit at least) to the last significant one
+    (one fraction digit at least) and zeroes the rest.  Exponent form puts
+    the first digit in the units place and writes e-0X over bytes 33 to
+    36.  Any other cell is repr's text, left-aligned.  The rows are cut to
+    the bytes that some row keeps, and the tail follows.
     """
     values = np.asarray(cells, float)
     n = len(values)
@@ -196,23 +206,19 @@ def _float_text(cells, tail: str) -> tuple[np.ndarray, np.ndarray]:
     past = 32 - lead - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
     start = 15 - np.maximum(lead, 0)
     stop = np.maximum(past + (past > 16), np.where(sci, 16, 18))
-    keep = _SPANS[start, stop]
+    chars *= _SPANS[start, stop]
     lo, hi = start.min(), stop.max()
     if sci_rows := np.flatnonzero(sci).tolist():
         chars[sci_rows, 33:36] = np.frombuffer(b"e-0", np.uint8)
         chars[sci_rows, 36] = ord("0") - exp10[sci_rows]
-        keep[sci_rows, 33:37] = True
         hi = 37
     if rest := np.flatnonzero(~kernel).tolist():
         text = np.array(list(_repr_text(cells[i] for i in rest)), "S24")
-        text = text.view(np.uint8).reshape(-1, 24)
-        chars[rest, :24] = text
-        keep[rest] = False
-        keep[rest, :24] = text != 0
+        chars[rest] = 0
+        chars[rest, :24] = text.view(np.uint8).reshape(-1, 24)
         lo, hi = 0, max(hi, 24)
     chars[:, hi] = ord(tail)
-    keep[:, hi] = True
-    return chars[:, lo:hi + 1], keep[:, lo:hi + 1]
+    return chars[:, lo:hi + 1]
 
 
 def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,15 +291,17 @@ def _digits(k: np.ndarray, count: int) -> np.ndarray:
     ASCII, two digits per division."""
     pairs = np.empty((len(k), (count + 1) // 2), np.uint16)
     for col in range(pairs.shape[1] - 1, -1, -1):
-        k, pair = np.divmod(k, 100)
-        pairs[:, col] = _PAIRS[pair]
+        # a floor division and a product: twice as fast as np.divmod
+        q = k // 100
+        pairs[:, col] = _PAIRS[k - 100 * q]
+        k = q
     return pairs.view(np.uint8)[:, count % 2:]
 
 
-def _joined(pieces) -> bytes:
-    """The kept bytes of (chars, keep) pieces side by side, row by row."""
-    chars, keep = zip(*pieces)
-    return np.hstack(chars)[np.hstack(keep)].tobytes()
+def _joined(pieces: list) -> bytes:
+    """The nonzero bytes of the pieces side by side, row by row."""
+    chars = np.hstack(pieces)
+    return chars[chars != 0].tobytes()
 
 
 def _table(fh, path, metadata: dict[str, str]):
@@ -322,7 +330,8 @@ def _table(fh, path, metadata: dict[str, str]):
 def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Inverse of write_csv; values come back as strings."""
     metadata: dict[str, str] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
         header, rows = _table(fh, path, metadata)
         rows = list(rows)
     return metadata, header, rows
@@ -335,13 +344,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _fixed2(values: np.ndarray, tail: str) -> tuple[np.ndarray, np.ndarray]:
+def _fixed2(values: np.ndarray, tail: str) -> np.ndarray:
     """`'%.2f' % v + tail` for each v >= 0 of a column, as ASCII rows.
 
-    Returns a uint8 matrix with one right-aligned row per value and the
-    mask of its bytes to keep (leading zeros dropped), so that
-    `chars[keep].tobytes()` is the concatenated text.  See the module
-    docstring for why the digits equal Python's.
+    Returns a uint8 matrix with one right-aligned row per value, its
+    leading zeros set to 0 bytes, so that `_joined([chars])` is the
+    concatenated text.  See the module docstring for why the digits equal
+    Python's.
     """
     f = 100.0 * values
     k = np.rint(f)
@@ -357,10 +366,11 @@ def _fixed2(values: np.ndarray, tail: str) -> tuple[np.ndarray, np.ndarray]:
     chars[:, width] = ord(".")
     chars[:, width + 1:-1] = digits[:, width:]
     chars[:, -1] = ord(tail)
-    keep = np.ones(chars.shape, bool)
-    # integer digits but the units digit, each kept from its place up
-    keep[:, :width - 1] = k[:, None] >= 10 ** np.arange(width + 1, 2, -1)
-    return chars, keep
+    # the leading zeros of the integer digits, the units digit kept
+    zeros = sum((k < 10 ** place for place in range(3, width + 2)),
+                np.zeros(len(k), np.uint8))
+    chars *= np.arange(width + 4) >= zeros[:, None]
+    return chars
 
 
 def render_svg(source, svg_path: str | Path) -> None:
@@ -380,7 +390,8 @@ def render_svg(source, svg_path: str | Path) -> None:
                      lambda usecols: np.column_stack([np.asarray(
                          source.columns[i], float) for i in usecols]))
     metadata: dict[str, str] = {}
-    with open(source, newline="") as fh, warnings.catch_warnings():
+    with open(source, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh, warnings.catch_warnings():
         # an empty remainder is refused in _plot, not warned about
         warnings.simplefilter("ignore", UserWarning)
         # the row iterator is lazy, so fh now stands just past the header
@@ -491,4 +502,5 @@ def _plot(label, metadata, header, svg_path, load) -> None:
         f'font-family="sans-serif" font-size="12" text-anchor="middle">'
         't</text>')
     parts.append("</svg>")
-    Path(svg_path).write_text("\n".join(parts) + "\n")
+    Path(svg_path).write_text("\n".join(parts) + "\n", encoding="utf-8",
+                              errors="surrogateescape")

@@ -266,13 +266,14 @@ def build_scenario(scenario: str, options: dict[str, str] | None = None) -> Scen
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    """Parse a flat INI config: one section per scenario, string values."""
+    """Parse a flat INI config in UTF-8: one section per scenario, string
+    values."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return {name: dict(parser[name]) for name in parser.sections()}
 
@@ -414,11 +415,16 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
 def check_fig2_ordering(trace: EvolutionTrace) -> None:
     """Pulse curve above measurement curve above free decay once every
     schedule has acted (before that the curves coincide); strictly
-    separated past twice the longest period."""
-    period = max(sched.cycle.period
-                 for sched in map(parse_schedule,
-                                  trace.metadata["schedules"].split("|"))
-                 if sched is not None)
+    separated past twice the longest period.  A trace of free decay alone
+    has no period and is refused."""
+    periods = [sched.cycle.period
+               for sched in map(parse_schedule,
+                                trace.metadata["schedules"].split("|"))
+               if sched is not None]
+    if not periods:
+        raise ConfigError("the ordering check needs a measurement or pulse "
+                          "schedule; every schedule of the trace is free")
+    period = max(periods)
     t, f_dd, f_zeno, f_free = (np.asarray(trace.column(name), float)
                                for name in ("t", "F_dd", "F_zeno", "F_free"))
     floor = np.where(t > 2.0 * period + _MERGE_TOL, 1e-6, -1e-12)

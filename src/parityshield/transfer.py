@@ -98,15 +98,25 @@ class Cycle:
     segments: tuple[tuple[float, float, float], ...]
 
 
-def _on(own, f, *z):
-    """f(*z) where own, 0 elsewhere (shape of z[0]); f sees nothing else."""
-    return f(*z, out=np.zeros(np.shape(z[0]), complex), where=own)
+def _owned(mask):
+    """Where mask is set: ... if everywhere (so a 0-d mask never gathers),
+    the index tuple if somewhere, None if nowhere."""
+    count = np.count_nonzero(mask)
+    return None if not count else ... if count == np.size(mask) else (
+        np.nonzero(mask))
 
 
-def _decay(own, z):
-    """_on(own, np.exp, z), and 0 where z is not finite but its real part
-    underflows e^z: an overflowed phase would give NaN for a modulus of 0."""
-    return _on(own & (np.isfinite(z) | ~(z.real < _EXP_FLOOR)), np.exp, z)
+def _take(a, at):
+    """a at the entries at (see _owned): a per-cell or per-time array is
+    gathered, a constant of one cell (or any 0-d value) kept as it is."""
+    return a[at] if np.ndim(a) else a
+
+
+def _decay(z):
+    """e^z, and 0 where z is not finite but its real part underflows e^z:
+    an overflowed phase would give NaN for a modulus of 0."""
+    return np.exp(z, out=np.zeros(np.shape(z), complex),
+                  where=np.isfinite(z) | ~(z.real < _EXP_FLOOR))
 
 
 def propagator(lam_c, r_sq):
@@ -116,10 +126,12 @@ def propagator(lam_c, r_sq):
     omega = sqrt(lam_c^2 - 4 r_sq): a series in (omega s / 2)^2 near a
     degenerate root, pure exponentials once Re(lam_c) s passes the
     overflow threshold, cosh/sinh in between.  The returned function maps
-    durations s and a mask own, broadcast against the per-cell lam_c and
-    r_sq, to the entries (e00, e01, e10, e11) that carry (x, x') over s.
-    Each branch sees and divides only the entries it owns, 0 elsewhere, so
-    none overflows or divides 0 by 0 on another's; the rest is meaningless.
+    durations s of the cells at (see _owned; every cell by default), whose
+    per-cell lam_c and r_sq it takes there, to the entries (e00, e01, e10,
+    e11) that carry (x, x') over s.  Each branch is evaluated on the
+    entries it owns only, gathered by index, so none overflows or divides
+    0 by 0 on another's; elementwise ufuncs give the same bits at any
+    length.
     """
     # a drive rate past about 1e154 overflows the split to inf: refused
     with _overflow_to_inf(np.maximum(np.abs(lam_c), r_sq) >= _HALF_RANGE):
@@ -129,47 +141,52 @@ def propagator(lam_c, r_sq):
         raise ParameterError(f"drive rate {rate} overflows the damping split")
     omega = np.sqrt(sq)
 
-    def series(s, h, own):
+    def series(s, h, lam, om):
         u = _mul(h, h)
-        damp = _on(own, np.exp, -lam_c / 2.0 * s)
+        damp = np.exp(-lam / 2.0 * s)
         return (_mul(damp, 1.0 + _mul(u / 2.0, 1.0 + u / 12.0)),
-                _mul(damp * (s / 2.0), 1.0 + _mul(u / 6.0, 1.0 + u / 20.0)))
+                _mul(_mul(damp, s / 2.0),
+                     1.0 + _mul(u / 6.0, 1.0 + u / 20.0)))
 
-    def split(s, h, own):
-        em = _decay(own, -(lam_c - omega) / 2.0 * s)
-        ep = _decay(own, -(lam_c + omega) / 2.0 * s)
-        return (em + ep) / 2.0, _on(own, np.divide, em - ep, 2.0 * omega)
+    def split(s, h, lam, om):
+        em = _decay(-(lam - om) / 2.0 * s)
+        ep = _decay(-(lam + om) / 2.0 * s)
+        return (em + ep) / 2.0, np.divide(em - ep, 2.0 * om)
 
-    def middle(s, h, own):
-        damp = _on(own, np.exp, -lam_c / 2.0 * s)
-        return (_mul(damp, _on(own, np.cosh, h)), _on(
-            own, np.divide, _mul(damp, _on(own, np.sinh, h)), omega))
+    def middle(s, h, lam, om):
+        damp = np.exp(-lam / 2.0 * s)
+        return (_mul(damp, np.cosh(h)),
+                np.divide(_mul(damp, np.sinh(h)), om))
 
-    def matrix(s, own):
-        s = np.where(own, s, 0.0)
+    def matrix(s, at=...):
+        # as an array, a one-cell length rounds through the same ufuncs as
+        # a batch
+        s = np.asarray(s, float)
+        lam, r2, om = (_take(a, at) for a in (lam_c, r_sq, omega))
         # past the float range: h, lam_c s inf (not near, far), exponents -inf
         with _overflow_to_inf(s >= _HALF_RANGE):
-            h = omega / 2.0 * s
-            near = own & (np.abs(h) <= _SERIES_LIMIT)
-            far = own & ~near & (lam_c.real * s > _SPLIT_THRESHOLD)
+            h = om / 2.0 * s
+            near = np.abs(h) <= _SERIES_LIMIT
+            far = ~near & (lam.real * s > _SPLIT_THRESHOLD)
             # ch = e^{-lam_c s/2} cosh h, sn = e^{-lam_c s/2} sinh(h) / omega
-            ch = sn = 0.0
+            ch = np.zeros(np.shape(h), complex)
+            sn = np.zeros_like(ch)
             for branch, terms in ((near, series), (far, split),
-                                  (own & ~(near | far), middle)):
-                if np.count_nonzero(branch):
-                    c, n = terms(np.where(branch, s, 0.0),
-                                 np.where(branch, h, 0.0), branch)
-                    ch, sn = np.where(branch, c, ch), np.where(branch, n, sn)
-        lam_sn = _mul(lam_c, sn)
-        return ch + lam_sn, 2.0 * sn, -2.0 * r_sq * sn, ch - lam_sn
+                                  (~(near | far), middle)):
+                if (own := _owned(branch)) is not None:
+                    # a list: a tuple resized from a generator stays on
+                    # the free list
+                    ch[own], sn[own] = terms(
+                        *[_take(a, own) for a in (s, h, lam, om)])
+        lam_sn = _mul(lam, sn)
+        return ch + lam_sn, 2.0 * sn, -2.0 * r2 * sn, ch - lam_sn
     return matrix
 
 
-def _apply(e, x, xd, own):
-    """(x, x') -> (e00 x + e01 x', e10 x + e11 x') where own; the rest kept."""
+def _apply(e, x, xd):
+    """(x, x') -> (e00 x + e01 x', e10 x + e11 x')."""
     e00, e01, e10, e11 = e
-    return (np.where(own, _mul(e00, x) + _mul(e01, xd), x),
-            np.where(own, _mul(e10, x) + _mul(e11, xd), xd))
+    return _mul(e00, x) + _mul(e01, xd), _mul(e10, x) + _mul(e11, xd)
 
 
 def _positions(ts: np.ndarray, period):
@@ -238,7 +255,7 @@ def _cycle_matrix(segments):
     # included, and the product of those maps over the cycle
     whole, c = [], (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
     for length, matrix, k in segments:
-        e00, e01, e10, e11 = matrix(length, True)
+        e00, e01, e10, e11 = matrix(length)
         whole.append((e00, e01, k * e10, k * e11))
         c = _product(whole[-1], c)
     return whole, c
@@ -255,7 +272,9 @@ def _powers(m, c):
         m, which = np.unique(m, return_inverse=True)
     x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
     while np.count_nonzero(m):
-        x, xd = _apply(c, x, xd, m % 2.0 == 1.0)
+        odd = m % 2.0 == 1.0
+        x_odd, xd_odd = _apply(c, x, xd)
+        x, xd = np.where(odd, x_odd, x), np.where(odd, xd_odd, xd)
         m = m // 2.0
         live = [np.where(m > 0.0, e, 0.0) for e in c] if np.ndim(c[0]) else c
         c = _product(live, live) if np.count_nonzero(m) else c
@@ -299,19 +318,24 @@ def evaluate(t, params, cycle, value):
         # the map over each whole segment, shared by every time of a cell
         whole, c = _cycle_matrix(segments)
         x, xd = _powers(m, c)
+    # each segment maps only the times it owns, gathered by index
     k = np.zeros(shape, int)
     for j, (length, _, _) in enumerate(segments[:-1]):
-        later = (k == j) & _past(theta, length, period)
-        x, xd = _apply(whole[j], x, xd, later)
-        theta = np.where(later, theta - length, theta)
-        k = np.where(later, j + 1, k)
+        if (at := _owned((k == j) & _past(theta, length, period))) is None:
+            continue
+        x[at], xd[at] = _apply([_take(e, at) for e in whole[j]], x[at],
+                               xd[at])
+        theta[at] -= _take(length, at)
+        k[at] = j + 1
     for j, (length, matrix, end) in enumerate(segments):
-        own = k == j
-        x, xd = _apply(matrix(theta, own), x, xd, own)
+        if (at := _owned(k == j)) is None:
+            continue
+        into = theta[at]
+        x[at], xd[at] = _apply(matrix(into, at), x[at], xd[at])
         if j < len(segments) - 1 and end != 1.0:
             # x' on an inner segment end is after its map, as on a cycle end
-            xd = np.where(own & (theta >= length - _GRID_FUZZ * period),
-                          end * xd, xd)
+            edge = into >= _take(length, at) - _GRID_FUZZ * _take(period, at)
+            xd[at] = np.where(edge, end * xd[at], xd[at])
     out = value(x, xd, k, theta)
     if isinstance(t, np.ndarray):
         return out

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -119,6 +123,37 @@ def test_config_file_with_cli_override(tmp_path):
     assert "dd(0.05)" in metadata["schedules"]       # from the file
     assert metadata["t_max"] == "1.0"                # flag wins
     assert float(rows[-1][0]) == pytest.approx(1.0)
+
+
+def test_config_not_in_utf8_exits_one(tmp_path, capsys):
+    # a config is read as UTF-8 whatever the locale; a Latin-1 byte raised
+    # a raw UnicodeDecodeError
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(b"[fig1]\nrun_id = caf\xe9\n")
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {ini}: ")
+    assert not out.exists()
+
+
+def test_output_bytes_do_not_depend_on_the_locale(tmp_path):
+    # every file is UTF-8: a non-ASCII run id gives the same bytes under
+    # the ASCII locale as under UTF-8 (it raised UnicodeEncodeError there)
+    src = Path(scenarios.__file__).parent.parent
+    files = {}
+    for name, locale in (("utf8", {"PYTHONUTF8": "1"}),
+                         ("ascii", {"PYTHONUTF8": "0", "LC_ALL": "C"})):
+        out = tmp_path / name / "fig1.csv"
+        env = {**os.environ, "PYTHONPATH": str(src), **locale}
+        done = subprocess.run(
+            [sys.executable, "-m", "parityshield.cli", "fig1", "--run-id",
+             "\u03bb-run", "--out", str(out)], env=env, capture_output=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        files[name] = out.read_bytes(), out.with_suffix(".svg").read_bytes()
+    assert files["ascii"] == files["utf8"]
+    assert "# run_id=\u03bb-run\n".encode() in files["utf8"][0]
 
 
 def test_output_directory_env_var(tmp_path, monkeypatch):

@@ -111,3 +111,35 @@ def test_every_package_name_is_used():
             if not (name.startswith("__") and name.endswith("__"))
             and read[name] == _references(node)[name] and name not in named]
     assert dead == []
+
+
+def _text_io_without_encoding(tree: ast.AST) -> list[int]:
+    """Lines of the open, read_text and write_text calls in tree that pass
+    neither encoding= nor a binary mode."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name not in ("open", "read_text", "write_text"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        # builtin open(file, mode); Path.open(mode)
+        modes = [keywords.get("mode")] if name != "open" else [
+            keywords.get("mode"),
+            *(node.args[1:2] if isinstance(func, ast.Name) else node.args[:1])]
+        binary = any(isinstance(m, ast.Constant) and "b" in str(m.value)
+                     for m in modes)
+        if "encoding" not in keywords and not binary:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_text_files_name_their_encoding(module):
+    # a file opened in the locale's encoding makes the output bytes (or a
+    # UnicodeError) depend on the machine; every text file is UTF-8
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert _text_io_without_encoding(tree) == [], module

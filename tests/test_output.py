@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import parityshield as ps
 from parityshield.cli import main
 from parityshield.output import (_KERNEL_ROWS, _fixed2, _float_text, _joined,
-                                 read_csv, render_svg, write_csv)
+                                 _tag_text, read_csv, render_svg, write_csv)
 
 
 @pytest.fixture()
@@ -336,8 +336,8 @@ def test_csv_of_array_columns_matches_lists(tmp_path, options):
 
 
 def _fixed2_text(values) -> list[str]:
-    chars, keep = _fixed2(np.asarray(values, dtype=float), " ")
-    return chars[keep].tobytes().decode().split()
+    return _joined([_fixed2(np.asarray(values, dtype=float), " ")]
+                   ).decode().split()
 
 
 @given(st.lists(st.one_of(
@@ -403,6 +403,22 @@ def test_float_text_on_ties_and_near_ties():
     assert _float_text_cells(values) == [repr(v) for v in values]
     assert _float_text_cells([99152220474451.375, np.nextafter(1e-4, 0)]) == [
         "99152220474451.38", "9.999999999999999e-05"]
+
+
+@pytest.mark.parametrize("cells", [
+    np.array(["free", "in_pulse", "free"]),
+    ["in_pulse", "free"],
+    ["a", "", "abcdefghij", "\x7f"],
+    np.array(["free", "skip", "in_pulse", "skip"])[::2],
+    ["\u03bb-run", "free", "\x80"],
+    np.array(["caf\u00e9", "free"]),
+], ids=["str-array", "list", "unequal-widths", "strided", "non-ascii",
+        "non-ascii-array"])
+def test_tag_text_is_each_tag_encoded(cells):
+    # ASCII tags take their bytes from the UCS-4 code units, any other tag
+    # is encoded: both give each tag's UTF-8 bytes
+    text = _joined([_tag_text(cells, "\n")])
+    assert text == b"".join(f"{cell}\n".encode() for cell in list(cells))
 
 
 @pytest.fixture(scope="module")

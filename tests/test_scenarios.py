@@ -352,6 +352,15 @@ def test_fig3_ordering_refuses_a_trace_with_no_free_sample():
         ps.check_fig3_ordering(doctored)
 
 
+def test_fig2_ordering_refuses_a_trace_of_free_decay_alone():
+    # no schedule has a period to wait for; max() of no periods raised a
+    # raw ValueError
+    cfg = ps.build_scenario("custom", {"schedules": "none"})
+    trace = ps.compute_trace(cfg)
+    with pytest.raises(ps.ConfigError, match="every schedule of the trace"):
+        ps.check_fig2_ordering(trace)
+
+
 def test_option_and_run_tables_agree():
     options, runs = scenarios._OPTIONS, scenarios._RUNS
     # every option is read by some run, and no run reads one flag twice

@@ -604,3 +604,179 @@ def test_fidelity_continuous_across_critical_branch(lam, t, tau, n_duty):
     for name, fidelity in _protocols(tau, n_duty).items():
         values = [_value(fidelity(STATE, t, p)) for p in (below, at, above)]
         assert max(values) - min(values) <= 1e-6, name
+
+
+# ---------------------------------------------------------------------------
+# owned-entry evaluation against the masked evaluation it replaced: each
+# branch and segment once ran on every entry under a mask; a test-local copy
+# of that code must give the same bits
+
+def _on(own, f, *z):
+    return f(*z, out=np.zeros(np.shape(z[0]), complex), where=own)
+
+
+def _masked_propagator(lam_c, r_sq):
+    omega = np.sqrt(transfer._cmul(lam_c, lam_c) - 4.0 * r_sq)
+
+    def series(s, h, own):
+        u = np.multiply(h, h)
+        damp = _on(own, np.exp, -lam_c / 2.0 * s)
+        return (np.multiply(damp, 1.0 + np.multiply(u / 2.0, 1.0 + u / 12.0)),
+                np.multiply(damp * (s / 2.0),
+                            1.0 + np.multiply(u / 6.0, 1.0 + u / 20.0)))
+
+    def split(s, h, own):
+        def decay(z):
+            return _on(own & (np.isfinite(z) | ~(z.real < -746.0)), np.exp, z)
+        em = decay(-(lam_c - omega) / 2.0 * s)
+        ep = decay(-(lam_c + omega) / 2.0 * s)
+        return (em + ep) / 2.0, _on(own, np.divide, em - ep, 2.0 * omega)
+
+    def middle(s, h, own):
+        damp = _on(own, np.exp, -lam_c / 2.0 * s)
+        return (np.multiply(damp, _on(own, np.cosh, h)), _on(
+            own, np.divide, np.multiply(damp, _on(own, np.sinh, h)), omega))
+
+    def matrix(s, own=True):
+        s = np.where(own, s, 0.0)
+        with transfer._overflow_to_inf(s >= 2.0 ** 511):
+            h = omega / 2.0 * s
+            near = own & (np.abs(h) <= _SERIES)
+            far = own & ~near & (lam_c.real * s > _SPLIT)
+            ch = sn = 0.0
+            for branch, terms in ((near, series), (far, split),
+                                  (own & ~(near | far), middle)):
+                if np.count_nonzero(branch):
+                    c, n = terms(np.where(branch, s, 0.0),
+                                 np.where(branch, h, 0.0), branch)
+                    ch, sn = np.where(branch, c, ch), np.where(branch, n, sn)
+        lam_sn = np.multiply(lam_c, sn)
+        return ch + lam_sn, 2.0 * sn, -2.0 * r_sq * sn, ch - lam_sn
+    return matrix
+
+
+def _masked_apply(e, x, xd, own):
+    e00, e01, e10, e11 = e
+    return (np.where(own, np.multiply(e00, x) + np.multiply(e01, xd), x),
+            np.where(own, np.multiply(e10, x) + np.multiply(e11, xd), xd))
+
+
+def _masked_powers(m, c):
+    which = ...
+    if np.ndim(m) and not np.ndim(c[0]):
+        m, which = np.unique(m, return_inverse=True)
+    x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
+    while np.count_nonzero(m):
+        x, xd = _masked_apply(c, x, xd, m % 2.0 == 1.0)
+        m = m // 2.0
+        live = [np.where(m > 0.0, e, 0.0) for e in c] if np.ndim(c[0]) else c
+        c = transfer._product(live, live) if np.count_nonzero(m) else c
+    return x[which], xd[which]
+
+
+def _masked_state(t, params, cycle):
+    """(x, x', segment index, time into it), every segment masked."""
+    ts = np.array(t, dtype=float)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transfer, "propagator", _masked_propagator)
+        period, segments = transfer._segments(params, cycle, ts.shape)
+    m, theta = transfer._positions(ts, period)
+    if period is None:
+        x, xd = np.ones(ts.shape, complex), np.zeros(ts.shape, complex)
+    else:
+        whole, c = transfer._cycle_matrix(segments)
+        x, xd = _masked_powers(m, c)
+    k = np.zeros(ts.shape, int)
+    for j, (length, _, _) in enumerate(segments[:-1]):
+        later = (k == j) & transfer._past(theta, length, period)
+        x, xd = _masked_apply(whole[j], x, xd, later)
+        theta = np.where(later, theta - length, theta)
+        k = np.where(later, j + 1, k)
+    for j, (length, matrix, end) in enumerate(segments):
+        own = k == j
+        x, xd = _masked_apply(matrix(theta, own), x, xd, own)
+        if j < len(segments) - 1 and end != 1.0:
+            xd = np.where(own & (theta >= length - _FUZZ * period),
+                          end * xd, xd)
+    return x, xd, k, theta
+
+
+def _same_bits(got, want) -> bool:
+    """Equal dtypes and bytes, so signed zeros and NaNs count too."""
+    got, want = (np.atleast_1d(np.asarray(a)) for a in (got, want))
+    return got.dtype == want.dtype and np.array_equal(
+        got.view(np.uint8), want.view(np.uint8))
+
+
+def _assert_matches_masked(t, params, cycle):
+    got = transfer.evaluate(t, params, cycle, lambda *state: state)
+    want = _masked_state(t, params, cycle)
+    for name, g, w in zip(("x", "x'", "segment", "into"), got, want):
+        assert _same_bits(g, w), (name, t)
+
+
+# damping branch -> (params, times): the series region (a nearly degenerate
+# split root), the split form (lam s past the threshold) and cosh/sinh on
+# both sides of critical damping
+_REGIONS = {
+    "overdamped": (ps.ModelParams.from_effective_rate(2.0, 0.8), 3.7),
+    "critical": (ps.ModelParams.from_effective_rate(2.0, 1.0), 3.7),
+    "underdamped": (ps.ModelParams.from_effective_rate(2.0, 1.7), 3.7),
+    "series": (ps.ModelParams.from_mode_splitting(1e-9, 1.5e-14), 3.7),
+    "split": (ps.ModelParams.from_mode_splitting(5000.0, 4000.0), 1.3),
+}
+
+
+def _times(t_max, tau=0.2):
+    """Uniform samples, cycle starts, and window edges (free length 0.9 tau
+    at N = 10; 0.45 and 0.55 tau in window-mid) with their +-1e-9."""
+    edges = [m * tau + f * tau for m in range(int(t_max / tau))
+             for f in (0.0, 0.45, 0.55, 0.9)]
+    return np.array([0.0, *np.linspace(0.0, t_max, 97), 1e-9, *edges,
+                     *(e + d for e in edges[1:] for d in (-1e-9, 1e-9))])
+
+
+@pytest.mark.parametrize("protocol", ["free", "zeno", "dd", "finite",
+                                      "mixed", "window-mid"])
+@pytest.mark.parametrize("region", sorted(_REGIONS))
+def test_owned_entries_match_masked_evaluation(region, protocol):
+    params, t_max = _REGIONS[region]
+    cycle = _cycles(0.2)[protocol]
+    times = _times(t_max)
+    _assert_matches_masked(times, params, cycle)
+    for t in times[::7].tolist():
+        _assert_matches_masked(t, params, cycle)
+
+
+def test_owned_entries_match_masked_evaluation_in_a_batch():
+    # per-cell constants are gathered with the times' index
+    regions = sorted(_REGIONS) * 6
+    params = [_REGIONS[region][0] for region in regions]
+    taus = 0.1 + 0.01 * np.arange(len(regions))
+    # in the free part, the window and the second segment, and on edges
+    into = np.resize([0.3, 0.95, 1.5, 0.0, 0.9, 1.0], len(regions)) * taus
+    times = (np.arange(len(regions)) % 4) * 2.0 * taus + into + np.resize(
+        [0.0, 0.0, 0.0, 0.0, 1e-9, -1e-9, 1e-9], len(regions))
+    for kind, schedule in SCHEDULES.items():
+        cycles = [(s := schedule(tau, 10)) and s.cycle for tau in taus]
+        segments = transfer.evaluate(times, params, cycles, lambda *a: a)[2]
+        assert len(set(segments.tolist())) == (1 if kind in (
+            "free", "zeno", "dd") else 2), kind
+        _assert_matches_masked(times, params, cycles)
+
+
+def test_propagator_branches_match_masked_ones():
+    # one array reaching all three branches, for one cell, for per-cell
+    # constants, and for the cells at an index
+    s = np.array([0.0, 1e-9, 1e-6, 0.5, 3.0, 299.0, 301.0, 1e3, 2.0 ** 520])
+    lam_c = np.array([complex(2.0, -rate) for rate in range(len(s))])
+    one, cells = ((transfer.propagator(*args), _masked_propagator(*args))
+                  for args in ((2.0 + 0.0j, 0.36), (lam_c, 0.36 + 0 * s)))
+    for new, old in (one, cells):
+        assert all(map(_same_bits, new(s), old(s)))
+    for t in s.tolist():
+        assert all(map(_same_bits, one[0](t), one[1](t))), t
+    own = (s > 1e-7) & (s < 1e3)
+    at = np.nonzero(own)
+    assert all(_same_bits(got, want[at]) for got, want in zip(
+        cells[0](s[at], at), cells[1](s, own)))
