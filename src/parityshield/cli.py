@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from ._version import __version__
@@ -74,8 +75,19 @@ def _out_paths(args, default_name: str) -> tuple[Path, Path]:
             path = path / f"{default_name}.csv"
     else:
         path = Path(os.environ.get(OUT_DIR_ENV, ".")) / f"{default_name}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
     return path, path.with_suffix(".svg")
+
+
+@contextmanager
+def _writing(path: Path):
+    """Make path's directory for the block that writes path; an OSError
+    from either is a ConfigError naming path (no writer leaves a part)."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _run_scenario(args) -> int:
@@ -83,8 +95,10 @@ def _run_scenario(args) -> int:
     cfg = build_scenario(scenario, _collect_options(args))
     trace = compute_trace(cfg)
     csv_path, svg_path = _out_paths(args, scenario)
-    write_csv(csv_path, trace.metadata, trace.header, trace.columns)
-    render_svg(trace, svg_path)
+    with _writing(csv_path):
+        write_csv(csv_path, trace.metadata, trace.header, trace.columns)
+    with _writing(svg_path):
+        render_svg(trace, svg_path)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     # outputs land on disk before the ordering gate so a failed check
@@ -99,7 +113,8 @@ def _run_scenario(args) -> int:
 def _run_sweep(args) -> int:
     trace = run_sweep(_collect_options(args), max_cells=args.max_cells)
     csv_path, _ = _out_paths(args, "sweep")
-    write_csv(csv_path, trace.metadata, trace.header, trace.columns)
+    with _writing(csv_path):
+        write_csv(csv_path, trace.metadata, trace.header, trace.columns)
     print(f"wrote {csv_path} ({len(trace.rows)} cells)")
     return 0
 
@@ -125,8 +140,8 @@ def _run_validate(args) -> int:
     print(text)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n", encoding="utf-8")
+        with _writing(out):
+            out.write_text(text + "\n", encoding="utf-8")
         print(f"wrote {out}")
     if not report.ok:
         print("validation failed", file=sys.stderr)

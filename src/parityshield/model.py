@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, fields
 
 from .errors import ParameterError, StateError
 
@@ -28,6 +28,9 @@ _TINY = sys.float_info.min
 
 # norm may only shrink during evolution; allow this much float slack above 1
 _NORM_SLACK = 1e-12
+
+# equal coupling weights whose hypot is exactly 1.0, so that W = R
+_SYMMETRIC = math.sqrt(0.5)
 
 
 def _classify(lam: float, r_rate: float) -> tuple[float, str]:
@@ -66,20 +69,24 @@ class ModelParams:
                 0.0 on the critical branch
     branch:     "overdamped" | "critical" | "underdamped"
 
-    Use the classmethod constructors; they normalize whichever input pair
-    the caller has into the full field set.
+    The caller gives the first four; __post_init__ derives the rest, and
+    derives them again under dataclasses.replace.  The init-only split_root
+    is a caller's omega, kept bit-exact on the overdamped branch if it is
+    that root to rounding; replace does not carry it over.  The
+    classmethods build the record from whichever input pair the caller has.
     """
 
     lam: float
     w_coupling: float
     alpha1: float
     alpha2: float
-    alpha: float
-    r_rate: float
-    omega: float
-    branch: str
+    alpha: float = field(init=False)
+    r_rate: float = field(init=False)
+    omega: float = field(init=False)
+    branch: str = field(init=False)
+    split_root: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, split_root):
         if not (0.0 < self.lam < math.inf):
             raise ParameterError(
                 f"decay rate must be finite and positive, got {self.lam}")
@@ -90,32 +97,47 @@ class ModelParams:
             raise ParameterError(
                 "coupling weights must be positive reals, got "
                 f"({self.alpha1}, {self.alpha2})")
+        alpha = math.hypot(self.alpha1, self.alpha2)
+        r_rate = alpha * self.w_coupling
+        lam_sq, r4_sq = self.lam * self.lam, 4.0 * r_rate * r_rate
         # the damping split squares both rates; past the float range the
         # squares are inf and the branch tag is meaningless
-        if not (math.isfinite(self.lam * self.lam)
-                and math.isfinite(4.0 * self.r_rate * self.r_rate)):
+        if not (math.isfinite(lam_sq) and math.isfinite(r4_sq)):
             raise ParameterError(
                 "rates overflow the damping split lam^2 - 4 R^2: "
-                f"lam={self.lam}, R={self.r_rate}")
+                f"lam={self.lam}, R={r_rate}")
         # with both squares that small every pair reads as critical, omega 0
-        if max(self.lam * self.lam, 4.0 * self.r_rate * self.r_rate) < _TINY:
+        if max(lam_sq, r4_sq) < _TINY:
             raise ParameterError(
                 "rates underflow the damping split lam^2 - 4 R^2: "
-                f"lam={self.lam}, R={self.r_rate}")
+                f"lam={self.lam}, R={r_rate}")
         # a subnormal 4 R^2 has lost digits of R^2
-        if 0.0 < 4.0 * self.r_rate * self.r_rate < _TINY:
+        if 0.0 < r4_sq < _TINY:
             raise ParameterError(
-                f"collective rate R={self.r_rate} gives a subnormal 4 R^2, "
+                f"collective rate R={r_rate} gives a subnormal 4 R^2, "
                 "which keeps only a few digits")
+        omega, branch = _classify(self.lam, r_rate)
+        if split_root is not None and branch == BRANCH_OVERDAMPED:
+            # the split rounds on the scale of lam^2, here the larger square
+            off = abs(split_root * split_root - omega * omega)
+            if not (split_root >= 0.0 and off <= _CRITICAL_RTOL * lam_sq):
+                raise ParameterError(f"split root {split_root} is not the "
+                                     f"root {omega} of lam^2 - 4 R^2")
+            omega = split_root
+        for name, value in (("alpha", alpha), ("r_rate", r_rate),
+                            ("omega", omega), ("branch", branch)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def basis_weights(self) -> tuple[float, float]:
+        """(alpha1, alpha2) / alpha: the superradiant state on |10>, |01>."""
+        return self.alpha1 / self.alpha, self.alpha2 / self.alpha
 
     @classmethod
     def from_couplings(cls, lam: float, w_coupling: float,
                        alpha1: float, alpha2: float) -> "ModelParams":
         """Build from the full microscopic set (lam, W, alpha1, alpha2)."""
-        alpha = math.hypot(alpha1, alpha2)
-        r_rate = alpha * w_coupling
-        omega, branch = _classify(lam, r_rate)
-        return cls(lam, w_coupling, alpha1, alpha2, alpha, r_rate, omega, branch)
+        return cls(lam, w_coupling, alpha1, alpha2)
 
     @classmethod
     def from_effective_rate(cls, lam: float, r_rate: float) -> "ModelParams":
@@ -127,9 +149,7 @@ class ModelParams:
         """
         if not (r_rate > 0.0):
             raise ParameterError(f"collective rate must be positive, got {r_rate}")
-        s = math.sqrt(0.5)
-        omega, branch = _classify(lam, r_rate)
-        return cls(lam, r_rate, s, s, 1.0, r_rate, omega, branch)
+        return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
 
     @classmethod
     def from_mode_splitting(cls, lam: float, omega: float) -> "ModelParams":
@@ -156,38 +176,43 @@ class ModelParams:
         r_rate = math.sqrt((lam - omega) * (lam + omega)) / 2.0
         if not (r_rate > 0.0):
             raise ParameterError("omega == lam gives zero coupling rate")
-        s = math.sqrt(0.5)
-        omega_mag, branch = _classify(lam, r_rate)
-        if branch == BRANCH_OVERDAMPED:
-            omega_mag = omega      # keep caller's value bit-exact
-        return cls(lam, r_rate, s, s, 1.0, r_rate, omega_mag, branch)
+        return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)
+
+
+class _AmplitudePair:
+    """The norm check and the normalized constructor of both amplitude
+    pairs, frozen dataclasses of two complex fields."""
+
+    def __post_init__(self):
+        # written so that a NaN norm fails it too
+        if not self.norm_sq <= 1.0 + _NORM_SLACK:
+            raise StateError(self._NORM_ERROR.format(self.norm_sq))
+
+    @property
+    def norm_sq(self) -> float:
+        return _weight(*(getattr(self, f.name) for f in fields(self)))
+
+    @classmethod
+    def _normalized(cls, a: complex, b: complex):
+        if not abs((n := _weight(a, b)) - 1.0) <= 1e-12:
+            raise StateError(f"initial state must be normalized, |.|^2 = {n}")
+        return cls(complex(a), complex(b))
 
 
 @dataclass(frozen=True)
-class OddParityState:
+class OddParityState(_AmplitudePair):
     """Amplitudes (beta1, beta2) on the dark and superradiant states."""
 
     beta1: complex
     beta2: complex
 
-    def __post_init__(self):
-        # written so that a NaN norm fails it too
-        if not self.norm_sq <= 1.0 + _NORM_SLACK:
-            raise StateError(
-                f"odd-parity norm {self.norm_sq} is not at most 1; "
-                "leakage can only remove weight")
-
-    @property
-    def norm_sq(self) -> float:
-        return _weight(self.beta1, self.beta2)
+    _NORM_ERROR = ("odd-parity norm {} is not at most 1; "
+                   "leakage can only remove weight")
 
     @classmethod
     def initial(cls, beta1: complex, beta2: complex) -> "OddParityState":
         """Strictly normalized constructor for t = 0 states."""
-        n = _weight(beta1, beta2)
-        if not abs(n - 1.0) <= 1e-12:
-            raise StateError(f"initial state must be normalized, |.|^2 = {n}")
-        return cls(complex(beta1), complex(beta2))
+        return cls._normalized(beta1, beta2)
 
     @classmethod
     def dark(cls) -> "OddParityState":
@@ -199,27 +224,17 @@ class OddParityState:
 
 
 @dataclass(frozen=True)
-class PhysicalAmplitudes:
+class PhysicalAmplitudes(_AmplitudePair):
     """Amplitudes (c10, c01) on |1>_1|0>_2 and |0>_1|1>_2."""
 
     c10: complex
     c01: complex
 
-    def __post_init__(self):
-        if not self.norm_sq <= 1.0 + _NORM_SLACK:
-            raise StateError(
-                f"physical norm {self.norm_sq} is not at most 1")
-
-    @property
-    def norm_sq(self) -> float:
-        return _weight(self.c10, self.c01)
+    _NORM_ERROR = "physical norm {} is not at most 1"
 
     @classmethod
     def initial(cls, c10: complex, c01: complex) -> "PhysicalAmplitudes":
-        n = _weight(c10, c01)
-        if not abs(n - 1.0) <= 1e-12:
-            raise StateError(f"initial state must be normalized, |.|^2 = {n}")
-        return cls(complex(c10), complex(c01))
+        return cls._normalized(c10, c01)
 
 
 def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
@@ -230,8 +245,7 @@ def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
     so the transform is its own transpose-inverse and preserves the 2-norm
     exactly.
     """
-    a1 = params.alpha1 / params.alpha
-    a2 = params.alpha2 / params.alpha
+    a1, a2 = params.basis_weights
     beta1 = a2 * phys.c10 - a1 * phys.c01
     beta2 = a1 * phys.c10 + a2 * phys.c01
     return OddParityState(beta1, beta2)
@@ -239,8 +253,7 @@ def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
 
 def recompose(state: OddParityState, params: ModelParams) -> PhysicalAmplitudes:
     """Inverse of decompose (exact, orthonormal change of basis)."""
-    a1 = params.alpha1 / params.alpha
-    a2 = params.alpha2 / params.alpha
+    a1, a2 = params.basis_weights
     c10 = a2 * state.beta1 + a1 * state.beta2
     c01 = -a1 * state.beta1 + a2 * state.beta2
     return PhysicalAmplitudes(c10, c01)

@@ -150,19 +150,10 @@ def _check_resolution(dt: float, params: ModelParams):
             "dt * lam must not exceed 0.1")
 
 
-def _initial_physical(params: ModelParams,
-                      state0: OddParityState | None) -> tuple[complex, complex]:
-    if state0 is None:
-        state0 = OddParityState.superradiant()
-    phys = recompose(state0, params)
-    return complex(phys.c10), complex(phys.c01)
-
-
 def _make_trace(params: ModelParams, dt: float, r1: np.ndarray,
                 r2: np.ndarray, leak: np.ndarray) -> OracleTrace:
     times = np.arange(len(r1)) * dt
-    a1 = params.alpha1 / params.alpha
-    a2 = params.alpha2 / params.alpha
+    a1, a2 = params.basis_weights
     beta1 = a2 * r1 - a1 * r2
     beta2 = a1 * r1 + a2 * r2
     defect = 1.0 - (np.abs(r1) ** 2 + np.abs(r2) ** 2 + leak)
@@ -340,8 +331,9 @@ def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
         raise ConfigError("the direct-quadrature backend takes segment ends "
                           "k of -1, 0 or 1 only")
     factors, rates = _step_timing(sched, n, cfg.dt_num)
-    r1, r2 = _initial_physical(params, state0)
-    return run(params, n, cfg, r1, r2, factors, rates)
+    phys = recompose(state0 or OddParityState.superradiant(), params)
+    return run(params, n, cfg, complex(phys.c10), complex(phys.c01),
+               factors, rates)
 
 
 def integrate_free(params: ModelParams, t_max: float, cfg: OracleConfig,

@@ -69,6 +69,8 @@ _COLORS = {
     "F_ddN10": "#2ca02c",
     "F_ddN20": "#9467bd",
 }
+# unlisted series take these in series order, cycling
+_SPARE_COLORS = ("#ff7f0e", "#8c564b", "#e377c2", "#bcbd22", "#17becf")
 
 _CANVAS_W = 800
 _CANVAS_H = 500
@@ -107,7 +109,8 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     metadata key or value holding a line break raises ConfigError before
     the file is written: the break would end the comment line.  So do a
     header whose length is not the number of columns and columns of
-    unequal length, which would write a misaligned or cut-off table.  The
+    unequal length, which would write a misaligned or cut-off table, and
+    text that UTF-8 cannot hold, such as a lone surrogate.  The
     rows go to the file in blocks of _BLOCK_ROWS (see the module
     docstring); if a block fails, as on a cell that float() refuses, the
     file is removed.
@@ -128,7 +131,7 @@ def write_csv(path: str | Path, metadata: dict[str, str], header: list[str],
     csv.writer(head, lineterminator="\n").writerow(header)
     try:
         with open(path, "wb") as fh:
-            fh.write(head.getvalue().encode("utf-8", "surrogateescape"))
+            fh.write(_utf8(head.getvalue()))
             for start in range(0, rows, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, rows)
                 block = [column[start:stop] for column in columns]
@@ -145,11 +148,21 @@ def _rows_bytes(block: list, tags: list[bool], kernel: bool) -> bytes:
     kernel, else joined from repr per cell."""
     if not kernel:
         cells = [c if tag else _repr_text(c) for c, tag in zip(block, tags)]
-        return "".join(f"{row}\n" for row in map(",".join, zip(*cells))
-                       ).encode("utf-8", "surrogateescape")
+        rows = map(",".join, zip(*cells))
+        return _utf8("".join(f"{row}\n" for row in rows))
     tails = [","] * (len(block) - 1) + ["\n"]
     return _joined([(_tag_text if tag else _float_text)(cells, tail)
                     for cells, tag, tail in zip(block, tags, tails)])
+
+
+def _utf8(text: str) -> bytes:
+    """text as UTF-8, argv's surrogate escapes as their bytes; ConfigError
+    for any other text that UTF-8 cannot hold."""
+    try:
+        return text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"text {exc.object[exc.start:exc.end]!r} cannot be "
+                          "written as UTF-8") from None
 
 
 def _repr_text(cells):
@@ -164,8 +177,7 @@ def _tag_text(cells, tail: str) -> np.ndarray:
     text = np.ascontiguousarray(cells, str)
     units = text.view(np.uint32).reshape(len(text), -1)
     if units.max() >= 128:
-        units = np.array([cell.encode("utf-8", "surrogateescape")
-                          for cell in text.tolist()])
+        units = np.array([_utf8(cell) for cell in text.tolist()])
         units = units.view(np.uint8).reshape(len(text), -1)
     chars = np.empty((len(text), units.shape[1] + 1), np.uint8)
     chars[:, :-1] = units
@@ -383,7 +395,8 @@ def render_svg(source, svg_path: str | Path) -> None:
     data rows go to one np.loadtxt call.  A duplicate column name, a missing
     or non-finite cell, fewer than two rows, a zero time span or a time or
     padded value span that overflows raise ConfigError, so every coordinate
-    lies on the canvas, where _fixed2 writes its text.
+    lies on the canvas, where _fixed2 writes its text; so does text that
+    UTF-8 cannot hold, before the SVG file is opened.
     """
     if hasattr(source, "columns"):
         return _plot("the table", source.metadata, source.header, svg_path,
@@ -481,8 +494,9 @@ def _plot(label, metadata, header, svg_path, load) -> None:
     legend_y = _MARGIN_T + 10
     # sx and sy take whole columns: the same operations in the same order
     x_text = _fixed2(sx(t), ",")
+    spare = iter(_SPARE_COLORS * len(series))
     for name, values in series.items():
-        color = _COLORS.get(name, "#333333")
+        color = _COLORS.get(name) or next(spare)
         # no space after the last point
         pts = _joined([x_text, _fixed2(sy(values), " ")])[:-1].decode()
         parts.append(
@@ -502,5 +516,4 @@ def _plot(label, metadata, header, svg_path, load) -> None:
         f'font-family="sans-serif" font-size="12" text-anchor="middle">'
         't</text>')
     parts.append("</svg>")
-    Path(svg_path).write_text("\n".join(parts) + "\n", encoding="utf-8",
-                              errors="surrogateescape")
+    Path(svg_path).write_bytes(_utf8("\n".join(parts) + "\n"))

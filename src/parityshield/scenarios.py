@@ -300,7 +300,8 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
         parts.append(np.array([t_max]))
     for period, segments in cycles:
         m1 = np.arange(t_max // period + 3.0)  # m - 1, with a margin
-        m1 = m1[m1 * period <= t_max]  # the cycles that start by t_max
+        with np.errstate(over="ignore"):  # a start past the range is inf
+            m1 = m1[m1 * period <= t_max]  # the cycles that start by t_max
         inner = itertools.accumulate(s[0] for s in segments[:-1])
         ends = np.concatenate([(m1 + 1.0) * period,
                                *(m1 * period + e for e in inner)])

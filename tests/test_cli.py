@@ -323,6 +323,43 @@ def test_sweep_past_the_float_range_warns_nothing(tmp_path, capsys, argv,
     assert read_csv(out)[1:] == (header, [row])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--tau", "1e308"],
+    ["custom", "--schedules", "zeno(1e308)", "--t-max", "1"],
+    ["custom", "--schedules", "dd-finite(1e308,10)", "--t-max", "1"],
+], ids=["fig1-period", "zeno-period", "finite-period"])
+def test_trace_past_the_float_range_warns_nothing(tmp_path, capsys, argv):
+    # the second and third cycle start past the float range; their times
+    # overflowed with a RuntimeWarning before being dropped from the grid
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    t = [float(row[0]) for row in read_csv(out)[2]]
+    assert t == [j / 2000 for j in range(2001)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig1", "--out", "F/x.csv"], "F/x.csv: File exists"),
+    (["sweep", "--tau", "0.1", "--out", "F/x.csv"], "F/x.csv: File exists"),
+    (["validate", "--oracle-mode", "exact-augmented", "--out", "D/"],
+     "D: Is a directory"),
+    (["validate", "--oracle-mode", "exact-augmented", "--out", "F/r.txt"],
+     "F/r.txt: File exists"),
+], ids=["fig1-under-file", "sweep-under-file", "validate-directory",
+        "validate-under-file"])
+def test_unusable_output_path_exits_one(tmp_path, capsys, monkeypatch, argv,
+                                        message):
+    # each raised a raw FileExistsError or IsADirectoryError; F is a file,
+    # D a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("")
+    (tmp_path / "D").mkdir()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {message}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "F"]
+    assert (tmp_path / "F").read_text() == ""
+
+
 def test_validate_passes(tmp_path, capsys):
     report = tmp_path / "report.txt"
     code = main(["validate", "--oracle-mode", "exact-augmented",

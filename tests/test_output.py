@@ -105,6 +105,68 @@ def test_csv_leaves_no_partial_file(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("where", ["metadata", "header", "tag", "tag-long"])
+def test_csv_refuses_text_utf8_cannot_hold(tmp_path, where):
+    # a lone surrogate that no byte of argv decodes to raised a raw
+    # UnicodeEncodeError
+    rows = _KERNEL_ROWS if where == "tag-long" else 2
+    metadata, header = {"run_id": "probe"}, ["t", "segment"]
+    columns = [[0.5] * rows, ["free"] * rows]
+    if where == "metadata":
+        metadata["run_id"] = "\ud800"
+    elif where == "header":
+        header[1] = "\ud800"
+    else:
+        columns[1][-1] = "\ud800"
+    path = tmp_path / "probe.csv"
+    with pytest.raises(ps.ConfigError,
+                       match=r"text '\\ud800' cannot be written as UTF-8"):
+        write_csv(path, metadata, header, columns)
+    assert not path.exists()
+
+
+def test_surrogate_escapes_keep_their_bytes(tmp_path, small_table):
+    # argv decodes a byte that is not UTF-8 to U+DC80..U+DCFF: the files get
+    # the byte back
+    metadata, header, columns = small_table
+    escaped = b"run-\xff".decode("utf-8", "surrogateescape")
+    csv_path, svg_path = tmp_path / "probe.csv", tmp_path / "probe.svg"
+    write_csv(csv_path, {**metadata, "run_id": escaped}, header,
+              [*columns[:-1], ["free", escaped, "in_pulse"]])
+    assert b"# run_id=run-\xff\n" in csv_path.read_bytes()
+    assert b"\n0.5,0.9,0.99,run-\xff\n" in csv_path.read_bytes()
+    render_svg(csv_path, svg_path)
+    assert b">run-\xff</text>" in svg_path.read_bytes()
+
+
+def test_svg_refuses_text_utf8_cannot_hold(tmp_path, small_table):
+    # the refused title once left a 0-byte SVG behind
+    metadata, header, columns = small_table
+    svg_path = tmp_path / "probe.svg"
+    trace = ps.EvolutionTrace(header, columns, {**metadata, "run_id": "\ud800"})
+    with pytest.raises(ps.ConfigError, match="cannot be written as UTF-8"):
+        render_svg(trace, svg_path)
+    assert not svg_path.exists()
+
+
+def test_svg_gives_each_unlisted_series_its_own_colour(tmp_path):
+    csv_path, svg_path = tmp_path / "many.csv", tmp_path / "many.svg"
+    # F_ddN5 and F_ddN40 were drawn in one grey
+    assert main(["custom", "--schedules", "none|zeno(0.1)|dd(0.1)|"
+                 "dd-finite(0.2,5)|dd-finite(0.2,10)|dd-finite(0.2,40)",
+                 "--out", str(csv_path)]) == 0
+    root = ElementTree.parse(svg_path).getroot()
+    strokes = [node.get("stroke") for node in root
+               if node.tag.endswith("polyline")]
+    # the listed series keep their colours; the others take the spares in
+    # series order
+    assert read_csv(csv_path)[1][1:-1] == [
+        "F_free", "F_zeno", "F_dd", "F_ddN5", "F_ddN10", "F_ddN40"]
+    assert strokes == ["#888888", "#d62728", "#1f77b4", "#ff7f0e", "#2ca02c",
+                       "#8c564b"]
+    assert svg_path.read_text() == _reference_svg(csv_path)
+
+
 @pytest.mark.parametrize("header, columns, message", [
     (["t", "F_free"], [[0.0, 0.5, 1.0], [1.0, 0.9]],
      r"columns of unequal lengths \[2, 3\]"),
@@ -192,7 +254,7 @@ def test_csv_matches_per_row_writer(tmp_path, make):
 def _reference_svg(csv_path) -> str:
     from parityshield.output import (_CANVAS_H, _CANVAS_W, _COLORS,
                                      _MARGIN_B, _MARGIN_L, _MARGIN_R,
-                                     _MARGIN_T, _ticks)
+                                     _MARGIN_T, _SPARE_COLORS, _ticks)
     metadata, header, rows = {}, [], []
     with open(csv_path, newline="") as fh:
         for line in fh:
@@ -259,8 +321,9 @@ def _reference_svg(csv_path) -> str:
             f'font-family="sans-serif" font-size="11" '
             f'text-anchor="end">{yv:.4g}</text>')
     legend_y = _MARGIN_T + 10
+    spare = list(_SPARE_COLORS)
     for name, values in cols.items():
-        color = _COLORS.get(name, "#333333")
+        color = _COLORS[name] if name in _COLORS else spare.pop(0)
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(t, values))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

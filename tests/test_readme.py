@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import parityshield
-from parityshield.scenarios import _merged
+from parityshield.scenarios import _merged, option_keys
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,15 +29,19 @@ def test_python_examples_run():
 
 def test_flag_table_matches_parser(subcommands):
     # each subcommand column lists exactly the flags it takes, with the
-    # config key it sets and its default ("yes": none)
+    # config key it sets and its default ("yes": none); the columns are the
+    # parser's subcommands, and no row is a flag that none of them takes
     lines = README.read_text().splitlines()
     cells = [[c.strip().strip("`") for c in line.strip("|").split("|")]
              for line in lines if line.startswith(("| flag |", "| `--"))]
     (_, _, *kinds), *rows = cells
+    assert kinds == list(subcommands)
+    assert [flag for flag, _, *marks in rows if not any(marks)] == []
     for j, kind in enumerate(kinds):
         actions = {s: a for a in subcommands[kind]._actions
                    for s in a.option_strings}
         defaults = {} if kind == "validate" else _merged(kind, {})[0]
+        keys = set() if kind == "validate" else set(option_keys(kind))
         listed = set()
         for flag, key, *marks in rows:
             if not marks[j]:
@@ -45,6 +49,8 @@ def test_flag_table_matches_parser(subcommands):
             listed.add(flag)
             action = actions[flag]
             assert action.dest == (key or action.dest), (kind, flag)
+            # a flag that sets a config key names it; no other flag does
+            assert bool(key) == (action.dest in keys), (kind, flag)
             default = (defaults.get(key) if action.default is None
                        else action.default)
             want = "yes" if default is None else str(default)
