@@ -115,7 +115,7 @@ def _run_sweep(args) -> int:
     csv_path, _ = _out_paths(args, "sweep")
     with _writing(csv_path):
         write_csv(csv_path, trace.metadata, trace.header, trace.columns)
-    print(f"wrote {csv_path} ({len(trace.rows)} cells)")
+    print(f"wrote {csv_path} ({len(trace.columns[0])} cells)")
     return 0
 
 

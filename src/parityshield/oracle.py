@@ -42,6 +42,7 @@ report how well total probability is conserved.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,8 @@ class OracleConfig:
     history_mode: str = EXACT_AUGMENTED
 
     def __post_init__(self):
+        if not isinstance(self.dt_num, numbers.Real):
+            raise ConfigError(f"step must be a number, got {self.dt_num!r}")
         if not (self.dt_num > 0.0):
             raise ConfigError(f"step must be positive, got {self.dt_num}")
         if self.method_order not in (2, 4):

@@ -508,7 +508,8 @@ def _plot(label, metadata, header, svg_path, load) -> None:
             f'y2="{legend_y}" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{lx + 28}" y="{legend_y + 4}" '
-            f'font-family="sans-serif" font-size="12">{name}</text>')
+            f'font-family="sans-serif" font-size="12">'
+            f'{html.escape(name, quote=False)}</text>')
         legend_y += 18
 
     parts.append(

@@ -10,12 +10,20 @@ backends, backend cross-agreement, the pulse-instant slope reversal, the
 interval equation residuals, window-edge continuity, the instantaneous
 limit of the finite-duration protocol, integrator convergence orders, and
 probability bookkeeping.
+
+The checks are the rows of `_CHECKS`, in report order.  `run_validation`
+computes each row's inputs (oracle runs, or a closed-form quantity that two
+rows share) once per call and drops each after the last row that reads it;
+a row runs when every backend among its oracle runs is selected.  Closed
+forms and integrators are read by their module-level names at call time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,40 +69,177 @@ class ValidationReport:
 _CASE1 = ModelParams.from_mode_splitting(2.0, 1.0)
 _CASE1_TAU = 0.1
 _CASE2_TAU = 0.2
-
-_DEFAULT_TOLS = {
-    "free_closed_form_vs_augmented": 1e-6,
-    "free_closed_form_vs_quadrature": 1e-6,
-    "free_backend_agreement": 5e-5,
-    "free_norm_monotone": 1e-12,
-    "dark_state_frozen": 1e-8,
-    "dark_protected_all_protocols": 1e-8,
-    "zeno_composition_identity": 1e-12,
-    "zeno_quadratic_limit": 0.05,
-    "dd_recursion_vs_augmented": 1e-6,
-    "dd_backend_agreement": 5e-5,
-    "dd_slope_reversal": 1.0,
-    "dd_interval_ode_residual": 1e-5,
-    "finite_map_vs_oracle_n10": 1e-4,
-    "finite_map_vs_oracle_n20": 1e-4,
-    "finite_window_edge_continuity": 1e-6,
-    "finite_free_segment_ode_residual": 1e-5,
-    "finite_instantaneous_limit": 1e-3,
-    "finite_limit_monotone_in_n": 0.0,
-    "convergence_order_rk4": 8.0,
-    "convergence_order_rk2": 3.5,
-}
+_R_SQ = _CASE1.r_rate ** 2
+_DD = DdSchedule(_CASE1_TAU)
+_F10 = FinitePulseSchedule(_CASE2_TAU, 10)
+_F20 = FinitePulseSchedule(_CASE2_TAU, 20)
+_SUPER = OddParityState.superradiant()
+_MIXED = OddParityState.initial(math.sqrt(0.5), math.sqrt(0.5))
+_HH = 1e-4             # central-difference step of the ODE residuals
 
 
-def _ode_residual(values, step, lam, r_sq):
-    """Largest |f'' + lam f' + R^2 f| by central differences, over
-    consecutive (f(t0 - step), f(t0), f(t0 + step)) triples of values."""
+class _Run(NamedTuple):
+    """One oracle integration of the canonical point on [0, 1]."""
+
+    sched: object                   # None for free decay
+    backend: str = EXACT_AUGMENTED
+    state: OddParityState = _SUPER
+    step: float | None = None       # None: the step run_validation is given
+    order: int = 4
+
+
+def _integrate(run: _Run, dt_num: float):
+    cfg = OracleConfig(run.step or dt_num, run.order, run.backend)
+    if run.sched is None:
+        return integrate_free(_CASE1, 1.0, cfg, run.state)
+    # one name per protocol: perfbench/tracer.py spans each name apart
+    integrator = (integrate_dd if isinstance(run.sched, DdSchedule)
+                  else integrate_finite)
+    return integrator(_CASE1, run.sched, 1.0, cfg, run.state)
+
+
+def _vs_free(tr) -> float:
+    return float(np.max(np.abs(tr.beta2 - free_survival(tr.times, _CASE1))))
+
+
+def _agreement(a, b) -> float:
+    return float(np.max(np.abs(a.beta2 - b.beta2)))
+
+
+def _dark_drift(*traces) -> float:
+    return max(float(np.max(np.abs(tr.beta1 - tr.beta1[0]))) for tr in traces)
+
+
+def _finite_map(tr, sched) -> float:
+    values, tags = finite_dd_survival(tr.times, sched, _CASE1)
+    # np.hypot rounds as Python's abs; np.abs can be an ulp off
+    d = (tr.beta2 - values)[tags == FREE_SEGMENT]
+    return float(np.max(np.hypot(d.real, d.imag)))
+
+
+def _ode_residual(points, amplitude) -> float:
+    """Largest |f'' + lam f' + R^2 f| at the points by central differences;
+    amplitude(times) evaluates f on every (t0 - h, t0, t0 + h) at once."""
+    values = amplitude([t for t0 in points for t in (t0 - _HH, t0, t0 + _HH)])
     worst = 0.0
     for f0, f1, f2 in zip(values[0::3], values[1::3], values[2::3]):
-        second = (f2 - 2 * f1 + f0) / step ** 2
-        first = (f2 - f0) / (2 * step)
-        worst = max(worst, abs(second + lam * first + r_sq * f1))
+        second = (f2 - 2 * f1 + f0) / _HH ** 2
+        first = (f2 - f0) / (2 * _HH)
+        worst = max(worst, abs(second + _CASE1.lam * first + _R_SQ * f1))
     return worst
+
+
+def _slope_reversal() -> float:
+    """Slope reversal defect at the pulse instants over its allowed band."""
+    h = 1e-6
+    instants = [m * _CASE1_TAU for m in range(1, 10)]
+    xi = dd_survival([t0 + d for t0 in instants
+                      for d in (-2 * h, -h, 0.0, h, 2 * h)], _DD, _CASE1)
+    worst = 0.0
+    for j in range(0, len(xi), 5):
+        back2, back1, here, ahead1, ahead2 = xi[j:j + 5]
+        right = (-3 * here + 4 * ahead1 - ahead2) / (2 * h)
+        left = (3 * here - 4 * back1 + back2) / (2 * h)
+        worst = max(worst, abs(right + left) / (1e-5 * abs(left) + 1e-9))
+    return worst
+
+
+def _dd_interval_residual() -> float:
+    interior = [t0 for t0 in np.linspace(0.02, 0.98, 33)
+                if min(abs(t0 - round(t0 / _CASE1_TAU) * _CASE1_TAU),
+                       abs(t0 % _CASE1_TAU)) >= 3 * _HH]
+    return _ode_residual(interior, lambda ts: dd_survival(ts, _DD, _CASE1))
+
+
+def _edge_jump() -> float:
+    """Largest jump of the amplitude modulus across a window edge."""
+    edges = [edge for m in range(5)
+             for edge in (m * _CASE2_TAU + _F10.free_length,
+                          (m + 1) * _CASE2_TAU)]
+    sides = [abs(value) for value, _ in finite_dd_survival(
+        [t for edge in edges for t in (edge - 1e-9, edge + 1e-9)],
+        _F10, _CASE1)]
+    return max(abs(hi - lo) for lo, hi in zip(sides[0::2], sides[1::2]))
+
+
+def _finite_free_residual() -> float:
+    points = [t0 for t0 in (0.05, 0.25, 0.31, 0.52, 0.71, 0.93)
+              if _F10.segment_of(t0)[0] == FREE_SEGMENT]
+    return _ode_residual(points, lambda ts: [
+        value for value, _ in finite_dd_survival(ts, _F10, _CASE1)])
+
+
+def _n_deviations() -> dict[int, float]:
+    """Per N, the largest free-segment gap to instantaneous pulses."""
+    ts = np.linspace(0.0, 1.0, 501)
+    inst_mod = np.abs(dd_survival(ts, DdSchedule(_CASE2_TAU), _CASE1))
+    devs = {}
+    for n_duty in (10, 20, 40, 80, 10000):
+        fids, tags = finite_dd_fidelity(
+            _SUPER, ts, FinitePulseSchedule(_CASE2_TAU, n_duty), _CASE1)
+        devs[n_duty] = float(np.max(np.abs(fids - inst_mod)[
+            tags == FREE_SEGMENT]))
+    return devs
+
+
+class _Check(NamedTuple):
+    name: str
+    tolerance: float                # default; run_validation may override
+    comparator: str                 # "<=" or ">="
+    inputs: tuple                   # _Run oracle runs or shared quantities
+    measure: Callable[..., float]   # the inputs' values -> measured value
+
+
+_CHECKS = (
+    _Check("free_closed_form_vs_augmented", 1e-6, "<=", (_Run(None),),
+           _vs_free),
+    _Check("free_norm_monotone", 1e-12, "<=", (_Run(None),),
+           lambda tr: np.max(np.diff(abs(tr.r1) ** 2 + abs(tr.r2) ** 2))),
+    _Check("free_closed_form_vs_quadrature", 1e-6, "<=",
+           (_Run(None, DIRECT_QUADRATURE, order=2),), _vs_free),
+    _Check("free_backend_agreement", 5e-5, "<=",
+           (_Run(None), _Run(None, DIRECT_QUADRATURE, order=2)), _agreement),
+    _Check("dark_state_frozen", 1e-8, "<=",
+           (_Run(None, state=OddParityState.dark()),),
+           lambda tr: max(float(np.max(np.abs(tr.beta2))), _dark_drift(tr))),
+    _Check("zeno_composition_identity", 1e-12, "<=", (),
+           lambda: abs(zeno_amplitude(1.0, ZenoSchedule(_CASE1_TAU), _CASE1)
+                       - free_survival(_CASE1_TAU, _CASE1) ** 10)),
+    _Check("zeno_quadratic_limit", 0.05, "<=", (),
+           lambda: abs((1.0 - free_survival(1e-3, _CASE1))
+                       / (_R_SQ * 1e-3 ** 2 / 2.0) - 1.0)),
+    _Check("dd_recursion_vs_augmented", 1e-6, "<=", (_Run(_DD),),
+           lambda tr: np.max(np.abs(
+               tr.beta2 - dd_survival(tr.times, _DD, _CASE1)))),
+    _Check("dd_backend_agreement", 5e-5, "<=",
+           (_Run(_DD), _Run(_DD, DIRECT_QUADRATURE, order=2)), _agreement),
+    _Check("dd_slope_reversal", 1.0, "<=", (), _slope_reversal),
+    _Check("dd_interval_ode_residual", 1e-5, "<=", (), _dd_interval_residual),
+    _Check("finite_map_vs_oracle_n10", 1e-4, "<=", (_Run(_F10),),
+           lambda tr: _finite_map(tr, _F10)),
+    _Check("finite_map_vs_oracle_n20", 1e-4, "<=", (_Run(_F20),),
+           lambda tr: _finite_map(tr, _F20)),
+    _Check("finite_window_edge_continuity", 1e-6, "<=", (), _edge_jump),
+    _Check("finite_free_segment_ode_residual", 1e-5, "<=", (),
+           _finite_free_residual),
+    # N -> infinity reproduces instantaneous pulses; approach is monotone
+    _Check("finite_instantaneous_limit", 1e-3, "<=", (_n_deviations,),
+           lambda devs: devs[10000]),
+    _Check("finite_limit_monotone_in_n", 0.0, ">=", (_n_deviations,),
+           lambda devs: min(devs[a] - devs[b]
+                            for a, b in ((10, 20), (20, 40), (40, 80)))),
+    # mixed state: dark amplitude untouched by any protocol
+    _Check("dark_protected_all_protocols", 1e-8, "<=",
+           (_Run(None, state=_MIXED), _Run(_DD, state=_MIXED),
+            _Run(_F10, state=_MIXED)), _dark_drift),
+    # fixed-step convergence orders against the closed free solution
+    _Check("convergence_order_rk4", 8.0, ">=",
+           (_Run(None, step=0.04), _Run(None, step=0.02)),
+           lambda coarse, fine: _vs_free(coarse) / _vs_free(fine)),
+    _Check("convergence_order_rk2", 3.5, ">=",
+           (_Run(None, step=0.04, order=2), _Run(None, step=0.02, order=2)),
+           lambda coarse, fine: _vs_free(coarse) / _vs_free(fine)),
+)
 
 
 def run_validation(tolerance_overrides: dict[str, float] | None = None,
@@ -107,177 +252,32 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     Restricting ``oracle_modes`` to a single backend skips the checks
     that need the other one; closed-form-only checks always run.
     """
-    tols = dict(_DEFAULT_TOLS)
-    if tolerance_overrides:
-        unknown = set(tolerance_overrides) - set(tols)
-        if unknown:
-            raise ConfigError(f"unknown check names: {sorted(unknown)}")
-        for name, tol in tolerance_overrides.items():
-            # a NaN bound would fail its check whatever the measurement
-            if math.isnan(tol):
-                raise ConfigError(f"tolerance of {name} is not a number")
-        tols.update(tolerance_overrides)
+    overrides = dict(tolerance_overrides or {})
+    unknown = set(overrides) - {row.name for row in _CHECKS}
+    if unknown:
+        raise ConfigError(f"unknown check names: {sorted(unknown)}")
+    for name, tol in overrides.items():
+        # a NaN bound would fail its check whatever the measurement
+        if not isinstance(tol, numbers.Real) or math.isnan(tol):
+            raise ConfigError(f"tolerance of {name} is not a number")
     bad = set(oracle_modes) - {EXACT_AUGMENTED, DIRECT_QUADRATURE}
     if bad or not oracle_modes:
         raise ConfigError(f"invalid oracle modes: {sorted(bad)}")
-    use_aug = EXACT_AUGMENTED in oracle_modes
-    use_quad = DIRECT_QUADRATURE in oracle_modes
 
-    params = _CASE1
-    r_sq = params.r_rate ** 2
-    lam = params.lam
-    sched_dd = DdSchedule(_CASE1_TAU)
+    rows = [row for row in _CHECKS if set(oracle_modes) >= {
+        src.backend for src in row.inputs if isinstance(src, _Run)}]
+    last_reader = {src: i for i, row in enumerate(rows) for src in row.inputs}
+    made: dict = {}
     results: list[CheckResult] = []
-
-    def check(name, measured, comparator="<="):
-        tol = tols[name]
-        ok = measured <= tol if comparator == "<=" else measured >= tol
-        results.append(CheckResult(name, float(measured), float(tol),
-                                   comparator, ok))
-
-    cfg_fast = OracleConfig(dt_num=dt_num, method_order=4,
-                            history_mode=EXACT_AUGMENTED)
-    cfg_slow = OracleConfig(dt_num=dt_num, method_order=2,
-                            history_mode=DIRECT_QUADRATURE)
-
-    # free decay: closed form vs both backends, and backend vs backend
-    if use_aug:
-        tr_aug = integrate_free(params, 1.0, cfg_fast)
-        check("free_closed_form_vs_augmented", np.max(np.abs(
-            tr_aug.beta2 - free_survival(tr_aug.times, params))))
-        norm = np.abs(tr_aug.r1) ** 2 + np.abs(tr_aug.r2) ** 2
-        check("free_norm_monotone", float(np.max(np.diff(norm))))
-    if use_quad:
-        tr_quad = integrate_free(params, 1.0, cfg_slow)
-        check("free_closed_form_vs_quadrature", np.max(np.abs(
-            tr_quad.beta2 - free_survival(tr_quad.times, params))))
-    if use_aug and use_quad:
-        check("free_backend_agreement",
-              np.max(np.abs(tr_aug.beta2 - tr_quad.beta2)))
-
-    # dark state decouples entirely
-    if use_aug:
-        tr_dark = integrate_free(params, 1.0, cfg_fast,
-                                 state0=OddParityState.dark())
-        check("dark_state_frozen", max(
-            float(np.max(np.abs(tr_dark.beta2))),
-            float(np.max(np.abs(tr_dark.beta1 - tr_dark.beta1[0])))))
-
-    # measurement protocol closed form
-    sched_z = ZenoSchedule(_CASE1_TAU)
-    composed = free_survival(_CASE1_TAU, params) ** 10
-    check("zeno_composition_identity",
-          abs(zeno_amplitude(1.0, sched_z, params) - composed))
-    dt_small = 1e-3
-    ratio = (1.0 - free_survival(dt_small, params)) / (r_sq * dt_small ** 2 / 2.0)
-    check("zeno_quadratic_limit", abs(ratio - 1.0))
-
-    # instantaneous pulses: closed form vs oracle, backend agreement
-    if use_aug:
-        tr_dd = integrate_dd(params, sched_dd, 1.0, cfg_fast)
-        check("dd_recursion_vs_augmented", np.max(np.abs(
-            tr_dd.beta2 - dd_survival(tr_dd.times, sched_dd, params))))
-        if use_quad:
-            tr_dd_q = integrate_dd(params, sched_dd, 1.0, cfg_slow)
-            check("dd_backend_agreement",
-                  np.max(np.abs(tr_dd.beta2 - tr_dd_q.beta2)))
-
-    # slope reverses sign at each pulse instant; one-sided second-order
-    # differences, defect normalized by the allowed band
-    h = 1e-6
-    instants = [m * _CASE1_TAU for m in range(1, 10)]
-    xi = dd_survival([t0 + d for t0 in instants
-                      for d in (-2 * h, -h, 0.0, h, 2 * h)], sched_dd, params)
-    worst = 0.0
-    for j in range(0, len(xi), 5):
-        back2, back1, here, ahead1, ahead2 = xi[j:j + 5]
-        right = (-3 * here + 4 * ahead1 - ahead2) / (2 * h)
-        left = (3 * here - 4 * back1 + back2) / (2 * h)
-        band = 1e-5 * abs(left) + 1e-9
-        worst = max(worst, abs(right + left) / band)
-    check("dd_slope_reversal", worst)
-
-    # interval equation residual away from the pulse instants
-    hh = 1e-4
-    interior = [t0 for t0 in np.linspace(0.02, 0.98, 33)
-                if min(abs(t0 - round(t0 / _CASE1_TAU) * _CASE1_TAU),
-                       abs(t0 % _CASE1_TAU)) >= 3 * hh]
-    worst = _ode_residual(
-        dd_survival([t for t0 in interior for t in (t0 - hh, t0, t0 + hh)],
-                    sched_dd, params), hh, lam, r_sq)
-    check("dd_interval_ode_residual", worst)
-
-    # finite-duration pulses: map vs oracle on free-segment samples
-    if use_aug:
-        for n_duty, name in ((10, "finite_map_vs_oracle_n10"),
-                             (20, "finite_map_vs_oracle_n20")):
-            sched_f = FinitePulseSchedule(_CASE2_TAU, n_duty)
-            tr_f = integrate_finite(params, sched_f, 1.0, cfg_fast)
-            values, tags = finite_dd_survival(tr_f.times, sched_f, params)
-            # np.hypot rounds as Python's abs; np.abs can be an ulp off
-            d = (tr_f.beta2 - values)[tags == FREE_SEGMENT]
-            check(name, float(np.max(np.hypot(d.real, d.imag))))
-
-    # amplitude modulus continuous across window edges
-    sched_f = FinitePulseSchedule(_CASE2_TAU, 10)
-    eps = 1e-9
-    edges = [edge for m in range(5)
-             for edge in (m * _CASE2_TAU + sched_f.free_length,
-                          (m + 1) * _CASE2_TAU)]
-    sides = [abs(value) for value, _ in finite_dd_survival(
-        [t for edge in edges for t in (edge - eps, edge + eps)],
-        sched_f, params)]
-    worst = max(abs(hi - lo) for lo, hi in zip(sides[0::2], sides[1::2]))
-    check("finite_window_edge_continuity", worst)
-
-    # free-segment piece of the finite protocol still solves the interval ODE
-    free_points = [t0 for t0 in (0.05, 0.25, 0.31, 0.52, 0.71, 0.93)
-                   if sched_f.segment_of(t0)[0] == FREE_SEGMENT]
-    worst = _ode_residual(
-        [value for value, _ in finite_dd_survival(
-            [t for t0 in free_points for t in (t0 - hh, t0, t0 + hh)],
-            sched_f, params)], hh, lam, r_sq)
-    check("finite_free_segment_ode_residual", worst)
-
-    # N -> infinity reproduces instantaneous pulses; approach is monotone
-    state = OddParityState.superradiant()
-    sched_i = DdSchedule(_CASE2_TAU)
-    ts = np.linspace(0.0, 1.0, 501)
-    inst_mod = np.abs(dd_survival(ts, sched_i, params))
-    devs = {}
-    for n_duty in (10, 20, 40, 80, 10000):
-        sched_n = FinitePulseSchedule(_CASE2_TAU, n_duty)
-        fids, tags = finite_dd_fidelity(state, ts, sched_n, params)
-        devs[n_duty] = float(np.max(np.abs(fids - inst_mod)[
-            tags == FREE_SEGMENT]))
-    check("finite_instantaneous_limit", devs[10000])
-    drops = [devs[a] - devs[b] for a, b in ((10, 20), (20, 40), (40, 80))]
-    check("finite_limit_monotone_in_n", min(drops), ">=")
-
-    # mixed state: dark amplitude untouched by any protocol
-    if use_aug:
-        mixed = OddParityState.initial(math.sqrt(0.5), math.sqrt(0.5))
-        worst = 0.0
-        for tr in (integrate_free(params, 1.0, cfg_fast, state0=mixed),
-                   integrate_dd(params, sched_dd, 1.0, cfg_fast,
-                                state0=mixed),
-                   integrate_finite(params, sched_f, 1.0, cfg_fast,
-                                    state0=mixed)):
-            worst = max(worst,
-                        float(np.max(np.abs(tr.beta1 - tr.beta1[0]))))
-        check("dark_protected_all_protocols", worst)
-
-    # fixed-step convergence orders against the closed free solution
-    if use_aug:
-        def max_err(order: int, dt: float) -> float:
-            cfg = OracleConfig(dt_num=dt, method_order=order)
-            tr = integrate_free(params, 1.0, cfg)
-            return float(np.max(np.abs(
-                tr.beta2 - free_survival(tr.times, params))))
-
-        check("convergence_order_rk4", max_err(4, 0.04) / max_err(4, 0.02),
-              ">=")
-        check("convergence_order_rk2", max_err(2, 0.04) / max_err(2, 0.02),
-              ">=")
-
+    for i, row in enumerate(rows):
+        for src in row.inputs:
+            if src not in made:
+                made[src] = (_integrate(src, dt_num) if isinstance(src, _Run)
+                             else src())
+        measured = float(row.measure(*(made[src] for src in row.inputs)))
+        tol = overrides.get(row.name, row.tolerance)
+        ok = measured <= tol if row.comparator == "<=" else measured >= tol
+        results.append(CheckResult(row.name, measured, float(tol),
+                                   row.comparator, ok))
+        made = {src: v for src, v in made.items() if last_reader[src] > i}
     return ValidationReport(results)

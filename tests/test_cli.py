@@ -13,7 +13,7 @@ from parityshield import scenarios
 from parityshield.cli import main
 from parityshield.output import read_csv
 from parityshield.scenarios import option_keys
-from parityshield.validation import _DEFAULT_TOLS
+from parityshield.validation import _CHECKS
 
 
 def test_fig2_writes_outputs(tmp_path, capsys):
@@ -384,14 +384,14 @@ def test_validate_negative_control(capsys):
 def test_each_check_reports_its_own_tolerance(capsys):
     # one distinct sentinel per check: a check that read another check's
     # tolerance would print that one's sentinel
-    sentinels = {name: 1000.0 * (i + 1)
-                 for i, name in enumerate(_DEFAULT_TOLS)}
+    sentinels = {row.name: 1000.0 * (i + 1)
+                 for i, row in enumerate(_CHECKS)}
     main(["validate", *(f"--tolerance={name}={value}"
                         for name, value in sentinels.items())])
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("20 checks")
     reported = [(ln.split()[0], float(ln.split()[3])) for ln in lines[:-1]]
-    assert sorted(name for name, _ in reported) == sorted(_DEFAULT_TOLS)
+    assert sorted(name for name, _ in reported) == sorted(sentinels)
     assert dict(reported) == sentinels
 
 

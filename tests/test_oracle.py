@@ -150,6 +150,8 @@ def test_dark_amplitude_constant_under_all_protocols(case1, cfg_aug):
 def test_config_validation():
     with pytest.raises(ps.ConfigError):
         ps.OracleConfig(dt_num=0.0)
+    with pytest.raises(ps.ConfigError, match="step must be a number"):
+        ps.OracleConfig(dt_num="1e-4")
     with pytest.raises(ps.ConfigError):
         ps.OracleConfig(method_order=3)
     with pytest.raises(ps.ConfigError):

@@ -65,6 +65,15 @@ def test_csv_layout(tmp_path, small_table):
     assert lines[len(comment)] == "t,F_free,F_dd,segment"
 
 
+def test_svg_legend_names_are_escaped(tmp_path):
+    # a replotted CSV's column names are text, not markup
+    csv_path = tmp_path / "odd.csv"
+    csv_path.write_text("# run_id=probe\nt,F<x&y\n0.0,1.0\n0.5,0.9\n")
+    render_svg(csv_path, tmp_path / "odd.svg")
+    root = ElementTree.parse(tmp_path / "odd.svg").getroot()
+    assert "F<x&y" in [node.text for node in root]
+
+
 def test_svg_renders_from_csv_alone(tmp_path, small_table):
     metadata, header, columns = small_table
     csv_path = tmp_path / "probe.csv"
