@@ -20,7 +20,8 @@ damping constant, and each ends in its own map (x, x') -> (x, k x'):
 Free decay has no cycle.  One evaluator works on cells x times: a cell is
 one parameter set with one cycle, its constants broadcast against the
 times.  Cycle m starts from binary powers of the cycle matrix, O(log m) and
-independent of other times and cells; nothing outlives the call.
+independent of other times and cells; nothing outlives the call.  One
+cell's E and powers run once per distinct time into a segment and m.
 """
 
 from __future__ import annotations
@@ -261,15 +262,21 @@ def _cycle_matrix(segments):
     return whole, c
 
 
+def _distinct(a, cell):
+    """(values, back), values[back] == a, for an array a one cell's cycle
+    folds (cell 0-d); a batch, 0-d a or free decay (cell None) stays whole."""
+    if np.ndim(a) and cell is not None and not np.ndim(cell):
+        return np.unique(a, return_inverse=True)
+    return a, ...
+
+
 def _powers(m, c):
     """c**m applied to (1, 0), for an array m of whole numbers.
 
     Binary powers: O(log m), once per distinct m of one cell.  Each state
     depends on its own m and cell only; a finished cell squares zeros.
     """
-    which = ...
-    if np.ndim(m) and not np.ndim(c[0]):
-        m, which = np.unique(m, return_inverse=True)
+    m, which = _distinct(m, c and c[0])
     x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
     while np.count_nonzero(m):
         odd = m % 2.0 == 1.0
@@ -306,6 +313,7 @@ def evaluate(t, params, cycle, value):
     value maps arrays to an array or a tuple of arrays: given as they are
     for an ndarray t, as a Python value (or tuple) for a float, else a list
     (of tuples), each bit-identical alone.  Cycles start at x = 1, x' = 0.
+    One cell's E and powers run once per distinct time into a segment and m.
     """
     # a float becomes a 0-d array: it has no shape buffer, so a single-time
     # call leaves nothing behind in numpy's small-buffer cache
@@ -330,8 +338,13 @@ def evaluate(t, params, cycle, value):
     for j, (length, matrix, end) in enumerate(segments):
         if (at := _owned(k == j)) is None:
             continue
-        into = theta[at]
-        x[at], xd[at] = _apply(matrix(into, at), x[at], xd[at])
+        s, back = _distinct(into := theta[at], period)
+        # each product overwrites a fresh entry already read, not its input
+        e00, e01, e10, e11 = [e[back] for e in matrix(s, at)]
+        p = _mul(e01, xd[at])
+        y = np.add(_mul(e00, x[at], out=e01), p, out=e01)
+        p = _mul(e11, xd[at], out=e00)
+        x[at], xd[at] = y, np.add(_mul(e10, x[at], out=e11), p, out=e11)
         if j < len(segments) - 1 and end != 1.0:
             # x' on an inner segment end is after its map, as on a cycle end
             edge = into >= _take(length, at) - _GRID_FUZZ * _take(period, at)

@@ -260,6 +260,8 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
         # a NaN bound would fail its check whatever the measurement
         if not isinstance(tol, numbers.Real) or math.isnan(tol):
             raise ConfigError(f"tolerance of {name} is not a number")
+    if isinstance(oracle_modes, str):
+        raise ConfigError(f"oracle modes need a tuple, got {oracle_modes!r}")
     bad = set(oracle_modes) - {EXACT_AUGMENTED, DIRECT_QUADRATURE}
     if bad or not oracle_modes:
         raise ConfigError(f"invalid oracle modes: {sorted(bad)}")

@@ -780,3 +780,76 @@ def test_propagator_branches_match_masked_ones():
     at = np.nonzero(own)
     assert all(_same_bits(got, want[at]) for got, want in zip(
         cells[0](s[at], at), cells[1](s, own)))
+
+
+# ---------------------------------------------------------------------------
+# one cell's array of times: E once per distinct time into each segment
+
+def _scenario(schedules, t_max, **rate):
+    return ps.build_scenario("custom", {"schedules": schedules,
+                                        "t_max": t_max, **rate})
+
+
+@pytest.mark.parametrize("protocol", ["zeno", "dd", "finite", "mixed",
+                                      "window-mid"])
+@pytest.mark.parametrize("rate", [{"omega": "1.0"}, {"omega": "0"},
+                                  {"r_rate": "1.7"}],
+                         ids=["overdamped", "critical", "underdamped"])
+def test_array_equals_scalar_where_offsets_repeat(rate, protocol):
+    # a dense grid folds onto few times into each segment; the entries
+    # gathered back to the times that share one give each its scalar bits
+    cfg = _scenario("zeno(0.1)|dd(0.1)|dd-finite(0.1,10)", "4", **rate)
+    grid, cycle = ps.time_grid(cfg), _cycles(0.1)[protocol]
+    got = transfer.evaluate(grid, cfg.params, cycle, lambda *a: a)
+    _, back, count = np.unique(got[3], return_inverse=True,
+                               return_counts=True)
+    shared = np.flatnonzero(count[back] > 1)
+    assert len(shared) > len(grid) / 2
+    for i in np.union1d(shared[::len(shared) // 200],
+                        np.arange(0, len(grid), 97)).tolist():
+        alone = transfer.evaluate(grid[i].item(), cfg.params, cycle,
+                                  lambda *a: a)
+        assert repr(alone) == repr(tuple(a[i].item() for a in got)), i
+
+
+def test_each_segment_evaluates_its_distinct_offsets_once(monkeypatch):
+    # per propagator (one per segment), the size of each duration array
+    # its matrix is given
+    sizes = []
+    real = transfer.propagator
+
+    def counted(lam_c, r_sq):
+        matrix, calls = real(lam_c, r_sq), []
+        sizes.append(calls)
+
+        def recorded(s, *at):
+            calls.append(np.size(s))
+            return matrix(s, *at)
+        return recorded
+
+    # trace-long's schedules
+    cfg = _scenario("none|zeno(0.1)|dd(0.1)|dd-finite(0.2,10)|"
+                    "dd-finite(0.2,20)", "20")
+    grid = ps.time_grid(cfg)
+    for sched in cfg.schedules:
+        cycle = sched and sched.cycle
+        _, _, k, into = transfer.evaluate(grid, cfg.params, cycle,
+                                          lambda *a: a)
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer, "propagator", counted)
+            sizes.clear()
+            ps.fidelity(STATE, grid, sched, cfg.params)
+        for j, calls in enumerate(sizes):
+            # the cycle matrix's map over the whole segment is one more
+            distinct = np.unique(into[k == j]).size + (cycle is not None)
+            assert sum(calls) <= distinct, (sched, j, calls, distinct)
+    monkeypatch.setattr(transfer, "propagator", counted)
+    sizes.clear()
+    ps.compute_trace(cfg)
+    assert sum(map(sum, sizes)) <= 50_000
+    # a batch of cells and a single time take every entry as it is
+    sizes.clear()
+    transfer.evaluate([0.05, 0.05, 0.15], [cfg.params] * 3, [DD.cycle] * 3,
+                      _survival)
+    transfer.evaluate(0.05, cfg.params, DD.cycle, _survival)
+    assert sizes == [[3, 3], [1, 1]]

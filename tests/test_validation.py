@@ -107,6 +107,13 @@ def test_bad_oracle_modes_rejected(modes):
         ps.run_validation(oracle_modes=modes)
 
 
+@pytest.mark.parametrize("modes", [ps.EXACT_AUGMENTED, "rk45", ""])
+def test_bare_string_oracle_modes_rejected(modes):
+    # a string is one name, not a set of its characters
+    with pytest.raises(ps.ConfigError, match=f"need a tuple, got {modes!r}$"):
+        ps.run_validation(oracle_modes=modes)
+
+
 @pytest.mark.parametrize("modes, runs", [
     ((ps.EXACT_AUGMENTED, ps.DIRECT_QUADRATURE),
      {"_run_augmented": 12, "_run_quadrature": 2}),
