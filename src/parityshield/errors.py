@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and refuse.
 
 The CLI maps them onto exit codes: ParameterError, StateError and
 ConfigError (domain and usage problems) exit 1, ValidationFailure (a failed
@@ -6,6 +6,8 @@ check or ordering) exits 2.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ParityShieldError(Exception):
@@ -26,3 +28,20 @@ class ConfigError(ParityShieldError):
 
 class ValidationFailure(ParityShieldError):
     """One or more validation checks missed their tolerance."""
+
+
+def refuse(error: type[ParityShieldError], checks) -> None:
+    """Raise error for the first cell, in row order, that fails a check.
+    checks are (ok, text, *values) in check order, ok a bool or a boolean
+    array over the cells; the cell gets its first failed check's text,
+    formatted with the values (numbers or per-cell arrays) there."""
+    ok = True
+    for check in checks:
+        ok = ok & check[0]
+    # not ok.all(): that call leaves 52 bytes behind on a numpy bool
+    if np.count_nonzero(np.logical_not(ok)):
+        def at(value):  # as a Python scalar
+            return np.broadcast_to(value, np.shape(ok)).flat[[i]].tolist()[0]
+        i = np.argmin(ok)
+        _, text, *values = next(check for check in checks if not at(check[0]))
+        raise error(text.format(*map(at, values)))

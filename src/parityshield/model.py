@@ -14,7 +14,9 @@ import math
 import sys
 from dataclasses import InitVar, dataclass, field, fields
 
-from .errors import ParameterError, StateError
+import numpy as np
+
+from .errors import ParameterError, StateError, refuse
 
 BRANCH_OVERDAMPED = "overdamped"
 BRANCH_CRITICAL = "critical"
@@ -33,25 +35,58 @@ _NORM_SLACK = 1e-12
 _SYMMETRIC = math.sqrt(0.5)
 
 
-def _classify(lam: float, r_rate: float) -> tuple[float, str]:
-    """Return (|discriminant root|, branch tag) for the damping split.
-
-    The interval dynamics are governed by x'' + lam x' + R^2 x = 0, whose
-    exponents split by the root of lam^2 - 4 R^2.  The magnitude of that
-    root is stored; the tag records its sign.
-    """
-    disc = lam * lam - 4.0 * r_rate * r_rate
-    scale = max(lam * lam, 4.0 * r_rate * r_rate)
-    if abs(disc) <= _CRITICAL_RTOL * scale:
-        return 0.0, BRANCH_CRITICAL
-    if disc > 0.0:
-        return math.sqrt(disc), BRANCH_OVERDAMPED
-    return math.sqrt(-disc), BRANCH_UNDERDAMPED
+def _scalar(a):
+    """0-d as a Python scalar, so one cell's record keeps Python fields."""
+    return a.item() if np.ndim(a) == 0 else a
 
 
 def _weight(a: complex, b: complex) -> float:
     """|a|^2 + |b|^2, inf past the float range (a power raises instead)."""
     return abs(a) * abs(a) + abs(b) * abs(b)
+
+
+# past the float range the squares are inf (and refused): no warning
+@np.errstate(over="ignore", invalid="ignore")
+def _derive(lam, w_coupling, alpha1, alpha2, split_root=None):
+    """((alpha, r_rate, omega, branch), checks for refuse) of one cell's or
+    per-cell couplings.  The interval dynamics x'' + lam x' + R^2 x = 0
+    split by the root of lam^2 - 4 R^2: omega is its magnitude, 0.0 on the
+    critical branch, and the branch tags its sign."""
+    alpha = math.hypot(alpha1, alpha2)
+    r_rate = alpha * w_coupling
+    lam_sq, r4_sq = lam * lam, 4.0 * r_rate * r_rate
+    disc, scale = lam_sq - r4_sq, np.maximum(lam_sq, r4_sq)
+    critical = abs(disc) <= _CRITICAL_RTOL * scale
+    over = ~critical & (disc > 0.0)
+    omega = np.where(critical, 0.0, np.sqrt(abs(disc)))
+    branch = np.where(over, BRANCH_OVERDAMPED, np.where(
+        critical, BRANCH_CRITICAL, BRANCH_UNDERDAMPED))
+    split = "the damping split lam^2 - 4 R^2: lam={}, R={}"
+    checks = [
+        ((0.0 < lam) & (lam < math.inf),
+         "decay rate must be finite and positive, got {}", lam),
+        ((0.0 < w_coupling) & (w_coupling < math.inf),
+         "coupling strength must be finite and positive, got {}", w_coupling),
+        (alpha1 > 0.0 and alpha2 > 0.0, "coupling weights must be "
+         f"positive reals, got ({alpha1}, {alpha2})"),
+        # the split squares both rates; past the float range the squares
+        # are inf and the branch tag is meaningless
+        (np.isfinite(lam_sq) & np.isfinite(r4_sq), "rates overflow " + split,
+         lam, r_rate),
+        # with both squares that small every pair reads as critical, omega 0
+        (scale >= _TINY, "rates underflow " + split, lam, r_rate),
+        # a subnormal 4 R^2 has lost digits of R^2
+        ((r4_sq <= 0.0) | (r4_sq >= _TINY), "collective rate R={} gives a "
+         "subnormal 4 R^2, which keeps only a few digits", r_rate)]
+    if split_root is not None:
+        # the split rounds on the scale of lam^2, here the larger square
+        off = abs(split_root * split_root - omega * omega)
+        checks.append((~over | ((split_root >= 0.0)
+                                & (off <= _CRITICAL_RTOL * lam_sq)),
+                       "split root {} is not the root {} of lam^2 - 4 R^2",
+                       split_root, omega))
+        omega = np.where(over, split_root, omega)
+    return (alpha, r_rate, _scalar(omega), _scalar(branch)), checks
 
 
 @dataclass(frozen=True)
@@ -74,6 +109,8 @@ class ModelParams:
     is a caller's omega, kept bit-exact on the overdamped branch if it is
     that root to rounding; replace does not carry it over.  The
     classmethods build the record from whichever input pair the caller has.
+    A batch of cells is one record with per-cell arrays for lam, w_coupling
+    and the split root, each cell bit for bit its own record.
     """
 
     lam: float
@@ -87,45 +124,11 @@ class ModelParams:
     split_root: InitVar[float | None] = None
 
     def __post_init__(self, split_root):
-        if not (0.0 < self.lam < math.inf):
-            raise ParameterError(
-                f"decay rate must be finite and positive, got {self.lam}")
-        if not (0.0 < self.w_coupling < math.inf):
-            raise ParameterError("coupling strength must be finite and "
-                                 f"positive, got {self.w_coupling}")
-        if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
-            raise ParameterError(
-                "coupling weights must be positive reals, got "
-                f"({self.alpha1}, {self.alpha2})")
-        alpha = math.hypot(self.alpha1, self.alpha2)
-        r_rate = alpha * self.w_coupling
-        lam_sq, r4_sq = self.lam * self.lam, 4.0 * r_rate * r_rate
-        # the damping split squares both rates; past the float range the
-        # squares are inf and the branch tag is meaningless
-        if not (math.isfinite(lam_sq) and math.isfinite(r4_sq)):
-            raise ParameterError(
-                "rates overflow the damping split lam^2 - 4 R^2: "
-                f"lam={self.lam}, R={r_rate}")
-        # with both squares that small every pair reads as critical, omega 0
-        if max(lam_sq, r4_sq) < _TINY:
-            raise ParameterError(
-                "rates underflow the damping split lam^2 - 4 R^2: "
-                f"lam={self.lam}, R={r_rate}")
-        # a subnormal 4 R^2 has lost digits of R^2
-        if 0.0 < r4_sq < _TINY:
-            raise ParameterError(
-                f"collective rate R={r_rate} gives a subnormal 4 R^2, "
-                "which keeps only a few digits")
-        omega, branch = _classify(self.lam, r_rate)
-        if split_root is not None and branch == BRANCH_OVERDAMPED:
-            # the split rounds on the scale of lam^2, here the larger square
-            off = abs(split_root * split_root - omega * omega)
-            if not (split_root >= 0.0 and off <= _CRITICAL_RTOL * lam_sq):
-                raise ParameterError(f"split root {split_root} is not the "
-                                     f"root {omega} of lam^2 - 4 R^2")
-            omega = split_root
-        for name, value in (("alpha", alpha), ("r_rate", r_rate),
-                            ("omega", omega), ("branch", branch)):
+        derived, checks = _derive(self.lam, self.w_coupling, self.alpha1,
+                                  self.alpha2, split_root)
+        refuse(ParameterError, checks)
+        for name, value in zip(("alpha", "r_rate", "omega", "branch"),
+                               derived):
             object.__setattr__(self, name, value)
 
     @property
@@ -147,35 +150,34 @@ class ModelParams:
         so the weight split defaults to the symmetric alpha1 = alpha2 =
         1/sqrt(2) with W = R.
         """
-        if not (r_rate > 0.0):
-            raise ParameterError(f"collective rate must be positive, got {r_rate}")
+        refuse(ParameterError, [
+            (r_rate > 0.0, "collective rate must be positive, got {}", r_rate),
+            *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC)[1]])
         return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def from_mode_splitting(cls, lam: float, omega: float) -> "ModelParams":
         """Build from (lam, omega) with omega the real damping-split root.
 
         Only meaningful when the split is real (omega <= lam); the
         underdamped regime must be entered through an explicit rate.
         """
-        # inf - inf would reach the split below as NaN
-        for name, value in (("decay rate", lam), ("mode splitting", omega)):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
-        if not (lam > 0.0):
-            raise ParameterError(f"decay rate must be positive, got {lam}")
-        if not (0.0 <= omega <= lam):
-            raise ParameterError(
-                f"real damping split requires 0 <= omega <= lam, got "
-                f"omega={omega}, lam={lam}; use from_effective_rate for the "
-                "oscillatory regime")
-        if lam * lam < _TINY:  # and so is 4 R^2, at most lam^2
-            raise ParameterError(
-                "rates underflow the damping split lam^2 - 4 R^2: "
-                f"lam={lam}, omega={omega}")
-        r_rate = math.sqrt((lam - omega) * (lam + omega)) / 2.0
-        if not (r_rate > 0.0):
-            raise ParameterError("omega == lam gives zero coupling rate")
+        r_rate = _scalar(np.sqrt((lam - omega) * (lam + omega)) / 2.0)
+        refuse(ParameterError, [
+            # inf - inf would reach the split as NaN
+            (np.isfinite(lam), "decay rate must be finite, got {}", lam),
+            (np.isfinite(omega), "mode splitting must be finite, got {}",
+             omega),
+            (lam > 0.0, "decay rate must be positive, got {}", lam),
+            ((0.0 <= omega) & (omega <= lam), "real damping split requires "
+             "0 <= omega <= lam, got omega={}, lam={}; use from_effective_rate"
+             " for the oscillatory regime", omega, lam),
+            # and so is 4 R^2, at most lam^2
+            (lam * lam >= _TINY, "rates underflow the damping split lam^2 - "
+             "4 R^2: lam={}, omega={}", lam, omega),
+            (r_rate > 0.0, "omega == lam gives zero coupling rate"),
+            *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)[1]])
         return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)
 
 

@@ -517,4 +517,6 @@ def _plot(label, metadata, header, svg_path, load) -> None:
         f'font-family="sans-serif" font-size="12" text-anchor="middle">'
         't</text>')
     parts.append("</svg>")
-    Path(svg_path).write_bytes(_utf8("\n".join(parts) + "\n"))
+    # argv's undecodable bytes, which the CSV keeps, are U+FFFD in XML
+    Path(svg_path).write_bytes(_utf8("\n".join(parts) + "\n").decode(
+        "utf-8", "replace").encode())

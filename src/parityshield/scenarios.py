@@ -30,12 +30,11 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, StateError, ValidationFailure
+from .errors import ConfigError, StateError, ValidationFailure, refuse
 from .model import ModelParams, OddParityState
 from .transfer import (FREE_SEGMENT, IN_PULSE_SEGMENT, DdSchedule,
-                       FinitePulseSchedule, ZenoSchedule, as_cells,
-                       dd_fidelity, finite_dd_fidelity, free_fidelity,
-                       zeno_fidelity)
+                       FinitePulseSchedule, ZenoSchedule, dd_fidelity,
+                       finite_dd_fidelity, free_fidelity, zeno_fidelity)
 
 SCENARIO_IDS = ("fig1", "fig2", "fig3", "custom")
 
@@ -45,8 +44,8 @@ _MERGE_TOL = 1e-12
 # most points in a time grid: at 0.67 KiB a point (five schedules), 6.5 GiB
 _MAX_GRID_POINTS = 1e7
 
-# most cells in a sweep: four columns took 50.3 MiB at 10^4 cells and 225.1
-# MiB at 10^5 (ru_maxrss), about 2 KiB a cell, so 10^6 cells take 1.9 GiB
+# most cells in a sweep: four columns took 43.5 MiB at 10^4 cells and 138.2
+# MiB at 10^5 (ru_maxrss), about 1.1 KiB a cell, so 10^6 take about 1.1 GiB
 MAX_SWEEP_CELLS = 10 ** 6
 
 # descriptor kind -> (schedule class, column name, sweep keys supplying the
@@ -369,12 +368,11 @@ def _fidelity(state: OddParityState, t: np.ndarray, sched, params):
     # each name is transfer.fidelity under its schedule, but the benchmark's
     # tracer counts calls (one per trace or sweep column) per name bound
     # here, and tests/test_benchmark_tracer requires each counter
-    kind = as_cells(sched)[1][0]
-    if kind is None:
+    if sched is None:
         return free_fidelity(state, t, params), None
-    if isinstance(kind, ZenoSchedule):
+    if isinstance(sched, ZenoSchedule):
         return zeno_fidelity(state, t, sched, params), None
-    if isinstance(kind, DdSchedule):
+    if isinstance(sched, DdSchedule):
         return dd_fidelity(state, t, sched, params), None
     return finite_dd_fidelity(state, t, sched, params)
 
@@ -431,12 +429,9 @@ def check_fig2_ordering(trace: EvolutionTrace) -> None:
     floor = np.where(t > 2.0 * period + _MERGE_TOL, 1e-6, -1e-12)
     bad = ~(t <= period + _MERGE_TOL) & ((f_dd - f_zeno < floor)
                                         | (f_zeno - f_free < floor))
-    if np.count_nonzero(bad):
-        i = np.argmax(bad)
-        raise ValidationFailure(
-            f"protocol ordering violated at t={float(t[i])}: "
-            f"F_dd={float(f_dd[i])}, F_zeno={float(f_zeno[i])}, "
-            f"F_free={float(f_free[i])}")
+    refuse(ValidationFailure, [(~bad, "protocol ordering violated at t={}: "
+                                "F_dd={}, F_zeno={}, F_free={}", t, f_dd,
+                                f_zeno, f_free)])
 
 
 def check_fig3_ordering(trace: EvolutionTrace) -> None:
@@ -507,20 +502,20 @@ def run_sweep(options: dict[str, str],
 
     state, _ = parse_initial_state(base["initial_state"])
     rate_key, make_params = _rate(given)
-    # key -> its number in each cell, in row order: an axis runs through its
-    # values, a held key repeats its default
-    cells = {key: [_number(base, key)] * total
+    # key -> an axis's column (a number per cell, in row order) or a number
+    cells = {key: _number(base, key)
              for key in ("lam", rate_key, "t_max") if key not in axes}
-    cells.update(zip(axes, map(list, zip(*itertools.product(
-        *([value for value, _ in pairs] for pairs in axes.values()))))))
+    cells.update(zip(axes, (column.ravel() for column in np.meshgrid(
+        *([value for value, _ in pairs] for pairs in axes.values()),
+        indexing="ij"))))
     cells.setdefault("delta_t", cells.get("tau"))
-    params = list(map(make_params, cells["lam"], cells[rate_key]))
-    # one schedule per cell and kind; free decay is None for every cell
-    scheds = [list(map(kind.cls, *(cells[key] for key in kind.keys)))
-              if kind.keys else None for kind in kinds]
-    fidelities = [_fidelity(state, np.array(cells["t_max"]), sched, params)[0]
-                  for sched in scheds]
+    # one record and one schedule per kind, all built before any evaluation
+    params = make_params(cells["lam"], cells[rate_key])
+    scheds = [kind.cls(*map(cells.get, kind.keys)) for kind in kinds]
+    times = np.broadcast_to(cells["t_max"], (total,))
+    fidelities = [_fidelity(state, times, s, params)[0] for s in scheds]
     for name, column in zip(header[len(axes):], fidelities):
         _require_unit_interval(name, column)
-    return EvolutionTrace(header, [cells[key] for key in axes] + [
-        column.tolist() for column in fidelities], metadata)
+    return EvolutionTrace(header, [
+        column.tolist() for column in [*map(cells.get, axes), *fidelities]],
+        metadata)

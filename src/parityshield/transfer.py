@@ -17,9 +17,9 @@ damping constant, and each ends in its own map (x, x') -> (x, k x'):
 * k = 1 ends a free segment or a drive window, whose exact pi phase is
   common to the single-excitation sector and therefore absorbed.
 
-Free decay has no cycle.  One evaluator works on cells x times: a cell is
-one parameter set with one cycle, its constants broadcast against the
-times.  Cycle m starts from binary powers of the cycle matrix, O(log m) and
+Free decay has no cycle.  One evaluator works on cells x times: a batch
+of cells is one record and one schedule of per-cell arrays, one time each.
+Cycle m starts from binary powers of the cycle matrix, O(log m) and
 independent of other times and cells; nothing outlives the call.  One
 cell's E and powers run once per distinct time into a segment and m.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, refuse
 from .model import ModelParams, OddParityState
 
 # beyond this value of Re(lam_c) * s the hyperbolic factors overflow before
@@ -137,9 +137,8 @@ def propagator(lam_c, r_sq):
     # a drive rate past about 1e154 overflows the split to inf: refused
     with _overflow_to_inf(np.maximum(np.abs(lam_c), r_sq) >= _HALF_RANGE):
         sq = _cmul(lam_c, lam_c) - 4.0 * r_sq
-    if np.count_nonzero(bad := ~np.isfinite(sq)):
-        rate = np.ravel(-np.imag(lam_c))[np.argmax(bad)]
-        raise ParameterError(f"drive rate {rate} overflows the damping split")
+    refuse(ParameterError, [(np.isfinite(sq), "drive rate {} overflows the "
+                             "damping split", -np.imag(lam_c))])
     omega = np.sqrt(sq)
 
     def series(s, h, lam, om):
@@ -221,34 +220,26 @@ def _past(theta, length, period):
     return theta > length + _GRID_FUZZ * period
 
 
-def as_cells(x) -> tuple[bool, list]:
-    """(one, cells): a list or tuple is a batch, anything else one cell."""
-    one = not isinstance(x, (list, tuple))
-    return one, [x] if one else list(x)
-
-
 def _segments(params, cycle, shape=()):
-    """(period, [(length, propagator, k)]) of one cell (scalars) or of a
-    batch (per-cell arrays): params, cycles sharing their end maps k, and
-    times of this shape, one of each per cell.  A cycle None is free decay,
-    one endless segment, for every cell."""
-    one, ps = as_cells(params)
-    one_cycle, cs = (one, [None] * len(ps)) if cycle is None else as_cells(
-        cycle)
-    cs = [c or Cycle(None, ((math.inf, 0.0, 1.0),)) for c in cs]
-    # a list, not a generator: a resized tuple stays on the free list
-    kinds = {(c.period is None, *[k for *_, k in c.segments]) for c in cs}
-    if (one_cycle != one or len(cs) != len(ps) or len(kinds) != 1
-            or not (one or shape == (len(ps),))):
-        raise ParameterError("give one cell, or per cell params, a cycle of "
-                             "one kind and a time")
-    (free, *ks), = kinds
-    per_cell = operator.itemgetter(0) if one else np.array
-    r_sq = per_cell([p.r_rate * p.r_rate for p in ps])
-    return None if free else per_cell([c.period for c in cs]), [
-        (per_cell([c.segments[j][0] for c in cs]), propagator(per_cell(
-            [complex(p.lam, -c.segments[j][1]) for p, c in zip(ps, cs)]),
-            r_sq), k) for j, k in enumerate(ks)]
+    """(period, [(length, propagator, k)]) of params under cycle (None:
+    free decay, one endless segment): numbers or per-cell arrays of the
+    times' shape, a batch's period per cell (see _distinct), k numbers."""
+    if not isinstance(params, ModelParams):
+        raise ParameterError("params must be a ModelParams, a batch one of "
+                             f"per-cell arrays; got {type(params).__name__}")
+    period, segments = ((None, ((math.inf, 0.0, 1.0),)) if cycle is None
+                        else (cycle.period, cycle.segments))
+    shapes = {np.shape(f) for f in (params.lam, params.r_rate, period, *(
+        f for length, rate, _ in segments for f in (length, rate)))} - {()}
+    if shapes - {shape}:
+        raise ParameterError(f"per-cell fields take the times' shape {shape}"
+                             f", one time per cell; got {sorted(shapes)}")
+    if shapes and period is not None:
+        period = np.broadcast_to(period, shape)
+    # lam - i rate, with the imaginary part -0.0 where undriven
+    return period, [(length, propagator(-(1j * rate - params.lam),
+                                        params.r_rate * params.r_rate), k)
+                    for length, rate, k in segments]
 
 
 def _cycle_matrix(segments):
@@ -300,7 +291,8 @@ def cycle_start(m: int, params: ModelParams,
     if not whole:
         raise ParameterError("cycle index must be a whole number in "
                              f"[0, 2**53] (0 for free decay), got {m!r}")
-    c = cycle and _cycle_matrix(_segments(params, cycle)[1])[1]
+    period, segments = _segments(params, cycle)
+    c = None if period is None else _cycle_matrix(segments)[1]
     x, xd = _powers(np.array(float(m)), c)
     return complex(x), complex(xd)
 
@@ -320,12 +312,9 @@ def evaluate(t, params, cycle, value):
     ts = np.array(t, dtype=float)
     period, segments = _segments(params, cycle, shape := ts.shape)
     m, theta = _positions(ts, period)
-    if period is None:
-        x, xd = np.ones(shape, complex), np.zeros(shape, complex)
-    else:
-        # the map over each whole segment, shared by every time of a cell
-        whole, c = _cycle_matrix(segments)
-        x, xd = _powers(m, c)
+    # each whole segment's map, shared by every time of a cell; none if free
+    whole, c = ([], None) if period is None else _cycle_matrix(segments)
+    x, xd = _powers(m, c)
     # each segment maps only the times it owns, gathered by index
     k = np.zeros(shape, int)
     for j, (length, _, _) in enumerate(segments[:-1]):
@@ -380,22 +369,10 @@ def overlap(state: OddParityState):
 
 # protocols: schedules, linked to the core by their cycle, and closed forms
 
-def _require_interval(what: str, value: float) -> None:
-    if not (0.0 < value < math.inf):
-        raise ConfigError(
-            f"{what} interval must be finite and positive, got {value}")
-
-
-def _real(x, *_):
-    return x.real
-
-
-def _require_real_ends(cycle) -> None:
-    """Refuse an undriven cycle, or batch of cycles, with a non-real end
-    map k: its x is taken real, and Im x would be dropped."""
-    cycles = cycle if isinstance(cycle, list) else [cycle]
-    if any(complex(k).imag for c in cycles if c for *_, k in c.segments):
-        raise ConfigError("an undriven cycle takes real segment ends k only")
+def _interval(what: str, value):
+    """The check, for refuse, that every interval is finite and positive."""
+    return ((0.0 < value) & (value < math.inf),
+            f"{what} interval must be finite and positive, got {{}}", value)
 
 
 @dataclass(frozen=True)
@@ -413,7 +390,7 @@ class ZenoSchedule:
     delta_t: float
 
     def __post_init__(self):
-        _require_interval("measurement", self.delta_t)
+        refuse(ConfigError, [_interval("measurement", self.delta_t)])
 
     @property
     def cycle(self) -> Cycle:
@@ -435,7 +412,7 @@ class DdSchedule:
     tau: float
 
     def __post_init__(self):
-        _require_interval("pulse", self.tau)
+        refuse(ConfigError, [_interval("pulse", self.tau)])
 
     @property
     def cycle(self) -> Cycle:
@@ -492,10 +469,13 @@ class FinitePulseSchedule:
     n_duty: int
 
     def __post_init__(self):
-        _require_interval("cycle", self.tau)
-        if not isinstance(self.n_duty, int) or self.n_duty < 2:
-            raise ConfigError(
-                f"duty parameter must be an integer >= 2, got {self.n_duty!r}")
+        n = self.n_duty
+        whole = isinstance(n, int) or np.asarray(n).dtype.kind in "iu"
+        refuse(ConfigError, [_interval("cycle", self.tau), (
+            whole and n >= 2, "duty parameter must be an integer >= 2, got "
+            "{!r}", n)])
+        if not np.ndim(n):  # a numpy integer is kept as a Python int
+            object.__setattr__(self, "n_duty", int(n))
 
     @property
     def free_length(self) -> float:
@@ -522,19 +502,22 @@ class FinitePulseSchedule:
         return tag, int(m), float(theta)
 
 
-def _drive(sched):
-    """(the cycle of sched, or the cycles of a batch; k -> (drive rate, tag)
-    per cell at segment indices k, or None with no numpy call if undriven)"""
-    one, scheds = as_cells(sched)
-    cycles = [s and s.cycle for s in scheds]
-    rates = [[rate for _, rate, _ in c.segments] for c in cycles if c]
-    cycle = cycles[0] if one else cycles
-    if not any(map(any, rates)):
+def _drive(sched, real=False):
+    """(the cycle of sched; k -> (drive rate, tag) per cell at segment
+    indices k, or None if undriven).  real refuses an undriven cycle with a
+    non-real end map k: its x is taken real, and Im x would be dropped."""
+    if (cycle := getattr(sched, "cycle", None)) is None and sched is not None:
+        raise ParameterError("sched must be None or a schedule, a batch one "
+                             f"of per-cell arrays; got {type(sched).__name__}")
+    rates = [rate for _, rate, _ in cycle.segments] if cycle else []
+    if not any(map(np.count_nonzero, rates)):
+        if real and cycle and any(complex(k).imag for *_, k in cycle.segments):
+            raise ConfigError("an undriven cycle takes real segment ends k "
+                              "only")
         return cycle, None
-    table = np.array(rates)
 
     def at(k):
-        rate = table[0 if one else np.arange(len(table)), k]
+        rate = np.select([k == j for j in range(len(rates))], rates)
         return rate, _TAGS[np.where(rate != 0.0, 1, 0)]
     return cycle, at
 
@@ -543,7 +526,7 @@ def survival(t, sched, params):
     """Superradiant survival factor after time t under sched (None: free).
 
     t is a float, a sequence (giving a list) or an ndarray (an array); sched
-    and params may be matching batches of cells (see evaluate).  Values are
+    and params may be one batch of cells (see evaluate).  Values are
     real unless a segment is driven; then they are (amplitude, tag) pairs,
     or one (amplitudes, tags) pair of arrays, tagged "in_pulse" on a driven
     segment and "free" elsewhere.  The exact pi phase of each completed
@@ -552,10 +535,9 @@ def survival(t, sched, params):
     amplitude carries its segment's partial drive phase exp(-i rate into).
     An undriven cycle whose end map k is not real is refused with ConfigError.
     """
-    cycle, drive = _drive(sched)
+    cycle, drive = _drive(sched, real=True)
     if drive is None:
-        _require_real_ends(cycle)
-        return evaluate(t, params, cycle, _real)
+        return evaluate(t, params, cycle, lambda x, *_: x.real)
 
     def value(x, xd, k, into):
         rate, tag = drive(k)
@@ -580,10 +562,9 @@ def coefficients(m: int, sched, params: ModelParams) -> RecursionCoeffs:
     segment's end map keeps the value and multiplies the slope by its k, so
     a pulse reverses it.  Real unless the cycle is driven.
     """
-    cycle, drive = _drive(sched)
+    cycle, drive = _drive(sched, real=True)
     x, xd = cycle_start(m, params, cycle)
     if drive is None:
-        _require_real_ends(cycle)
         x, xd = x.real, xd.real
     return RecursionCoeffs.from_state(x, xd, m, params)
 

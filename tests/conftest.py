@@ -19,18 +19,13 @@ settings.load_profile("parityshield")
 @pytest.fixture(scope="session", autouse=True)
 def svgs_parse_as_xml(tmp_path_factory):
     """Every SVG the suite writes under its temporary directories is
-    well-formed XML, checked once the session's tests are done.
-
-    A run id's bytes that are not UTF-8 pass into the SVG unchanged
-    (test_output's test_surrogate_escapes_keep_their_bytes pins that), so
-    they are read as U+FFFD and the markup around them is still checked.
-    """
+    well-formed XML, UTF-8 included, checked once the session's tests are
+    done."""
     yield
     base = tmp_path_factory.getbasetemp()
     for path in sorted(base.rglob("*.svg")):
         try:
-            ElementTree.fromstring(path.read_bytes().decode("utf-8",
-                                                            "replace"))
+            ElementTree.fromstring(path.read_bytes())
         except ElementTree.ParseError as exc:
             pytest.fail(f"{path.relative_to(base)} is not well-formed XML: "
                         f"{exc}")

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import parityshield as ps
-from parityshield.model import _classify
 
 
 def test_mode_splitting_constructor(case1):
@@ -183,13 +182,15 @@ def test_mode_splitting_keeps_omega_on_its_branch(lam, u):
 
 
 def test_branch_tagging():
-    assert _classify(2.0, 0.5)[1] == ps.BRANCH_OVERDAMPED
-    assert _classify(2.0, 1.0)[1] == ps.BRANCH_CRITICAL
-    assert _classify(1.0, 2.0)[1] == ps.BRANCH_UNDERDAMPED
+    def branch(lam, r_rate):
+        return ps.ModelParams.from_effective_rate(lam, r_rate).branch
+    assert branch(2.0, 0.5) == ps.BRANCH_OVERDAMPED
+    assert branch(2.0, 1.0) == ps.BRANCH_CRITICAL
+    assert branch(1.0, 2.0) == ps.BRANCH_UNDERDAMPED
     # the critical tag has a relative window, not an absolute one
-    assert _classify(2.0, 1.0 * (1.0 + 1e-14))[1] == ps.BRANCH_CRITICAL
-    assert _classify(2.0, 1.0 * (1.0 + 1e-5))[1] == ps.BRANCH_UNDERDAMPED
-    assert _classify(2000.0, 1000.0 * (1.0 + 1e-14))[1] == ps.BRANCH_CRITICAL
+    assert branch(2.0, 1.0 * (1.0 + 1e-14)) == ps.BRANCH_CRITICAL
+    assert branch(2.0, 1.0 * (1.0 + 1e-5)) == ps.BRANCH_UNDERDAMPED
+    assert branch(2000.0, 1000.0 * (1.0 + 1e-14)) == ps.BRANCH_CRITICAL
 
 
 def test_critical_params():
@@ -361,3 +362,112 @@ def test_overflowing_amplitude_rejected(make):
     # OverflowError
     with pytest.raises(ps.StateError, match="inf"):
         make(1e200, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# a batch of cells is one record whose fields are per-cell arrays
+
+_FIELDS = ("lam", "w_coupling", "alpha1", "alpha2", "alpha", "r_rate",
+           "omega", "branch")
+# R / (lam / 2): overdamped, critical, underdamped
+_RATIO = st.one_of(st.floats(0.05, 0.95), st.just(1.0), st.floats(1.05, 5.0))
+
+
+def _split_root(lam, r_rate):
+    # an ulp off the derived root, so that a kept root shows in the bits
+    root = ps.ModelParams.from_effective_rate(lam, r_rate).omega
+    return float(np.nextafter(root, math.inf))
+
+
+# constructor -> (cells -> its per-cell arguments, scalars alike)
+_COLUMN_CTORS = {
+    "effective_rate": (ps.ModelParams.from_effective_rate,
+                       lambda lam, ratio: (lam, ratio * lam / 2.0)),
+    "mode_splitting": (ps.ModelParams.from_mode_splitting,
+                       lambda lam, ratio: (lam, min(ratio, 0.999) * lam)),
+    "raw": (lambda lam, w: ps.ModelParams(lam, w, 0.6, 0.8),
+            lambda lam, ratio: (lam, ratio * lam / 2.0)),
+    "raw-split-root": (
+        lambda lam, w, root: ps.ModelParams(lam, w, _S, _S, root),
+        lambda lam, ratio: (lam, ratio * lam / 2.0,
+                            _split_root(lam, ratio * lam / 2.0))),
+}
+
+
+@given(ctor=st.sampled_from(sorted(_COLUMN_CTORS)),
+       cells=st.lists(st.tuples(st.floats(1e-3, 1e3), _RATIO), min_size=1,
+                      max_size=8))
+def test_each_cell_of_a_column_record_is_its_own_record(ctor, cells):
+    make, arguments = _COLUMN_CTORS[ctor]
+    rows = [arguments(*cell) for cell in cells]
+    batch = make(*(np.array(column) for column in zip(*rows)))
+    for i, row in enumerate(rows):
+        alone = make(*row)
+        for name in _FIELDS:
+            got = getattr(batch, name)
+            got = got[i].item() if np.ndim(got) else got
+            # repr tells every bit of a float apart, and a numpy scalar from
+            # a Python one
+            assert repr(got) == repr(getattr(alone, name)), (i, name)
+    branches = {alone.branch for alone in map(lambda row: make(*row), rows)}
+    assert ctor != "mode_splitting" or ps.BRANCH_UNDERDAMPED not in branches
+
+
+def test_column_records_reach_every_branch_with_and_without_a_root():
+    # the property above draws all three branches; pin one record that holds
+    # them all, built with and without a split root
+    lam, r_rate = np.full(3, 2.0), np.array([0.8, 1.0, 1.7])
+    roots = np.array([_split_root(2.0, r) for r in r_rate.tolist()])
+    for batch in (ps.ModelParams.from_effective_rate(lam, r_rate),
+                  ps.ModelParams(lam, r_rate, _S, _S, roots)):
+        assert batch.branch.tolist() == [ps.BRANCH_OVERDAMPED,
+                                         ps.BRANCH_CRITICAL,
+                                         ps.BRANCH_UNDERDAMPED]
+    assert ps.ModelParams(lam, r_rate, _S, _S, roots).omega[0] == roots[0]
+
+
+def _refusal(make, *args):
+    """(error type, message) that make(*args) raises, or None."""
+    try:
+        make(*args)
+    except ps.ParityShieldError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# constructor and its per-cell argument columns: later cells fail earlier
+# checks, so the refusal is the first failing cell's, not the first check's
+_COLUMN_REFUSALS = {
+    "record": (lambda lam, w: ps.ModelParams(lam, w, _S, _S),
+               [[2.0, 1e-150, 2.0, math.inf], [1.0, 1e-156, 1e160, 1.0]]),
+    "record-split-root": (
+        lambda lam, w, root: ps.ModelParams(lam, w, _S, _S, root),
+        [[2.0, 2.0, -1.0], [0.5, 0.5, 0.5], [math.sqrt(3.0), 1.5, 1.0]]),
+    "effective-rate": (ps.ModelParams.from_effective_rate,
+                       [[2.0, math.inf, 2.0], [0.5, 1.0, 0.0]]),
+    # the classmethod's own checks and the record's are one sequence: the
+    # second cell's coupling is inf, the third's split is not real
+    "mode-splitting": (ps.ModelParams.from_mode_splitting,
+                       [[2.0, 1e200, 2.0, math.inf], [1.0, 1.0, 3.0, 1.0]]),
+    "mode-splitting-own-check-first": (
+        ps.ModelParams.from_mode_splitting,
+        [[2.0, 2.0, 1e200], [1.0, 3.0, 1.0]]),
+    "zeno": (ps.ZenoSchedule, [[0.1, math.nan, -1.0]]),
+    "finite-duty": (ps.FinitePulseSchedule,
+                    [[0.2, 0.2, -1.0], [10, 1, 10]]),
+    "finite-interval": (ps.FinitePulseSchedule,
+                        [[0.2, math.inf, 0.2], [10, 10, 1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLUMN_REFUSALS))
+def test_column_refusal_names_the_first_failing_cell(case):
+    make, columns = _COLUMN_REFUSALS[case]
+    alone = [_refusal(make, *cell) for cell in zip(*columns)]
+    failing = [refusal for refusal in alone if refusal is not None]
+    # different cells fail different checks
+    assert len(set(failing)) >= 2, alone
+    kind, message = failing[0]
+    with pytest.raises(kind) as info:
+        make(*map(np.array, columns))
+    assert str(info.value) == message

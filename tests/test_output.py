@@ -135,8 +135,8 @@ def test_csv_refuses_text_utf8_cannot_hold(tmp_path, where):
 
 
 def test_surrogate_escapes_keep_their_bytes(tmp_path, small_table):
-    # argv decodes a byte that is not UTF-8 to U+DC80..U+DCFF: the files get
-    # the byte back
+    # argv decodes a byte that is not UTF-8 to U+DC80..U+DCFF: the CSV gets
+    # the byte back, and the SVG, which XML keeps UTF-8, writes U+FFFD
     metadata, header, columns = small_table
     escaped = b"run-\xff".decode("utf-8", "surrogateescape")
     csv_path, svg_path = tmp_path / "probe.csv", tmp_path / "probe.svg"
@@ -145,7 +145,7 @@ def test_surrogate_escapes_keep_their_bytes(tmp_path, small_table):
     assert b"# run_id=run-\xff\n" in csv_path.read_bytes()
     assert b"\n0.5,0.9,0.99,run-\xff\n" in csv_path.read_bytes()
     render_svg(csv_path, svg_path)
-    assert b">run-\xff</text>" in svg_path.read_bytes()
+    assert b">run-\xef\xbf\xbd</text>" in svg_path.read_bytes()
 
 
 def test_svg_refuses_text_utf8_cannot_hold(tmp_path, small_table):

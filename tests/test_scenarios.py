@@ -521,3 +521,27 @@ def test_sweep_r_rate_axis():
     f = trace.column("F_free")
     assert f[0] > f[1]
     assert f[1] == pytest.approx(ETA_10, abs=1e-13)
+
+
+def test_sweep_builds_one_record_and_one_schedule_per_kind(monkeypatch):
+    # the cells are columns: 10^4 cells run each __post_init__ as often as 4
+    # cells do, once per sweep and kind
+    counts = {}
+    for cls in (ps.ModelParams, ps.ZenoSchedule, ps.DdSchedule,
+                ps.FinitePulseSchedule):
+        def counted(self, *args, real=cls.__post_init__, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            return real(self, *args)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    def runs(lams):
+        counts.clear()
+        trace = ps.run_sweep({"lam": ",".join(map(repr, lams)),
+                              "omega": "0.5", "tau": "0.1,0.2",
+                              "n_duty": "10,20", "t_max": "1"})
+        assert len(trace.column("F_ddN")) == 4 * len(lams)
+        return dict(counts)
+
+    once = {"ModelParams": 1, "ZenoSchedule": 1, "DdSchedule": 1,
+            "FinitePulseSchedule": 1}
+    assert runs([2.0]) == runs(np.linspace(1.0, 3.0, 2500).tolist()) == once

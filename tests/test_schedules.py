@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import parityshield as ps
@@ -54,3 +55,33 @@ def test_dd_invalid_inputs(case1, dd_sched):
         ps.dd_survival(-0.5, dd_sched, case1)
     with pytest.raises(ps.ParameterError):
         ps.dd_coefficients(-1, dd_sched, case1)
+
+
+@pytest.mark.parametrize("n_duty", [np.int64(10), np.int32(10), np.uint8(10),
+                                    np.array(10)])
+def test_numpy_integer_duty_accepted(n_duty):
+    # a numpy integer was refused as "got np.int64(10)"; it is kept as the
+    # Python int, so the record and its descriptor are those of the int
+    sched = ps.FinitePulseSchedule(0.2, n_duty)
+    assert type(sched.n_duty) is int
+    assert sched == ps.FinitePulseSchedule(0.2, 10)
+    assert ps.format_schedule(sched) == "dd-finite(0.2,10)"
+    with pytest.raises(ps.ConfigError, match=r"an integer >= 2, got 1$"):
+        ps.FinitePulseSchedule(0.2, np.int64(1))
+    with pytest.raises(ps.ConfigError, match=r"an integer >= 2, got 10\.0$"):
+        ps.FinitePulseSchedule(0.2, np.float64(10.0))
+
+
+def test_schedule_of_per_cell_columns():
+    # a column of integer duties is a batch of cycles, cell by cell those
+    # of its scalar schedules
+    taus, ns = np.array([0.2, 0.1]), np.array([10, 20])
+    batch = ps.FinitePulseSchedule(taus, ns).cycle
+    for i, (tau, n) in enumerate(zip(taus.tolist(), ns.tolist())):
+        alone = ps.FinitePulseSchedule(tau, n).cycle
+        assert batch.period[i] == alone.period
+        for got, want in zip(batch.segments, alone.segments):
+            assert [np.ravel(v)[i if np.ndim(v) else 0].item()
+                    for v in got] == list(want)
+    with pytest.raises(ps.ConfigError, match=r"integer >= 2, got 10\.0$"):
+        ps.FinitePulseSchedule(taus, ns.astype(float))

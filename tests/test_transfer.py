@@ -17,6 +17,7 @@ DD = ps.DdSchedule(0.1)
 ZENO = ps.ZenoSchedule(0.1)
 FINITE = ps.FinitePulseSchedule(0.2, 10)
 STATE = ps.OddParityState.superradiant()
+_P = ps.ModelParams.from_mode_splitting(2.0, 1.0)
 
 # every public closed form, as a function of (t, params)
 CLOSED_FORMS = {
@@ -124,7 +125,18 @@ def test_sequence_equals_scalar(params, tau, n_duty, times):
 
 
 # ---------------------------------------------------------------------------
-# cells: one cell alone gives the bits it gives inside a batch of cells
+# cells: one cell alone gives the bits it gives inside a batch of cells, one
+# record and one schedule whose fields are per-cell arrays
+
+def _column(records):
+    """One record whose cells are the given records (symmetric weights):
+    each cell's omega is given as its split root, so every field keeps its
+    bits."""
+    lam, w_coupling, omega = (np.array([getattr(p, name) for p in records])
+                              for name in ("lam", "w_coupling", "omega"))
+    return ps.ModelParams(lam, w_coupling, math.sqrt(0.5), math.sqrt(0.5),
+                          omega)
+
 
 def _pulse_then_projection(tau, n_duty):
     return SimpleNamespace(cycle=transfer.Cycle(
@@ -161,14 +173,54 @@ def cells(draw):
             draw(st.floats(0.0, 50.0)))
 
 
+# every public entry, as a function of (schedule, params); free decay's
+# take params only
+_ENTRIES = {
+    "survival": lambda sched, p: ps.survival([1.0, 1.0], sched, p),
+    "fidelity": lambda sched, p: ps.fidelity(STATE, [1.0, 1.0], sched, p),
+    "coefficients": lambda sched, p: ps.coefficients(1, sched, p),
+}
+_FREE_ENTRIES = {
+    "free_survival": lambda p: ps.free_survival([1.0, 1.0], p),
+    "free_survival_slope": lambda p: ps.free_survival_slope([1.0, 1.0], p),
+    "free_fidelity": lambda p: ps.free_fidelity(STATE, [1.0, 1.0], p),
+    "free_coefficients": lambda p: ps.coefficients(0, None, p),
+}
+
+
+@pytest.mark.parametrize("sched", ["dd(0.1)", 3.0, [DD, DD], (DD, DD), []],
+                         ids=["descriptor", "number", "list", "tuple",
+                              "empty-list"])
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_what_is_not_a_schedule_is_refused(name, sched, case1):
+    # these raised a raw AttributeError, and a list was read as a batch
+    with pytest.raises(ps.ParameterError, match=r"^sched must be None or a "
+                       r"schedule, a batch one of per-cell arrays; got \w+$"):
+        _ENTRIES[name](sched, [case1, case1] if isinstance(sched, list)
+                       else case1)
+
+
+@pytest.mark.parametrize("params", ["x", 3.0, None, [_P, _P], (_P, _P)],
+                         ids=["text", "number", "none", "list", "tuple"])
+@pytest.mark.parametrize("name", sorted({*_ENTRIES, *_FREE_ENTRIES}))
+def test_what_is_not_a_record_is_refused(name, params):
+    with pytest.raises(ps.ParameterError, match=r"^params must be a "
+                       r"ModelParams, a batch one of per-cell arrays; got "):
+        if name in _ENTRIES:
+            _ENTRIES[name](DD, params)
+        else:
+            _FREE_ENTRIES[name](params)
+
+
 @given(kind=st.sampled_from(sorted(SCHEDULES)), cell=cells(),
        others=st.lists(cells(), max_size=6), data=st.data())
 def test_cell_alone_equals_cell_in_batch(kind, cell, others, data):
     at = data.draw(st.integers(0, len(others)))
     batch = [*others[:at], cell, *others[at:]]
     schedule = SCHEDULES[kind]
-    params = [p for p, *_ in batch]
-    scheds = [schedule(tau, n_duty) for _, tau, n_duty, _ in batch]
+    params = _column([p for p, *_ in batch])
+    taus, n_duties = (np.array(column) for column in list(zip(*batch))[1:3])
+    scheds = schedule(taus, n_duties)
     times = [t for *_, t in batch]
     p, tau, n_duty, t = cell
     state = ps.OddParityState.initial(0.6, 0.8)
@@ -195,14 +247,14 @@ def test_mixed_branch_batch_raises_no_warning():
     # the critical cell has split root 0; the cosh/sinh and split forms
     # divide by it only where their branch owns the entry, which it never
     # does for that cell
-    params = [ps.ModelParams.from_effective_rate(2.0, rate)
-              for rate in (0.8, 1.0, 1.7, 1.0)]
+    params = ps.ModelParams.from_effective_rate(
+        2.0, np.array([0.8, 1.0, 1.7, 1.0]))
     times = [0.05, 0.3, 7.3, 13.1]
     state = ps.OddParityState.initial(0.6, 0.8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, schedule in SCHEDULES.items():
-            scheds = [schedule(0.2, 10) for _ in params]
+            scheds = schedule(np.full(4, 0.2), np.full(4, 10))
             for value in (*ps.survival(times, scheds, params),
                           *ps.fidelity(state, times, scheds, params)):
                 assert np.all(np.isfinite(value[0] if isinstance(
@@ -215,39 +267,46 @@ def test_finished_cell_stops_squaring():
     # 16 squarings.  The first cell's m = 3 is done after one, and its
     # matrix squared 16 times would overflow.
     cycle = transfer.Cycle(0.1, ((0.1, 0.0, 2.0),))
-    params = [ps.ModelParams.from_effective_rate(lam, 1.0)
-              for lam in (0.01, 50.0)]
+    lams = [0.01, 50.0]
+    params = ps.ModelParams.from_effective_rate(np.array(lams), 1.0)
     times = [0.35, 1e4]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = transfer.evaluate(times, params, [cycle, cycle], _survival)
-    alone = [transfer.evaluate(t, p, cycle, _survival)
-             for t, p in zip(times, params)]
+        batch = transfer.evaluate(times, params, cycle, _survival)
+    alone = [transfer.evaluate(t, ps.ModelParams.from_effective_rate(lam, 1.0),
+                               cycle, _survival)
+             for t, lam in zip(times, lams)]
     assert repr(batch) == repr(alone)
     assert all(math.isfinite(abs(x)) for x in batch)
 
 
 def test_batch_needs_one_kind_and_one_cycle_per_params(case1):
-    with pytest.raises(ps.ParameterError):
-        ps.survival([1.0, 1.0], [DD, ZENO], [case1, case1])
-    with pytest.raises(ps.ParameterError):
-        ps.survival([1.0, 1.0], [DD, None], [case1, case1])
-    with pytest.raises(ps.ParameterError):
-        ps.survival([1.0, 1.0], [DD], [case1, case1])
-    # one cell or a batch, decided alike for schedules and params, and a
-    # batch takes one time per cell
-    for t, sched, params in [([1.0, 1.0], [DD, DD], case1),
-                             ([1.0, 1.0], (DD, DD), case1),
-                             ([1.0, 1.0], DD, [case1, case1]),
-                             ([1.0, 1.0, 1.0], [DD, DD], [case1, case1]),
-                             (1.0, [DD, DD], [case1, case1]),
-                             ([1.0], [], [])]:
+    # a batch is one record and one schedule (one kind) whose per-cell
+    # fields have the times' shape, one time per cell; held fields are
+    # one number for every cell
+    two = _column([case1, case1])
+    dd2 = ps.DdSchedule(np.array([0.1, 0.1]))
+    for t, sched, params in [([1.0, 1.0, 1.0], dd2, two),
+                             ([1.0, 1.0, 1.0], dd2, case1),
+                             ([1.0, 1.0, 1.0], DD, two),
+                             (1.0, dd2, two),
+                             (1.0, DD, two),
+                             ([1.0, 1.0], ps.DdSchedule(np.full(3, 0.1)),
+                              two),
+                             ([[1.0, 1.0]], dd2, two),
+                             ([1.0], ps.DdSchedule(np.array([])),
+                              _column([]))]:
         for call in (lambda: ps.survival(t, sched, params),
                      lambda: ps.fidelity(STATE, t, sched, params)):
-            with pytest.raises(ps.ParameterError):
+            with pytest.raises(ps.ParameterError, match="times' shape"):
                 call()
-    with pytest.raises(ps.ParameterError):
-        ps.coefficients(1, [DD], [case1])
+    with pytest.raises(ps.ParameterError, match="times' shape"):
+        ps.coefficients(1, dd2, case1)
+    with pytest.raises(ps.ParameterError, match="times' shape"):
+        ps.coefficients(1, DD, two)
+    # a batch's held fields and per-cell ones give each cell its own bits
+    assert ps.survival([1.0, 0.5], dd2, case1) == ps.survival(
+        [1.0, 0.5], DD, two) == ps.survival([1.0, 0.5], DD, case1)
 
 
 def test_time_errors_name_one_cell(case1):
@@ -255,16 +314,18 @@ def test_time_errors_name_one_cell(case1):
     with pytest.raises(ps.ParameterError, match=r"of 1e-300, got 3\.0$"):
         ps.dd_survival([1.0, 3.0, 2.0], ps.DdSchedule(1e-300), case1)
     with pytest.raises(ps.ParameterError, match=r"of 1e-300, got 1\.0$"):
-        ps.dd_survival([1.0, math.inf], [ps.DdSchedule(1e-300),
-                                        ps.DdSchedule(0.5)], [case1, case1])
+        ps.dd_survival([1.0, math.inf],
+                       ps.DdSchedule(np.array([1e-300, 0.5])), case1)
     with pytest.raises(ps.ParameterError, match=r"of 2e-300, got 1\.0$"):
-        ps.dd_survival([1.0, 1.0, math.inf], [
-            ps.DdSchedule(0.5), ps.DdSchedule(2e-300),
-            ps.DdSchedule(1e-300)], [case1] * 3)
+        ps.dd_survival([1.0, 1.0, math.inf],
+                       ps.DdSchedule(np.array([0.5, 2e-300, 1e-300])), case1)
     with pytest.raises(ps.ParameterError, match=r"nonnegative, got -1\.0$"):
-        ps.dd_survival([1.0, -1.0, 1.0], [
-            ps.DdSchedule(0.5), ps.DdSchedule(0.5),
-            ps.DdSchedule(1e-300)], [case1] * 3)
+        ps.dd_survival([1.0, -1.0, 1.0],
+                       ps.DdSchedule(np.array([0.5, 0.5, 1e-300])), case1)
+    # a batch of per-cell rates and a held period names its first cell too
+    with pytest.raises(ps.ParameterError, match=r"of 1e-300, got 1\.0$"):
+        ps.dd_survival([1.0, 3.0], ps.DdSchedule(1e-300),
+                       _column([case1, case1]))
 
 
 def test_drive_rate_overflowing_the_split_rejected(case1):
@@ -278,8 +339,8 @@ def test_drive_rate_overflowing_the_split_rejected(case1):
             ps.fidelity(STATE, t, sched, case1)
     with pytest.raises(ps.ParameterError,
                        match=r"^drive rate 3\.14\d*e\+302 "):
-        ps.survival([0.0] * 3, [FINITE, ps.FinitePulseSchedule(1e-301, 10),
-                                sched], [case1] * 3)
+        ps.survival([0.0] * 3, ps.FinitePulseSchedule(
+            np.array([0.2, 1e-301, 1e-300]), np.full(3, 10)), case1)
     with pytest.raises(ps.ParameterError, match="^drive rate"):
         ps.coefficients(0, sched, case1)
 
@@ -751,18 +812,18 @@ def test_owned_entries_match_masked_evaluation(region, protocol):
 def test_owned_entries_match_masked_evaluation_in_a_batch():
     # per-cell constants are gathered with the times' index
     regions = sorted(_REGIONS) * 6
-    params = [_REGIONS[region][0] for region in regions]
+    params = _column([_REGIONS[region][0] for region in regions])
     taus = 0.1 + 0.01 * np.arange(len(regions))
     # in the free part, the window and the second segment, and on edges
     into = np.resize([0.3, 0.95, 1.5, 0.0, 0.9, 1.0], len(regions)) * taus
     times = (np.arange(len(regions)) % 4) * 2.0 * taus + into + np.resize(
         [0.0, 0.0, 0.0, 0.0, 1e-9, -1e-9, 1e-9], len(regions))
     for kind, schedule in SCHEDULES.items():
-        cycles = [(s := schedule(tau, 10)) and s.cycle for tau in taus]
-        segments = transfer.evaluate(times, params, cycles, lambda *a: a)[2]
+        cycle = (s := schedule(taus, np.full(len(taus), 10))) and s.cycle
+        segments = transfer.evaluate(times, params, cycle, lambda *a: a)[2]
         assert len(set(segments.tolist())) == (1 if kind in (
             "free", "zeno", "dd") else 2), kind
-        _assert_matches_masked(times, params, cycles)
+        _assert_matches_masked(times, params, cycle)
 
 
 def test_propagator_branches_match_masked_ones():
@@ -849,7 +910,7 @@ def test_each_segment_evaluates_its_distinct_offsets_once(monkeypatch):
     assert sum(map(sum, sizes)) <= 50_000
     # a batch of cells and a single time take every entry as it is
     sizes.clear()
-    transfer.evaluate([0.05, 0.05, 0.15], [cfg.params] * 3, [DD.cycle] * 3,
-                      _survival)
+    transfer.evaluate([0.05, 0.05, 0.15], cfg.params,
+                      ps.DdSchedule(np.full(3, 0.1)).cycle, _survival)
     transfer.evaluate(0.05, cfg.params, DD.cycle, _survival)
     assert sizes == [[3, 3], [1, 1]]
