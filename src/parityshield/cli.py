@@ -22,10 +22,9 @@ from ._version import __version__
 from .errors import ConfigError, ParameterError, StateError, ValidationFailure
 from .oracle import DIRECT_QUADRATURE, EXACT_AUGMENTED
 from .output import render_svg, write_csv
-from .scenarios import (MAX_SWEEP_CELLS, build_scenario,
-                        check_fig2_ordering, check_fig3_ordering,
-                        compute_trace, load_config, option_flag, option_keys,
-                        run_sweep)
+from .scenarios import (build_scenario, check_fig2_ordering,
+                        check_fig3_ordering, compute_trace, load_config,
+                        option_flag, option_keys, run_sweep)
 from .validation import run_validation
 
 OUT_DIR_ENV = "PARITYSHIELD_OUT"
@@ -49,7 +48,6 @@ def _add_run(subs, kind: str, blurb: str, handler):
     sub.add_argument("--out", help="output CSV path (default under "
                      f"${OUT_DIR_ENV} or the working directory)")
     sub.set_defaults(handler=handler, kind=kind)
-    return sub
 
 
 def _collect_options(args) -> dict[str, str]:
@@ -111,7 +109,7 @@ def _run_scenario(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    trace = run_sweep(_collect_options(args), max_cells=args.max_cells)
+    trace = run_sweep(_collect_options(args))
     csv_path, _ = _out_paths(args, "sweep")
     with _writing(csv_path):
         write_csv(csv_path, trace.metadata, trace.header, trace.columns)
@@ -164,10 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("fig3", "finite-duration pulses vs the instantaneous limit"),
             ("custom", "free-form schedule comparison")):
         _add_run(subs, scenario, blurb, _run_scenario)
-    sub = _add_run(subs, "sweep", "terminal-fidelity parameter sweep",
-                   _run_sweep)
-    sub.add_argument("--max-cells", type=int, default=MAX_SWEEP_CELLS,
-                     help="refuse grids larger than this many cells")
+    _add_run(subs, "sweep", "terminal-fidelity parameter sweep", _run_sweep)
 
     sub = subs.add_parser("validate",
                           help="run the closed-form vs integrator checks")

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and refuse.
+"""Exception hierarchy shared across the package, refuse and broadcast.
 
 The CLI maps them onto exit codes: ParameterError, StateError and
 ConfigError (domain and usage problems) exit 1, ValidationFailure (a failed
@@ -45,3 +45,13 @@ def refuse(error: type[ParityShieldError], checks) -> None:
         i = np.argmin(ok)
         _, text, *values = next(check for check in checks if not at(check[0]))
         raise error(text.format(*map(at, values)))
+
+
+def broadcast(error: type[ParityShieldError], **columns) -> None:
+    """Raise error naming the per-cell arrays' shapes unless they broadcast."""
+    shapes = {key: np.shape(v) for key, v in columns.items() if np.ndim(v)}
+    try:
+        np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        raise error("per-cell columns do not broadcast together: " + ", ".join(
+            f"{key} of shape {s}" for key, s in shapes.items())) from None

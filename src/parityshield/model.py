@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError, StateError, refuse
+from .errors import ParameterError, StateError, broadcast, refuse
 
 BRANCH_OVERDAMPED = "overdamped"
 BRANCH_CRITICAL = "critical"
@@ -52,6 +52,8 @@ def _derive(lam, w_coupling, alpha1, alpha2, split_root=None):
     per-cell couplings.  The interval dynamics x'' + lam x' + R^2 x = 0
     split by the root of lam^2 - 4 R^2: omega is its magnitude, 0.0 on the
     critical branch, and the branch tags its sign."""
+    broadcast(ParameterError, lam=lam, w_coupling=w_coupling,
+              split_root=split_root)
     alpha = math.hypot(alpha1, alpha2)
     r_rate = alpha * w_coupling
     lam_sq, r4_sq = lam * lam, 4.0 * r_rate * r_rate
@@ -163,7 +165,9 @@ class ModelParams:
         Only meaningful when the split is real (omega <= lam); the
         underdamped regime must be entered through an explicit rate.
         """
+        broadcast(ParameterError, lam=lam, omega=omega)
         r_rate = _scalar(np.sqrt((lam - omega) * (lam + omega)) / 2.0)
+        split = "the damping split lam^2 - 4 R^2: lam={}, omega={}"
         refuse(ParameterError, [
             # inf - inf would reach the split as NaN
             (np.isfinite(lam), "decay rate must be finite, got {}", lam),
@@ -173,9 +177,9 @@ class ModelParams:
             ((0.0 <= omega) & (omega <= lam), "real damping split requires "
              "0 <= omega <= lam, got omega={}, lam={}; use from_effective_rate"
              " for the oscillatory regime", omega, lam),
-            # and so is 4 R^2, at most lam^2
-            (lam * lam >= _TINY, "rates underflow the damping split lam^2 - "
-             "4 R^2: lam={}, omega={}", lam, omega),
+            # 4 R^2 <= lam^2: an overflow or underflow shows in lam^2
+            (lam * lam < math.inf, "rates overflow " + split, lam, omega),
+            (lam * lam >= _TINY, "rates underflow " + split, lam, omega),
             (r_rate > 0.0, "omega == lam gives zero coupling rate"),
             *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)[1]])
         return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)

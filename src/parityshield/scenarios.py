@@ -317,8 +317,8 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Result table with metadata: one column per header name, in header
-    order, ready for CSV export; arrays in a trace, lists in a sweep."""
+    """Result table with metadata: one numpy array per header name, in
+    header order, ready for CSV export."""
 
     header: list[str]
     columns: list
@@ -458,16 +458,16 @@ def check_fig3_ordering(trace: EvolutionTrace) -> None:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-def run_sweep(options: dict[str, str],
-              max_cells: int = MAX_SWEEP_CELLS) -> EvolutionTrace:
+def run_sweep(options: dict[str, str]) -> EvolutionTrace:
     """Grid sweep over any subset of the model/schedule parameters.
 
     Every user-supplied sweepable key becomes a grid axis (values may be a
     comma-separated list); remaining keys are held at their defaults.  One
     row per cell with the terminal fidelity of every protocol the keys
     describe; rows are ordered lexicographically in the sorted axis
-    coordinates, values ascending.  An empty axis set yields an empty table.
-    ``n_duty`` without ``tau`` is refused: no column would depend on it.
+    coordinates, values ascending; each column is a numpy array, empty for
+    an empty axis set.  ``n_duty`` without ``tau`` is refused (no column
+    would depend on it), and so is a grid over MAX_SWEEP_CELLS cells.
     A fidelity outside [0, 1] raises StateError, as in compute_trace.
     """
     base, given = _merged("sweep", options)
@@ -493,12 +493,12 @@ def run_sweep(options: dict[str, str],
     kinds = [kind for kind in _KINDS.values() if keyed.issuperset(kind.keys)]
     header = [*axes, *(kind.column for kind in kinds)]
     if not axes:
-        return EvolutionTrace(header, [[] for _ in header], metadata)
+        return EvolutionTrace(header, [np.array([]) for _ in header], metadata)
 
     total = math.prod(map(len, axes.values()))
-    if total > max_cells:
+    if total > MAX_SWEEP_CELLS:
         raise ConfigError(
-            f"sweep has {total} cells, exceeding the cap of {max_cells}")
+            f"sweep has {total} cells, exceeding the cap of {MAX_SWEEP_CELLS}")
 
     state, _ = parse_initial_state(base["initial_state"])
     rate_key, make_params = _rate(given)
@@ -516,6 +516,5 @@ def run_sweep(options: dict[str, str],
     fidelities = [_fidelity(state, times, s, params)[0] for s in scheds]
     for name, column in zip(header[len(axes):], fidelities):
         _require_unit_interval(name, column)
-    return EvolutionTrace(header, [
-        column.tolist() for column in [*map(cells.get, axes), *fidelities]],
-        metadata)
+    return EvolutionTrace(header, [*map(cells.get, axes), *fidelities],
+                          metadata)

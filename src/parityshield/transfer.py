@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, refuse
+from .errors import ConfigError, ParameterError, broadcast, refuse
 from .model import ModelParams, OddParityState
 
 # beyond this value of Re(lam_c) * s the hyperbolic factors overflow before
@@ -470,6 +470,7 @@ class FinitePulseSchedule:
 
     def __post_init__(self):
         n = self.n_duty
+        broadcast(ConfigError, tau=self.tau, n_duty=n)
         whole = isinstance(n, int) or np.asarray(n).dtype.kind in "iu"
         refuse(ConfigError, [_interval("cycle", self.tau), (
             whole and n >= 2, "duty parameter must be an integer >= 2, got "

@@ -171,7 +171,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for argv in (["fig2", "--n-duty", "10"], ["fig3", "--delta-t", "0.1"],
                  ["custom", "--tau", "0.3", "--schedules", "dd(0.1)"],
-                 ["sweep", "--tau", "0.1", "--samples-per-unit-time", "500"]):
+                 ["sweep", "--tau", "0.1", "--samples-per-unit-time", "500"],
+                 # the cell cap is a constant, not a flag
+                 ["sweep", "--tau", "0.1", "--max-cells", "5"]):
         assert main([*argv, "--out", str(out)]) == 1, argv
         assert not out.exists()
     capsys.readouterr()
@@ -252,6 +254,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     ["sweep", "--lambda", "1e200", "--r-rate", "1", "--tau", "0.1"],
     ["sweep", "--lambda", "2", "--r-rate", "1e160", "--tau", "0.1"],
     ["sweep", "--lambda", "inf,2", "--tau", "0.1"],
+    ["fig1", "--lambda", "1e200"],
     ["fig2", "--lambda", "inf"],
     ["fig2", "--lambda", "2", "--r-rate", "inf"],
     ["sweep", "--tau", "1e-300", "--n-duty", "10", "--t-max", "1e-299"],
@@ -282,8 +285,19 @@ def test_infinite_mode_splitting_exits_one_naming_it(tmp_path, capsys):
 def test_flags_are_the_keys_the_run_reads(subcommands, kind):
     dests = {a.dest for a in subcommands[kind]._actions
              if a.option_strings} - {"help"}
-    extra = {"max_cells"} if kind == "sweep" else set()
-    assert dests == {*option_keys(kind), "config", "out", *extra}
+    assert dests == {*option_keys(kind), "config", "out"}
+
+
+def test_sweep_over_the_cell_cap_exits_one(tmp_path, capsys):
+    # 1001 x 1000 cells: refused from the axes' lengths alone
+    out = tmp_path / "sweep.csv"
+    lams = ",".join(f"{1.0 + i / 1000}" for i in range(1001))
+    taus = ",".join(f"{0.1 + i / 10000}" for i in range(1000))
+    assert main(["sweep", "--lambda", lams, "--tau", taus,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: sweep has 1001000 cells, exceeding the cap of 1000000\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -277,6 +277,35 @@ def test_mode_splitting_names_non_finite_value(lam, omega, name):
         ps.ModelParams.from_mode_splitting(lam, omega)
 
 
+@pytest.mark.parametrize("lam, omega", [(1e200, 1.0), (1e155, 1e154)])
+def test_mode_splitting_overflow_names_lam_and_omega(lam, omega):
+    # R came out inf, and the refusal used to name that coupling, a
+    # quantity the caller never gave
+    with pytest.raises(ps.ParameterError) as info:
+        ps.ModelParams.from_mode_splitting(lam, omega)
+    assert str(info.value) == ("rates overflow the damping split lam^2 - "
+                               f"4 R^2: lam={lam!r}, omega={omega!r}")
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda a, b: ps.ModelParams(a, b, 0.6, 0.8), ("lam", "w_coupling")),
+    (lambda a, b: ps.ModelParams(a, 1.0, 0.6, 0.8, b), ("lam", "split_root")),
+    (lambda a, b: ps.ModelParams.from_couplings(a, b, 0.6, 0.8),
+     ("lam", "w_coupling")),
+    # W = R: its refusals speak of the coupling strength
+    (ps.ModelParams.from_effective_rate, ("lam", "w_coupling")),
+    (ps.ModelParams.from_mode_splitting, ("lam", "omega")),
+], ids=["record", "record-split-root", "couplings", "effective-rate",
+        "mode-splitting"])
+def test_columns_that_do_not_broadcast_are_refused(make, names):
+    # numpy's raw ValueError used to escape the constructor
+    with pytest.raises(ps.ParameterError) as info:
+        make(np.array([2.0, 3.0]), np.array([1.0, 1.0, 1.0]))
+    assert str(info.value) == ("per-cell columns do not broadcast together: "
+                               f"{names[0]} of shape (2,), {names[1]} of "
+                               "shape (3,)")
+
+
 def test_weight_check_message():
     # from_couplings leaves the weight check to the dataclass
     with pytest.raises(ps.ParameterError, match=r"coupling weights must be "
@@ -437,6 +466,9 @@ def _refusal(make, *args):
 
 # constructor and its per-cell argument columns: later cells fail earlier
 # checks, so the refusal is the first failing cell's, not the first check's
+# with lam = 1e-150 a root this close gives a subnormal 4 R^2
+_SUBNORMAL_SPLIT = 9.99999999998e-151
+
 _COLUMN_REFUSALS = {
     "record": (lambda lam, w: ps.ModelParams(lam, w, _S, _S),
                [[2.0, 1e-150, 2.0, math.inf], [1.0, 1e-156, 1e160, 1.0]]),
@@ -446,12 +478,14 @@ _COLUMN_REFUSALS = {
     "effective-rate": (ps.ModelParams.from_effective_rate,
                        [[2.0, math.inf, 2.0], [0.5, 1.0, 0.0]]),
     # the classmethod's own checks and the record's are one sequence: the
-    # second cell's coupling is inf, the third's split is not real
+    # second cell's 4 R^2 is subnormal (a record check), the third's split
+    # is not real, the fifth's lam^2 overflows
     "mode-splitting": (ps.ModelParams.from_mode_splitting,
-                       [[2.0, 1e200, 2.0, math.inf], [1.0, 1.0, 3.0, 1.0]]),
+                       [[2.0, 1e-150, 2.0, math.inf, 1e200],
+                        [1.0, _SUBNORMAL_SPLIT, 3.0, 1.0, 1.0]]),
     "mode-splitting-own-check-first": (
         ps.ModelParams.from_mode_splitting,
-        [[2.0, 2.0, 1e200], [1.0, 3.0, 1.0]]),
+        [[2.0, 2.0, 1e-150], [1.0, 3.0, _SUBNORMAL_SPLIT]]),
     "zeno": (ps.ZenoSchedule, [[0.1, math.nan, -1.0]]),
     "finite-duty": (ps.FinitePulseSchedule,
                     [[0.2, 0.2, -1.0], [10, 1, 10]]),

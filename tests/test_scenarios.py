@@ -454,7 +454,7 @@ def test_sweep_single_cell_matches_fig2_terminals(case1):
 def test_sweep_protection_monotone_in_interval():
     trace = ps.run_sweep({"tau": "0.05,0.1,0.2"})
     taus = trace.column("tau")
-    assert taus == sorted(taus)
+    assert list(taus) == sorted(taus)
     f_dd = trace.column("F_dd")
     assert all(a > b for a, b in zip(f_dd, f_dd[1:]))
     f_zeno = trace.column("F_zeno")
@@ -472,7 +472,7 @@ def test_sweep_two_axes_lexicographic():
                             "F_ddN"]
     coords = [(row[0], row[1]) for row in trace.rows]
     assert coords == [(10, 0.1), (10, 0.2), (20, 0.1), (20, 0.2)]
-    assert all(isinstance(row[0], int) for row in trace.rows)
+    assert trace.column("n_duty").dtype.kind == "i"
 
 
 def test_sweep_row_is_the_closed_form_alone():
@@ -500,12 +500,31 @@ def test_sweep_row_is_the_closed_form_alone():
     assert len(branches) == 3
 
 
-def test_sweep_empty_and_capped():
+def test_sweep_empty_and_capped(monkeypatch):
     empty = ps.run_sweep({})
     assert empty.rows == [] and empty.header == ["F_free"]
-    assert empty.columns == [[]]
-    with pytest.raises(ps.ConfigError):
-        ps.run_sweep({"tau": "0.1,0.2", "lam": "1,2,3"}, max_cells=5)
+    assert [list(column) for column in empty.columns] == [[]]
+
+    def built(*args):
+        raise AssertionError("a record was built")
+    monkeypatch.setattr(ps.ModelParams, "__post_init__", built)
+    lams = ",".join(f"{1.0 + i / 1000}" for i in range(1001))
+    taus = ",".join(f"{0.1 + i / 10000}" for i in range(1000))
+    with pytest.raises(ps.ConfigError) as info:
+        ps.run_sweep({"lam": lams, "tau": taus})
+    assert str(info.value) == ("sweep has 1001000 cells, exceeding the cap "
+                               "of 1000000")
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"tau": "0.1"}, {"tau": "0.1,0.2", "n_duty": "20,10"},
+    {"r_rate": "0.5,1", "delta_t": "0.05", "t_max": "1,2"}],
+    ids=["empty", "one-cell", "duty", "rate"])
+def test_sweep_columns_are_arrays(options):
+    # the columns the sweep computed, not a list copy of them
+    trace = ps.run_sweep(options)
+    assert trace.columns and all(
+        isinstance(column, np.ndarray) for column in trace.columns)
 
 
 @pytest.mark.parametrize("bad", [1.5, math.nan])

@@ -85,3 +85,11 @@ def test_schedule_of_per_cell_columns():
                     for v in got] == list(want)
     with pytest.raises(ps.ConfigError, match=r"integer >= 2, got 10\.0$"):
         ps.FinitePulseSchedule(taus, ns.astype(float))
+
+
+def test_schedule_columns_that_do_not_broadcast_are_refused():
+    # numpy's raw ValueError used to escape the constructor
+    with pytest.raises(ps.ConfigError) as info:
+        ps.FinitePulseSchedule(np.array([0.2, 0.3]), np.array([10, 20, 30]))
+    assert str(info.value) == ("per-cell columns do not broadcast together: "
+                               "tau of shape (2,), n_duty of shape (3,)")
