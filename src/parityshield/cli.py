@@ -13,6 +13,7 @@ ordering or validation check failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import contextmanager
@@ -20,7 +21,6 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError, ParameterError, StateError, ValidationFailure
-from .oracle import DIRECT_QUADRATURE, EXACT_AUGMENTED
 from .output import render_svg, write_csv
 from .scenarios import (build_scenario, check_fig2_ordering,
                         check_fig3_ordering, compute_trace, load_config,
@@ -128,16 +128,15 @@ def _run_validate(args) -> int:
             overrides[name.strip()] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
-    modes = {"both": (EXACT_AUGMENTED, DIRECT_QUADRATURE),
-             EXACT_AUGMENTED: (EXACT_AUGMENTED,),
-             DIRECT_QUADRATURE: (DIRECT_QUADRATURE,)}[args.oracle_mode]
-    report = run_validation(tolerance_overrides=overrides or None,
-                            dt_num=args.dt_num,
-                            oracle_modes=modes)
+    report = run_validation(tolerance_overrides=overrides or None)
     text = "\n".join(report.lines())
     print(text)
     if args.out:
         out = Path(args.out)
+        # Path drops a trailing separator, so "NEWDIR/" would name a file
+        if args.out.endswith(os.sep):
+            raise ConfigError(
+                f"cannot write {out}: {os.strerror(errno.EISDIR)}")
         with _writing(out):
             out.write_text(text + "\n", encoding="utf-8")
         print(f"wrote {out}")
@@ -166,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("validate",
                           help="run the closed-form vs integrator checks")
-    sub.add_argument("--dt-num", dest="dt_num", type=float, default="1e-4",
-                     help="integrator step size")
-    sub.add_argument("--oracle-mode", dest="oracle_mode", default="both",
-                     choices=["both", EXACT_AUGMENTED, DIRECT_QUADRATURE],
-                     help="restrict the integrator backends exercised")
     sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                      help="override one check tolerance (repeatable)")
     sub.add_argument("--out", help="also write the report to this file")

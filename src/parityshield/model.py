@@ -152,8 +152,10 @@ class ModelParams:
         so the weight split defaults to the symmetric alpha1 = alpha2 =
         1/sqrt(2) with W = R.
         """
+        broadcast(ParameterError, lam=lam, r_rate=r_rate)
         refuse(ParameterError, [
-            (r_rate > 0.0, "collective rate must be positive, got {}", r_rate),
+            ((0.0 < r_rate) & (r_rate < math.inf),
+             "collective rate must be finite and positive, got {}", r_rate),
             *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC)[1]])
         return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
 

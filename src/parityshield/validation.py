@@ -11,11 +11,11 @@ interval equation residuals, window-edge continuity, the instantaneous
 limit of the finite-duration protocol, integrator convergence orders, and
 probability bookkeeping.
 
-The checks are the rows of `_CHECKS`, in report order.  `run_validation`
-computes each row's inputs (oracle runs, or a closed-form quantity that two
-rows share) once per call and drops each after the last row that reads it;
-a row runs when every backend among its oracle runs is selected.  Closed
-forms and integrators are read by their module-level names at call time.
+The checks are the rows of `_CHECKS`, in report order, all run on every
+call.  `run_validation` computes each row's inputs (oracle runs at their
+own backend and step, or a closed-form quantity two rows share) once per
+call and drops each after the last row that reads it.  Closed forms and
+integrators are read by their module-level names at call time.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ class _Run(NamedTuple):
     sched: object                   # None for free decay
     backend: str = EXACT_AUGMENTED
     state: OddParityState = _SUPER
-    step: float | None = None       # None: the step run_validation is given
+    step: float = 1e-4
     order: int = 4
 
 
-def _integrate(run: _Run, dt_num: float):
-    cfg = OracleConfig(run.step or dt_num, run.order, run.backend)
+def _integrate(run: _Run):
+    cfg = OracleConfig(run.step, run.order, run.backend)
     if run.sched is None:
         return integrate_free(_CASE1, 1.0, cfg, run.state)
     # one name per protocol: perfbench/tracer.py spans each name apart
@@ -243,16 +243,14 @@ _CHECKS = (
 
 
 def run_validation(tolerance_overrides: dict[str, float] | None = None,
-                   dt_num: float = 1e-4,
-                   oracle_modes: tuple[str, ...] = (EXACT_AUGMENTED,
-                                                    DIRECT_QUADRATURE),
                    ) -> ValidationReport:
-    """Run the check suite; returns a report with one result per check.
-
-    Restricting ``oracle_modes`` to a single backend skips the checks
-    that need the other one; closed-form-only checks always run.
-    """
-    overrides = dict(tolerance_overrides or {})
+    """Run every check; tolerance_overrides is a mapping or a sequence of
+    (check name, tolerance) pairs.  Returns one result per check."""
+    try:
+        overrides = dict(tolerance_overrides or {})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("tolerance overrides must be name-value pairs, "
+                          f"got {tolerance_overrides!r}") from exc
     unknown = set(overrides) - {row.name for row in _CHECKS}
     if unknown:
         raise ConfigError(f"unknown check names: {sorted(unknown)}")
@@ -260,21 +258,15 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
         # a NaN bound would fail its check whatever the measurement
         if not isinstance(tol, numbers.Real) or math.isnan(tol):
             raise ConfigError(f"tolerance of {name} is not a number")
-    if isinstance(oracle_modes, str):
-        raise ConfigError(f"oracle modes need a tuple, got {oracle_modes!r}")
-    bad = set(oracle_modes) - {EXACT_AUGMENTED, DIRECT_QUADRATURE}
-    if bad or not oracle_modes:
-        raise ConfigError(f"invalid oracle modes: {sorted(bad)}")
 
-    rows = [row for row in _CHECKS if set(oracle_modes) >= {
-        src.backend for src in row.inputs if isinstance(src, _Run)}]
-    last_reader = {src: i for i, row in enumerate(rows) for src in row.inputs}
+    last_reader = {src: i for i, row in enumerate(_CHECKS)
+                   for src in row.inputs}
     made: dict = {}
     results: list[CheckResult] = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_CHECKS):
         for src in row.inputs:
             if src not in made:
-                made[src] = (_integrate(src, dt_num) if isinstance(src, _Run)
+                made[src] = (_integrate(src) if isinstance(src, _Run)
                              else src())
         measured = float(row.measure(*(made[src] for src in row.inputs)))
         tol = overrides.get(row.name, row.tolerance)

@@ -36,7 +36,7 @@ codes = [
 # scenarios and validation bind the closed forms separately; the counters
 # are shared, so they are read once between the two
 scenario_counters = tracer.record()["counters"]
-codes.append(cli.main(["validate", "--oracle-mode", "exact-augmented"]))
+codes.append(cli.main(["validate"]))
 with open(out + "/record.json", "w") as fh:
     json.dump({"codes": codes, "scenario_counters": scenario_counters,
                **tracer.record()}, fh)
@@ -70,9 +70,13 @@ def test_tracer_sees_every_layer(tmp_path):
     assert all(s["attrs"]["points"] > 0 for s in spans["scenarios.time_grid"])
     for name in ("output.write_csv", "output.render_svg"):
         assert all(s["attrs"]["bytes"] > 0 for s in spans[name]), name
+    backends = set()
     for name in ("oracle.integrate_free", "oracle.integrate_dd",
                  "oracle.integrate_finite"):
         assert all(s["attrs"]["steps"] > 0 for s in spans[name]), name
+        backends |= {s["attrs"]["backend"] for s in spans[name]}
+    # validate runs both backends, as the benchmark's workload does
+    assert backends == {"exact-augmented", "direct-quadrature"}
 
     before, after = record["scenario_counters"], record["counters"]
     for module in ("free_evolution", "zeno", "decoupling", "finite_pulse"):

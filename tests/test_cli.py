@@ -172,15 +172,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for argv in (["fig2", "--n-duty", "10"], ["fig3", "--delta-t", "0.1"],
                  ["custom", "--tau", "0.3", "--schedules", "dd(0.1)"],
                  ["sweep", "--tau", "0.1", "--samples-per-unit-time", "500"],
-                 # the cell cap is a constant, not a flag
-                 ["sweep", "--tau", "0.1", "--max-cells", "5"]):
+                 # the cell cap, the oracle step and the backends are
+                 # constants, not flags
+                 ["sweep", "--tau", "0.1", "--max-cells", "5"],
+                 ["validate", "--dt-num", "1e-4"],
+                 ["validate", "--oracle-mode", "both"]):
         assert main([*argv, "--out", str(out)]) == 1, argv
         assert not out.exists()
     capsys.readouterr()
 
 
 # option text that is no number, an infinite horizon or one that the grid
-# merges into t = 0, or a time grid or an oracle run too large to build
+# merges into t = 0, or a time grid too large to build
 # (refused before any of it is built)
 _NOT_NUMBERS = [
     ["fig2", "--tau", "abc"],
@@ -189,9 +192,6 @@ _NOT_NUMBERS = [
     ["fig3", "--n-duty", "10,x"],
     ["sweep", "--tau", "0.1,abc"],
     ["sweep", "--tau", "0.1", "--n-duty", "1.5"],
-    ["validate", "--dt-num", "abc"],
-    ["validate", "--dt-num", "5e-324"],
-    ["validate", "--dt-num", "1e-9"],
     ["fig2", "--t-max", "inf"],
     ["custom", "--t-max", "1e306"],
     ["custom", "--schedules", "dd(1e-12)"],
@@ -212,8 +212,7 @@ def test_non_numeric_options_exit_one(tmp_path, capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [a for a in _NOT_NUMBERS
-                                  if a[0] != "validate"], ids=_argv_id)
+@pytest.mark.parametrize("argv", _NOT_NUMBERS, ids=_argv_id)
 def test_non_numeric_config_values_exit_one(tmp_path, capsys, subcommands,
                                             argv):
     # the same values set in a config section
@@ -279,6 +278,19 @@ def test_infinite_mode_splitting_exits_one_naming_it(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == "error: decay rate must be finite, got inf\n", err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--lambda", "2", "--r-rate", "inf"],
+    ["sweep", "--lambda", "2", "--r-rate", "1,inf"],
+], ids=_argv_id)
+def test_infinite_collective_rate_exits_one_naming_it(tmp_path, capsys, argv):
+    # the refusal names the rate the caller gave, not the coupling strength
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: collective rate must be finite and positive, got inf\n")
 
 
 @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "custom", "sweep"])
@@ -355,12 +367,12 @@ def test_trace_past_the_float_range_warns_nothing(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["fig1", "--out", "F/x.csv"], "F/x.csv: File exists"),
     (["sweep", "--tau", "0.1", "--out", "F/x.csv"], "F/x.csv: File exists"),
-    (["validate", "--oracle-mode", "exact-augmented", "--out", "D/"],
-     "D: Is a directory"),
-    (["validate", "--oracle-mode", "exact-augmented", "--out", "F/r.txt"],
-     "F/r.txt: File exists"),
+    (["validate", "--out", "D/"], "D: Is a directory"),
+    (["validate", "--out", "F/r.txt"], "F/r.txt: File exists"),
+    # a trailing separator names a directory, existing or not
+    (["validate", "--out", "N/"], "N: Is a directory"),
 ], ids=["fig1-under-file", "sweep-under-file", "validate-directory",
-        "validate-under-file"])
+        "validate-under-file", "validate-new-directory"])
 def test_unusable_output_path_exits_one(tmp_path, capsys, monkeypatch, argv,
                                         message):
     # each raised a raw FileExistsError or IsADirectoryError; F is a file,
@@ -376,8 +388,7 @@ def test_unusable_output_path_exits_one(tmp_path, capsys, monkeypatch, argv,
 
 def test_validate_passes(tmp_path, capsys):
     report = tmp_path / "report.txt"
-    code = main(["validate", "--oracle-mode", "exact-augmented",
-                 "--out", str(report)])
+    code = main(["validate", "--out", str(report)])
     assert code == 0
     assert report.exists()
     text = report.read_text()
@@ -388,8 +399,8 @@ def test_validate_passes(tmp_path, capsys):
 def test_validate_negative_control(capsys):
     # corrupting one tolerance must surface as a reported failure and a
     # nonzero exit, proving the checks can actually fail
-    code = main(["validate", "--oracle-mode", "exact-augmented",
-                 "--tolerance", "dd_recursion_vs_augmented=1e-18"])
+    code = main(["validate", "--tolerance",
+                 "dd_recursion_vs_augmented=1e-18"])
     assert code == 2
     out = capsys.readouterr().out
     assert "dd_recursion_vs_augmented" in out and "FAIL" in out

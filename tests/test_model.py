@@ -292,8 +292,7 @@ def test_mode_splitting_overflow_names_lam_and_omega(lam, omega):
     (lambda a, b: ps.ModelParams(a, 1.0, 0.6, 0.8, b), ("lam", "split_root")),
     (lambda a, b: ps.ModelParams.from_couplings(a, b, 0.6, 0.8),
      ("lam", "w_coupling")),
-    # W = R: its refusals speak of the coupling strength
-    (ps.ModelParams.from_effective_rate, ("lam", "w_coupling")),
+    (ps.ModelParams.from_effective_rate, ("lam", "r_rate")),
     (ps.ModelParams.from_mode_splitting, ("lam", "omega")),
 ], ids=["record", "record-split-root", "couplings", "effective-rate",
         "mode-splitting"])

@@ -14,40 +14,6 @@ from parityshield.validation import _CHECKS
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
              / "reference.json")
 
-# the checks that run on the direct-quadrature backend or on no oracle
-_QUADRATURE_ONLY = {
-    "free_closed_form_vs_quadrature",
-    "zeno_composition_identity",
-    "zeno_quadratic_limit",
-    "dd_slope_reversal",
-    "dd_interval_ode_residual",
-    "finite_window_edge_continuity",
-    "finite_free_segment_ode_residual",
-    "finite_instantaneous_limit",
-    "finite_limit_monotone_in_n",
-}
-
-# the checks that run on the exact-augmented backend or on no oracle
-_AUGMENTED_ONLY = {
-    "free_closed_form_vs_augmented",
-    "free_norm_monotone",
-    "dark_state_frozen",
-    "zeno_composition_identity",
-    "zeno_quadratic_limit",
-    "dd_recursion_vs_augmented",
-    "dd_slope_reversal",
-    "dd_interval_ode_residual",
-    "finite_map_vs_oracle_n10",
-    "finite_map_vs_oracle_n20",
-    "finite_window_edge_continuity",
-    "finite_free_segment_ode_residual",
-    "finite_instantaneous_limit",
-    "finite_limit_monotone_in_n",
-    "dark_protected_all_protocols",
-    "convergence_order_rk4",
-    "convergence_order_rk2",
-}
-
 
 def test_both_backends_run_every_check():
     report = ps.run_validation()
@@ -63,20 +29,6 @@ def test_report_order_matches_benchmark_reference():
     assert [r.name for r in ps.run_validation().results] == checks
 
 
-def test_augmented_backend_alone():
-    report = ps.run_validation(oracle_modes=(ps.EXACT_AUGMENTED,))
-    names = [r.name for r in report.results]
-    assert sorted(names) == sorted(_AUGMENTED_ONLY)
-    assert report.ok, [r.line() for r in report.results if not r.passed]
-
-
-def test_quadrature_backend_alone():
-    report = ps.run_validation(oracle_modes=(ps.DIRECT_QUADRATURE,))
-    names = [r.name for r in report.results]
-    assert sorted(names) == sorted(_QUADRATURE_ONLY)
-    assert report.ok, [r.line() for r in report.results if not r.passed]
-
-
 def test_nan_tolerance_rejected():
     with pytest.raises(ps.ConfigError, match="dd_slope_reversal"):
         ps.run_validation({"dd_slope_reversal": math.nan})
@@ -88,46 +40,36 @@ def test_non_numeric_tolerance_rejected(tol):
         ps.run_validation({"dd_slope_reversal": tol})
 
 
-def test_non_numeric_step_rejected():
-    with pytest.raises(ps.ConfigError, match="step"):
-        ps.run_validation(dt_num="1e-4")
-
-
 def test_infinite_tolerance_allowed():
-    report = ps.run_validation({"dd_slope_reversal": math.inf},
-                               oracle_modes=(ps.DIRECT_QUADRATURE,))
+    report = ps.run_validation({"dd_slope_reversal": math.inf})
     slope = next(r for r in report.results if r.name == "dd_slope_reversal")
     assert slope.tolerance == math.inf and slope.passed
 
 
-@pytest.mark.parametrize("modes", [(), ("rk45",),
-                                   (ps.EXACT_AUGMENTED, "rk45")])
-def test_bad_oracle_modes_rejected(modes):
-    with pytest.raises(ps.ConfigError):
-        ps.run_validation(oracle_modes=modes)
+@pytest.mark.parametrize("overrides", ["abc", 5, [("dd_slope_reversal",)]],
+                         ids=["string", "number", "short-pair"])
+def test_overrides_that_are_not_pairs_rejected(overrides):
+    # refused before any check runs, not as a raw ValueError or TypeError
+    with pytest.raises(ps.ConfigError, match="must be name-value pairs"):
+        ps.run_validation(overrides)
 
 
-@pytest.mark.parametrize("modes", [ps.EXACT_AUGMENTED, "rk45", ""])
-def test_bare_string_oracle_modes_rejected(modes):
-    # a string is one name, not a set of its characters
-    with pytest.raises(ps.ConfigError, match=f"need a tuple, got {modes!r}$"):
-        ps.run_validation(oracle_modes=modes)
+def test_overrides_as_pairs_accepted():
+    # a sequence of (name, tolerance) pairs works as a mapping does
+    report = ps.run_validation([("dd_slope_reversal", math.inf)])
+    slope = next(r for r in report.results if r.name == "dd_slope_reversal")
+    assert slope.tolerance == math.inf and slope.passed
 
 
-@pytest.mark.parametrize("modes, runs", [
-    ((ps.EXACT_AUGMENTED, ps.DIRECT_QUADRATURE),
-     {"_run_augmented": 12, "_run_quadrature": 2}),
-    ((ps.EXACT_AUGMENTED,), {"_run_augmented": 12, "_run_quadrature": 0}),
-    ((ps.DIRECT_QUADRATURE,), {"_run_augmented": 0, "_run_quadrature": 1}),
-])
-def test_each_oracle_run_integrated_once(monkeypatch, modes, runs):
+def test_each_oracle_run_integrated_once(monkeypatch):
+    runs = {"_run_augmented": 12, "_run_quadrature": 2}
     counts = dict.fromkeys(runs, 0)
     for name in runs:
         def counted(*args, _name=name, _run=getattr(oracle, name)):
             counts[_name] += 1
             return _run(*args)
         monkeypatch.setattr(oracle, name, counted)
-    ps.run_validation(oracle_modes=modes)
+    ps.run_validation()
     assert counts == runs
 
 
@@ -136,8 +78,8 @@ def test_trace_lives_from_first_to_last_reader(monkeypatch):
     made: dict = {}
     real_integrate = validation._integrate
 
-    def integrate(run, dt_num):
-        trace = real_integrate(run, dt_num)
+    def integrate(run):
+        trace = real_integrate(run)
         made[run] = weakref.ref(trace)
         return trace
 
