@@ -47,7 +47,7 @@ def _add_run(subs, kind: str, blurb: str, handler):
         sub.add_argument(flag, dest=key, help=text)
     sub.add_argument("--out", help="output CSV path (default under "
                      f"${OUT_DIR_ENV} or the working directory)")
-    sub.set_defaults(handler=handler, kind=kind)
+    sub.set_defaults(handler=handler, kind=kind, parser=sub)
 
 
 def _collect_options(args) -> dict[str, str]:
@@ -168,14 +168,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                      help="override one check tolerance (repeatable)")
     sub.add_argument("--out", help="also write the report to this file")
-    sub.set_defaults(handler=_run_validate)
+    sub.set_defaults(handler=_run_validate, parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # a flag after the subcommand is reported with that
+            # subcommand's usage; the root takes no flag with a value, so
+            # anything before the subcommand name is the root's
+            owner = parser if argv.index(args.command) else args.parser
+            owner.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -26,14 +26,18 @@ Two backends with no shared numerics:
   on T^h - I, never on T = I + D, whose rounding would drop the low bits
   of D and grow with the step count.  Fast default.
 * direct-quadrature: the history integral is re-evaluated every step by
-  trapezoidal quadrature over the stored past, as one dot product of the
-  sampled kernel with S weighted by fixed signed trapezoid weights (the
-  sign of each node's pulse segment; zero at interior pulse instants,
-  where the neighbouring trapezoids cancel), plus the endpoint half
-  weight, from the last projection on, where the history restarts as at
-  t = 0; a drive enters as an explicit rotation term.  Second order and
-  maximally independent (no recurrence over the kernel); O(n^2): a step is
-  one BLAS dot product over the stored history plus Python complex math.
+  trapezoidal quadrature over the stored past, as the sum of the sampled
+  kernel times S weighted by fixed signed trapezoid weights (the sign of
+  each node's pulse segment; zero at interior pulse instants, where the
+  neighbouring trapezoids cancel), plus the endpoint half weight, from
+  the last projection on, where the history restarts as at t = 0; a
+  drive enters as an explicit rotation term.  Second order and maximally
+  independent (no recurrence over the kernel, only its samples).  The
+  sum is taken by online convolution (fast convolution quadrature:
+  Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532, 1985):
+  a step is one dot product over at most 255 nodes of its own leaf plus
+  Python complex math, and FFT blocks bring in the earlier leaves, so a
+  run is O(n log^2 n) rather than O(n^2).
 
 A leak accumulator integrates the outflow 2 Re(h1 conj(r1) + h2 conj(r2))
 (equivalently 2 Re(I conj(S)) for the quadrature backend) so the trace can
@@ -56,8 +60,15 @@ DIRECT_QUADRATURE = "direct-quadrature"
 # absolute slack for "dt divides a schedule segment"
 _DIV_TOL = 1e-12
 
+# nodes of one leaf of the quadrature history: the sum over a node's own
+# leaf is a direct dot product, the earlier leaves arrive by FFT.  A dot
+# costs about the same up to here; a 64-node leaf made a run about 6%
+# slower, and 512 or 1024 nodes no faster
+_LEAF = 256
+
 # most steps in one run: at 208 B a step (peak RSS of the augmented backend,
-# measured from 10^5 to 10^6 steps), 1.9 GiB
+# measured from 10^5 to 10^6 steps), 1.9 GiB; the quadrature backend peaks
+# at 312 B a step (measured at 10^5 steps), 2.9 GiB
 _MAX_STEPS = 1e7
 
 
@@ -103,6 +114,8 @@ class OracleTrace:
 
 
 def _steps_for(t_max: float, dt: float) -> int:
+    if not isinstance(t_max, numbers.Real):
+        raise ConfigError(f"horizon must be a number, got {t_max!r}")
     if not (t_max > 0.0):
         raise ConfigError(f"horizon must be positive, got {t_max}")
     count = t_max / dt
@@ -231,6 +244,26 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
 # ---------------------------------------------------------------------------
 # direct-quadrature backend
 
+def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
+            spectrum: np.ndarray) -> int:
+    """Add the history sums of the h nodes before node j to far[j:j + h].
+
+    spectrum is the real transform of the kernel at lags 0..2h-1; one
+    circular convolution of length 2h gives the sums at lags 1..2h-1 with
+    no wrap-around.  The kernel is real, so the real and imaginary parts
+    of the history are convolved apart and a real history stays real.
+    Returns the end of the entries written, which stop at the end of far.
+    """
+    block = ws[j - h:j]
+    sums = np.fft.rfft(np.stack((block.real, block.imag)), 2 * h)
+    sums *= spectrum
+    sums = np.fft.irfft(sums, 2 * h)[:, h:]
+    into = far[j:j + h]
+    into.real += sums[0, :len(into)]
+    into.imag += sums[1, :len(into)]
+    return j + len(into)
+
+
 def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
                     x1: complex, x2: complex, factors: list[float],
                     rates: list[float]) -> OracleTrace:
@@ -241,9 +274,18 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     r1 = np.zeros(n + 1, dtype=complex)
     r2 = np.zeros(n + 1, dtype=complex)
     leak = np.zeros(n + 1)
-    # ker_rev[n - m] = W^2 e^{-lam m dt}, so ker_rev[n - j:n] lines up with
-    # the past nodes 0..j-1 of an evaluation at node j
-    ker_rev = (w_sq * np.exp(-lam * dt * np.arange(n, -1, -1))).astype(complex)
+
+    def kernel(count):
+        # the kernel samples W^2 e^{-lam m dt}, m = 0..count-1
+        return w_sq * np.exp(-lam * dt * np.arange(count))
+
+    # near[_LEAF - p:] is the kernel at lags p..1, lined up with the last
+    # p past nodes of an evaluation p nodes into its leaf
+    near = kernel(_LEAF + 1)[:0:-1].astype(complex)
+    # far[j] holds the sum over all leaves before node j's own; spectra[h]
+    # is the real transform of the kernel at lags 0..2h-1, built once a run
+    far = np.zeros(n + 1, dtype=complex)
+    spectra, top = {}, 0
     end_w = w_sq * dt / 2.0
     # fac[j] is the k of the segment that ends at node j; the run starts
     # from an empty history, as after a projection.  signs[j] is the sign
@@ -264,15 +306,31 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     r1[0], r2[0], ws[0] = x1, x2, u[0] * s
 
     # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) from the last
-    # projection to t_j is one dot product over the past plus the endpoint
+    # projection to t_j is the history sum over the past plus the endpoint
     # half weight; rel makes the current segment positive.  past is the
-    # dot product at node k: the corrector of step k computes it for node
-    # k + 1, and the predictor of step k + 1 reuses it
+    # history sum at node k: the corrector of step k computes it for node
+    # k + 1, and the predictor of step k + 1 reuses it.  The sum at node
+    # start + i is far plus one dot over the nodes of i's own leaf of
+    # _LEAF nodes.  Once i reaches a multiple of _LEAF, with h its lowest
+    # set bit, the block of h nodes before i adds its part to the h nodes
+    # from i on by one circular convolution of length 2h: each pair of a
+    # past node and a later leaf falls in exactly one such block, so every
+    # term of the sum is added once, in another order than node by node.
     past, out, half = 0.0j, 0.0, dt / 2
     for k in range(n):
         rel = signs[k]
         if not fac[k]:
+            # clear only what the old origin wrote past here, so a restart
+            # costs what was written, not the rest of the run
+            far[k + 1:top] = 0.0
             start, past = k, 0.0j
+        i = k + 1 - start
+        p = i % _LEAF
+        if not p:
+            h = i & -i
+            if h not in spectra:
+                spectra[h] = np.fft.rfft(kernel(2 * h))
+            top = max(top, _spread(far, ws, k + 1, h, spectra[h]))
         rot = -1j * rates[k]
         # Heun: predictor with left-endpoint history, corrector re-evaluates
         # the integral including the predicted endpoint
@@ -281,7 +339,8 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
         d2_0 = rot * x2 - al2 * hist0
         r1p = x1 + dt * d1_0
         r2p = x2 + dt * d2_0
-        past = complex(ker_rev[n - k - 1 + start:n] @ ws[start:k + 1])
+        # ndarray.dot: on a short array it costs less than @
+        past = complex(near[_LEAF - p:].dot(ws[k + 1 - p:k + 1]) + far[k + 1])
         hist1 = rel * past + end_w * (al1 * r1p + al2 * r2p)
         d1_1 = rot * r1p - al1 * hist1
         d2_1 = rot * r2p - al2 * hist1

@@ -182,6 +182,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, usage, leftover", [
+    (["validate", "--dt-num", "1e-4"], "usage: parityshield validate",
+     "--dt-num 1e-4"),
+    (["sweep", "--bogus", "1"], "usage: parityshield sweep", "--bogus 1"),
+    # a flag before the subcommand is the top-level parser's
+    (["--bogus", "validate"], "usage: parityshield [-h]", "--bogus"),
+], ids=["validate", "sweep", "before-subcommand"])
+def test_unknown_flag_gets_its_parsers_usage(tmp_path, capsys, argv, usage,
+                                             leftover):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(usage), err
+    assert f"error: unrecognized arguments: {leftover}" in err
+
+
 # option text that is no number, an infinite horizon or one that the grid
 # merges into t = 0, or a time grid too large to build
 # (refused before any of it is built)

@@ -160,6 +160,13 @@ def test_config_validation():
         ps.OracleConfig(history_mode=ps.DIRECT_QUADRATURE, method_order=4)
 
 
+@pytest.mark.parametrize("t_max", ["1", None], ids=["text", "none"])
+def test_horizon_that_is_not_a_number_refused(case1, cfg_aug, t_max):
+    with pytest.raises(ps.ConfigError,
+                       match=f"^horizon must be a number, got {t_max!r}$"):
+        ps.integrate(case1, None, t_max, cfg_aug)
+
+
 def test_run_preconditions(case1, cfg_aug):
     with pytest.raises(ps.ConfigError):
         ps.integrate_free(case1, -1.0, cfg_aug)
@@ -398,6 +405,15 @@ def test_closed_forms_match_coarse_oracle(lam, ratio, n_duty):
     assert float(np.max(np.abs(tr.beta2 - closed))) < 5e-9
 
 
+def _assert_same_run(tr, ref):
+    # the references sum each step's whole past in one BLAS dot; the
+    # backend sums the same terms in another order (a leaf's dot plus FFT
+    # blocks), so the runs agree to rounding, not bit for bit
+    for name in ("r1", "r2", "beta2", "norm_defect"):
+        err = float(np.max(np.abs(getattr(tr, name) - getattr(ref, name))))
+        assert err <= 1e-15, (name, err)
+
+
 def _two_dot_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
     # reference: the quadrature loop with the history dot product taken
     # afresh in the predictor and in the corrector of every step; pulses
@@ -471,8 +487,7 @@ def test_quadrature_reuses_history_bitwise(case1, monkeypatch, sched):
     tr = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
     monkeypatch.setattr(ps.oracle, "_run_quadrature", _two_dot_quadrature)
     ref = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
-    for name in ("r1", "r2", "beta2", "norm_defect"):
-        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    _assert_same_run(tr, ref)
 
 
 def _numpy_scalar_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
@@ -575,8 +590,106 @@ def test_quadrature_matches_numpy_scalar_loop_bitwise(monkeypatch, params,
     monkeypatch.setattr(ps.oracle, "_run_quadrature",
                         _numpy_scalar_quadrature)
     ref = ps.integrate(params, sched, t_max, cfg, state0=state)
-    for name in ("r1", "r2", "beta2", "norm_defect"):
-        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    _assert_same_run(tr, ref)
+
+
+def _leaf_history(history, restarts, ker):
+    # the quadrature backend's history sums over a given history: node j
+    # sums ker[j - i] history[i] over the nodes i < j from the last restart
+    # before j, its own leaf by one dot and the earlier leaves from far.
+    # history[j] is NaN until node j is passed, so a sum that reads ahead
+    # of its node turns NaN
+    leaf, spread = ps.oracle._LEAF, ps.oracle._spread
+    n = len(history)
+    ws = np.full(n, complex(np.nan, np.nan))
+    far = np.zeros(n, dtype=complex)
+    near = ker[leaf:0:-1].astype(complex)
+    sums = np.zeros(n, dtype=complex)
+    spectra, top, start = {}, 0, 0
+    ws[0] = history[0]
+    for j in range(1, n):
+        if j - 1 in restarts:
+            far[j:top] = 0.0
+            start = j - 1
+        i = j - start
+        p = i % leaf
+        if not p:
+            h = i & -i
+            spectra.setdefault(h, np.fft.rfft(ker[:2 * h]))
+            top = max(top, spread(far, ws, j, h, spectra[h]))
+        sums[j] = near[leaf - p:].dot(ws[j - p:j]) + far[j]
+        ws[j] = history[j]
+    return sums
+
+
+@pytest.mark.parametrize("restarts", [
+    {0},
+    # a 1100-node segment, whose 1024-node block writes past its end, then
+    # 63, 837 and 600 nodes: no restart on a leaf boundary
+    {0, 1100, 1163, 2000},
+], ids=["one-origin", "unaligned-restarts"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_history_convolution_matches_direct_sum(restarts, seed):
+    rng = np.random.default_rng(seed)
+    n = 2600
+    history = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        * np.exp(rng.uniform(-3.0, 3.0, n))
+    ker = 0.75 * np.exp(-2e-3 * np.arange(4096))
+    sums = _leaf_history(history, restarts, ker)
+    # the direct sum, and sum |K| |ws| that scales its rounding, per node
+    exact = np.zeros(n, dtype=complex)
+    scale = np.zeros(n)
+    for j in range(1, n):
+        lo = max(r for r in restarts if r < j)
+        k = ker[j - lo:0:-1].astype(np.longdouble)
+        exact[j] = complex(k @ history[lo:j].real.astype(np.longdouble),
+                           k @ history[lo:j].imag.astype(np.longdouble))
+        scale[j] = float(k @ np.abs(history[lo:j]))
+    err = np.abs(sums - exact)[1:] / scale[1:]
+    # measured at most 1.03 eps on these histories
+    assert float(np.max(err)) <= 16 * np.finfo(float).eps
+
+
+_LEAF_CYCLES = {
+    # a projection every 300 steps: the block at 256 writes past it
+    "projection-300": _on_cycle(0.03, ((0.03, 0.0, 0.0),)),
+    # a pulse at 630 steps and a projection at 1100, so the 1024-step
+    # block writes past the projection
+    "pulse-630-projection-1100": _on_cycle(
+        0.11, ((0.063, 0.0, -1.0), (0.047, 0.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("sched, n", [
+    *((None, n) for n in (255, 256, 257, 1023, 1025, 4095, 4097)),
+    (_LEAF_CYCLES["projection-300"], 1000),
+    (_LEAF_CYCLES["pulse-630-projection-1100"], 3000),
+], ids=["free-255", "free-256", "free-257", "free-1023", "free-1025",
+        "free-4095", "free-4097", "projection-300",
+        "pulse-630-projection-1100"])
+def test_quadrature_leaf_edges_match_numpy_scalar_loop(case1, monkeypatch,
+                                                       sched, n):
+    # one leaf is 256 steps; runs one short of, on and one past a leaf or a
+    # power of two, and projections that restart the history off a leaf
+    # boundary, against the loop that sums the whole past each step
+    cfg = ps.OracleConfig(dt_num=1e-4, method_order=2,
+                          history_mode=ps.DIRECT_QUADRATURE)
+    state = ps.OddParityState.initial(0.6, 0.8j)
+    tr = ps.integrate(case1, sched, n * 1e-4, cfg, state0=state)
+    assert len(tr.times) == n + 1
+    monkeypatch.setattr(ps.oracle, "_run_quadrature",
+                        _numpy_scalar_quadrature)
+    ref = ps.integrate(case1, sched, n * 1e-4, cfg, state0=state)
+    _assert_same_run(tr, ref)
+
+
+def test_long_pulsed_quadrature_agrees_with_augmented(case1, cfg_aug,
+                                                      cfg_quad):
+    # 4 * 10^4 steps from one origin: the FFT blocks reach 32768 nodes
+    sched = ps.DdSchedule(TAU)
+    aug = ps.integrate_dd(case1, sched, 4.0, cfg_aug)
+    quad = ps.integrate_dd(case1, sched, 4.0, cfg_quad)
+    assert float(np.max(np.abs(aug.beta2 - quad.beta2))) < 5e-5
 
 
 def _scalar_augmented(params, n, cfg, r1, r2, factors, rates):
