@@ -79,10 +79,12 @@ def parse_schedule(text: str):
     if len(parts) != len(keys):
         raise ConfigError(
             f"{kind!r} takes {len(keys)} argument(s), got {text!r}")
+    texts = dict(zip(keys, parts))
     try:
-        return cls(*(_OPTIONS[key].type(p) for key, p in zip(keys, parts)))
-    except ValueError as exc:
+        values = [_number(texts, key) for key in keys]
+    except ConfigError as exc:
         raise ConfigError(f"bad schedule descriptor {text!r}: {exc}") from exc
+    return cls(*values)
 
 
 def format_schedule(sched) -> str:

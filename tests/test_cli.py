@@ -229,6 +229,25 @@ def test_non_numeric_options_exit_one(tmp_path, capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    ("dd-finite(0.2,10.0)", "n_duty must be a whole number, got '10.0'"),
+    ("dd-finite(0.2,2.5)", "n_duty must be a whole number, got '2.5'"),
+    ("dd(abc)", "tau must be a number, got 'abc'"),
+    ("zeno(x)", "delta_t must be a number, got 'x'"),
+    ("dd-finite(y,10)", "tau must be a number, got 'y'"),
+], ids=["n-duty-float", "n-duty-fraction", "tau", "delta-t", "finite-tau"])
+def test_descriptor_arguments_named_by_key(tmp_path, capsys, descriptor,
+                                          message):
+    # a descriptor argument is read as its key's type in the option table,
+    # and a bad one is reported as the flag path reports it
+    out = tmp_path / "x.csv"
+    assert main(["custom", "--schedules", descriptor, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"bad schedule descriptor {descriptor!r}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", _NOT_NUMBERS, ids=_argv_id)
 def test_non_numeric_config_values_exit_one(tmp_path, capsys, subcommands,
                                             argv):

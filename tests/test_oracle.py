@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,6 +168,43 @@ def test_horizon_that_is_not_a_number_refused(case1, cfg_aug, t_max):
         ps.integrate(case1, None, t_max, cfg_aug)
 
 
+def _integrate_with(**given):
+    """integrate(**given) over one free cell at a 1e-3 step, deferred."""
+    args = {"params": ps.ModelParams.from_mode_splitting(2.0, 1.0),
+            "sched": None, "t_max": 1.0, "cfg": ps.OracleConfig(1e-3),
+            **given}
+    return lambda: ps.integrate(**args)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_integrate_with(params=ps.ModelParams.from_mode_splitting(
+        np.array([2.0, 3.0]), np.array([1.0, 1.0]))), ps.ParameterError,
+     r"^the oracle integrates one cell; got per-cell fields of shape "
+     r"\[\(2,\)\]$"),
+    (_integrate_with(sched=ps.DdSchedule(np.array([0.1, 0.2]))),
+     ps.ParameterError, r"^the oracle integrates one cell"),
+    (_integrate_with(sched="dd(0.1)"), ps.ParameterError,
+     r"^sched must be None or a schedule, of one cell; got str$"),
+    (_integrate_with(params=None), ps.ParameterError,
+     r"^params must be a ModelParams, of one cell; got NoneType$"),
+    (_integrate_with(state0=(0.6, 0.8)), ps.ParameterError,
+     r"^state0 must be None or an OddParityState; got tuple$"),
+    (_integrate_with(cfg=None), ps.ConfigError,
+     r"^cfg must be an OracleConfig; got NoneType$"),
+    (lambda: ps.OracleConfig(True), ps.ConfigError,
+     r"^step must be a number, got True$"),
+    (_integrate_with(sched=_on_cycle(0.1, ())), ps.ParameterError,
+     r"^a schedule's cycle needs at least one segment$"),
+], ids=["batch-params", "batch-schedule", "descriptor", "no-params",
+        "state-tuple", "no-config", "bool-step", "empty-cycle"])
+def test_oracle_refuses_what_it_cannot_integrate(call, error, message):
+    # the oracle integrates one cell from one state; anything else is a
+    # ParityShieldError naming what it got, never a raw numpy or Python
+    # error from deep inside a backend
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_run_preconditions(case1, cfg_aug):
     with pytest.raises(ps.ConfigError):
         ps.integrate_free(case1, -1.0, cfg_aug)
@@ -289,6 +327,94 @@ def test_fifty_step_segments_accepted(case1, cfg_aug):
         assert len(tr.times) == 201
 
 
+def _frozen_step_timing(sched, n, dt):
+    # the per-step lists integrate built before segment runs, frozen:
+    # factors[k] is the k of the segment that ends where step k starts (1
+    # where none ends), rates[k] the drive rate during step k
+    if sched is None:
+        return [1.0] * n, [0.0] * n
+    pattern, ends, cycle_steps = [], [], 0
+    for duration, rate, factor in sched.cycle.segments:
+        k = round(duration / dt)
+        cycle_steps += k
+        pattern += [rate] * min(k, n - len(pattern))
+        ends += [1.0] * min(k - 1, n - len(ends)) + [factor]
+    rates = (pattern * (n // cycle_steps + 1))[:n]
+    factors = ([1.0] + ends * (n // cycle_steps + 1))[:n]
+    return factors, rates
+
+
+@pytest.mark.parametrize("sched", [
+    None, ps.DdSchedule(TAU), ps.ZenoSchedule(TAU),
+    ps.FinitePulseSchedule(0.2, 10),
+    # two free segments joined by k = 1: one run over the whole horizon
+    _on_cycle(2 * TAU, ((TAU, 0.0, 1.0), (TAU, 0.0, 1.0))),
+    _on_cycle(2 * TAU, ((TAU, 0.0, -1.0), (TAU, 0.0, 0.0))),
+    WINDOW_MID,
+    # a cycle longer than the run
+    ps.DdSchedule(2.0),
+], ids=["free", "dd", "zeno", "dd-finite", "two-free", "pulse-projection",
+        "window-mid", "long-cycle"])
+@pytest.mark.parametrize("n", [10000, 9370, 20000, 1000])
+def test_segment_runs_are_the_augmented_cuts(sched, n):
+    # the runs start exactly where the augmented backend cut its per-step
+    # lists into runs of equal steps, and spell out the same lists
+    runs = ps.oracle._segment_runs(sched, n, 1e-4)
+    factors, rates = _frozen_step_timing(sched, n, 1e-4)
+    fac, rate = np.array(factors), np.array(rates)
+    cuts = np.flatnonzero((fac[1:] != 1.0) | (rate[1:] != rate[:-1])) + 1
+    assert [lo for lo, *_ in runs] == [0, *cuts.tolist()]
+    assert sum(count for _, count, _, _ in runs) == n
+    assert _step_lists(runs) == (factors, rates)
+
+
+@pytest.mark.parametrize("sched", [
+    ps.FinitePulseSchedule(0.2, 10), ps.DdSchedule(TAU),
+], ids=["driven", "pulsed"])
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_derived_trace_fields_are_the_eager_expressions(sched, backend):
+    # a trace derives its fields on each read; each is bit for bit the
+    # expression the trace used to store, on unequal weights
+    params = ps.ModelParams.from_couplings(2.0, 0.8, 0.9, 0.5)
+    tr = ps.integrate(params, sched, 0.4, _BACKENDS[backend][0],
+                      state0=ps.OddParityState.initial(0.6, 0.8j))
+    a1, a2 = params.basis_weights
+    r1, r2, leak = tr.r1, tr.r2, tr.leak
+    eager = {"times": np.arange(len(r1)) * 1e-4,
+             "beta1": a2 * r1 - a1 * r2,
+             "beta2": a1 * r1 + a2 * r2,
+             "norm_defect": 1.0 - (np.abs(r1) ** 2 + np.abs(r2) ** 2 + leak)}
+    for name, value in eager.items():
+        read = getattr(tr, name)
+        assert read.dtype == value.dtype, name
+        assert np.array_equal(read, value), name
+        # not cached: each read is a new array
+        assert getattr(tr, name) is not read, name
+
+
+@pytest.mark.parametrize("backend, run_bound", [
+    ("augmented", 120), ("quadrature", 140),
+])
+def test_oracle_memory_per_step(backend, run_bound):
+    # tracemalloc peak of a 2 * 10^4-step driven run, and what its trace
+    # holds, in bytes a step; measured 104 and 126 B for the runs and
+    # 40 B for a trace (r1, r2 and the leak)
+    cfg = _BACKENDS[backend][0]
+    params, sched = ps.ModelParams.from_mode_splitting(2.0, 1.0), \
+        ps.FinitePulseSchedule(0.2, 10)
+    ps.integrate(params, sched, 0.2, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr = ps.integrate(params, sched, 2.0, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr.r1) == 20001
+    assert (peak - base) / 20000 <= run_bound
+    assert (held - base) / 20000 <= 48
+
+
 def _segmentwise_quadrature(params, n, dt, r1_0, r2_0, flip_every=None,
                             window=None):
     # reference: Heun with the history integral as one trapezoid call
@@ -405,6 +531,24 @@ def test_closed_forms_match_coarse_oracle(lam, ratio, n_duty):
     assert float(np.max(np.abs(tr.beta2 - closed))) < 5e-9
 
 
+def _step_lists(runs):
+    """The per-step lists that segment runs spell out: factors[k], the k of
+    the segment that ends where step k starts (1 where none ends), and
+    rates[k], the drive rate during step k."""
+    factors, rates = [], []
+    for _, count, rate, k in runs:
+        factors += [k] + [1.0] * (count - 1)
+        rates += [rate] * count
+    return factors, rates
+
+
+def _per_step(reference):
+    # the reference backends below read the per-step lists
+    def run(params, n, cfg, r1, r2, runs):
+        return reference(params, n, cfg, r1, r2, *_step_lists(runs))
+    return run
+
+
 def _assert_same_run(tr, ref):
     # the references sum each step's whole past in one BLAS dot; the
     # backend sums the same terms in another order (a leaf's dot plus FFT
@@ -485,7 +629,8 @@ def test_quadrature_reuses_history_bitwise(case1, monkeypatch, sched):
     cfg = ps.OracleConfig(dt_num=2e-4, method_order=2,
                           history_mode=ps.DIRECT_QUADRATURE)
     tr = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
-    monkeypatch.setattr(ps.oracle, "_run_quadrature", _two_dot_quadrature)
+    monkeypatch.setattr(ps.oracle, "_run_quadrature",
+                        _per_step(_two_dot_quadrature))
     ref = ps.integrate(case1, sched, 0.4, cfg, state0=MIXED)
     _assert_same_run(tr, ref)
 
@@ -588,7 +733,7 @@ def test_quadrature_matches_numpy_scalar_loop_bitwise(monkeypatch, params,
     state = ps.OddParityState.initial(0.6, 0.8j)
     tr = ps.integrate(params, sched, t_max, cfg, state0=state)
     monkeypatch.setattr(ps.oracle, "_run_quadrature",
-                        _numpy_scalar_quadrature)
+                        _per_step(_numpy_scalar_quadrature))
     ref = ps.integrate(params, sched, t_max, cfg, state0=state)
     _assert_same_run(tr, ref)
 
@@ -615,8 +760,8 @@ def _leaf_history(history, restarts, ker):
         p = i % leaf
         if not p:
             h = i & -i
-            spectra.setdefault(h, np.fft.rfft(ker[:2 * h]))
-            top = max(top, spread(far, ws, j, h, spectra[h]))
+            top = max(top, spread(far, ws, j, h, spectra,
+                                  lambda length: ker[:length]))
         sums[j] = near[leaf - p:].dot(ws[j - p:j]) + far[j]
         ws[j] = history[j]
     return sums
@@ -678,7 +823,7 @@ def test_quadrature_leaf_edges_match_numpy_scalar_loop(case1, monkeypatch,
     tr = ps.integrate(case1, sched, n * 1e-4, cfg, state0=state)
     assert len(tr.times) == n + 1
     monkeypatch.setattr(ps.oracle, "_run_quadrature",
-                        _numpy_scalar_quadrature)
+                        _per_step(_numpy_scalar_quadrature))
     ref = ps.integrate(case1, sched, n * 1e-4, cfg, state0=state)
     _assert_same_run(tr, ref)
 
@@ -742,7 +887,8 @@ _BRANCHES = {
 
 def _assert_matches_scalar(monkeypatch, params, sched, t_max, cfg):
     tr = ps.integrate(params, sched, t_max, cfg, state0=MIXED)
-    monkeypatch.setattr(ps.oracle, "_run_augmented", _scalar_augmented)
+    monkeypatch.setattr(ps.oracle, "_run_augmented",
+                        _per_step(_scalar_augmented))
     ref = ps.integrate(params, sched, t_max, cfg, state0=MIXED)
     for name in ("r1", "r2", "norm_defect"):
         err = float(np.max(np.abs(getattr(tr, name) - getattr(ref, name))))
