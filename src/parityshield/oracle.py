@@ -26,20 +26,17 @@ Two backends with no shared numerics:
   built once per drive rate; a run of equal steps is advanced by doubling
   on T^h - I, never on T = I + D, whose rounding would drop the low bits
   of D and grow with the step count.  Fast default.
-* direct-quadrature: the history integral is re-evaluated every step by
-  trapezoidal quadrature over the stored past, as the sum of the sampled
-  kernel times S weighted by fixed signed trapezoid weights (the sign of
-  each node's pulse segment; zero at interior pulse instants, where the
-  neighbouring trapezoids cancel), plus the endpoint half weight, from
-  the last projection on, where the history restarts as at t = 0; a
-  drive enters as an explicit rotation term.  Second order and maximally
-  independent (no recurrence over the kernel, only its samples).  The
-  sum is taken by online convolution (fast convolution quadrature:
-  Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532, 1985):
-  a step is one dot product over at most 255 nodes of its own leaf plus
-  Python complex math, and FFT blocks, each only as long as what it
-  writes, bring in the earlier leaves, so a run is O(n log^2 n) rather
-  than O(n^2).
+* direct-quadrature: Heun steps whose history integral is trapezoidal
+  quadrature of the sampled kernel times S over the stored past, with
+  signed weights (zero at interior pulse instants, where the neighbouring
+  trapezoids cancel) from the last projection on, where the history
+  restarts; a drive enters as an explicit rotation term.  Second order and
+  maximally independent: no recurrence over the kernel, only its samples.
+  FFT blocks bring in the earlier leaves of 256 nodes (fast convolution
+  quadrature: Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6,
+  532, 1985), so a run is O(n log^2 n); within a leaf, a run's steps are
+  one Toeplitz system in the increments of S, solved by its discrete
+  resolvent (Brunner, Volterra Integral Equations, CUP 2017, ch. 2).
 
 A leak accumulator integrates the outflow 2 Re(h1 conj(r1) + h2 conj(r2))
 (equivalently 2 Re(I conj(S)) for the quadrature backend) so the trace can
@@ -65,10 +62,9 @@ DIRECT_QUADRATURE = "direct-quadrature"
 # absolute slack for "dt divides a schedule segment"
 _DIV_TOL = 1e-12
 
-# nodes of one leaf of the quadrature history: the sum over a node's own
-# leaf is a direct dot product, the earlier leaves arrive by FFT.  A dot
-# costs about the same up to here; a 64-node leaf made a run about 6%
-# slower, and 512 or 1024 nodes no faster
+# nodes of one leaf of the quadrature history: its own sums are direct
+# convolutions, earlier leaves arrive by FFT.  A free 10^4-step run took 9.5
+# ms on a 2-vCPU Xeon, and 10.7 at 512 nodes, 11.6 at 128 and 16 at 64
 _LEAF = 256
 
 # rows of the augmented backend's leak taken in one einsum: its conjugate
@@ -316,15 +312,13 @@ def _fast_length(m: int) -> int:
 
 def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
             spectra: dict, kernel) -> int:
-    """Add the history sums of the h nodes before node j to far[j:j + h].
+    """Add the history sums of the h nodes before node j to far[j:j + h],
+    up to the end of far, and return the end of the entries written.
 
-    The entries written stop at the end of far.  One circular convolution
-    of a fast length at or above h plus their count gives the sums at lags
-    1..h + count - 1 with no wrap-around.  spectra caches the real
-    transform of the kernel at lags 0..length-1 by length; kernel(length)
-    samples it.  The kernel is real, so the real and imaginary parts of the
-    history are convolved apart and a real history stays real.  Returns the
-    end of the entries written.
+    One circular convolution of a fast length at or above h plus their
+    count has no wrap-around.  spectra caches the kernel's real transforms
+    by length; kernel(length) samples it.  The real and imaginary parts of
+    the history are convolved apart, so a real history stays real.
     """
     into = far[j:j + h]
     length = _fast_length(h + len(into))
@@ -339,118 +333,124 @@ def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
     return j + len(into)
 
 
+def _piece_map(rate: float, dt: float, a: float, e: float, kz: np.ndarray):
+    """(v, B, C, g - 1, q^i - 1) of the pieces at one drive rate: a Heun step
+    is S' = S + (A - 1) S + B P + C P', P, P' the signed history sums at its
+    nodes; v is a piece's increments per unit first S, g - 1 takes its known
+    increments to its increments, q turns the dark combination by a step.
+    Pieces reuse them, so they are formed in long double where it exists."""
+    dt, kz = np.longdouble(dt), kz.astype(np.longdouble)
+    z = dt * (-1j * np.longdouble(rate) - a * e)
+    am1, b, c = z + z * z / 2, -dt * a / 2 * (1 + z), -dt * a / 2
+    # an increment reads the earlier ones through S and the history of
+    # their nodes, at the kernel's lags to the step's nodes
+    t = np.cumsum(dt * (c * kz + b * np.concatenate(([0.0], kz[:-1]))))
+    t[1:] += am1
+    # g = 1 / (1 - t) by Newton doubling: with g right to h terms, its next
+    # h are those of g * (t * g), each formed directly and not as g - 1
+    g = np.ones(1, dtype=t.dtype)
+    while len(g) < len(t):
+        h, m = len(g), min(2 * len(g), len(t))
+        g = np.concatenate(
+            (g, np.convolve(g, np.convolve(t[:m], g)[h:m])[:m - h]))
+    g[0], t[0] = 0.0, am1
+    # u_i = q^i - 1, q = 1 + y + y^2 / 2 with y = -i rate dt, by doubling:
+    # u_(h + i) = u_h + u_i + u_h u_i, not by products of a rounded q
+    y = -1j * dt * rate
+    u = np.array([0, y + y * y / 2])
+    while len(u) <= len(kz):
+        uh = u[-1] + u[1] + u[-1] * u[1]
+        u = np.concatenate((u, uh + u + uh * u))
+    return (t.astype(complex), complex(b), float(c), g.astype(complex),
+            u[:len(kz) + 1].astype(complex))
+
+
 def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
                     x1: complex, x2: complex,
                     runs: list[tuple[int, int, float, float]]) -> OracleTrace:
-    dt = cfg.dt_num
-    lam = params.lam
+    dt, al1, al2 = cfg.dt_num, params.alpha1, params.alpha2
     w_sq = params.w_coupling * params.w_coupling
-    al1, al2 = params.alpha1, params.alpha2
-    r1 = np.zeros(n + 1, dtype=complex)
-    r2 = np.zeros(n + 1, dtype=complex)
+    a, e = al1 * al1 + al2 * al2, w_sq * dt / 2.0
+    r1, r2 = np.zeros((2, n + 1), dtype=complex)
     leak = np.zeros(n + 1)
 
     def kernel(count):
         # the kernel samples W^2 e^{-lam m dt}, m = 0..count-1
-        return w_sq * np.exp(-lam * dt * np.arange(count))
+        return w_sq * np.exp(-params.lam * dt * np.arange(count))
 
-    # near[_LEAF - p:] is the kernel at lags p..1, lined up with the last
-    # p past nodes of an evaluation p nodes into its leaf
-    near = kernel(_LEAF + 1)[:0:-1].astype(complex)
-    # far[j] holds the sum over all leaves before node j's own; spectra
-    # holds the kernel's transforms by length, built once a run
-    far = np.zeros(n + 1, dtype=complex)
-    spectra, top = {}, 0
-    end_w = w_sq * dt / 2.0
-    # ws[j] = u_j S_j is written once S_j is final.  A run's k is fac at
-    # its first node; the run starts from an empty history, as after a
-    # projection (fac 0), and fac is 1 at every other node.  sign is the
-    # sign of the segment that starts at a node.  u_j is the trapezoid
-    # weight of node j in that segment plus fac times its half weight in
-    # the one before: zero at a pulse instant, where the neighbouring
-    # trapezoids cancel, dt/2 at a projection.
+    # zero at lag 0, where S is the endpoint term and not history
+    kz = np.concatenate(([0.0], kernel(_LEAF)[1:]))
+    maps = {rate: _piece_map(rate, dt, a, e, kz)
+            for rate in {rate for _, _, rate, _ in runs}}
+    # far[j]: the sum over the leaves before node j's own; spectra: kernel FFTs
+    far, spectra, top = np.zeros(n + 1, dtype=complex), {}, 0
+    # ws[j] = u_j S_j once S_j is final.  A run's k is fac at its first node
+    # (0 at node 0) and 1 at its other nodes.  u_j is node j's trapezoid
+    # weight in the segment it starts, of sign sign, plus fac times its half
+    # weight in the one before: zero at a pulse, dt/2 at a projection.
     ws = np.zeros(n + 1, dtype=complex)
-    # a step runs on Python scalars, as numpy's cost more for the same bits:
-    # x1, x2, s, out are r1, r2, S and the leak at node k, each written once
-    s = al1 * x1 + al2 * x2
-    half = dt / 2
-    r1[0], r2[0], ws[0] = x1, x2, half * s
+    # S and the dark combination, which the history leaves out: it only turns
+    s, d = al1 * x1 + al2 * x2, al2 * x1 - al1 * x2
+    r1[0], r2[0] = x1, x2
 
-    # trapezoidal quadrature of W^2 e^{-lam(t_j - k)} S(k) from the last
-    # projection to t_j is the history sum over the past plus the endpoint
-    # half weight; sign makes the current segment positive.  past is the
-    # history sum at node k: the corrector of step k computes it for node
-    # k + 1, and the predictor of step k + 1 reuses it.  The sum at node
-    # start + i is far plus one dot over the nodes of i's own leaf of
-    # _LEAF nodes.  Once i reaches a multiple of _LEAF, with h its lowest
-    # set bit, the block of h nodes before i adds its part to the h nodes
-    # from i on by one circular convolution: each pair of a past node and
-    # a later leaf falls in exactly one such block, so every term of the
-    # sum is added once, in another order than node by node.
-    past, out, sign = 0.0j, 0.0, 1.0
-    ends = [k for *_, k in runs[1:]] + [1.0]
-    for (lo, count, rate, fac), after in zip(runs, ends):
+    # The integral of W^2 e^{-lam(t_j - k)} S(k) from the last projection is
+    # sign times the history sum, plus the endpoint half weight.  The sum at
+    # node start + i is far plus a sum over i's own leaf of _LEAF nodes; at
+    # each multiple i of _LEAF, with h its lowest set bit, the h nodes before
+    # i add their part to the h nodes from i on by FFT.  A piece is the steps
+    # of a run in one leaf; its nodes enter the history as sign u_j S_j = dt
+    # S_j, so its increments of S solve one unit lower-triangular Toeplitz
+    # system per rate, f + (g - 1) * f.  past is the sum at the last node.
+    past, sign = 0.0j, 1.0
+    # the reported amplitudes absorb the drive phase (the cycle-to-cycle
+    # convention): each rate times its whole number of driven steps, which a
+    # running sum would round
+    done = dict.fromkeys(maps, 0)
+    for lo, count, rate, fac in runs:
         fac = fac if lo else 0.0
+        ws[lo] = dt / 2.0 * sign * (1.0 + fac) * s
         if fac == -1.0:
             sign = -sign
         if not fac:
-            # clear only what the old origin wrote past here, so a restart
-            # costs what was written, not the rest of the run
+            # clear only what the old origin wrote past here
             far[lo + 1:top] = 0.0
             start, past = lo, 0.0j
-        rot = -1j * rate
-        fac_w = fac * end_w
-        # u_j at the run's later nodes, where fac is 1
-        u = dt / 2.0 * sign * (1.0 + 1.0)
-        for k in range(lo, lo + count):
-            i = k + 1 - start
-            p = i % _LEAF
-            if not p:
-                top = max(top, _spread(far, ws, k + 1, i & -i, spectra,
+        # the run's first step has the endpoint weight fac e, not e
+        past += sign * (fac - 1.0) * e * s
+        v, b, c, g, q_pow = maps[rate]
+        turned = sum(1j * p * dt * k for p, k in done.items() if p != rate)
+        # a piece ends at the run's end and before each leaf's first node
+        cuts = [lo, *range(lo + 1 + (start - lo - 2) % _LEAF, lo + count,
+                           _LEAF), lo + count]
+        for k0, k1 in zip(cuts, cuts[1:]):
+            m, i, new = k1 - k0, k0 + 1 - start, slice(k0 + 1, k1 + 1)
+            if not i % _LEAF:
+                top = max(top, _spread(far, ws, k0 + 1, i & -i, spectra,
                                        kernel))
-            # Heun: predictor with left-endpoint history, corrector
-            # re-evaluates the integral including the predicted endpoint
-            hist0 = sign * past + fac_w * s
-            d1_0 = rot * x1 - al1 * hist0
-            d2_0 = rot * x2 - al2 * hist0
-            r1p = x1 + dt * d1_0
-            r2p = x2 + dt * d2_0
-            # ndarray.dot: on a short array it costs less than @
-            past = complex(near[_LEAF - p:].dot(ws[k + 1 - p:k + 1])
-                           + far[k + 1])
-            hist1 = sign * past + end_w * (al1 * r1p + al2 * r2p)
-            d1_1 = rot * r1p - al1 * hist1
-            d2_1 = rot * r2p - al2 * hist1
-            x1 = x1 + half * (d1_0 + d1_1)
-            x2 = x2 + half * (d2_0 + d2_1)
-            out0 = 2.0 * (hist0 * s.conjugate()).real
-            s = al1 * x1 + al2 * x2
-            out1 = 2.0 * (hist1 * s.conjugate()).real
-            out = out + half * (out0 + out1)
-            r1[k + 1], r2[k + 1], leak[k + 1] = x1, x2, out
-            ws[k + 1] = u * s
-            fac_w = end_w
-        # the run's last node starts the next run: its weight has that
-        # run's fac, and is zero if that run starts with a pulse
-        ws[lo + count] = dt / 2.0 * sign * (1.0 + after) * s
-    del far, ws, spectra
-
-    rates = [rate for _, _, rate, _ in runs]
-    if any(rates):
-        # reported amplitudes absorb the drive phase accumulated so far so
-        # free-segment samples follow the cycle-to-cycle convention; each
-        # rate times its whole number of driven steps avoids the rounding
-        # a running float sum would accumulate
-        driven = np.repeat([0.0] + rates,
-                           [1] + [count for _, count, _, _ in runs])
-        turn = 0.0
-        for phi in set(rates) - {0.0}:
-            turn = turn + 1j * phi * dt * np.cumsum(driven == phi)
-        phase = np.exp(turn)
-        r1 *= phase
-        r2 *= phase
-
-    return _make_trace(params, dt, r1, r2, leak)
+            # the sums at the piece's nodes over far and the leaf's to k0
+            leaf = k0 + 1 - i % _LEAF
+            raw = far[new] + (np.convolve(ws[leaf:k0 + 1], kz[:k1 + 1 - leaf])
+                              [k0 + 1 - leaf:][:m] if k0 >= leaf else 0.0)
+            hist = sign * np.concatenate(([past], raw))
+            f = s * v[:m] + b * hist[:-1] + c * hist[1:]
+            f += np.convolve(g[:m], f)[:m]
+            s1 = s + np.cumsum(f)
+            s0 = np.concatenate(([s], s1[:-1]))
+            ws[new] = dt * sign * s1
+            raw += np.convolve(ws[new], kz[:m])[:m]
+            hist[1:] = sign * raw
+            # the leak 2 Re(hist conj(S)) at each step's two nodes
+            h0 = hist[:-1] + e * s0
+            h1 = hist[1:] + e * (s0 + dt * (-1j * rate * s0 - a * h0))
+            leak[new] = dt * (h0 * s0.conj() + h1 * s1.conj()).real
+            dd = d + d * q_pow[1:m + 1]
+            phase = np.exp(turned + 1j * rate * dt * (
+                done[rate] + np.arange(k0 - lo + 1, k1 - lo + 1)))
+            r1[new] = (al1 * s1 + al2 * dd) / a * phase
+            r2[new] = (al2 * s1 - al1 * dd) / a * phase
+            s, d, past = s1[-1], dd[-1], raw[-1]
+        done[rate] += count
+    return _make_trace(params, dt, r1, r2, np.cumsum(leak, out=leak))
 
 
 # ---------------------------------------------------------------------------
