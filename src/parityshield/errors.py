@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, refuse and broadcast.
+"""Exception hierarchy shared across the package, refuse and its checks.
 
 The CLI maps them onto exit codes: ParameterError, StateError and
 ConfigError (domain and usage problems) exit 1, ValidationFailure (a failed
@@ -45,6 +45,13 @@ def refuse(error: type[ParityShieldError], checks) -> None:
         i = np.argmin(ok)
         _, text, *values = next(check for check in checks if not at(check[0]))
         raise error(text.format(*map(at, values)))
+
+
+def positive(what: str, value):
+    """The check, for refuse, that value (a number or per-cell array) is
+    finite and positive; its text names what."""
+    return ((0.0 < value) & (value < np.inf),
+            f"{what} must be finite and positive, got {{}}", value)
 
 
 def broadcast(error: type[ParityShieldError], **columns) -> None:

@@ -5,18 +5,20 @@ spectral line admit, within the single-excitation (odd-parity) sector, a
 decoupled "dark" superposition and a maximally coupled "superradiant" one.
 Everything downstream works in that two-dimensional basis, so this module
 holds the parameter bookkeeping and the basis change from the physical
-{|10>, |01>} amplitudes.
+{|10>, |01>} amplitudes, and the protocol cycle that the closed forms and
+the oracle both read.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError, StateError, broadcast, refuse
+from .errors import ParameterError, StateError, broadcast, positive, refuse
 
 BRANCH_OVERDAMPED = "overdamped"
 BRANCH_CRITICAL = "critical"
@@ -33,6 +35,10 @@ _NORM_SLACK = 1e-12
 
 # equal coupling weights whose hypot is exactly 1.0, so that W = R
 _SYMMETRIC = math.sqrt(0.5)
+
+# relative slack of a cycle's durations against its period: every cycle
+# the package builds fills it to a few ulps
+_FILL_RTOL = 1e-12
 
 
 def _scalar(a):
@@ -65,10 +71,8 @@ def _derive(lam, w_coupling, alpha1, alpha2, split_root=None):
         critical, BRANCH_CRITICAL, BRANCH_UNDERDAMPED))
     split = "the damping split lam^2 - 4 R^2: lam={}, R={}"
     checks = [
-        ((0.0 < lam) & (lam < math.inf),
-         "decay rate must be finite and positive, got {}", lam),
-        ((0.0 < w_coupling) & (w_coupling < math.inf),
-         "coupling strength must be finite and positive, got {}", w_coupling),
+        positive("decay rate", lam),
+        positive("coupling strength", w_coupling),
         (alpha1 > 0.0 and alpha2 > 0.0, "coupling weights must be "
          f"positive reals, got ({alpha1}, {alpha2})"),
         # the split squares both rates; past the float range the squares
@@ -154,8 +158,7 @@ class ModelParams:
         """
         broadcast(ParameterError, lam=lam, r_rate=r_rate)
         refuse(ParameterError, [
-            ((0.0 < r_rate) & (r_rate < math.inf),
-             "collective rate must be finite and positive, got {}", r_rate),
+            positive("collective rate", r_rate),
             *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC)[1]])
         return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
 
@@ -185,6 +188,74 @@ class ModelParams:
             (r_rate > 0.0, "omega == lam gives zero coupling rate"),
             *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)[1]])
         return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)
+
+
+def _number(value, kinds="iuf", types=(numbers.Number, np.ndarray)) -> bool:
+    """value one of types, of a dtype kind in kinds: by default a real number
+    or an array of them.  A bool is not a number."""
+    return isinstance(value, types) and np.asarray(value).dtype.kind in kinds
+
+
+@dataclass(frozen=True)
+class Cycle:
+    """One period of a protocol, read alike by the closed forms and the
+    oracle, and checked once, when built.
+
+    segments: (duration, drive rate, k) triples run in order; a drive rate
+    phi shifts the damping constant to lam - i phi, and the segment ends in
+    the map (x, x') -> (x, k x').  The period and durations are finite and
+    positive, the durations fill the period to a relative 1e-12, and rates
+    and k are finite.  k is one real or complex number for every cell, the
+    other fields real numbers or a batch's per-cell arrays.  Anything else
+    is refused with ParameterError, naming a batch's first bad cell.  An
+    empty cycle can be built, but no schedule may have one.
+    """
+
+    period: float
+    segments: tuple[tuple[float, float, float], ...]
+
+    # past the float range the sum of durations is inf (and refused)
+    @np.errstate(over="ignore", invalid="ignore")
+    def __post_init__(self):
+        period, segments = self.period, self.segments
+        if not (_number(period) and isinstance(segments, tuple) and all(
+                isinstance(s, tuple) and len(s) == 3 and _number(s[0])
+                and _number(s[1]) and _number(s[2], "iufc", numbers.Number)
+                for s in segments)):
+            raise ParameterError(
+                "a cycle is a real period and a tuple of (duration, drive "
+                "rate, k) triples, real numbers or arrays of them and one "
+                f"number k; got {period!r}, {segments!r}")
+        broadcast(ParameterError, period=period, **{
+            f"segment {j} {name}": value for j, segment in enumerate(segments)
+            for name, value in zip(("duration", "drive rate"), segment)})
+        total = sum(duration for duration, _, _ in segments)
+        refuse(ParameterError, [
+            positive("cycle period", period),
+            *(positive("segment duration", d) for d, _, _ in segments),
+            *((np.isfinite(v), f"{what} must be finite, got {{}}", v)
+              for _, rate, k in segments
+              for what, v in [("drive rate", rate), ("segment end k", k)]),
+            (not segments or abs(total - period) <= _FILL_RTOL * period,
+             "segment durations sum to {}, which does not fill the cycle "
+             "period {}", total, period)])
+
+
+def schedule_cycle(sched, cells: str) -> Cycle | None:
+    """The cycle of sched, None for free decay (sched None).  Anything but
+    None or an object whose .cycle is a Cycle with a segment is refused with
+    ParameterError; cells says which cells the caller takes."""
+    if sched is None:
+        return None
+    if (cycle := getattr(sched, "cycle", None)) is None:
+        raise ParameterError(f"sched must be None or a schedule, {cells}; "
+                             f"got {type(sched).__name__}")
+    if not isinstance(cycle, Cycle):
+        raise ParameterError("a schedule's cycle must be a Cycle; got "
+                             f"{type(cycle).__name__}")
+    if not cycle.segments:
+        raise ParameterError("a schedule's cycle needs at least one segment")
+    return cycle
 
 
 class _AmplitudePair:

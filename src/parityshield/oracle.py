@@ -10,8 +10,8 @@ coupled physical amplitudes (r1, r2) on |10> and |01> under
 plus the schedule: each segment end multiplies the past history by the
 segment's k (-1 a pulse, 0 a projection onto the reservoir vacuum), a
 drive window rotates the amplitudes at its drive rate.  One entry point,
-`integrate`, reads only the timing of the schedule's cycle (period,
-(duration, drive rate, k) segments) into segment runs that both backends
+`integrate`, reads only the timing of the schedule's cycle (a model.Cycle,
+checked when built) into segment runs that both backends
 share: each run is a stretch of equal steps, given by its first step, its
 step count, its drive rate and the k of the segment end where it starts.
 Free decay is the schedule None, one run.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .model import ModelParams, OddParityState, recompose
+from .model import ModelParams, OddParityState, recompose, schedule_cycle
 
 EXACT_AUGMENTED = "exact-augmented"
 DIRECT_QUADRATURE = "direct-quadrature"
@@ -121,44 +121,27 @@ class OracleTrace:
     dt: float
     basis_weights: tuple[float, float]
 
-    # each in place where the expression allows, so a read makes one
-    # temporary fewer; the operations and their order are those of the
-    # expression in the comment
-
     @property
     def times(self) -> np.ndarray:
-        # np.arange(len(r1)) * dt
-        times = np.arange(len(self.r1), dtype=float)
-        times *= self.dt
-        return times
+        return np.arange(len(self.r1)) * self.dt
 
     @property
     def beta1(self) -> np.ndarray:
-        # a2 * r1 - a1 * r2
         a1, a2 = self.basis_weights
-        beta1 = a2 * self.r1
-        beta1 -= a1 * self.r2
-        return beta1
+        return a2 * self.r1 - a1 * self.r2
 
     @property
     def beta2(self) -> np.ndarray:
-        # a1 * r1 + a2 * r2
         a1, a2 = self.basis_weights
-        beta2 = a1 * self.r1
-        beta2 += a2 * self.r2
-        return beta2
+        return a1 * self.r1 + a2 * self.r2
 
     @property
     def norm_defect(self) -> np.ndarray:
-        # 1 - (|r1|^2 + |r2|^2 + leak)
-        defect = np.abs(self.r1) ** 2
-        defect += np.abs(self.r2) ** 2
-        defect += self.leak
-        return np.subtract(1.0, defect, out=defect)
+        return 1.0 - (np.abs(self.r1) ** 2 + np.abs(self.r2) ** 2 + self.leak)
 
 
 def _steps_for(t_max: float, dt: float) -> int:
-    if not isinstance(t_max, numbers.Real):
+    if not isinstance(t_max, numbers.Real) or isinstance(t_max, bool):
         raise ConfigError(f"horizon must be a number, got {t_max!r}")
     if not (t_max > 0.0):
         raise ConfigError(f"horizon must be positive, got {t_max}")
@@ -174,7 +157,7 @@ def _steps_for(t_max: float, dt: float) -> int:
     return n
 
 
-def _segment_runs(sched, n: int,
+def _segment_runs(cycle, n: int,
                   dt: float) -> list[tuple[int, int, float, float]]:
     """The steps [0, n) as runs (first step, step count, drive rate, k).
 
@@ -184,10 +167,10 @@ def _segment_runs(sched, n: int,
     and both have the same rate.  Every segment must span a whole number of
     at least 50 steps.
     """
-    if sched is None:
+    if cycle is None:
         return [(0, n, 0.0, 1.0)]
     pattern = []
-    for duration, rate, factor in sched.cycle.segments:
+    for duration, rate, factor in cycle.segments:
         steps = round(duration / dt)
         if abs(steps * dt - duration) > _DIV_TOL:
             raise ConfigError(
@@ -214,11 +197,6 @@ def _check_resolution(dt: float, params: ModelParams):
         raise ConfigError(
             f"step {dt} too coarse for decay rate {params.lam}: "
             "dt * lam must not exceed 0.1")
-
-
-def _make_trace(params: ModelParams, dt: float, r1: np.ndarray,
-                r2: np.ndarray, leak: np.ndarray) -> OracleTrace:
-    return OracleTrace(r1, r2, leak, dt, params.basis_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +268,8 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
     # copies: views would keep all four columns of ys alive in the trace
     r1s, r2s = ys[:, :2].T.copy()
     del ys
-    return _make_trace(params, cfg.dt_num, r1s, r2s,
-                       np.cumsum(leak, out=leak))
+    return OracleTrace(r1s, r2s, np.cumsum(leak, out=leak), cfg.dt_num,
+                       params.basis_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -450,41 +428,41 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
             r2[new] = (al2 * s1 - al1 * dd) / a * phase
             s, d, past = s1[-1], dd[-1], raw[-1]
         done[rate] += count
-    return _make_trace(params, dt, r1, r2, np.cumsum(leak, out=leak))
+    return OracleTrace(r1, r2, np.cumsum(leak, out=leak), dt,
+                       params.basis_weights)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
 def _one_cell(params, sched, state0):
-    """Refuse with ParameterError what integrate cannot integrate: it runs
-    one cell, from one state."""
+    """The cycle of sched (None for free decay); refuse with ParameterError
+    what integrate cannot integrate: it runs one cell, from one state."""
     if not isinstance(params, ModelParams):
         raise ParameterError("params must be a ModelParams, of one cell; got "
                              f"{type(params).__name__}")
-    if (cycle := getattr(sched, "cycle", None)) is None and sched is not None:
-        raise ParameterError("sched must be None or a schedule, of one cell;"
-                             f" got {type(sched).__name__}")
-    segments = cycle.segments if cycle else ()
-    if cycle and not segments:
-        raise ParameterError("a schedule's cycle needs at least one segment")
-    shapes = {np.shape(f) for f in (params.lam, params.w_coupling,
-                                    params.alpha1, params.alpha2, *(
-                                        f for seg in segments for f in seg))}
-    if shapes - {()}:
+    cycle = schedule_cycle(sched, "of one cell")
+    fields = (params.lam, params.w_coupling, params.alpha1, params.alpha2,
+              *((cycle.period, *(f for seg in cycle.segments for f in seg))
+                if cycle else ()))
+    if shapes := {np.shape(f) for f in fields} - {()}:
         raise ParameterError("the oracle integrates one cell; got per-cell "
-                             f"fields of shape {sorted(shapes - {()})}")
+                             f"fields of shape {sorted(shapes)}")
     if state0 is not None and not isinstance(state0, OddParityState):
         raise ParameterError("state0 must be None or an OddParityState; got "
                              f"{type(state0).__name__}")
+    return cycle
 
 
 def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
               state0: OddParityState | None = None) -> OracleTrace:
     """Integrate on [0, t_max] under a schedule (None for free decay).
 
-    Only the timing of ``sched.cycle`` is read.  Each segment end multiplies
-    the past history by its k; the test suite cross-checks the augmented
+    Only the timing of ``sched.cycle`` is read.  Inside a drive window
+    beta2 is the amplitude in the frame co-rotating with the drive, without
+    the window's partial phase exp(-i rate into) that survival carries.
+    Each segment end multiplies the past history by its k; the test suite
+    cross-checks the augmented
     backend's scaled accumulators against the quadrature backend's signed
     weights and restarts.  Those weights carry only the sign and the zero
     of k, so the quadrature backend refuses any k but -1, 0 and 1 with
@@ -495,17 +473,17 @@ def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
     if not isinstance(cfg, OracleConfig):
         raise ConfigError(
             f"cfg must be an OracleConfig; got {type(cfg).__name__}")
-    _one_cell(params, sched, state0)
+    cycle = _one_cell(params, sched, state0)
     _check_resolution(cfg.dt_num, params)
     n = _steps_for(t_max, cfg.dt_num)
     run = (_run_augmented if cfg.history_mode == EXACT_AUGMENTED
            else _run_quadrature)
     # the quadrature weights read only the sign and the zero of each k
-    if run is _run_quadrature and sched is not None and not {
-            k for *_, k in sched.cycle.segments} <= {-1.0, 0.0, 1.0}:
+    if run is _run_quadrature and cycle and not {
+            k for *_, k in cycle.segments} <= {-1.0, 0.0, 1.0}:
         raise ConfigError("the direct-quadrature backend takes segment ends "
                           "k of -1, 0 or 1 only")
-    runs = _segment_runs(sched, n, cfg.dt_num)
+    runs = _segment_runs(cycle, n, cfg.dt_num)
     phys = recompose(state0 or OddParityState.superradiant(), params)
     return run(params, n, cfg, complex(phys.c10), complex(phys.c01), runs)
 

@@ -30,11 +30,12 @@ import contextlib
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, broadcast, refuse
-from .model import ModelParams, OddParityState
+from .errors import ConfigError, ParameterError, broadcast, positive, refuse
+from .model import Cycle, ModelParams, OddParityState, schedule_cycle
 
 # beyond this value of Re(lam_c) * s the hyperbolic factors overflow before
 # the damping factor can tame them; switch to the split exponentials
@@ -84,19 +85,6 @@ def _product(a, b):
     """The 2x2 product a b of entries (e00, e01, e10, e11)."""
     return [_cmul(a[i], b[j]) + _cmul(a[i + 1], b[j + 2])
             for i in (0, 2) for j in (0, 1)]
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """One period of a protocol.
-
-    segments: (duration, drive rate, k) triples run in order; a drive rate
-    phi shifts the damping constant to lam - i phi, and the segment ends in
-    the map (x, x') -> (x, k x').
-    """
-
-    period: float
-    segments: tuple[tuple[float, float, float], ...]
 
 
 def _owned(mask):
@@ -285,7 +273,8 @@ def cycle_start(m: int, params: ModelParams,
 
     Free decay (cycle None) has the one cycle m = 0."""
     try:
-        whole = 0 <= operator.index(m) <= (_MAX_CYCLES if cycle else 0)
+        whole = not isinstance(m, bool) and (
+            0 <= operator.index(m) <= (_MAX_CYCLES if cycle else 0))
     except TypeError:
         whole = False
     if not whole:
@@ -369,12 +358,6 @@ def overlap(state: OddParityState):
 
 # protocols: schedules, linked to the core by their cycle, and closed forms
 
-def _interval(what: str, value):
-    """The check, for refuse, that every interval is finite and positive."""
-    return ((0.0 < value) & (value < math.inf),
-            f"{what} interval must be finite and positive, got {{}}", value)
-
-
 @dataclass(frozen=True)
 class ZenoSchedule:
     """Repeated vacuum projection every delta_t time units.
@@ -390,9 +373,9 @@ class ZenoSchedule:
     delta_t: float
 
     def __post_init__(self):
-        refuse(ConfigError, [_interval("measurement", self.delta_t)])
+        refuse(ConfigError, [positive("measurement interval", self.delta_t)])
 
-    @property
+    @cached_property
     def cycle(self) -> Cycle:
         return Cycle(self.delta_t, ((self.delta_t, 0.0, 0.0),))
 
@@ -412,9 +395,9 @@ class DdSchedule:
     tau: float
 
     def __post_init__(self):
-        refuse(ConfigError, [_interval("pulse", self.tau)])
+        refuse(ConfigError, [positive("pulse interval", self.tau)])
 
-    @property
+    @cached_property
     def cycle(self) -> Cycle:
         return Cycle(self.tau, ((self.tau, 0.0, -1.0),))
 
@@ -472,7 +455,7 @@ class FinitePulseSchedule:
         n = self.n_duty
         broadcast(ConfigError, tau=self.tau, n_duty=n)
         whole = isinstance(n, int) or np.asarray(n).dtype.kind in "iu"
-        refuse(ConfigError, [_interval("cycle", self.tau), (
+        refuse(ConfigError, [positive("cycle interval", self.tau), (
             whole and n >= 2, "duty parameter must be an integer >= 2, got "
             "{!r}", n)])
         if not np.ndim(n):  # a numpy integer is kept as a Python int
@@ -491,7 +474,8 @@ class FinitePulseSchedule:
         """Drive rotation rate inside windows, N pi / tau."""
         return self.n_duty * math.pi / self.tau
 
-    @property
+    @cached_property
+    @np.errstate(over="ignore")  # a subnormal tau's rate: inf, and refused
     def cycle(self) -> Cycle:
         return Cycle(self.tau, ((self.free_length, 0.0, 1.0),
                                 (self.window_length, self.phase_rate, 1.0)))
@@ -507,9 +491,7 @@ def _drive(sched, real=False):
     """(the cycle of sched; k -> (drive rate, tag) per cell at segment
     indices k, or None if undriven).  real refuses an undriven cycle with a
     non-real end map k: its x is taken real, and Im x would be dropped."""
-    if (cycle := getattr(sched, "cycle", None)) is None and sched is not None:
-        raise ParameterError("sched must be None or a schedule, a batch one "
-                             f"of per-cell arrays; got {type(sched).__name__}")
+    cycle = schedule_cycle(sched, "a batch one of per-cell arrays")
     rates = [rate for _, rate, _ in cycle.segments] if cycle else []
     if not any(map(np.count_nonzero, rates)):
         if real and cycle and any(complex(k).imag for *_, k in cycle.segments):
@@ -533,8 +515,9 @@ def survival(t, sched, params):
     segment and "free" elsewhere.  The exact pi phase of each completed
     window is common to the whole single-excitation sector and absorbed, so
     free-segment values line up cycle to cycle; inside a window the
-    amplitude carries its segment's partial drive phase exp(-i rate into).
-    An undriven cycle whose end map k is not real is refused with ConfigError.
+    amplitude carries its segment's partial drive phase exp(-i rate into),
+    which the oracle's co-rotating beta2 leaves out.  An undriven cycle
+    whose end map k is not real is refused with ConfigError.
     """
     cycle, drive = _drive(sched, real=True)
     if drive is None:

@@ -34,10 +34,10 @@ def test_frozen_first_cycle_coefficients(case1, sched10):
 
 
 @pytest.mark.parametrize("m", [math.inf, math.nan, 1.5, 3.0, "3", None, -1,
-                               2 ** 53 + 1], ids=repr)
+                               2 ** 53 + 1, True], ids=repr)
 def test_cycle_index_must_be_whole(case1, dd_sched, m):
-    # inf and nan never finish halving, 1.5 would give cycle 0's state and
-    # float(2**53 + 1) rounds to another cycle
+    # inf and nan never finish halving, 1.5 would give cycle 0's state,
+    # float(2**53 + 1) rounds to another cycle and True is no index
     with pytest.raises(ps.ParameterError, match="cycle index"):
         ps.coefficients(m, dd_sched, case1)
 

@@ -4,6 +4,8 @@ import dataclasses
 import inspect
 import math
 import random
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -504,3 +506,109 @@ def test_column_refusal_names_the_first_failing_cell(case):
     with pytest.raises(kind) as info:
         make(*map(np.array, columns))
     assert str(info.value) == message
+
+
+# a cycle the closed forms and the oracle would read as two protocols, or
+# not at all: a NaN or zero period hung survival, durations that do not
+# fill the period were read with the period by the closed forms and their
+# sum by the oracle, and the rest raised raw errors or gave NaN
+_NOT_A_CYCLE = (r"^a cycle is a real period and a tuple of \(duration, drive "
+                r"rate, k\) triples")
+_BAD_CYCLES = {
+    "nan-period": ((math.nan, ((0.1, 0.0, -1.0),)),
+                   r"^cycle period must be finite and positive, got nan$"),
+    "zero-period": ((0.0, ((0.0, 0.0, -1.0),)),
+                    r"^cycle period must be finite and positive, got 0\.0$"),
+    "inf-period": ((math.inf, ((0.1, 0.0, -1.0),)), r"^cycle period must"),
+    "text-period": (("0.1", ((0.1, 0.0, -1.0),)), _NOT_A_CYCLE),
+    "short-fill": ((0.2, ((0.1, 0.0, -1.0),)),
+                   r"^segment durations sum to 0\.1, which does not fill "
+                   r"the cycle period 0\.2$"),
+    "long-fill": ((0.1, ((0.1, 0.0, 1.0), (0.1, 0.0, -1.0))),
+                  r"^segment durations sum to 0\.2"),
+    "zero-segment": ((0.1, ((0.1, 0.0, 1.0), (0.0, 0.0, -1.0))),
+                     r"^segment duration must be finite and positive, got "
+                     r"0\.0$"),
+    "negative-segment": ((0.1, ((0.2, 0.0, 1.0), (-0.1, 0.0, 1.0))),
+                         r"^segment duration must be finite and positive"),
+    "pair": ((0.1, ((0.1, 0.0),)), _NOT_A_CYCLE),
+    "list-segment": ((0.1, ([0.1, 0.0, -1.0],)), _NOT_A_CYCLE),
+    "list-segments": ((0.1, [(0.1, 0.0, -1.0)]), _NOT_A_CYCLE),
+    "bool-duration": ((0.1, ((True, 0.0, -1.0),)), _NOT_A_CYCLE),
+    "complex-rate": ((0.1, ((0.1, 1j, 1.0),)), _NOT_A_CYCLE),
+    "per-cell-k": ((0.1, ((0.1, 0.0, np.array([1.0, -1.0])),)),
+                   _NOT_A_CYCLE),
+    "nan-rate": ((0.1, ((0.1, math.nan, 1.0),)),
+                 r"^drive rate must be finite, got nan$"),
+    "inf-k": ((0.1, ((0.1, 0.0, math.inf),)),
+              r"^segment end k must be finite, got inf$"),
+    "nan-complex-k": ((0.1, ((0.1, 0.0, complex(math.nan, 1.0)),)),
+                      r"^segment end k must be finite"),
+    "columns": ((np.ones(2), ((np.ones(3), 0.0, -1.0),)),
+                r"^per-cell columns do not broadcast together: period of "
+                r"shape \(2,\), segment 0 duration of shape \(3,\)$"),
+    "overflowing-sum": ((1e308, ((1e308, 0.0, 1.0), (1e308, 0.0, 1.0))),
+                        r"^segment durations sum to inf"),
+    "batch-names-first-cell": (
+        (np.array([0.1, 0.2, 0.3]),
+         ((np.array([0.1, 0.1, 0.0]), 0.0, -1.0),)),
+        r"^segment durations sum to 0\.1, which does not fill the cycle "
+        r"period 0\.2$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CYCLES))
+def test_cycle_refuses_a_bad_cycle_when_built(case):
+    (period, segments), message = _BAD_CYCLES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ps.ParameterError, match=message):
+            ps.model.Cycle(period, segments)
+
+
+def test_schedule_builds_its_cycle_once():
+    assert ps.transfer.Cycle is ps.model.Cycle
+    # every cycle the package builds fills its period; an empty one can be
+    # built, but no entry takes it (test_a_schedule_needs_a_cycle)
+    for sched in (ps.ZenoSchedule(0.1), ps.DdSchedule(0.3),
+                  ps.FinitePulseSchedule(0.7, 3), ps.FinitePulseSchedule(
+                      np.array([0.2, 0.3]), np.array([10, 7]))):
+        assert isinstance(sched.cycle, ps.model.Cycle)
+        assert sched.cycle is sched.cycle
+    assert ps.model.Cycle(0.1, ()).segments == ()
+
+
+def test_schedule_with_a_zero_window_is_refused_on_its_cycle():
+    # half of the smallest subnormal rounds to 0: the window has no length
+    sched = ps.FinitePulseSchedule(np.array([0.2, 5e-324]), 2)
+    with pytest.raises(ps.ParameterError, match=r"^segment duration must be "
+                       r"finite and positive, got 0\.0$"):
+        sched.cycle
+
+
+_ENTRIES = {
+    "survival": lambda s, p: ps.survival(1.0, s, p),
+    "fidelity": lambda s, p: ps.fidelity(ps.OddParityState.dark(), 1.0, s, p),
+    "coefficients": lambda s, p: ps.coefficients(3, s, p),
+    "integrate-augmented": lambda s, p: ps.integrate(
+        p, s, 1.0, ps.OracleConfig(1e-3)),
+    "integrate-quadrature": lambda s, p: ps.integrate(
+        p, s, 1.0, ps.OracleConfig(1e-3, 2, ps.DIRECT_QUADRATURE)),
+}
+
+
+@pytest.mark.parametrize("cycle, message", [
+    (lambda: (0.1, ((0.1, 0.0, -1.0),)),
+     r"^a schedule's cycle must be a Cycle; got tuple$"),
+    (lambda: "dd(0.1)", r"^a schedule's cycle must be a Cycle; got str$"),
+    (lambda: ps.model.Cycle(0.1, ()),
+     r"^a schedule's cycle needs at least one segment$"),
+], ids=["tuple", "text", "empty"])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_a_schedule_needs_a_cycle(case1, entry, cycle, message):
+    # both sides read a schedule through its Cycle: anything else raised a
+    # raw AttributeError or ValueError, and an empty cycle was evaluated by
+    # the closed forms but refused by the oracle
+    sched = SimpleNamespace(cycle=cycle())
+    with pytest.raises(ps.ParameterError, match=message):
+        _ENTRIES[entry](sched, case1)

@@ -161,7 +161,8 @@ def test_config_validation():
         ps.OracleConfig(history_mode=ps.DIRECT_QUADRATURE, method_order=4)
 
 
-@pytest.mark.parametrize("t_max", ["1", None], ids=["text", "none"])
+@pytest.mark.parametrize("t_max", ["1", None, True],
+                         ids=["text", "none", "bool"])
 def test_horizon_that_is_not_a_number_refused(case1, cfg_aug, t_max):
     with pytest.raises(ps.ConfigError,
                        match=f"^horizon must be a number, got {t_max!r}$"):
@@ -300,6 +301,27 @@ def test_general_end_map_refused_by_quadrature(case1, k):
         ps.integrate(case1, sched, 1.0, _BACKENDS["quadrature"][0])
 
 
+@pytest.mark.parametrize("n_duty", [10, 20])
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_in_window_frames(case1, backend, n_duty):
+    # inside a window survival returns x exp(-i phi into) and the oracle
+    # the rotating-frame x: their beta2 differ by up to 1.99 there, while
+    # their moduli agree.  Turned into survival's frame, the oracle matches
+    # it in the windows as closely as on the free segments (augmented:
+    # 4.4e-11 at N = 10, 7.8e-10 at N = 20)
+    sched = ps.FinitePulseSchedule(FINITE_TAU, n_duty)
+    tr = ps.integrate(case1, sched, 1.0, _BACKENDS[backend][0])
+    closed, tags = ps.survival(tr.times, sched, case1)
+    into = ps.transfer.evaluate(tr.times, case1, sched.cycle,
+                                lambda x, xd, k, into: into)
+    window = tags == ps.IN_PULSE_SEGMENT
+    assert float(np.max(np.abs(tr.beta2 - closed)[window])) > 1.0
+    turned = np.where(window, tr.beta2 * np.exp(-1j * sched.phase_rate
+                                                 * into), tr.beta2)
+    gap = np.abs(turned - closed)
+    assert np.max(gap[window]) <= 1.1 * np.max(gap[~window])
+
+
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
 def test_two_pulse_cycle_equals_dd_bitwise(case1, backend):
     cfg, _ = _BACKENDS[backend]
@@ -359,7 +381,7 @@ def _frozen_step_timing(sched, n, dt):
 def test_segment_runs_are_the_augmented_cuts(sched, n):
     # the runs start exactly where the augmented backend cut its per-step
     # lists into runs of equal steps, and spell out the same lists
-    runs = ps.oracle._segment_runs(sched, n, 1e-4)
+    runs = ps.oracle._segment_runs(sched and sched.cycle, n, 1e-4)
     factors, rates = _frozen_step_timing(sched, n, 1e-4)
     fac, rate = np.array(factors), np.array(rates)
     cuts = np.flatnonzero((fac[1:] != 1.0) | (rate[1:] != rate[:-1])) + 1
@@ -568,7 +590,6 @@ def _two_dot_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
     # reference: the quadrature loop with the history dot product taken
     # afresh in the predictor and in the corrector of every step; pulses
     # only, no projection; in long double
-    from parityshield.oracle import _make_trace
     flips = [f == -1.0 for f in factors]
     dt = _LD(cfg.dt_num)
     w_sq = _LD(params.w_coupling) * _LD(params.w_coupling)
@@ -623,7 +644,7 @@ def _two_dot_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
             turn = turn + 1j * phi * dt * np.cumsum(driven == phi)
         r1 = r1 * np.exp(turn)
         r2 = r2 * np.exp(turn)
-    return _make_trace(params, cfg.dt_num, r1, r2, leak)
+    return ps.OracleTrace(r1, r2, leak, cfg.dt_num, params.basis_weights)
 
 
 @pytest.mark.parametrize("sched", [
@@ -644,7 +665,6 @@ def _numpy_scalar_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
     # reference: the quadrature loop as it stood when its step ran on numpy
     # scalars read out of the arrays, kept frozen and evaluated in long
     # double
-    from parityshield.oracle import _make_trace
     dt = _LD(cfg.dt_num)
     lam = _LD(params.lam)
     w_sq = _LD(params.w_coupling) * _LD(params.w_coupling)
@@ -718,7 +738,7 @@ def _numpy_scalar_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
         r1 = r1 * phase
         r2 = r2 * phase
 
-    return _make_trace(params, cfg.dt_num, r1, r2, leak)
+    return ps.OracleTrace(r1, r2, leak, cfg.dt_num, params.basis_weights)
 
 
 # 10^4 steps for every schedule, 2 * 10^4 for dd-finite
@@ -870,7 +890,6 @@ def test_long_pulsed_quadrature_agrees_with_augmented(case1, cfg_aug,
 def _scalar_augmented(params, n, cfg, r1, r2, factors, rates):
     # reference: the augmented system stepped one RK4 or Heun step at a
     # time in Python scalars
-    from parityshield.oracle import _make_trace
     dt = cfg.dt_num
     w_sq = params.w_coupling * params.w_coupling
     al1, al2 = params.alpha1, params.alpha2
@@ -904,8 +923,8 @@ def _scalar_augmented(params, n, cfg, r1, r2, factors, rates):
         r1s.append(r1)
         r2s.append(r2)
         leaks.append(leak)
-    return _make_trace(params, dt, np.array(r1s), np.array(r2s),
-                       np.array(leaks))
+    return ps.OracleTrace(np.array(r1s), np.array(r2s), np.array(leaks), dt,
+                          params.basis_weights)
 
 
 _BRANCHES = {
