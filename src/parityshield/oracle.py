@@ -37,16 +37,21 @@ Two backends with no shared numerics:
   532, 1985), so a run is O(n log^2 n); within a leaf, a run's steps are
   one Toeplitz system in the increments of S, solved by its discrete
   resolvent (Brunner, Volterra Integral Equations, CUP 2017, ch. 2).
+  Every convolution, direct or by FFT, takes the real and imaginary parts
+  of its operands apart and skips a part that is all zero, so an undriven
+  run from a real state, whose history is real, computes on real data.
 
 A leak accumulator integrates the outflow 2 Re(h1 conj(r1) + h2 conj(r2))
-(equivalently 2 Re(I conj(S)) for the quadrature backend) so the trace can
-report how well total probability is conserved.  A trace holds r1, r2 and
-the integrated leak; its times, dark and superradiant amplitudes and norm
-defect are derived from them on each read.
+(equivalently 2 Re(I conj(S)) for the quadrature backend; the augmented
+backend takes each step's increment as a real dot of y and Q y) so the
+trace can report how well total probability is conserved.  A trace holds
+r1, r2 and the integrated leak; its times, dark and superradiant
+amplitudes and norm defect are derived from them on each read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -67,8 +72,8 @@ _DIV_TOL = 1e-12
 # ms on a 2-vCPU Xeon, and 10.7 at 512 nodes, 11.6 at 128 and 16 at 64
 _LEAF = 256
 
-# rows of the augmented backend's leak taken in one einsum: its conjugate
-# copy of the rows is 64 KiB
+# rows of the augmented backend's leak taken at once: their product with Q
+# is 4096 x 4 complex, 256 KiB
 _LEAK_ROWS = 4096
 
 # most steps in one run: at 104 B a step (peak RSS of the augmented backend,
@@ -244,12 +249,13 @@ def _advance(run: np.ndarray, d: np.ndarray, q: np.ndarray,
         run[h:h + m] += run[:m]
         e = 2.0 * e + e @ e
         h *= 2
-    # in blocks of rows, so the conjugate copy stays small; a row's sum
-    # does not depend on the block it is in
+    # Re(y^H Q y) is the real dot of y and Q y as pairs of floats; in
+    # blocks of rows, so Q y stays small, and a row's sum does not depend
+    # on the block it is in
     for lo in range(0, len(leak), _LEAK_ROWS):
         rows = run[lo:min(lo + _LEAK_ROWS, len(leak))]
-        leak[lo:lo + len(rows)] = np.einsum("ij,jk,ik->i", rows.conj(), q,
-                                            rows).real
+        leak[lo:lo + len(rows)] = np.einsum(
+            "ij,ij->i", rows.view(float), (rows @ q.T).view(float))
 
 
 def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
@@ -275,6 +281,7 @@ def _run_augmented(params: ModelParams, n: int, cfg: OracleConfig,
 # ---------------------------------------------------------------------------
 # direct-quadrature backend
 
+@functools.lru_cache(maxsize=128)
 def _fast_length(m: int) -> int:
     """The least 2^a 3^b 5^c at or above m, a length numpy's FFT takes
     fast; a length with a large prime factor can take 8 times as long."""
@@ -288,6 +295,32 @@ def _fast_length(m: int) -> int:
     return best
 
 
+def _parts(z: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The real and imaginary parts of z that are not all zero, as (0, real
+    part) and (1, imaginary part): the oracle's sums take each apart, so
+    they pay nothing for a zero imaginary part."""
+    if not np.iscomplexobj(z):
+        return [(0, z)]
+    return [(i, part) for i, part in enumerate((z.real, z.imag))
+            if np.count_nonzero(part)]
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, terms: slice):
+    """np.convolve(a, b)[terms] by one real convolution per pair of parts of
+    a and b (see _parts): real, or 0.0, unless an imaginary part enters."""
+    real = imag = 0.0
+    for i, x in _parts(a):
+        for j, y in _parts(b):
+            term = np.convolve(x, y)[terms]
+            if i + j == 1:
+                imag = imag + term
+            elif i:  # i i = -1
+                real = real - term
+            else:
+                real = real + term
+    return real + 1j * imag if np.ndim(imag) else real
+
+
 def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
             spectra: dict, kernel) -> int:
     """Add the history sums of the h nodes before node j to far[j:j + h],
@@ -296,18 +329,19 @@ def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
     One circular convolution of a fast length at or above h plus their
     count has no wrap-around.  spectra caches the kernel's real transforms
     by length; kernel(length) samples it.  The real and imaginary parts of
-    the history are convolved apart, so a real history stays real.
+    the history are convolved apart (see _parts), so a real history stays
+    real and costs one real transform.
     """
     into = far[j:j + h]
     length = _fast_length(h + len(into))
     if length not in spectra:
         spectra[length] = np.fft.rfft(kernel(length))
-    block = ws[j - h:j]
-    sums = np.fft.rfft(np.stack((block.real, block.imag)), length)
-    sums *= spectra[length]
-    sums = np.fft.irfft(sums, length)[:, h:]
-    into.real += sums[0, :len(into)]
-    into.imag += sums[1, :len(into)]
+    if parts := _parts(ws[j - h:j]):
+        sums = np.fft.rfft(np.stack([part for _, part in parts]), length)
+        sums *= spectra[length]
+        sums = np.fft.irfft(sums, length)[:, h:h + len(into)]
+        for (i, _), row in zip(parts, sums):
+            (into.imag if i else into.real)[...] += row
     return j + len(into)
 
 
@@ -407,25 +441,30 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
                                        kernel))
             # the sums at the piece's nodes over far and the leaf's to k0
             leaf = k0 + 1 - i % _LEAF
-            raw = far[new] + (np.convolve(ws[leaf:k0 + 1], kz[:k1 + 1 - leaf])
-                              [k0 + 1 - leaf:][:m] if k0 >= leaf else 0.0)
+            raw = far[new] + (_convolve(ws[leaf:k0 + 1], kz[:k1 + 1 - leaf],
+                                        slice(k0 + 1 - leaf, k1 + 1 - leaf))
+                              if k0 >= leaf else 0.0)
             hist = sign * np.concatenate(([past], raw))
             f = s * v[:m] + b * hist[:-1] + c * hist[1:]
-            f += np.convolve(g[:m], f)[:m]
+            f += _convolve(g[:m], f, slice(m))
             s1 = s + np.cumsum(f)
             s0 = np.concatenate(([s], s1[:-1]))
             ws[new] = dt * sign * s1
-            raw += np.convolve(ws[new], kz[:m])[:m]
+            raw += _convolve(ws[new], kz[:m], slice(m))
             hist[1:] = sign * raw
             # the leak 2 Re(hist conj(S)) at each step's two nodes
             h0 = hist[:-1] + e * s0
             h1 = hist[1:] + e * (s0 + dt * (-1j * rate * s0 - a * h0))
             leak[new] = dt * (h0 * s0.conj() + h1 * s1.conj()).real
             dd = d + d * q_pow[1:m + 1]
-            phase = np.exp(turned + 1j * rate * dt * (
-                done[rate] + np.arange(k0 - lo + 1, k1 - lo + 1)))
-            r1[new] = (al1 * s1 + al2 * dd) / a * phase
-            r2[new] = (al2 * s1 - al1 * dd) / a * phase
+            r1[new] = (al1 * s1 + al2 * dd) / a
+            r2[new] = (al2 * s1 - al1 * dd) / a
+            # before any drive the phase is exactly 1
+            if rate or turned:
+                phase = np.exp(turned + 1j * rate * dt * (
+                    done[rate] + np.arange(k0 - lo + 1, k1 - lo + 1)))
+                r1[new] *= phase
+                r2[new] *= phase
             s, d, past = s1[-1], dd[-1], raw[-1]
         done[rate] += count
     return OracleTrace(r1, r2, np.cumsum(leak, out=leak), dt,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,10 +212,17 @@ def _past(theta, length, period):
 def _segments(params, cycle, shape=()):
     """(period, [(length, propagator, k)]) of params under cycle (None:
     free decay, one endless segment): numbers or per-cell arrays of the
-    times' shape, a batch's period per cell (see _distinct), k numbers."""
+    times' shape, a batch's period per cell (see _distinct), k numbers.
+    A cycle that is not None or a Cycle with a segment is refused with
+    ParameterError."""
     if not isinstance(params, ModelParams):
         raise ParameterError("params must be a ModelParams, a batch one of "
                              f"per-cell arrays; got {type(params).__name__}")
+    if cycle is not None and not isinstance(cycle, Cycle):
+        raise ParameterError("a cycle must be None or a Cycle; got "
+                             f"{type(cycle).__name__}")
+    if cycle is not None and not cycle.segments:
+        raise ParameterError("a cycle needs at least one segment")
     period, segments = ((None, ((math.inf, 0.0, 1.0),)) if cycle is None
                         else (cycle.period, cycle.segments))
     shapes = {np.shape(f) for f in (params.lam, params.r_rate, period, *(
@@ -446,11 +454,19 @@ class FinitePulseSchedule:
     is therefore two segments of the shared propagator, on every damping
     branch; the window's pi phase is common to the single-excitation sector
     and is absorbed at the cycle end.
+
+    A tau and N whose window tau/N rounds to 0 (N past the float range
+    included) or whose drive rate N pi / tau overflows are refused with
+    ConfigError when built, naming a batch's first bad cell, as is an
+    interval that is not finite and positive.
     """
 
     tau: float
     n_duty: int
 
+    # past the float range a numpy drive rate is inf (and refused), not a
+    # warning
+    @np.errstate(over="ignore")
     def __post_init__(self):
         n = self.n_duty
         broadcast(ConfigError, tau=self.tau, n_duty=n)
@@ -460,6 +476,16 @@ class FinitePulseSchedule:
             "{!r}", n)])
         if not np.ndim(n):  # a numpy integer is kept as a Python int
             object.__setattr__(self, "n_duty", int(n))
+        # the free part is at least the window, so both have a length if
+        # the window has; a Python int N past the float range leaves none
+        # (and cannot be divided by)
+        big = not np.ndim(n) and n > sys.float_info.max
+        refuse(ConfigError, [
+            (not big and self.window_length > 0.0, "cycle interval {} leaves "
+             "the window tau/N of duty parameter {} no length", self.tau, n),
+            (big or self.phase_rate < math.inf, "cycle interval {} with duty "
+             "parameter {} gives a drive rate N pi / tau past the float "
+             "range", self.tau, n)])
 
     @property
     def free_length(self) -> float:
@@ -475,7 +501,6 @@ class FinitePulseSchedule:
         return self.n_duty * math.pi / self.tau
 
     @cached_property
-    @np.errstate(over="ignore")  # a subnormal tau's rate: inf, and refused
     def cycle(self) -> Cycle:
         return Cycle(self.tau, ((self.free_length, 0.0, 1.0),
                                 (self.window_length, self.phase_rate, 1.0)))

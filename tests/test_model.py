@@ -578,12 +578,41 @@ def test_schedule_builds_its_cycle_once():
     assert ps.model.Cycle(0.1, ()).segments == ()
 
 
-def test_schedule_with_a_zero_window_is_refused_on_its_cycle():
+@pytest.mark.parametrize("tau, n_duty, message", [
     # half of the smallest subnormal rounds to 0: the window has no length
-    sched = ps.FinitePulseSchedule(np.array([0.2, 5e-324]), 2)
-    with pytest.raises(ps.ParameterError, match=r"^segment duration must be "
-                       r"finite and positive, got 0\.0$"):
-        sched.cycle
+    (5e-324, 2, r"^cycle interval 5e-324 leaves the window tau/N of duty "
+     r"parameter 2 no length$"),
+    (1e-310, 2, r"^cycle interval 1e-310 with duty parameter 2 gives a drive "
+     r"rate N pi / tau past the float range$"),
+    (1e-300, 10**9, r"^cycle interval 1e-300 with duty parameter 1000000000 "
+     r"gives a drive rate"),
+    # a Python int past the float range: no window, and no float N
+    (0.2, 10**400, r"^cycle interval 0\.2 leaves the window tau/N of duty "
+     r"parameter 10{400} no length$"),
+    # numpy arithmetic, which would warn on the overflow
+    (np.float64(1e-310), np.int64(2), r"^cycle interval 1e-310 with duty "
+     r"parameter 2 gives"),
+    # a batch names its first bad cell, whichever check it fails
+    (np.array([0.2, 1e-310, 5e-324]), 2, r"^cycle interval 1e-310 with duty "
+     r"parameter 2 gives"),
+    (np.array([0.2, 5e-324, 1e-310]), np.array([3, 2, 2]),
+     r"^cycle interval 5e-324 leaves"),
+    (0.2, np.array([2, 10**9]), None),
+], ids=["no-window", "rate-overflow", "large-n", "n-past-floats",
+        "numpy-scalars", "batch-rate", "batch-window", "batch-usable"])
+def test_schedule_with_an_unusable_tau_is_refused_when_built(tau, n_duty,
+                                                            message):
+    # refused as the other interval checks are, and without a warning from
+    # the batch's rate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            sched = ps.FinitePulseSchedule(tau, n_duty)
+            assert np.all(np.isfinite(sched.phase_rate))
+            assert isinstance(sched.cycle, ps.model.Cycle)
+            return
+        with pytest.raises(ps.ConfigError, match=message):
+            ps.FinitePulseSchedule(tau, n_duty)
 
 
 _ENTRIES = {

@@ -1021,3 +1021,141 @@ def test_degenerate_split_matches_oracle():
     assert _worst_free_segment_gap(p, sched, 1.0) < 1e-12
     c = ps.finite_dd_coefficients(1, sched, p)
     assert math.isfinite(abs(c.a)) and math.isfinite(abs(c.b))
+
+
+# ---------------------------------------------------------------------------
+# the real arithmetic of both backends against the complex arithmetic it
+# replaced: test-local copies of the quadrature's complex np.convolve and
+# two-row transform, and of the augmented leak's three-operand einsum
+
+def _complex_convolve(a, b, terms):
+    return np.convolve(a, b)[terms]
+
+
+def _two_row_spread(far, ws, j, h, spectra, kernel):
+    into = far[j:j + h]
+    length = ps.oracle._fast_length(h + len(into))
+    if length not in spectra:
+        spectra[length] = np.fft.rfft(kernel(length))
+    block = ws[j - h:j]
+    sums = np.fft.rfft(np.stack((block.real, block.imag)), length)
+    sums *= spectra[length]
+    sums = np.fft.irfft(sums, length)[:, h:]
+    into.real += sums[0, :len(into)]
+    into.imag += sums[1, :len(into)]
+    return j + len(into)
+
+
+_EPS = np.finfo(float).eps
+# the kinds of data the quadrature sums meet: a real history, kernel or
+# resolvent stored real or complex, a complex one, and parts all zero
+_KINDS = {
+    "real": lambda x, y: x,
+    "real-as-complex": lambda x, y: x.astype(complex),
+    "imaginary": lambda x, y: 1j * x,
+    "complex": lambda x, y: x + 1j * y,
+    "zero": lambda x, y: np.zeros(len(x), dtype=complex),
+}
+
+
+@st.composite
+def _operand(draw, size):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    parts = draw(st.lists(st.floats(-4.0, 4.0), min_size=2 * size,
+                          max_size=2 * size))
+    return kind, _KINDS[kind](np.array(parts[:size]), np.array(parts[size:]))
+
+
+@settings(max_examples=150)
+@given(st.data(), st.integers(1, 40), st.integers(1, 40))
+def test_convolve_in_parts_matches_complex_convolve(data, n_a, n_b):
+    (kind_a, a), (kind_b, b) = (data.draw(_operand(n_a)),
+                                data.draw(_operand(n_b)))
+    lo = data.draw(st.integers(0, n_a + n_b - 2))
+    terms = slice(lo, data.draw(st.integers(lo, n_a + n_b - 1)))
+    got = ps.oracle._convolve(a, b, terms)
+    want = _complex_convolve(a, b, terms)
+    # all-zero data gives 0.0
+    if not (np.any(a) and np.any(b)):
+        assert isinstance(got, float) and got == 0.0
+    else:
+        assert got.shape == want.shape
+    # real data gives a real result
+    if not (np.iscomplexobj(a) and np.any(a.imag)
+            or np.iscomplexobj(b) and np.any(b.imag)):
+        assert not np.iscomplexobj(got)
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        assert np.array_equal(got, want)
+    # a sum of n products rounds to within n eps of the sum of their moduli
+    scale = _complex_convolve(np.abs(a), np.abs(b), terms)
+    assert np.all(np.abs(got - want) <= 4 * min(n_a, n_b) * _EPS * scale)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("j, h, n", [(256, 256, 2000), (1024, 1024, 1500),
+                                     (512, 512, 800)],
+                         ids=["full", "tail", "tail-short"])
+def test_spread_in_parts_matches_two_row_spread(kind, j, h, n):
+    # the history's nonzero parts are the rows of one transform: each row's
+    # bits are those of the two-row transform
+    rng = np.random.default_rng(j + n)
+    ws = np.zeros(n, dtype=complex)
+    ws[:j] = _KINDS[kind](*rng.standard_normal((2, j)))
+    ker = 0.75 * np.exp(-2e-3 * np.arange(4096))
+    far = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = far.copy()
+    top = ps.oracle._spread(far, ws, j, h, {}, lambda m: ker[:m])
+    assert top == _two_row_spread(want, ws, j, h, {}, lambda m: ker[:m])
+    assert np.array_equal(far, want)
+
+
+_SCHEDULES = {"free": None, "zeno": ps.ZenoSchedule(TAU),
+              "dd": ps.DdSchedule(TAU),
+              "dd-finite": ps.FinitePulseSchedule(FINITE_TAU, 10)}
+
+
+@pytest.mark.parametrize("state", [None, ps.OddParityState.initial(0.6, 0.8j)],
+                         ids=["superradiant", "complex"])
+@pytest.mark.parametrize("sched", sorted(_SCHEDULES))
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_quadrature_in_parts_matches_complex_arithmetic(monkeypatch, branch,
+                                                        sched, state):
+    # 10^4 steps.  Undriven, S keeps one part or the resolvent is real, so
+    # r1 and r2 keep their bits; a drive makes S and the resolvent complex,
+    # and real products summed apart move them by a few ulps
+    params, sched = _BRANCHES[branch], _SCHEDULES[sched]
+    cfg = ps.OracleConfig(1e-4, 2, ps.DIRECT_QUADRATURE)
+    tr = ps.integrate(params, sched, 1.0, cfg, state)
+    monkeypatch.setattr(ps.oracle, "_convolve", _complex_convolve)
+    monkeypatch.setattr(ps.oracle, "_spread", _two_row_spread)
+    ref = ps.integrate(params, sched, 1.0, cfg, state)
+    driven = sched is not None and any(
+        rate for _, rate, _ in sched.cycle.segments)
+    for name in ("r1", "r2"):
+        got, want = getattr(tr, name), getattr(ref, name)
+        if driven:
+            # measured at most 9.4e-16
+            assert float(np.max(np.abs(got - want))) <= 4e-15, name
+        else:
+            assert np.array_equal(got, want), name
+    # the leak's history sums move by an ulp; measured at most 1.1e-16
+    assert float(np.max(np.abs(tr.leak - ref.leak))) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_augmented_leak_matches_three_operand_einsum(branch, order):
+    # 5000 rows: a block of _LEAK_ROWS and a shorter one
+    rng = np.random.default_rng(order)
+    d, q = ps.oracle._step_map(_BRANCHES[branch], 1e-3, order, 30.0)
+    run = np.zeros((5001, 4), dtype=complex)
+    run[0] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    leak = np.empty(5000)
+    ps.oracle._advance(run, d, q, leak)
+    rows = run[:-1]
+    want = np.einsum("ij,jk,ik->i", rows.conj(), q, rows).real
+    # both ways round a sum of real products; measured at most 2.8 eps of
+    # the sum of their moduli apart
+    scale = np.einsum("ij,jk,ik->i", abs(rows), abs(q), abs(rows))
+    assert ps.oracle._LEAK_ROWS < len(leak)
+    assert np.all(np.abs(leak - want) <= 8 * _EPS * scale)

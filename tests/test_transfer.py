@@ -914,3 +914,24 @@ def test_each_segment_evaluates_its_distinct_offsets_once(monkeypatch):
                       ps.DdSchedule(np.full(3, 0.1)).cycle, _survival)
     transfer.evaluate(0.05, cfg.params, DD.cycle, _survival)
     assert sizes == [[3, 3], [1, 1]]
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ((0.1, ((0.1, 0.0, -1.0),)), r"^a cycle must be None or a Cycle; got "
+     r"tuple$"),
+    (ps.model.Cycle(0.1, ()), r"^a cycle needs at least one segment$"),
+], ids=["tuple", "empty"])
+@pytest.mark.parametrize("entry", [
+    lambda p, cycle: transfer.evaluate(1.0, p, cycle, lambda x, *_: x),
+    lambda p, cycle: transfer.evaluate([0.5, 1.0], p, cycle,
+                                       lambda x, *_: x),
+    lambda p, cycle: transfer.cycle_start(2, p, cycle),
+], ids=["evaluate", "evaluate-times", "cycle-start"])
+def test_module_level_entries_refuse_what_is_not_a_cycle(case1, entry, cycle,
+                                                         message):
+    # these names take a cycle, not a schedule: a tuple raised a raw
+    # AttributeError, and an empty Cycle evaluated as x = 1 at every time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ps.ParameterError, match=message):
+            entry(case1, cycle)

@@ -5,6 +5,7 @@ import math
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parityshield as ps
@@ -71,6 +72,19 @@ def test_each_oracle_run_integrated_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     ps.run_validation()
     assert counts == runs
+
+
+def test_free_closed_form_on_the_trace_times_evaluated_once(monkeypatch):
+    # both free closed-form rows read one evaluation, at the times of the
+    # dt = 1e-4 traces on [0, 1]
+    sizes = []
+
+    def counted(t, params, _free=validation.free_survival):
+        sizes.append(np.size(t))
+        return _free(t, params)
+    monkeypatch.setattr(validation, "free_survival", counted)
+    ps.run_validation()
+    assert sizes.count(10_001) == 1
 
 
 def test_trace_lives_from_first_to_last_reader(monkeypatch):
