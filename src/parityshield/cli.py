@@ -146,7 +146,34 @@ def _run_validate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_validate(subs, kind: str, blurb: str, handler):
+    sub = subs.add_parser(kind, help=blurb)
+    sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                     help="override one check tolerance (repeatable)")
+    sub.add_argument("--out", help="also write the report to this file")
+    sub.set_defaults(handler=handler, parser=sub)
+
+
+# subcommand -> (help line, what adds its parser, its handler), in the
+# order the top-level help lists them
+_COMMANDS = {
+    "fig1": ("instantaneous pulses vs repeated measurement", _add_run,
+             _run_scenario),
+    "fig2": ("free decay vs measurement vs pulses, ordering checked",
+             _add_run, _run_scenario),
+    "fig3": ("finite-duration pulses vs the instantaneous limit", _add_run,
+             _run_scenario),
+    "custom": ("free-form schedule comparison", _add_run, _run_scenario),
+    "sweep": ("terminal-fidelity parameter sweep", _add_run, _run_sweep),
+    "validate": ("run the closed-form vs integrator checks", _add_validate,
+                 _run_validate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with command's subparser alone.
+    A subparser's usage and help do not depend on its siblings, so both
+    parse and print the same for an argv that starts with command."""
     parser = _Parser(
         prog="parityshield",
         description="Decay protection protocols for odd-parity two-qubit "
@@ -154,27 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for scenario, blurb in (
-            ("fig1", "instantaneous pulses vs repeated measurement"),
-            ("fig2", "free decay vs measurement vs pulses, ordering checked"),
-            ("fig3", "finite-duration pulses vs the instantaneous limit"),
-            ("custom", "free-form schedule comparison")):
-        _add_run(subs, scenario, blurb, _run_scenario)
-    _add_run(subs, "sweep", "terminal-fidelity parameter sweep", _run_sweep)
-
-    sub = subs.add_parser("validate",
-                          help="run the closed-form vs integrator checks")
-    sub.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                     help="override one check tolerance (repeatable)")
-    sub.add_argument("--out", help="also write the report to this file")
-    sub.set_defaults(handler=_run_validate, parser=sub)
+    for name, (blurb, add, handler) in _COMMANDS.items():
+        if command in (None, name):
+            add(subs, name, blurb, handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # once argv[0] names a subcommand the top-level parser prints nothing
+    # and no other subparser is reached, so only that one is built (about
+    # half the parser's cost); any other argv gets every subcommand
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:

@@ -50,7 +50,6 @@ the memory of the byte matrices.
 from __future__ import annotations
 
 import csv
-import html
 import io
 import math
 import warnings
@@ -78,6 +77,9 @@ _MARGIN_L = 70
 _MARGIN_R = 160
 _MARGIN_T = 30
 _MARGIN_B = 50
+# the SVG's title and legend text, escaped as XML character data (the
+# replacements of html.escape(text, quote=False))
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 # rows per block of CSV text: bounds the memory of its byte matrices
@@ -470,7 +472,7 @@ def _plot(label, metadata, header, svg_path, load) -> None:
     if title:
         parts.append(
             f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" '
-            f'font-size="14">{html.escape(title, quote=False)}</text>')
+            f'font-size="14">{title.translate(_XML_TEXT)}</text>')
 
     for xv in _ticks(x_lo, x_hi):
         px = sx(xv)
@@ -509,7 +511,7 @@ def _plot(label, metadata, header, svg_path, load) -> None:
         parts.append(
             f'<text x="{lx + 28}" y="{legend_y + 4}" '
             f'font-family="sans-serif" font-size="12">'
-            f'{html.escape(name, quote=False)}</text>')
+            f'{name.translate(_XML_TEXT)}</text>')
         legend_y += 18
 
     parts.append(

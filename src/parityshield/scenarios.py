@@ -20,7 +20,6 @@ compact descriptors: none | zeno(dt) | dd(tau) | dd-finite(tau,N).
 
 from __future__ import annotations
 
-import configparser
 import itertools
 import math
 import re
@@ -269,6 +268,9 @@ def build_scenario(scenario: str, options: dict[str, str] | None = None) -> Scen
 def load_config(path) -> dict[str, dict[str, str]]:
     """Parse a flat INI config in UTF-8: one section per scenario, string
     values."""
+    # imported here, the one place that reads an INI: only --config does
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from parityshield import scenarios
+from parityshield import cli, scenarios
 from parityshield.cli import main
 from parityshield.output import read_csv
 from parityshield.scenarios import option_keys
@@ -500,3 +501,46 @@ def test_nan_amplitude_exits_one(tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "parityshield" in capsys.readouterr().out
+
+
+_COMMANDS = ["fig1", "fig2", "fig3", "custom", "sweep", "validate"]
+# argv whose usage, help or error text main prints: with no subcommand
+# first, and after each subcommand an unknown flag, a flag without its
+# value, the root's --version and --help
+_PRINTING_ARGV = [[], ["-h"], ["--help"], ["--version"], ["nosuch"],
+                  ["--bogus", "validate"],
+                  *([command, tail] for command in _COMMANDS
+                    for tail in ("--help", "--bogus", "--out", "--version"))]
+
+
+def _printed(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PRINTING_ARGV, ids=" ".join)
+def test_subcommand_parser_prints_as_the_full_parser(argv, capsys,
+                                                     monkeypatch):
+    # main builds only the named subcommand's parser; every exit code,
+    # usage, help and error text is the full parser's
+    lean, build_parser = _printed(argv, capsys), cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: build_parser())
+    assert lean == _printed(argv, capsys)
+
+
+def test_main_builds_the_named_subparser_only(tmp_path, monkeypatch):
+    built, build_parser = [], cli.build_parser
+
+    def spy(command=None):
+        parser = build_parser(command)
+        built.append(sorted(next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)).choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main([]) == 1
+    assert built == [["sweep"], sorted(_COMMANDS)]

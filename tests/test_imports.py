@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import ast
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +34,18 @@ def _package_imports(module: str) -> list[tuple[str, list[str]]]:
             found += [(a.name, []) for a in node.names
                       if a.name.startswith("parityshield")]
     return found
+
+
+def test_cli_import_leaves_out_unneeded_stdlib():
+    # every run pays for what importing the CLI loads: configparser is
+    # only for --config, and the SVG escapes its text without html
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, parityshield.cli; print(sorted("
+         "{'configparser', 'html', 'html.entities'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_oracle_imports_no_closed_form():

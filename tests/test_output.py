@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import html
 import io
 import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import parityshield as ps
 from parityshield.cli import main
-from parityshield.output import (_KERNEL_ROWS, _fixed2, _float_text, _joined,
-                                 _tag_text, read_csv, render_svg, write_csv)
+from parityshield.output import (_KERNEL_ROWS, _XML_TEXT, _fixed2,
+                                 _float_text, _joined, _tag_text, read_csv,
+                                 render_svg, write_csv)
 
 
 @pytest.fixture()
@@ -387,6 +390,30 @@ def test_cli_svg_is_the_csv_replotted(tmp_path, argv, code):
     render_svg(csv_path, tmp_path / "replot.svg")
     assert ((tmp_path / "run.svg").read_bytes()
             == (tmp_path / "replot.svg").read_bytes())
+
+
+@given(st.text(st.one_of(
+    st.characters(), st.sampled_from("&<>\"'"),
+    # argv's surrogate escapes of undecodable bytes
+    st.integers(0xDC80, 0xDCFF).map(chr))))
+@example("&<>\"'&amp;")
+@example("\u03bb-run \udcff")
+def test_xml_text_table_escapes_as_html_escape(text):
+    assert text.translate(_XML_TEXT) == html.escape(text, quote=False)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["fig1"],
+     "80f895efb42d5e28916c19e6e8b441be1f84efc8b8aac7447b17aaf1f30f7466"),
+    (["custom", "--run-id", 'a<b&c>"d'],
+     "50fdc804ea9563e9683b06fd94e41f2982e6f26204425101a69dfc890df3e0f1"),
+], ids=["fig1", "custom-escaped-title"])
+def test_cli_svg_bytes_are_pinned(tmp_path, argv, digest):
+    # the bytes the SVG had while html.escape wrote its text
+    csv_path = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(csv_path)]) == 0
+    svg = csv_path.with_suffix(".svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == digest
 
 
 @pytest.mark.parametrize("options", [
