@@ -505,8 +505,8 @@ def test_version_flag(capsys):
 
 _COMMANDS = ["fig1", "fig2", "fig3", "custom", "sweep", "validate"]
 # argv whose usage, help or error text main prints: with no subcommand
-# first, and after each subcommand an unknown flag, a flag without its
-# value, the root's --version and --help
+# first, and after each subcommand its --help, an unknown flag, a flag
+# without its value and the root's --version
 _PRINTING_ARGV = [[], ["-h"], ["--help"], ["--version"], ["nosuch"],
                   ["--bogus", "validate"],
                   *([command, tail] for command in _COMMANDS
