@@ -7,6 +7,8 @@ check or ordering) exits 2.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -47,6 +49,12 @@ def refuse(error: type[ParityShieldError], checks) -> None:
         raise error(text.format(*map(at, values)))
 
 
+def number(value, kinds="iuf", types=(numbers.Number, np.ndarray)) -> bool:
+    """value one of types, of a dtype kind in kinds: by default a real number
+    or an array of them.  A bool is not a number."""
+    return isinstance(value, types) and np.asarray(value).dtype.kind in kinds
+
+
 def positive(what: str, value):
     """The check, for refuse, that value (a number or per-cell array) is
     finite and positive; its text names what."""
@@ -55,7 +63,14 @@ def positive(what: str, value):
 
 
 def broadcast(error: type[ParityShieldError], **columns) -> None:
-    """Raise error naming the per-cell arrays' shapes unless they broadcast."""
+    """The gate of every per-cell constructor, before any arithmetic: raise
+    error naming the first column that is not a real number or an array of
+    them (a Python int past numpy's integers passes, as a duty parameter
+    may be), else the per-cell arrays' shapes unless they broadcast."""
+    for key, value in columns.items():
+        if not (number(value) or type(value) is int):
+            raise error(f"{key} must be a real number or an array of them; "
+                        f"got {type(value).__name__}")
     shapes = {key: np.shape(v) for key, v in columns.items() if np.ndim(v)}
     try:
         np.broadcast_shapes(*shapes.values())

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError, StateError, broadcast, positive, refuse
+from .errors import (ParameterError, StateError, broadcast, number, positive,
+                     refuse)
 
 BRANCH_OVERDAMPED = "overdamped"
 BRANCH_CRITICAL = "critical"
@@ -53,24 +54,23 @@ def _weight(a: complex, b: complex) -> float:
 
 # past the float range the squares are inf (and refused): no warning
 @np.errstate(over="ignore", invalid="ignore")
-def _derive(lam, w_coupling, alpha1, alpha2, split_root=None):
+def _derive(lam, w_coupling, alpha1, alpha2):
     """((alpha, r_rate, omega, branch), checks for refuse) of one cell's or
     per-cell couplings.  The interval dynamics x'' + lam x' + R^2 x = 0
     split by the root of lam^2 - 4 R^2: omega is its magnitude, 0.0 on the
     critical branch, and the branch tags its sign."""
-    broadcast(ParameterError, lam=lam, w_coupling=w_coupling,
-              split_root=split_root)
+    broadcast(ParameterError, lam=lam, w_coupling=w_coupling, alpha1=alpha1,
+              alpha2=alpha2)
     alpha = math.hypot(alpha1, alpha2)
     r_rate = alpha * w_coupling
     lam_sq, r4_sq = lam * lam, 4.0 * r_rate * r_rate
     disc, scale = lam_sq - r4_sq, np.maximum(lam_sq, r4_sq)
     critical = abs(disc) <= _CRITICAL_RTOL * scale
-    over = ~critical & (disc > 0.0)
     omega = np.where(critical, 0.0, np.sqrt(abs(disc)))
-    branch = np.where(over, BRANCH_OVERDAMPED, np.where(
+    branch = np.where(~critical & (disc > 0.0), BRANCH_OVERDAMPED, np.where(
         critical, BRANCH_CRITICAL, BRANCH_UNDERDAMPED))
     split = "the damping split lam^2 - 4 R^2: lam={}, R={}"
-    checks = [
+    return (alpha, r_rate, _scalar(omega), _scalar(branch)), [
         positive("decay rate", lam),
         positive("coupling strength", w_coupling),
         (alpha1 > 0.0 and alpha2 > 0.0, "coupling weights must be "
@@ -84,15 +84,6 @@ def _derive(lam, w_coupling, alpha1, alpha2, split_root=None):
         # a subnormal 4 R^2 has lost digits of R^2
         ((r4_sq <= 0.0) | (r4_sq >= _TINY), "collective rate R={} gives a "
          "subnormal 4 R^2, which keeps only a few digits", r_rate)]
-    if split_root is not None:
-        # the split rounds on the scale of lam^2, here the larger square
-        off = abs(split_root * split_root - omega * omega)
-        checks.append((~over | ((split_root >= 0.0)
-                                & (off <= _CRITICAL_RTOL * lam_sq)),
-                       "split root {} is not the root {} of lam^2 - 4 R^2",
-                       split_root, omega))
-        omega = np.where(over, split_root, omega)
-    return (alpha, r_rate, _scalar(omega), _scalar(branch)), checks
 
 
 @dataclass(frozen=True)
@@ -111,12 +102,10 @@ class ModelParams:
     branch:     "overdamped" | "critical" | "underdamped"
 
     The caller gives the first four; __post_init__ derives the rest, and
-    derives them again under dataclasses.replace.  The init-only split_root
-    is a caller's omega, kept bit-exact on the overdamped branch if it is
-    that root to rounding; replace does not carry it over.  The
-    classmethods build the record from whichever input pair the caller has.
-    A batch of cells is one record with per-cell arrays for lam, w_coupling
-    and the split root, each cell bit for bit its own record.
+    derives them again under dataclasses.replace.  The classmethods build
+    the record from whichever input pair the caller has.  A batch of cells
+    is one record with per-cell arrays for lam and w_coupling, each cell
+    bit for bit its own record.
     """
 
     lam: float
@@ -127,11 +116,10 @@ class ModelParams:
     r_rate: float = field(init=False)
     omega: float = field(init=False)
     branch: str = field(init=False)
-    split_root: InitVar[float | None] = None
 
-    def __post_init__(self, split_root):
+    def __post_init__(self):
         derived, checks = _derive(self.lam, self.w_coupling, self.alpha1,
-                                  self.alpha2, split_root)
+                                  self.alpha2)
         refuse(ParameterError, checks)
         for name, value in zip(("alpha", "r_rate", "omega", "branch"),
                                derived):
@@ -141,12 +129,6 @@ class ModelParams:
     def basis_weights(self) -> tuple[float, float]:
         """(alpha1, alpha2) / alpha: the superradiant state on |10>, |01>."""
         return self.alpha1 / self.alpha, self.alpha2 / self.alpha
-
-    @classmethod
-    def from_couplings(cls, lam: float, w_coupling: float,
-                       alpha1: float, alpha2: float) -> "ModelParams":
-        """Build from the full microscopic set (lam, W, alpha1, alpha2)."""
-        return cls(lam, w_coupling, alpha1, alpha2)
 
     @classmethod
     def from_effective_rate(cls, lam: float, r_rate: float) -> "ModelParams":
@@ -168,7 +150,8 @@ class ModelParams:
         """Build from (lam, omega) with omega the real damping-split root.
 
         Only meaningful when the split is real (omega <= lam); the
-        underdamped regime must be entered through an explicit rate.
+        underdamped regime must be entered through an explicit rate.  The
+        record keeps the caller's omega bit for bit on overdamped cells.
         """
         broadcast(ParameterError, lam=lam, omega=omega)
         r_rate = _scalar(np.sqrt((lam - omega) * (lam + omega)) / 2.0)
@@ -186,14 +169,14 @@ class ModelParams:
             (lam * lam < math.inf, "rates overflow " + split, lam, omega),
             (lam * lam >= _TINY, "rates underflow " + split, lam, omega),
             (r_rate > 0.0, "omega == lam gives zero coupling rate"),
-            *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)[1]])
-        return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC, omega)
-
-
-def _number(value, kinds="iuf", types=(numbers.Number, np.ndarray)) -> bool:
-    """value one of types, of a dtype kind in kinds: by default a real number
-    or an array of them.  A bool is not a number."""
-    return isinstance(value, types) and np.asarray(value).dtype.kind in kinds
+            # R is derived from omega, so lam^2 - 4 R^2 is omega^2 to a few
+            # ulps of lam^2, far inside the critical window: omega is the
+            # root on every overdamped cell
+            *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC)[1]])
+        params = cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
+        object.__setattr__(params, "omega", _scalar(np.where(
+            params.branch == BRANCH_OVERDAMPED, omega, params.omega)))
+        return params
 
 
 @dataclass(frozen=True)
@@ -207,8 +190,8 @@ class Cycle:
     positive, the durations fill the period to a relative 1e-12, and rates
     and k are finite.  k is one real or complex number for every cell, the
     other fields real numbers or a batch's per-cell arrays.  Anything else
-    is refused with ParameterError, naming a batch's first bad cell.  An
-    empty cycle can be built, but no schedule may have one.
+    is refused with ParameterError, naming a batch's first bad cell, as is
+    a cycle of no segment.
     """
 
     period: float
@@ -218,9 +201,9 @@ class Cycle:
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         period, segments = self.period, self.segments
-        if not (_number(period) and isinstance(segments, tuple) and all(
-                isinstance(s, tuple) and len(s) == 3 and _number(s[0])
-                and _number(s[1]) and _number(s[2], "iufc", numbers.Number)
+        if not (number(period) and isinstance(segments, tuple) and all(
+                isinstance(s, tuple) and len(s) == 3 and number(s[0])
+                and number(s[1]) and number(s[2], "iufc", numbers.Number)
                 for s in segments)):
             raise ParameterError(
                 "a cycle is a real period and a tuple of (duration, drive "
@@ -232,18 +215,19 @@ class Cycle:
         total = sum(duration for duration, _, _ in segments)
         refuse(ParameterError, [
             positive("cycle period", period),
+            (bool(segments), "a cycle needs at least one segment"),
             *(positive("segment duration", d) for d, _, _ in segments),
             *((np.isfinite(v), f"{what} must be finite, got {{}}", v)
               for _, rate, k in segments
               for what, v in [("drive rate", rate), ("segment end k", k)]),
-            (not segments or abs(total - period) <= _FILL_RTOL * period,
+            (abs(total - period) <= _FILL_RTOL * period,
              "segment durations sum to {}, which does not fill the cycle "
              "period {}", total, period)])
 
 
 def schedule_cycle(sched, cells: str) -> Cycle | None:
     """The cycle of sched, None for free decay (sched None).  Anything but
-    None or an object whose .cycle is a Cycle with a segment is refused with
+    None or an object whose .cycle is a Cycle is refused with
     ParameterError; cells says which cells the caller takes."""
     if sched is None:
         return None
@@ -253,8 +237,6 @@ def schedule_cycle(sched, cells: str) -> Cycle | None:
     if not isinstance(cycle, Cycle):
         raise ParameterError("a schedule's cycle must be a Cycle; got "
                              f"{type(cycle).__name__}")
-    if not cycle.segments:
-        raise ParameterError("a schedule's cycle needs at least one segment")
     return cycle
 
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, number
 from .model import ModelParams, OddParityState, recompose, schedule_cycle
 
 EXACT_AUGMENTED = "exact-augmented"
@@ -91,8 +91,7 @@ class OracleConfig:
     history_mode: str = EXACT_AUGMENTED
 
     def __post_init__(self):
-        if (not isinstance(self.dt_num, numbers.Real)
-                or isinstance(self.dt_num, bool)):
+        if not number(self.dt_num, types=numbers.Number):
             raise ConfigError(f"step must be a number, got {self.dt_num!r}")
         if not (self.dt_num > 0.0):
             raise ConfigError(f"step must be positive, got {self.dt_num}")
@@ -146,7 +145,7 @@ class OracleTrace:
 
 
 def _steps_for(t_max: float, dt: float) -> int:
-    if not isinstance(t_max, numbers.Real) or isinstance(t_max, bool):
+    if not number(t_max, types=numbers.Number):
         raise ConfigError(f"horizon must be a number, got {t_max!r}")
     if not (t_max > 0.0):
         raise ConfigError(f"horizon must be positive, got {t_max}")

@@ -352,8 +352,6 @@ def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

@@ -45,12 +45,11 @@ _SPLIT_THRESHOLD = 600.0
 # below this |h| a series in h^2 avoids 0/0 at a degenerate split root
 _SERIES_LIMIT = 1e-4
 
-# tolerates t / period landing a few ulps below an integer, and assigns a
-# segment boundary instant to the earlier segment; in cycle counting it
-# grows by a few ulps of t / period, since m * period / period is off by
-# about m ulps
+# relative to the period: a time this close below a cycle start m * period
+# (as time_grid writes it) is in cycle m, and a segment boundary instant is
+# in the earlier segment.  t / period of a start may round an ulp or two
+# below m, so cycles are counted against the starts themselves
 _GRID_FUZZ = 1e-12
-_EPS = np.finfo(float).eps
 
 # past this many cycles m * period no longer resolves the time into the cycle
 _MAX_CYCLES = 2.0 ** 53
@@ -198,8 +197,10 @@ def _positions(ts: np.ndarray, period):
             f"{np.broadcast_to(period, ts.shape).flat[i]}, got {ts.flat[i]}")
     if period is None:
         return np.zeros(ts.shape), ts
-    q = ts / period
-    m = np.floor(q + (_GRID_FUZZ + 4.0 * _EPS * q))
+    # a start past the float range is inf, which no time reaches
+    m, fuzz = np.floor(ts / period), _GRID_FUZZ * period
+    with _overflow_to_inf(period >= _HALF_RANGE):
+        m = m - (ts < m * period - fuzz) + (ts >= (m + 1.0) * period - fuzz)
     theta = ts - m * period
     return m, np.where(theta > 0.0, theta, 0.0)
 
@@ -213,16 +214,13 @@ def _segments(params, cycle, shape=()):
     """(period, [(length, propagator, k)]) of params under cycle (None:
     free decay, one endless segment): numbers or per-cell arrays of the
     times' shape, a batch's period per cell (see _distinct), k numbers.
-    A cycle that is not None or a Cycle with a segment is refused with
-    ParameterError."""
+    A cycle that is not None or a Cycle is refused with ParameterError."""
     if not isinstance(params, ModelParams):
         raise ParameterError("params must be a ModelParams, a batch one of "
                              f"per-cell arrays; got {type(params).__name__}")
     if cycle is not None and not isinstance(cycle, Cycle):
         raise ParameterError("a cycle must be None or a Cycle; got "
                              f"{type(cycle).__name__}")
-    if cycle is not None and not cycle.segments:
-        raise ParameterError("a cycle needs at least one segment")
     period, segments = ((None, ((math.inf, 0.0, 1.0),)) if cycle is None
                         else (cycle.period, cycle.segments))
     shapes = {np.shape(f) for f in (params.lam, params.r_rate, period, *(
@@ -381,6 +379,7 @@ class ZenoSchedule:
     delta_t: float
 
     def __post_init__(self):
+        broadcast(ConfigError, delta_t=self.delta_t)
         refuse(ConfigError, [positive("measurement interval", self.delta_t)])
 
     @cached_property
@@ -403,6 +402,7 @@ class DdSchedule:
     tau: float
 
     def __post_init__(self):
+        broadcast(ConfigError, tau=self.tau)
         refuse(ConfigError, [positive("pulse interval", self.tau)])
 
     @cached_property
@@ -558,7 +558,11 @@ def survival(t, sched, params):
 def fidelity(state0: OddParityState, t, sched, params):
     """Modulus of the overlap with the initial state; t, sched, params and
     tags as in survival.  The drive phase cancels in the modulus (see
-    overlap), so the value stays continuous across window edges."""
+    overlap), so the value stays continuous across window edges.  A state0
+    that is not an OddParityState is refused with ParameterError."""
+    if not isinstance(state0, OddParityState):
+        raise ParameterError("state0 must be an OddParityState; got "
+                             f"{type(state0).__name__}")
     (cycle, drive), value = _drive(sched), overlap(state0)
     return evaluate(t, params, cycle, value if drive is None else
                     lambda x, xd, k, _: (value(x), drive(k)[1]))

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .model import ModelParams, OddParityState
 from .oracle import (DIRECT_QUADRATURE, EXACT_AUGMENTED, OracleConfig,
                      integrate_dd, integrate_finite, integrate_free)
@@ -266,8 +266,9 @@ def run_validation(tolerance_overrides: dict[str, float] | None = None,
     if unknown:
         raise ConfigError(f"unknown check names: {sorted(unknown)}")
     for name, tol in overrides.items():
-        # a NaN bound would fail its check whatever the measurement
-        if not isinstance(tol, numbers.Real) or math.isnan(tol):
+        # a NaN bound would fail its check whatever the measurement, and a
+        # bool is not a bound
+        if not number(tol, types=numbers.Number) or math.isnan(tol):
             raise ConfigError(f"tolerance of {name} is not a number")
 
     last_reader = {src: i for i, row in enumerate(_CHECKS)

@@ -460,6 +460,17 @@ def test_each_check_reports_its_own_tolerance(capsys):
 def test_validate_rejects_unknown_check():
     assert main(["validate", "--tolerance", "no_such_check=1"]) == 1
     assert main(["validate", "--tolerance", "broken"]) == 1
+    assert main(["validate", "--tolerance", "dd_slope_reversal=abc"]) == 1
+
+
+def test_config_without_the_runs_section_exits_one(tmp_path, capsys):
+    ini = tmp_path / "runs.ini"
+    ini.write_text("[fig2]\ntau = 0.05\n")
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: config {ini} has no [fig1] "
+                                       "section\n")
+    assert not out.exists()
 
 
 def test_validate_rejects_nan_tolerance(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import pytest
 
@@ -98,3 +99,22 @@ def test_large_rates_stay_in_unit_interval():
         assert 0.0 <= f <= 1.0
     f, tag = ps.finite_dd_fidelity(state, 0.95, sched, p)
     assert tag == ps.IN_PULSE_SEGMENT and 0.0 <= f <= 1.0
+
+
+@pytest.mark.parametrize("state0", ["x", None, (0.6, 0.8)],
+                         ids=["text", "none", "tuple"])
+@pytest.mark.parametrize("entry", [
+    lambda s, p: ps.fidelity(s, 1.0, ps.DdSchedule(0.1), p),
+    lambda s, p: ps.free_fidelity(s, 1.0, p),
+    lambda s, p: ps.zeno_fidelity(s, 1.0, ps.ZenoSchedule(0.1), p),
+    lambda s, p: ps.dd_fidelity(s, [0.5, 1.0], ps.DdSchedule(0.1), p),
+    lambda s, p: ps.finite_dd_fidelity(s, 1.0, ps.FinitePulseSchedule(
+        0.2, 10), p),
+], ids=["fidelity", "free", "zeno", "dd", "finite"])
+def test_fidelity_needs_a_state(case1, entry, state0):
+    # a raw AttributeError escaped: 'str' object has no attribute 'beta1'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ps.ParameterError, match=r"^state0 must be an "
+                           rf"OddParityState; got {type(state0).__name__}$"):
+            entry(state0, case1)

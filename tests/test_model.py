@@ -43,10 +43,10 @@ def test_effective_rate_constructor():
 
 
 def test_couplings_constructor():
-    p = ps.ModelParams.from_couplings(2.0, 0.5, 0.6, 0.8)
+    p = ps.ModelParams(2.0, 0.5, 0.6, 0.8)
     assert p.alpha == pytest.approx(1.0)
     assert p.r_rate == pytest.approx(0.5)
-    q = ps.ModelParams.from_couplings(2.0, 0.25, 1.2, 1.6)
+    q = ps.ModelParams(2.0, 0.25, 1.2, 1.6)
     # only alpha * W matters for the reduced two-level dynamics
     assert q.r_rate == pytest.approx(p.r_rate)
     assert q.omega == pytest.approx(p.omega)
@@ -55,9 +55,12 @@ def test_couplings_constructor():
 # the symmetric weight sqrt(1/2), whose hypot with itself is exactly 1.0
 _S = 0.7071067811865476
 
-# each classmethod's inputs and the record it built while every classmethod
+# each constructor's inputs and the record it built while every classmethod
 # derived alpha, R, omega and the branch itself: all three branches, the
 # critical window, the underflow and subnormal edges, asymmetric weights
+_RECORD_CTORS = {"mode_splitting": ps.ModelParams.from_mode_splitting,
+                 "effective_rate": ps.ModelParams.from_effective_rate,
+                 "couplings": ps.ModelParams}
 _FROZEN_RECORDS = [
     ("mode_splitting", (2.0, 1.0), (2.0, 0.8660254037844386, _S, _S, 1.0,
                                     0.8660254037844386, 1.0, "overdamped")),
@@ -118,14 +121,14 @@ _FROZEN_RECORDS = [
 
 @pytest.mark.parametrize("ctor, args, fields", _FROZEN_RECORDS)
 def test_classmethods_keep_every_field_bit_for_bit(ctor, args, fields):
-    p = getattr(ps.ModelParams, f"from_{ctor}")(*args)
+    p = _RECORD_CTORS[ctor](*args)
     # a float's repr reads back as that float, so equal reprs are equal bits
     assert repr(dataclasses.astuple(p)) == repr(fields)
 
 
 def test_record_takes_the_couplings_and_derives_the_rest(case1):
     names = list(inspect.signature(ps.ModelParams).parameters)
-    assert names == ["lam", "w_coupling", "alpha1", "alpha2", "split_root"]
+    assert names == ["lam", "w_coupling", "alpha1", "alpha2"]
     assert [f.name for f in dataclasses.fields(case1) if not f.init] == [
         "alpha", "r_rate", "omega", "branch"]
     assert repr(case1) == (
@@ -133,7 +136,6 @@ def test_record_takes_the_couplings_and_derives_the_rest(case1):
         "alpha1=0.7071067811865476, alpha2=0.7071067811865476, alpha=1.0, "
         "r_rate=0.8660254037844386, omega=1.0, branch='overdamped')")
     assert hash(case1) == hash(dataclasses.astuple(case1))
-    assert ps.ModelParams(2.0, case1.r_rate, _S, _S, 1.0) == case1
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(case1, omega=3.0)
 
@@ -160,16 +162,6 @@ def test_any_record_gives_the_oracle_rates(case1, cfg_aug, make):
     tr = ps.integrate_free(p, 1.0, cfg_aug)
     closed = np.array(ps.free_survival(tr.times, p))
     assert float(np.max(np.abs(tr.beta2 - closed))) < 1e-6
-
-
-@pytest.mark.parametrize("root", [1.5, -1.0, math.nan])
-def test_split_root_must_be_the_root(root):
-    r_rate = math.sqrt(3.0) / 2.0
-    with pytest.raises(ps.ParameterError,
-                       match=f"split root {root} is not the root"):
-        ps.ModelParams(2.0, r_rate, _S, _S, root)
-    # off the overdamped branch omega is derived whatever the root
-    assert ps.ModelParams(2.0, 1.0, _S, _S, root).omega == 0.0
 
 
 # u up to 0.999 keeps 4 R^2 = (lam - omega)(lam + omega) a normal float
@@ -214,8 +206,8 @@ def test_underdamped_params():
     (ps.ModelParams.from_mode_splitting, (2.0, 2.0)),
     (ps.ModelParams.from_effective_rate, (2.0, 0.0)),
     (ps.ModelParams.from_effective_rate, (0.0, 1.0)),
-    (ps.ModelParams.from_couplings, (2.0, 0.5, -0.6, 0.8)),
-    (ps.ModelParams.from_couplings, (2.0, 0.5, 0.6, 0.0)),
+    (ps.ModelParams, (2.0, 0.5, -0.6, 0.8)),
+    (ps.ModelParams, (2.0, 0.5, 0.6, 0.0)),
     # infinite rates, and rates whose squares overflow the damping split
     (ps.ModelParams.from_mode_splitting, (math.inf, 1.0)),
     (ps.ModelParams.from_mode_splitting, (1e200, 1.0)),
@@ -224,10 +216,10 @@ def test_underdamped_params():
     (ps.ModelParams.from_effective_rate, (2.0, math.inf)),
     (ps.ModelParams.from_effective_rate, (1e200, 1.0)),
     (ps.ModelParams.from_effective_rate, (2.0, 1e160)),
-    (ps.ModelParams.from_couplings, (math.inf, 0.5, 0.6, 0.8)),
-    (ps.ModelParams.from_couplings, (2.0, math.inf, 0.6, 0.8)),
-    (ps.ModelParams.from_couplings, (1e200, 0.5, 0.6, 0.8)),
-    (ps.ModelParams.from_couplings, (2.0, 1e160, 0.6, 0.8)),
+    (ps.ModelParams, (math.inf, 0.5, 0.6, 0.8)),
+    (ps.ModelParams, (2.0, math.inf, 0.6, 0.8)),
+    (ps.ModelParams, (1e200, 0.5, 0.6, 0.8)),
+    (ps.ModelParams, (2.0, 1e160, 0.6, 0.8)),
 ])
 def test_bad_parameters_rejected(ctor, args):
     with pytest.raises(ps.ParameterError):
@@ -239,7 +231,7 @@ def test_bad_parameters_rejected(ctor, args):
     (ps.ModelParams.from_mode_splitting, (1e-200, 1e-200)),
     (ps.ModelParams.from_effective_rate, (1e-200, 3e-200)),
     (ps.ModelParams.from_effective_rate, (1e-300, 1e-300)),
-    (ps.ModelParams.from_couplings, (1e-200, 3e-200, 0.6, 0.8)),
+    (ps.ModelParams, (1e-200, 3e-200, 0.6, 0.8)),
 ], ids=["splitting", "splitting-zero-rate", "rate", "rate-1e-300",
         "couplings"])
 def test_underflowing_rates_rejected(ctor, args):
@@ -291,13 +283,10 @@ def test_mode_splitting_overflow_names_lam_and_omega(lam, omega):
 
 @pytest.mark.parametrize("make, names", [
     (lambda a, b: ps.ModelParams(a, b, 0.6, 0.8), ("lam", "w_coupling")),
-    (lambda a, b: ps.ModelParams(a, 1.0, 0.6, 0.8, b), ("lam", "split_root")),
-    (lambda a, b: ps.ModelParams.from_couplings(a, b, 0.6, 0.8),
-     ("lam", "w_coupling")),
+    (lambda a, b: ps.ModelParams(a, b, 0.3, 0.9), ("lam", "w_coupling")),
     (ps.ModelParams.from_effective_rate, ("lam", "r_rate")),
     (ps.ModelParams.from_mode_splitting, ("lam", "omega")),
-], ids=["record", "record-split-root", "couplings", "effective-rate",
-        "mode-splitting"])
+], ids=["record", "couplings", "effective-rate", "mode-splitting"])
 def test_columns_that_do_not_broadcast_are_refused(make, names):
     # numpy's raw ValueError used to escape the constructor
     with pytest.raises(ps.ParameterError) as info:
@@ -307,11 +296,45 @@ def test_columns_that_do_not_broadcast_are_refused(make, names):
                                "shape (3,)")
 
 
+# constructor of one value -> (its error, the column it names)
+_TAKES_A_NUMBER = {
+    "record": (lambda v: ps.ModelParams(v, 1.0, 0.6, 0.8), ps.ParameterError,
+               "lam"),
+    "record-weight": (lambda v: ps.ModelParams(2.0, 1.0, v, 0.8),
+                      ps.ParameterError, "alpha1"),
+    "effective-rate": (lambda v: ps.ModelParams.from_effective_rate(2.0, v),
+                       ps.ParameterError, "r_rate"),
+    "mode-splitting": (lambda v: ps.ModelParams.from_mode_splitting(v, 1.0),
+                       ps.ParameterError, "lam"),
+    "mode-splitting-omega": (
+        lambda v: ps.ModelParams.from_mode_splitting(2.0, v),
+        ps.ParameterError, "omega"),
+    "zeno": (ps.ZenoSchedule, ps.ConfigError, "delta_t"),
+    "dd": (ps.DdSchedule, ps.ConfigError, "tau"),
+    "finite": (lambda v: ps.FinitePulseSchedule(v, 10), ps.ConfigError,
+               "tau"),
+    "finite-duty": (lambda v: ps.FinitePulseSchedule(0.2, v), ps.ConfigError,
+                    "n_duty"),
+}
+
+
+@pytest.mark.parametrize("value", ["0.1", None, [0.1, 0.2], True],
+                         ids=["text", "none", "list", "bool"])
+@pytest.mark.parametrize("case", sorted(_TAKES_A_NUMBER))
+def test_what_is_not_a_number_is_refused_when_built(case, value):
+    # text, None and lists raised raw TypeErrors, and True built as 1
+    make, error, name = _TAKES_A_NUMBER[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=rf"^{name} must be a real number or "
+                           rf"an array of them; got {type(value).__name__}$"):
+            make(value)
+
+
 def test_weight_check_message():
-    # from_couplings leaves the weight check to the dataclass
     with pytest.raises(ps.ParameterError, match=r"coupling weights must be "
                        r"positive reals, got \(-0\.6, 0\.8\)"):
-        ps.ModelParams.from_couplings(2.0, 0.5, -0.6, 0.8)
+        ps.ModelParams(2.0, 0.5, -0.6, 0.8)
 
 
 def test_decompose_recompose_round_trip(case1):
@@ -325,7 +348,7 @@ def test_decompose_recompose_round_trip(case1):
 
 def test_change_of_basis_is_isometry():
     rng = random.Random(7)
-    p = ps.ModelParams.from_couplings(2.0, 0.5, 0.3, 0.9)
+    p = ps.ModelParams(2.0, 0.5, 0.3, 0.9)
     for _ in range(25):
         c10 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         c01 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -403,12 +426,6 @@ _FIELDS = ("lam", "w_coupling", "alpha1", "alpha2", "alpha", "r_rate",
 _RATIO = st.one_of(st.floats(0.05, 0.95), st.just(1.0), st.floats(1.05, 5.0))
 
 
-def _split_root(lam, r_rate):
-    # an ulp off the derived root, so that a kept root shows in the bits
-    root = ps.ModelParams.from_effective_rate(lam, r_rate).omega
-    return float(np.nextafter(root, math.inf))
-
-
 # constructor -> (cells -> its per-cell arguments, scalars alike)
 _COLUMN_CTORS = {
     "effective_rate": (ps.ModelParams.from_effective_rate,
@@ -417,10 +434,6 @@ _COLUMN_CTORS = {
                        lambda lam, ratio: (lam, min(ratio, 0.999) * lam)),
     "raw": (lambda lam, w: ps.ModelParams(lam, w, 0.6, 0.8),
             lambda lam, ratio: (lam, ratio * lam / 2.0)),
-    "raw-split-root": (
-        lambda lam, w, root: ps.ModelParams(lam, w, _S, _S, root),
-        lambda lam, ratio: (lam, ratio * lam / 2.0,
-                            _split_root(lam, ratio * lam / 2.0))),
 }
 
 
@@ -443,17 +456,13 @@ def test_each_cell_of_a_column_record_is_its_own_record(ctor, cells):
     assert ctor != "mode_splitting" or ps.BRANCH_UNDERDAMPED not in branches
 
 
-def test_column_records_reach_every_branch_with_and_without_a_root():
+def test_column_records_reach_every_branch():
     # the property above draws all three branches; pin one record that holds
-    # them all, built with and without a split root
+    # them all
     lam, r_rate = np.full(3, 2.0), np.array([0.8, 1.0, 1.7])
-    roots = np.array([_split_root(2.0, r) for r in r_rate.tolist()])
-    for batch in (ps.ModelParams.from_effective_rate(lam, r_rate),
-                  ps.ModelParams(lam, r_rate, _S, _S, roots)):
-        assert batch.branch.tolist() == [ps.BRANCH_OVERDAMPED,
-                                         ps.BRANCH_CRITICAL,
-                                         ps.BRANCH_UNDERDAMPED]
-    assert ps.ModelParams(lam, r_rate, _S, _S, roots).omega[0] == roots[0]
+    batch = ps.ModelParams.from_effective_rate(lam, r_rate)
+    assert batch.branch.tolist() == [ps.BRANCH_OVERDAMPED, ps.BRANCH_CRITICAL,
+                                     ps.BRANCH_UNDERDAMPED]
 
 
 def _refusal(make, *args):
@@ -473,9 +482,6 @@ _SUBNORMAL_SPLIT = 9.99999999998e-151
 _COLUMN_REFUSALS = {
     "record": (lambda lam, w: ps.ModelParams(lam, w, _S, _S),
                [[2.0, 1e-150, 2.0, math.inf], [1.0, 1e-156, 1e160, 1.0]]),
-    "record-split-root": (
-        lambda lam, w, root: ps.ModelParams(lam, w, _S, _S, root),
-        [[2.0, 2.0, -1.0], [0.5, 0.5, 0.5], [math.sqrt(3.0), 1.5, 1.0]]),
     "effective-rate": (ps.ModelParams.from_effective_rate,
                        [[2.0, math.inf, 2.0], [0.5, 1.0, 0.0]]),
     # the classmethod's own checks and the record's are one sequence: the
@@ -521,6 +527,8 @@ _BAD_CYCLES = {
                     r"^cycle period must be finite and positive, got 0\.0$"),
     "inf-period": ((math.inf, ((0.1, 0.0, -1.0),)), r"^cycle period must"),
     "text-period": (("0.1", ((0.1, 0.0, -1.0),)), _NOT_A_CYCLE),
+    # once read as x = 1 at every time by the closed forms
+    "empty": ((0.1, ()), r"^a cycle needs at least one segment$"),
     "short-fill": ((0.2, ((0.1, 0.0, -1.0),)),
                    r"^segment durations sum to 0\.1, which does not fill "
                    r"the cycle period 0\.2$"),
@@ -568,14 +576,12 @@ def test_cycle_refuses_a_bad_cycle_when_built(case):
 
 def test_schedule_builds_its_cycle_once():
     assert ps.transfer.Cycle is ps.model.Cycle
-    # every cycle the package builds fills its period; an empty one can be
-    # built, but no entry takes it (test_a_schedule_needs_a_cycle)
+    # every cycle the package builds fills its period
     for sched in (ps.ZenoSchedule(0.1), ps.DdSchedule(0.3),
                   ps.FinitePulseSchedule(0.7, 3), ps.FinitePulseSchedule(
                       np.array([0.2, 0.3]), np.array([10, 7]))):
         assert isinstance(sched.cycle, ps.model.Cycle)
         assert sched.cycle is sched.cycle
-    assert ps.model.Cycle(0.1, ()).segments == ()
 
 
 @pytest.mark.parametrize("tau, n_duty, message", [
@@ -630,14 +636,11 @@ _ENTRIES = {
     (lambda: (0.1, ((0.1, 0.0, -1.0),)),
      r"^a schedule's cycle must be a Cycle; got tuple$"),
     (lambda: "dd(0.1)", r"^a schedule's cycle must be a Cycle; got str$"),
-    (lambda: ps.model.Cycle(0.1, ()),
-     r"^a schedule's cycle needs at least one segment$"),
-], ids=["tuple", "text", "empty"])
+], ids=["tuple", "text"])
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))
 def test_a_schedule_needs_a_cycle(case1, entry, cycle, message):
     # both sides read a schedule through its Cycle: anything else raised a
-    # raw AttributeError or ValueError, and an empty cycle was evaluated by
-    # the closed forms but refused by the oracle
+    # raw AttributeError or ValueError
     sched = SimpleNamespace(cycle=cycle())
     with pytest.raises(ps.ParameterError, match=message):
         _ENTRIES[entry](sched, case1)

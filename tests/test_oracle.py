@@ -194,10 +194,8 @@ def _integrate_with(**given):
      r"^cfg must be an OracleConfig; got NoneType$"),
     (lambda: ps.OracleConfig(True), ps.ConfigError,
      r"^step must be a number, got True$"),
-    (_integrate_with(sched=_on_cycle(0.1, ())), ps.ParameterError,
-     r"^a schedule's cycle needs at least one segment$"),
 ], ids=["batch-params", "batch-schedule", "descriptor", "no-params",
-        "state-tuple", "no-config", "bool-step", "empty-cycle"])
+        "state-tuple", "no-config", "bool-step"])
 def test_oracle_refuses_what_it_cannot_integrate(call, error, message):
     # the oracle integrates one cell from one state; anything else is a
     # ParityShieldError naming what it got, never a raw numpy or Python
@@ -397,7 +395,7 @@ def test_segment_runs_are_the_augmented_cuts(sched, n):
 def test_derived_trace_fields_are_the_eager_expressions(sched, backend):
     # a trace derives its fields on each read; each is bit for bit the
     # expression the trace used to store, on unequal weights
-    params = ps.ModelParams.from_couplings(2.0, 0.8, 0.9, 0.5)
+    params = ps.ModelParams(2.0, 0.8, 0.9, 0.5)
     tr = ps.integrate(params, sched, 0.4, _BACKENDS[backend][0],
                       state0=ps.OddParityState.initial(0.6, 0.8j))
     a1, a2 = params.basis_weights
@@ -749,7 +747,7 @@ def _numpy_scalar_quadrature(params, n, cfg, r1_0, r2_0, factors, rates):
 ], ids=["free", "zeno", "dd", "dd-finite", "dd-finite-2e4"])
 @pytest.mark.parametrize("params", [
     ps.ModelParams.from_mode_splitting(2.0, 1.0),
-    ps.ModelParams.from_couplings(2.0, 0.8, 0.9, 0.5),
+    ps.ModelParams(2.0, 0.8, 0.9, 0.5),
 ], ids=["equal", "unequal"])
 def test_quadrature_matches_numpy_scalar_loop_bitwise(monkeypatch, params,
                                                       sched, t_max):

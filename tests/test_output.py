@@ -49,6 +49,13 @@ def test_csv_round_trip(tmp_path, small_table):
                 assert float(s) == v        # repr round-trips exactly
 
 
+def test_csv_of_comments_only_has_no_header(tmp_path):
+    path = tmp_path / "probe.csv"
+    path.write_text("# run_id=probe\n#\n")
+    with pytest.raises(ps.ConfigError, match="^no header row found in "):
+        read_csv(path)
+
+
 def test_csv_writes_are_deterministic(tmp_path, small_table):
     metadata, header, columns = small_table
     a = tmp_path / "a.csv"
@@ -617,8 +624,10 @@ _HEADER = "t,F_free,F_dd,segment\n"
     (_HEADER + "0.0,1e308,1.0,free\n0.5,-1e308,0.99,free\n",
      "too wide a value range"),
     ("t,F_free,F_free\n0.0,1.0,0.5\n1.0,0.9,0.4\n", "duplicate column name"),
+    ("F_free,F_dd\n1.0,1.0\n0.9,0.99\n", "no plottable time/fidelity"),
 ], ids=["header-only", "one-row", "zero-time-span", "nan", "-inf",
-        "time-span-overflow", "value-span-overflow", "duplicate-name"])
+        "time-span-overflow", "value-span-overflow", "duplicate-name",
+        "no-time-column"])
 def test_svg_refuses_unplottable_table(tmp_path, table, reason):
     csv_path = tmp_path / "probe.csv"
     csv_path.write_text("# run_id=probe\n" + table)

@@ -50,6 +50,9 @@ def test_initial_state_parsing():
         ps.parse_initial_state("bright")
     with pytest.raises(ps.StateError):
         ps.parse_initial_state("mixed(1,1)")
+    with pytest.raises(ps.ConfigError, match=r"^bad mixed-state amplitudes "
+                       r"in 'mixed\(a,b\)'$"):
+        ps.parse_initial_state("mixed(a,b)")
 
 
 def test_build_default_scenarios():
@@ -128,6 +131,16 @@ def test_config_file_round_trip(tmp_path):
     path.write_text("[fig2]\ntau = 0.05\nt_max = 2.0\n\n"
                     "[sweep]\ntau = 0.05,0.1\nn_duty = 10\n")
     assert ps.load_config(path) == sections
+
+
+def test_what_is_not_a_schedule_has_no_descriptor():
+    with pytest.raises(ps.ConfigError, match="^unknown schedule object "):
+        ps.format_schedule(object())
+
+
+def test_scenario_config_refuses_an_unknown_scenario():
+    with pytest.raises(ps.ConfigError, match="^unknown scenario 'fig9'$"):
+        dataclasses.replace(ps.build_scenario("fig2"), scenario="fig9")
 
 
 def test_missing_config_rejected(tmp_path):

@@ -35,7 +35,8 @@ def test_nan_tolerance_rejected():
         ps.run_validation({"dd_slope_reversal": math.nan})
 
 
-@pytest.mark.parametrize("tol", ["1", None, 1j])
+# True once ran as a tolerance of 1.0
+@pytest.mark.parametrize("tol", ["1", None, 1j, True])
 def test_non_numeric_tolerance_rejected(tol):
     with pytest.raises(ps.ConfigError, match="dd_slope_reversal"):
         ps.run_validation({"dd_slope_reversal": tol})
