@@ -636,11 +636,12 @@ _ENTRIES = {
     (lambda: (0.1, ((0.1, 0.0, -1.0),)),
      r"^a schedule's cycle must be a Cycle; got tuple$"),
     (lambda: "dd(0.1)", r"^a schedule's cycle must be a Cycle; got str$"),
-], ids=["tuple", "text"])
+    (lambda: ps.model.Cycle(0.1, ()), r"^a cycle needs at least one segment$"),
+], ids=["tuple", "text", "empty"])
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))
 def test_a_schedule_needs_a_cycle(case1, entry, cycle, message):
     # both sides read a schedule through its Cycle: anything else raised a
-    # raw AttributeError or ValueError
-    sched = SimpleNamespace(cycle=cycle())
+    # raw AttributeError or ValueError, and an empty cycle, once evaluated by
+    # the closed forms, is refused when built, before any entry sees it
     with pytest.raises(ps.ParameterError, match=message):
-        _ENTRIES[entry](sched, case1)
+        _ENTRIES[entry](SimpleNamespace(cycle=cycle()), case1)

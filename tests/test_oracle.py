@@ -194,8 +194,10 @@ def _integrate_with(**given):
      r"^cfg must be an OracleConfig; got NoneType$"),
     (lambda: ps.OracleConfig(True), ps.ConfigError,
      r"^step must be a number, got True$"),
+    (lambda: _integrate_with(sched=_on_cycle(0.1, ()))(), ps.ParameterError,
+     r"^a cycle needs at least one segment$"),
 ], ids=["batch-params", "batch-schedule", "descriptor", "no-params",
-        "state-tuple", "no-config", "bool-step"])
+        "state-tuple", "no-config", "bool-step", "empty-cycle"])
 def test_oracle_refuses_what_it_cannot_integrate(call, error, message):
     # the oracle integrates one cell from one state; anything else is a
     # ParityShieldError naming what it got, never a raw numpy or Python

@@ -941,9 +941,10 @@ def test_each_segment_evaluates_its_distinct_offsets_once(monkeypatch):
 
 
 @pytest.mark.parametrize("cycle, message", [
-    ((0.1, ((0.1, 0.0, -1.0),)), r"^a cycle must be None or a Cycle; got "
-     r"tuple$"),
-], ids=["tuple"])
+    (lambda: (0.1, ((0.1, 0.0, -1.0),)), r"^a cycle must be None or a Cycle; "
+     r"got tuple$"),
+    (lambda: ps.model.Cycle(0.1, ()), r"^a cycle needs at least one segment$"),
+], ids=["tuple", "empty"])
 @pytest.mark.parametrize("entry", [
     lambda p, cycle: transfer.evaluate(1.0, p, cycle, lambda x, *_: x),
     lambda p, cycle: transfer.evaluate([0.5, 1.0], p, cycle,
@@ -953,8 +954,9 @@ def test_each_segment_evaluates_its_distinct_offsets_once(monkeypatch):
 def test_module_level_entries_refuse_what_is_not_a_cycle(case1, entry, cycle,
                                                          message):
     # these names take a cycle, not a schedule: a tuple raised a raw
-    # AttributeError
+    # AttributeError, and an empty Cycle, once evaluated as x = 1 at every
+    # time, is refused when built, before any entry sees it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ps.ParameterError, match=message):
-            entry(case1, cycle)
+            entry(case1, cycle())
