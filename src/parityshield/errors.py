@@ -62,15 +62,22 @@ def positive(what: str, value):
             f"{what} must be finite and positive, got {{}}", value)
 
 
-def broadcast(error: type[ParityShieldError], **columns) -> None:
+def broadcast(error: type[ParityShieldError], /, *, counts=(),
+              **columns) -> None:
     """The gate of every per-cell constructor, before any arithmetic: raise
     error naming the first column that is not a real number or an array of
-    them (a Python int past numpy's integers passes, as a duty parameter
-    may be), else the per-cell arrays' shapes unless they broadcast."""
+    them, or is a Python int past numpy's integers (so past the float range
+    too) unless counts names it, as a duty parameter may be one; else the
+    per-cell arrays' shapes unless they broadcast."""
     for key, value in columns.items():
-        if not (number(value) or type(value) is int):
+        if number(value):
+            continue
+        if type(value) is not int:
             raise error(f"{key} must be a real number or an array of them; "
                         f"got {type(value).__name__}")
+        if key not in counts:
+            raise error(f"{key} is an int of {value.bit_length()} bits, past "
+                        "numpy's integers")
     shapes = {key: np.shape(v) for key, v in columns.items() if np.ndim(v)}
     try:
         np.broadcast_shapes(*shapes.values())

@@ -168,8 +168,13 @@ def _utf8(text: str) -> bytes:
 
 
 def _repr_text(cells):
-    """repr(float(v)) of each cell: the per-cell rule."""
-    return map(repr, map(float, cells))
+    """repr(float(v)) of each cell of a sequence, converted at once: the
+    per-cell rule.  numpy reads None as NaN, so each NaN cell goes through
+    float() again, which refuses None."""
+    values = np.asarray(cells, float)
+    for i in np.flatnonzero(values != values).tolist():
+        float(cells[i])
+    return map(float.__repr__, values.tolist())
 
 
 def _tag_text(cells, tail: str) -> np.ndarray:
@@ -227,7 +232,7 @@ def _float_text(cells, tail: str) -> np.ndarray:
         chars[sci_rows, 36] = ord("0") - exp10[sci_rows]
         hi = 37
     if rest := np.flatnonzero(~kernel).tolist():
-        text = np.array(list(_repr_text(cells[i] for i in rest)), "S24")
+        text = np.array(list(_repr_text([cells[i] for i in rest])), "S24")
         chars[rest] = 0
         chars[rest, :24] = text.view(np.uint8).reshape(-1, 24)
         lo, hi = 0, max(hi, 24)

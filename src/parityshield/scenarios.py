@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from collections import namedtuple
 from dataclasses import astuple, dataclass
@@ -64,11 +65,18 @@ _SCHEDULE_RE = re.compile(r"^\s*(%s)\s*(?:\((.*)\))?\s*$"
                           % "|".join(sorted(_KINDS, key=len, reverse=True)))
 
 
+def _expect(value, kinds, what: str) -> None:
+    """ConfigError naming what an entry takes unless value is one of kinds."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{what}; got {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # descriptors
 
 def parse_schedule(text: str):
     """Descriptor -> schedule object (None stands for free evolution)."""
+    _expect(text, str, "a schedule descriptor is a str")
     m = _SCHEDULE_RE.match(text)
     if not m:
         raise ConfigError(f"unrecognized schedule descriptor {text!r}")
@@ -97,6 +105,7 @@ def format_schedule(sched) -> str:
 
 def parse_initial_state(text: str) -> tuple[OddParityState, str]:
     """Named initial state -> (state, canonical name)."""
+    _expect(text, str, "an initial state is a str")
     body = text.strip()
     if body in ("dark", "superradiant"):
         return getattr(OddParityState, body)(), body
@@ -268,6 +277,8 @@ def build_scenario(scenario: str, options: dict[str, str] | None = None) -> Scen
 def load_config(path) -> dict[str, dict[str, str]]:
     """Parse a flat INI config in UTF-8: one section per scenario, string
     values."""
+    _expect(path, (str, bytes, os.PathLike), "a config path is a str, bytes "
+            "or os.PathLike")
     # imported here, the one place that reads an INI: only --config does
     import configparser
 
@@ -289,6 +300,7 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     of every cycle starting by t_max; a strictly increasing array.  A grid
     counted (in float, before any of it is built) past _MAX_GRID_POINTS is
     refused."""
+    _expect(cfg, ScenarioConfig, "time_grid takes a ScenarioConfig")
     spu, t_max = cfg.samples_per_unit_time, cfg.t_max
     cycles = [astuple(s.cycle) for s in cfg.schedules if s is not None]
     count = t_max * spu + sum((t_max / period + 1.0) * len(segments)
@@ -386,6 +398,7 @@ def compute_trace(cfg: ScenarioConfig) -> EvolutionTrace:
 
     Columns follow the kind table's order, finite pulses by duty parameter.
     """
+    _expect(cfg, ScenarioConfig, "compute_trace takes a ScenarioConfig")
     grid = time_grid(cfg)
     header, columns = ["t"], [grid]
     # a sample counts as free only if it is free for every finite schedule
@@ -420,6 +433,8 @@ def check_fig2_ordering(trace: EvolutionTrace) -> None:
     schedule has acted (before that the curves coincide); strictly
     separated past twice the longest period.  A trace of free decay alone
     has no period and is refused."""
+    _expect(trace, EvolutionTrace, "the ordering check takes an "
+            "EvolutionTrace")
     periods = [sched.cycle.period
                for sched in map(parse_schedule,
                                 trace.metadata["schedules"].split("|"))
@@ -442,6 +457,8 @@ def check_fig3_ordering(trace: EvolutionTrace) -> None:
     """Terminal ordering: free decay, then finite-duration curves in
     increasing duty parameter, then the instantaneous curve, evaluated at
     the last free-segment sample; a trace with none is refused."""
+    _expect(trace, EvolutionTrace, "the ordering check takes an "
+            "EvolutionTrace")
     free = np.flatnonzero(np.asarray(trace.column("segment")) == FREE_SEGMENT)
     if not free.size:
         raise ConfigError("terminal ordering needs a free-segment sample; "

@@ -63,15 +63,26 @@ _EXP_FLOOR = -746.0
 # Every complex product goes through the ufunc, whose array loops fuse a
 # multiply-add alike in every broadcast and stride (operand order matters),
 # so one time or cell gives the same bits alone as in a batch; omega^2 and
-# the cycle-matrix products keep Python's unfused rounding (_cmul).
+# the cycle-matrix products keep Python's unfused rounding (_parts).
 _mul = np.multiply
+
+
+def _parts(ar, ai, br, bi):
+    """(re, im) of (ar + i ai)(br + i bi), rounded as Python's complex
+    product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re, im):
+    """re + i im, each part's bits as given."""
+    out = np.asarray(re, complex)
+    out.imag = im
+    return out
 
 
 def _cmul(a, b):
     """a * b rounded as Python's complex product, on scalars and arrays."""
-    out = np.asarray(a.real * b.real - a.imag * b.imag, complex)
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return _complex(*_parts(a.real, a.imag, b.real, b.imag))
 
 
 def _overflow_to_inf(loud):
@@ -82,9 +93,21 @@ def _overflow_to_inf(loud):
 
 
 def _product(a, b):
-    """The 2x2 product a b of entries (e00, e01, e10, e11)."""
-    return [_cmul(a[i], b[j]) + _cmul(a[i + 1], b[j + 2])
-            for i in (0, 2) for j in (0, 1)]
+    """The 2x2 product a b of entries (e00, e01, e10, e11), each rounded as
+    _cmul(a[i], b[j]) + _cmul(a[i + 1], b[j + 2]) from the entries' parts,
+    read once.  A squaring (b is a) forms a01 a10 once: products and sums
+    commute, so it rounds as a10 a01."""
+    ap = [(e.real, e.imag) for e in a]
+    bp = ap if b is a else [(e.real, e.imag) for e in b]
+    cross = _parts(*ap[1], *bp[2])
+    out = []
+    for i in (0, 2):
+        for j in (0, 1):
+            r0, i0 = (cross if b is a and i + j == 3
+                      else _parts(*ap[i], *bp[j]))
+            r1, i1 = cross if i + j == 0 else _parts(*ap[i + 1], *bp[j + 2])
+            out.append(_complex(r0 + r1, i0 + i1))
+    return out
 
 
 def _owned(mask):
@@ -177,6 +200,20 @@ def _apply(e, x, xd):
     return _mul(e00, x) + _mul(e01, xd), _mul(e10, x) + _mul(e11, xd)
 
 
+def _times(t) -> np.ndarray:
+    """t as an array of floats; ParameterError if numpy cannot read it as
+    one, as a complex number, text or a ragged sequence."""
+    try:
+        # a float becomes a 0-d array: it has no shape buffer, so a
+        # single-time call leaves nothing behind in numpy's small-buffer
+        # cache
+        return np.array(t, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError("time must be a real number or a sequence or "
+                             "array of them, of one shape; got "
+                             f"{type(t).__name__}") from None
+
+
 def _positions(ts: np.ndarray, period):
     """(completed cycles, time into the current cycle) for an array of times.
 
@@ -259,17 +296,23 @@ def _powers(m, c):
     """c**m applied to (1, 0), for an array m of whole numbers.
 
     Binary powers: O(log m), once per distinct m of one cell.  Each state
-    depends on its own m and cell only; a finished cell squares zeros.
+    depends on its own m and cell only; a finished cell squares zeros, and
+    nothing is squared after the last bit.
     """
     m, which = _distinct(m, c and c[0])
     x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
-    while np.count_nonzero(m):
-        odd = m % 2.0 == 1.0
+    # cells whose entries are not zeros yet, and cells with bits left
+    kept, live = np.size(m), np.count_nonzero(m)
+    while live:
+        m, bit = np.divmod(m, 2.0)
+        odd = bit == 1.0
         x_odd, xd_odd = _apply(c, x, xd)
         x, xd = np.where(odd, x_odd, x), np.where(odd, xd_odd, xd)
-        m = m // 2.0
-        live = [np.where(m > 0.0, e, 0.0) for e in c] if np.ndim(c[0]) else c
-        c = _product(live, live) if np.count_nonzero(m) else c
+        if not (live := np.count_nonzero(m)):
+            break
+        if live < kept and np.ndim(c[0]):
+            c, kept = [np.where(m > 0.0, e, 0.0) for e in c], live
+        c = _product(c, c)
     return x[which], xd[which]
 
 
@@ -302,9 +345,7 @@ def evaluate(t, params, cycle, value):
     (of tuples), each bit-identical alone.  Cycles start at x = 1, x' = 0.
     One cell's E and powers run once per distinct time into a segment and m.
     """
-    # a float becomes a 0-d array: it has no shape buffer, so a single-time
-    # call leaves nothing behind in numpy's small-buffer cache
-    ts = np.array(t, dtype=float)
+    ts = _times(t)
     period, segments = _segments(params, cycle, shape := ts.shape)
     m, theta = _positions(ts, period)
     # each whole segment's map, shared by every time of a cell; none if free
@@ -469,7 +510,7 @@ class FinitePulseSchedule:
     @np.errstate(over="ignore")
     def __post_init__(self):
         n = self.n_duty
-        broadcast(ConfigError, tau=self.tau, n_duty=n)
+        broadcast(ConfigError, counts=("n_duty",), tau=self.tau, n_duty=n)
         whole = isinstance(n, int) or np.asarray(n).dtype.kind in "iu"
         refuse(ConfigError, [positive("cycle interval", self.tau), (
             whole and n >= 2, "duty parameter must be an integer >= 2, got "
@@ -507,7 +548,7 @@ class FinitePulseSchedule:
 
     def segment_of(self, t: float) -> tuple[str, int, float]:
         """Classify t as ("free" | "in_pulse", cycle index, offset into cycle)."""
-        m, theta = _positions(np.array(t, dtype=float), self.tau)
+        m, theta = _positions(_times(t), self.tau)
         tag = _TAGS[int(_past(theta, self.free_length, self.tau))]
         return tag, int(m), float(theta)
 

@@ -331,6 +331,24 @@ def test_what_is_not_a_number_is_refused_when_built(case, value):
             make(value)
 
 
+@pytest.mark.parametrize("case", sorted(_TAKES_A_NUMBER.keys() - {
+    "finite-duty"}))
+@pytest.mark.parametrize("value", [10**400, -(2**70)],
+                         ids=["past-floats", "past-int64"])
+def test_int_past_numpys_integers_is_refused_when_built(case, value):
+    # 10**400 raised a raw OverflowError in a record and built a schedule
+    # refused only when its cycle was read.  A duty parameter past the float
+    # range keeps its own message, tested with the schedule's other
+    # refusals
+    make, error, name = _TAKES_A_NUMBER[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=rf"^{name} is an int of "
+                           rf"{value.bit_length()} bits, past numpy's "
+                           r"integers$"):
+            make(value)
+
+
 def test_weight_check_message():
     with pytest.raises(ps.ParameterError, match=r"coupling weights must be "
                        r"positive reals, got \(-0\.6, 0\.8\)"):

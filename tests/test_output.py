@@ -124,6 +124,18 @@ def test_csv_leaves_no_partial_file(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [None, "x"], ids=["none", "text"])
+def test_short_table_refuses_a_cell_float_refuses(tmp_path, bad):
+    # under _KERNEL_ROWS rows a column is converted at once, and numpy
+    # reads None as NaN: it must be refused as float(None) refuses it
+    column = [0.5] * 10
+    column[5] = bad
+    path = tmp_path / "probe.csv"
+    with pytest.raises((TypeError, ValueError)):
+        write_csv(path, {"run_id": "probe"}, ["t"], [column])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("where", ["metadata", "header", "tag", "tag-long"])
 def test_csv_refuses_text_utf8_cannot_hold(tmp_path, where):
     # a lone surrogate that no byte of argv decodes to raised a raw

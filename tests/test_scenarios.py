@@ -143,6 +143,25 @@ def test_scenario_config_refuses_an_unknown_scenario():
         dataclasses.replace(ps.build_scenario("fig2"), scenario="fig9")
 
 
+@pytest.mark.parametrize("value", [None, 1, []], ids=["none", "int", "list"])
+@pytest.mark.parametrize("entry, expects", [
+    (ps.time_grid, "time_grid takes a ScenarioConfig"),
+    (ps.compute_trace, "compute_trace takes a ScenarioConfig"),
+    (ps.check_fig2_ordering, "the ordering check takes an EvolutionTrace"),
+    (ps.check_fig3_ordering, "the ordering check takes an EvolutionTrace"),
+    (ps.parse_schedule, "a schedule descriptor is a str"),
+    (ps.parse_initial_state, "an initial state is a str"),
+    (ps.load_config, r"a config path is a str, bytes or os\.PathLike"),
+], ids=["time-grid", "compute-trace", "fig2-ordering", "fig3-ordering",
+        "schedule", "initial-state", "load-config"])
+def test_entries_refuse_an_argument_of_the_wrong_type(entry, expects, value):
+    # each raised a raw AttributeError or TypeError; load_config(1) read
+    # and closed file descriptor 1
+    with pytest.raises(ps.ConfigError,
+                       match=rf"^{expects}; got {type(value).__name__}$"):
+        entry(value)
+
+
 def test_missing_config_rejected(tmp_path):
     with pytest.raises(ps.ConfigError):
         ps.load_config(tmp_path / "absent.ini")

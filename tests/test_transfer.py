@@ -661,6 +661,24 @@ def test_nan_inside_ndarray_rejected(case1):
         ps.dd_survival(np.array([0.5, np.nan, 0.7]), DD, case1)
 
 
+@pytest.mark.parametrize("t", [1j, [[0.1], [0.1, 0.2]], "a"],
+                         ids=["complex", "ragged", "text"])
+@pytest.mark.parametrize("entry", [
+    lambda t, p: ps.survival(t, None, p),
+    lambda t, p: ps.fidelity(STATE, t, FINITE, p),
+    lambda t, p: ps.free_survival_slope(t, p),
+    lambda t, p: FINITE.segment_of(t),
+], ids=["survival", "fidelity", "free-slope", "segment-of"])
+def test_what_numpy_cannot_read_as_times_is_refused(case1, entry, t):
+    # numpy's raw TypeError or ValueError escaped from the conversion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ps.ParameterError, match=r"^time must be a real "
+                           r"number or a sequence or array of them, of one "
+                           rf"shape; got {type(t).__name__}$"):
+            entry(t, case1)
+
+
 # ---------------------------------------------------------------------------
 # continuity: across window edges and across the critical branch
 
@@ -746,6 +764,21 @@ def _masked_apply(e, x, xd, own):
             np.where(own, np.multiply(e10, x) + np.multiply(e11, xd), xd))
 
 
+def _reference_product(a, b):
+    """The per-entry 2x2 product, each entry a sum of two _cmul products."""
+    return [transfer._cmul(a[i], b[j]) + transfer._cmul(a[i + 1], b[j + 2])
+            for i in (0, 2) for j in (0, 1)]
+
+
+def _masked_cycle_matrix(segments):
+    whole, c = [], (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+    for length, matrix, k in segments:
+        e00, e01, e10, e11 = matrix(length)
+        whole.append((e00, e01, k * e10, k * e11))
+        c = _reference_product(whole[-1], c)
+    return whole, c
+
+
 def _masked_powers(m, c):
     which = ...
     if np.ndim(m) and not np.ndim(c[0]):
@@ -755,7 +788,7 @@ def _masked_powers(m, c):
         x, xd = _masked_apply(c, x, xd, m % 2.0 == 1.0)
         m = m // 2.0
         live = [np.where(m > 0.0, e, 0.0) for e in c] if np.ndim(c[0]) else c
-        c = transfer._product(live, live) if np.count_nonzero(m) else c
+        c = _reference_product(live, live) if np.count_nonzero(m) else c
     return x[which], xd[which]
 
 
@@ -769,7 +802,7 @@ def _masked_state(t, params, cycle):
     if period is None:
         x, xd = np.ones(ts.shape, complex), np.zeros(ts.shape, complex)
     else:
-        whole, c = transfer._cycle_matrix(segments)
+        whole, c = _masked_cycle_matrix(segments)
         x, xd = _masked_powers(m, c)
     k = np.zeros(ts.shape, int)
     for j, (length, _, _) in enumerate(segments[:-1]):
@@ -791,6 +824,59 @@ def _same_bits(got, want) -> bool:
     got, want = (np.atleast_1d(np.asarray(a)) for a in (got, want))
     return got.dtype == want.dtype and np.array_equal(
         got.view(np.uint8), want.view(np.uint8))
+
+
+# every float, signed zeros and infinities included, and NaN as an invalid
+# operation makes it.  Of two NaN operands, numpy's float and complex add
+# loops keep the first's or the second's payload by loop and length (a
+# length-1 complex add differs from a length-7 one), so no product fixes a
+# payload; repr and the CSV write every NaN as nan.
+_PARTS = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64, allow_nan=False),
+                   st.sampled_from([0.0, -0.0, math.inf - math.inf]))
+
+
+def _entries(shape):
+    """Four complex entries of the shape, real and imaginary parts drawn."""
+    size = math.prod(shape)
+    cells = st.lists(_PARTS, min_size=2 * size, max_size=2 * size)
+
+    def entry(values):
+        e = np.empty(shape, complex)
+        e.real, e.imag = (np.reshape(values[k::2], shape) for k in (0, 1))
+        return e
+    return st.lists(cells.map(entry), min_size=4, max_size=4)
+
+
+@given(data=st.data(), shape=st.sampled_from([(), (1,), (7,)]))
+@np.errstate(all="ignore")  # inf and NaN parts overflow and 0 * inf
+def test_product_has_the_bits_of_the_per_entry_product(data, shape):
+    # each entry's parts are read once, and a squaring forms a01 a10 once;
+    # both must give the bits of two _cmul products summed per entry
+    a, b = (data.draw(_entries(shape)) for _ in range(2))
+    for left, right in ((a, b), (a, a)):
+        assert all(map(_same_bits, transfer._product(left, right),
+                       _reference_product(left, right)))
+
+
+@pytest.mark.parametrize("lams, times", [
+    ([0.01, 0.01, 50.0, 50.0], [0.05, 0.35, 4.05, 1000.05]),
+    ([0.01, 50.0], [0.05, 1000.05]),
+], ids=["three-bits", "one-done-before"])
+def test_cells_finishing_at_different_bits_match_each_alone(lams, times):
+    # m = 0, 3, 40 and 10**4 need 0, 2, 6 and 14 bits.  The growing cells
+    # (x' doubles at each cycle end) finish first, and their matrix squared
+    # on would overflow; one done before the first bit must be zeroed
+    # although no other cell finishes for 13 squarings
+    cycle = transfer.Cycle(0.1, ((0.1, 0.0, 2.0),))
+    params = ps.ModelParams.from_effective_rate(np.array(lams), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = transfer.evaluate(times, params, cycle, lambda *a: a[:2])
+        alone = [transfer.evaluate(t, ps.ModelParams.from_effective_rate(
+            lam, 1.0), cycle, lambda *a: a[:2]) for t, lam in zip(times, lams)]
+        # as the masked reference squares them
+        _assert_matches_masked(np.array(times), params, cycle)
+    assert repr(batch) == repr(alone)
 
 
 def _assert_matches_masked(t, params, cycle):
