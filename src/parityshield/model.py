@@ -58,12 +58,17 @@ def _derive(lam, w_coupling, alpha1, alpha2):
     """((alpha, r_rate, omega, branch), checks for refuse) of one cell's or
     per-cell couplings.  The interval dynamics x'' + lam x' + R^2 x = 0
     split by the root of lam^2 - 4 R^2: omega is its magnitude, 0.0 on the
-    critical branch, and the branch tags its sign."""
+    critical branch, and the branch tags its sign.  Squares are taken in
+    float64, where a numpy int's would wrap."""
     broadcast(ParameterError, lam=lam, w_coupling=w_coupling, alpha1=alpha1,
               alpha2=alpha2)
+    if cells := [f"{key} of shape {np.shape(a)}" for key, a in
+                 (("alpha1", alpha1), ("alpha2", alpha2)) if np.ndim(a)]:
+        raise ParameterError("the coupling weights are one pair for every "
+                             "cell; got " + ", ".join(cells))
     alpha = math.hypot(alpha1, alpha2)
-    r_rate = alpha * w_coupling
-    lam_sq, r4_sq = lam * lam, 4.0 * r_rate * r_rate
+    r_rate = _scalar(np.multiply(alpha, w_coupling))
+    lam_sq, r4_sq = np.square(lam, dtype=float), 4.0 * r_rate * r_rate
     disc, scale = lam_sq - r4_sq, np.maximum(lam_sq, r4_sq)
     critical = abs(disc) <= _CRITICAL_RTOL * scale
     omega = np.where(critical, 0.0, np.sqrt(abs(disc)))
@@ -154,7 +159,9 @@ class ModelParams:
         record keeps the caller's omega bit for bit on overdamped cells.
         """
         broadcast(ParameterError, lam=lam, omega=omega)
-        r_rate = _scalar(np.sqrt((lam - omega) * (lam + omega)) / 2.0)
+        # in float64, where a numpy int's products would wrap
+        lam_f, omega_f = np.asarray(lam, float), np.asarray(omega, float)
+        r_rate = _scalar(np.sqrt((lam_f - omega_f) * (lam_f + omega_f)) / 2.0)
         split = "the damping split lam^2 - 4 R^2: lam={}, omega={}"
         refuse(ParameterError, [
             # inf - inf would reach the split as NaN
@@ -166,8 +173,8 @@ class ModelParams:
              "0 <= omega <= lam, got omega={}, lam={}; use from_effective_rate"
              " for the oscillatory regime", omega, lam),
             # 4 R^2 <= lam^2: an overflow or underflow shows in lam^2
-            (lam * lam < math.inf, "rates overflow " + split, lam, omega),
-            (lam * lam >= _TINY, "rates underflow " + split, lam, omega),
+            (lam_f * lam_f < math.inf, "rates overflow " + split, lam, omega),
+            (lam_f * lam_f >= _TINY, "rates underflow " + split, lam, omega),
             (r_rate > 0.0, "omega == lam gives zero coupling rate"),
             # R is derived from omega, so lam^2 - 4 R^2 is omega^2 to a few
             # ulps of lam^2, far inside the critical window: omega is the

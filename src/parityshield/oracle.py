@@ -37,9 +37,10 @@ Two backends with no shared numerics:
   532, 1985), so a run is O(n log^2 n); within a leaf, a run's steps are
   one Toeplitz system in the increments of S, solved by its discrete
   resolvent (Brunner, Volterra Integral Equations, CUP 2017, ch. 2).
-  Every convolution, direct or by FFT, takes the real and imaginary parts
-  of its operands apart and skips a part that is all zero, so an undriven
-  run from a real state, whose history is real, computes on real data.
+  A run decides the dtype of its history once: float64 if no segment
+  drives it and it starts from real amplitudes, as the history is then
+  real, and complex128 otherwise; each FFT block transforms a complex
+  history's real and imaginary parts as two rows of one real transform.
 
 A leak accumulator integrates the outflow 2 Re(h1 conj(r1) + h2 conj(r2))
 (equivalently 2 Re(I conj(S)) for the quadrature backend; the augmented
@@ -213,7 +214,8 @@ def _step_map(params: ModelParams, dt: float, order: int,
     The step is y -> y + D y with leak increment Re(y^H Q y): D and Q are
     the stage formulas applied to the identity.
     """
-    w_sq = params.w_coupling * params.w_coupling
+    # squared as a float: a numpy int's square would wrap
+    w_sq = float(params.w_coupling) * float(params.w_coupling)
     al1, al2 = params.alpha1, params.alpha2
     c1, c2 = w_sq * al1, w_sq * al2
     # a drive window shifts the kernel pole to lam - i phi
@@ -294,32 +296,6 @@ def _fast_length(m: int) -> int:
     return best
 
 
-def _parts(z: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The real and imaginary parts of z that are not all zero, as (0, real
-    part) and (1, imaginary part): the oracle's sums take each apart, so
-    they pay nothing for a zero imaginary part."""
-    if not np.iscomplexobj(z):
-        return [(0, z)]
-    return [(i, part) for i, part in enumerate((z.real, z.imag))
-            if np.count_nonzero(part)]
-
-
-def _convolve(a: np.ndarray, b: np.ndarray, terms: slice):
-    """np.convolve(a, b)[terms] by one real convolution per pair of parts of
-    a and b (see _parts): real, or 0.0, unless an imaginary part enters."""
-    real = imag = 0.0
-    for i, x in _parts(a):
-        for j, y in _parts(b):
-            term = np.convolve(x, y)[terms]
-            if i + j == 1:
-                imag = imag + term
-            elif i:  # i i = -1
-                real = real - term
-            else:
-                real = real + term
-    return real + 1j * imag if np.ndim(imag) else real
-
-
 def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
             spectra: dict, kernel) -> int:
     """Add the history sums of the h nodes before node j to far[j:j + h],
@@ -327,29 +303,30 @@ def _spread(far: np.ndarray, ws: np.ndarray, j: int, h: int,
 
     One circular convolution of a fast length at or above h plus their
     count has no wrap-around.  spectra caches the kernel's real transforms
-    by length; kernel(length) samples it.  The real and imaginary parts of
-    the history are convolved apart (see _parts), so a real history stays
-    real and costs one real transform.
+    by length; kernel(length) samples it.  A real history is one row of
+    one real transform, a complex one its real and imaginary parts as two
+    rows, read in place.
     """
     into = far[j:j + h]
     length = _fast_length(h + len(into))
     if length not in spectra:
         spectra[length] = np.fft.rfft(kernel(length))
-    if parts := _parts(ws[j - h:j]):
-        sums = np.fft.rfft(np.stack([part for _, part in parts]), length)
-        sums *= spectra[length]
-        sums = np.fft.irfft(sums, length)[:, h:h + len(into)]
-        for (i, _), row in zip(parts, sums):
-            (into.imag if i else into.real)[...] += row
+    sums = np.fft.rfft(ws[j - h:j].view(float).reshape(h, -1).T, length)
+    sums *= spectra[length]
+    sums = np.fft.irfft(sums, length)[:, h:h + len(into)]
+    into.view(float).reshape(len(into), -1)[...] += sums.T
     return j + len(into)
 
 
-def _piece_map(rate: float, dt: float, a: float, e: float, kz: np.ndarray):
+def _piece_map(rate: float, dt: float, a: float, e: float, kz: np.ndarray,
+               dtype: type):
     """(v, B, C, g - 1, q^i - 1) of the pieces at one drive rate: a Heun step
     is S' = S + (A - 1) S + B P + C P', P, P' the signed history sums at its
     nodes; v is a piece's increments per unit first S, g - 1 takes its known
     increments to its increments, q turns the dark combination by a step.
-    Pieces reuse them, so they are formed in long double where it exists."""
+    Pieces reuse them, so they are formed in long double where it exists,
+    and held in the run's dtype: float keeps only the real parts, all there
+    are at rate 0."""
     dt, kz = np.longdouble(dt), kz.astype(np.longdouble)
     z = dt * (-1j * np.longdouble(rate) - a * e)
     am1, b, c = z + z * z / 2, -dt * a / 2 * (1 + z), -dt * a / 2
@@ -372,16 +349,28 @@ def _piece_map(rate: float, dt: float, a: float, e: float, kz: np.ndarray):
     while len(u) <= len(kz):
         uh = u[-1] + u[1] + u[-1] * u[1]
         u = np.concatenate((u, uh + u + uh * u))
-    return (t.astype(complex), complex(b), float(c), g.astype(complex),
-            u[:len(kz) + 1].astype(complex))
+    if dtype is float:
+        t, b, g, u = t.real, b.real, g.real, u.real
+    return (t.astype(dtype), dtype(b), float(c), g.astype(dtype),
+            u[:len(kz) + 1].astype(dtype))
+
+
+def _history_dtype(runs: list, x1: complex, x2: complex) -> type:
+    """float if no run drives and both amplitudes are real, as the history
+    of the quadrature is then real; complex otherwise."""
+    driven = any(rate for _, _, rate, _ in runs)
+    return complex if driven or x1.imag or x2.imag else float
 
 
 def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
                     x1: complex, x2: complex,
                     runs: list[tuple[int, int, float, float]]) -> OracleTrace:
     dt, al1, al2 = cfg.dt_num, params.alpha1, params.alpha2
-    w_sq = params.w_coupling * params.w_coupling
+    w_sq = float(params.w_coupling) * float(params.w_coupling)
     a, e = al1 * al1 + al2 * al2, w_sq * dt / 2.0
+    # numpy divides a complex array by a real as by its reciprocal: real and
+    # complex histories share their bits
+    inv_a = 1.0 / a
     r1, r2 = np.zeros((2, n + 1), dtype=complex)
     leak = np.zeros(n + 1)
 
@@ -391,17 +380,21 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
 
     # zero at lag 0, where S is the endpoint term and not history
     kz = np.concatenate(([0.0], kernel(_LEAF)[1:]))
-    maps = {rate: _piece_map(rate, dt, a, e, kz)
+    # far, ws, S, past and the piece maps hold the history in one dtype
+    dtype = _history_dtype(runs, x1, x2)
+    maps = {rate: _piece_map(rate, dt, a, e, kz, dtype)
             for rate in {rate for _, _, rate, _ in runs}}
     # far[j]: the sum over the leaves before node j's own; spectra: kernel FFTs
-    far, spectra, top = np.zeros(n + 1, dtype=complex), {}, 0
+    far, spectra, top = np.zeros(n + 1, dtype), {}, 0
     # ws[j] = u_j S_j once S_j is final.  A run's k is fac at its first node
     # (0 at node 0) and 1 at its other nodes.  u_j is node j's trapezoid
     # weight in the segment it starts, of sign sign, plus fac times its half
     # weight in the one before: zero at a pulse, dt/2 at a projection.
-    ws = np.zeros(n + 1, dtype=complex)
+    ws = np.zeros(n + 1, dtype)
     # S and the dark combination, which the history leaves out: it only turns
     s, d = al1 * x1 + al2 * x2, al2 * x1 - al1 * x2
+    if dtype is float:
+        s, d = s.real, d.real
     r1[0], r2[0] = x1, x2
 
     # The integral of W^2 e^{-lam(t_j - k)} S(k) from the last projection is
@@ -412,7 +405,7 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
     # of a run in one leaf; its nodes enter the history as sign u_j S_j = dt
     # S_j, so its increments of S solve one unit lower-triangular Toeplitz
     # system per rate, f + (g - 1) * f.  past is the sum at the last node.
-    past, sign = 0.0j, 1.0
+    past, sign = 0.0, 1.0
     # the reported amplitudes absorb the drive phase (the cycle-to-cycle
     # convention): each rate times its whole number of driven steps, which a
     # running sum would round
@@ -425,7 +418,7 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
         if not fac:
             # clear only what the old origin wrote past here
             far[lo + 1:top] = 0.0
-            start, past = lo, 0.0j
+            start, past = lo, 0.0
         # the run's first step has the endpoint weight fac e, not e
         past += sign * (fac - 1.0) * e * s
         v, b, c, g, q_pow = maps[rate]
@@ -440,24 +433,26 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
                                        kernel))
             # the sums at the piece's nodes over far and the leaf's to k0
             leaf = k0 + 1 - i % _LEAF
-            raw = far[new] + (_convolve(ws[leaf:k0 + 1], kz[:k1 + 1 - leaf],
-                                        slice(k0 + 1 - leaf, k1 + 1 - leaf))
+            raw = far[new] + (np.convolve(ws[leaf:k0 + 1], kz[:k1 + 1 - leaf])
+                              [k0 + 1 - leaf:k1 + 1 - leaf]
                               if k0 >= leaf else 0.0)
             hist = sign * np.concatenate(([past], raw))
             f = s * v[:m] + b * hist[:-1] + c * hist[1:]
-            f += _convolve(g[:m], f, slice(m))
+            f += np.convolve(g[:m], f)[:m]
             s1 = s + np.cumsum(f)
             s0 = np.concatenate(([s], s1[:-1]))
             ws[new] = dt * sign * s1
-            raw += _convolve(ws[new], kz[:m], slice(m))
+            raw += np.convolve(ws[new], kz[:m])[:m]
             hist[1:] = sign * raw
             # the leak 2 Re(hist conj(S)) at each step's two nodes
             h0 = hist[:-1] + e * s0
-            h1 = hist[1:] + e * (s0 + dt * (-1j * rate * s0 - a * h0))
+            # a drive turns S; undriven, a real history stays real
+            h1 = hist[1:] + e * (s0 + dt * (-1j * rate * s0 - a * h0 if rate
+                                            else -a * h0))
             leak[new] = dt * (h0 * s0.conj() + h1 * s1.conj()).real
             dd = d + d * q_pow[1:m + 1]
-            r1[new] = (al1 * s1 + al2 * dd) / a
-            r2[new] = (al2 * s1 - al1 * dd) / a
+            r1[new] = (al1 * s1 + al2 * dd) * inv_a
+            r2[new] = (al2 * s1 - al1 * dd) * inv_a
             # before any drive the phase is exactly 1
             if rate or turned:
                 phase = np.exp(turned + 1j * rate * dt * (

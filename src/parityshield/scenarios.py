@@ -241,7 +241,10 @@ def _rate(given: set[str]):
 
 
 def build_scenario(scenario: str, options: dict[str, str] | None = None) -> ScenarioConfig:
-    """Assemble a ScenarioConfig from merged config/CLI key-value options."""
+    """Assemble a ScenarioConfig from merged config/CLI key-value options;
+    ConfigError for a run kind that is not a scenario, as "sweep" is."""
+    if scenario not in SCENARIO_IDS:
+        raise ConfigError(f"unknown scenario {scenario!r}")
     opts, given = _merged(scenario, options)
     lam, (rate_key, make_params) = _number(opts, "lam"), _rate(given)
     params = make_params(lam, _number(opts, rate_key))

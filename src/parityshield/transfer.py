@@ -202,16 +202,18 @@ def _apply(e, x, xd):
 
 def _times(t) -> np.ndarray:
     """t as an array of floats; ParameterError if numpy cannot read it as
-    one, as a complex number, text or a ragged sequence."""
+    one, as text or a ragged sequence, or reads it as complex, which a cast
+    to float would take the real part of."""
     try:
         # a float becomes a 0-d array: it has no shape buffer, so a
         # single-time call leaves nothing behind in numpy's small-buffer
         # cache
-        return np.array(t, dtype=float)
+        if (ts := np.asarray(t)).dtype.kind != "c":
+            return ts.astype(float)
     except (TypeError, ValueError):
-        raise ParameterError("time must be a real number or a sequence or "
-                             "array of them, of one shape; got "
-                             f"{type(t).__name__}") from None
+        pass
+    raise ParameterError("time must be a real number or a sequence or array "
+                         f"of them, of one shape; got {type(t).__name__}")
 
 
 def _positions(ts: np.ndarray, period):
@@ -547,8 +549,14 @@ class FinitePulseSchedule:
                                 (self.window_length, self.phase_rate, 1.0)))
 
     def segment_of(self, t: float) -> tuple[str, int, float]:
-        """Classify t as ("free" | "in_pulse", cycle index, offset into cycle)."""
-        m, theta = _positions(_times(t), self.tau)
+        """Classify t as ("free" | "in_pulse", cycle index, offset into cycle);
+        ParameterError for times or cells but one of each."""
+        cells = np.shape(self.free_length)
+        if np.ndim(ts := _times(t)) or cells:
+            raise ParameterError(
+                "segment_of classifies one time of one cell; got times of "
+                f"shape {ts.shape} and cells of shape {cells}")
+        m, theta = _positions(ts, self.tau)
         tag = _TAGS[int(_past(theta, self.free_length, self.tau))]
         return tag, int(m), float(theta)
 

@@ -109,6 +109,20 @@ def _references(tree: ast.AST) -> Counter:
         or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
 
 
+def test_no_test_module_keeps_an_unread_private_name():
+    # a private helper or constant of a test module that nothing in the
+    # module reads outside its own definition outlived the tests it served
+    unread = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _references(tree)
+        unread += [f"{path.name}::{name}" for node in tree.body
+                   for name in _top_level_names(ast.Module([node], []))
+                   if name.startswith("_") and not name.startswith("__")
+                   and read[name] == _references(node)[name]]
+    assert unread == []
+
+
 def test_every_package_name_is_used():
     # a top-level name of the package that nothing reads outside its own
     # definition, in src/ or tests/, and that neither the README nor the

@@ -296,6 +296,51 @@ def test_columns_that_do_not_broadcast_are_refused(make, names):
                                "shape (3,)")
 
 
+@pytest.mark.parametrize("weights", [
+    (np.array([0.6, 0.8]), np.array([0.8, 0.6])), (np.array([0.6, 0.8]), 0.8),
+], ids=["both", "one"])
+def test_per_cell_weights_are_refused(weights):
+    # math.hypot's raw TypeError used to escape: the weights are one pair
+    with pytest.raises(ps.ParameterError, match=r"^the coupling weights are "
+                       r"one pair for every cell; got alpha1 of shape \(2,\)"):
+        ps.ModelParams(2.0, 1.0, *weights)
+
+
+# constructor -> the cells (lam, second coupling) it takes
+_INT_COUPLINGS = {
+    "record": (lambda lam, w: ps.ModelParams(lam, w, 0.6, 0.8),
+               [(2, 1), (3, 1), (2**32 + 1, 1), (3, 2**32 + 1)]),
+    "effective-rate": (ps.ModelParams.from_effective_rate,
+                       [(2, 1), (3, 1), (2**32 + 1, 1), (3, 2**32 + 1)]),
+    "mode-splitting": (ps.ModelParams.from_mode_splitting,
+                       [(2, 1), (3, 1), (2**32 + 1, 1), (2**32 + 1, 2**31)]),
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "int64", "int64-column"])
+@pytest.mark.parametrize("ctor", sorted(_INT_COUPLINGS))
+def test_integer_couplings_give_the_float_record(ctor, kind):
+    # a square past 2**31.5 raised a raw TypeError for a Python int and
+    # wrapped for a numpy int64; in float64 it is exact below 2**53
+    make, cells = _INT_COUPLINGS[ctor]
+    columns = [np.array(column) for column in zip(*cells)]
+    if kind == "int64-column":
+        records = [(make(*columns), i) for i in range(len(cells))]
+    else:
+        cast = int if kind == "int" else np.int64
+        records = [(make(*map(cast, cell)), None) for cell in cells]
+    for (record, i), cell in zip(records, cells):
+        want = make(*map(float, cell))
+        for name in _FIELDS:
+            got = getattr(record, name)
+            got = got[i].item() if np.ndim(got) else got
+            if name in ("lam", "w_coupling"):
+                assert got == getattr(want, name), (cell, name)
+            else:
+                # repr tells every bit of a float apart
+                assert repr(got) == repr(getattr(want, name)), (cell, name)
+
+
 # constructor of one value -> (its error, the column it names)
 _TAKES_A_NUMBER = {
     "record": (lambda v: ps.ModelParams(v, 1.0, 0.6, 0.8), ps.ParameterError,

@@ -143,6 +143,14 @@ def test_scenario_config_refuses_an_unknown_scenario():
         dataclasses.replace(ps.build_scenario("fig2"), scenario="fig9")
 
 
+@pytest.mark.parametrize("kind", ["fig9", "sweep"])
+def test_build_scenario_refuses_what_is_not_a_scenario(kind):
+    # the sweep is a run kind with an option row, but no scenario: it
+    # raised a raw KeyError for the tau its row lacks
+    with pytest.raises(ps.ConfigError, match=f"^unknown scenario '{kind}'$"):
+        ps.build_scenario(kind)
+
+
 @pytest.mark.parametrize("value", [None, 1, []], ids=["none", "int", "list"])
 @pytest.mark.parametrize("entry, expects", [
     (ps.time_grid, "time_grid takes a ScenarioConfig"),

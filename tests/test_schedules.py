@@ -30,6 +30,19 @@ def test_segment_classification(sched10):
     assert sched10.segment_of(0.18 + 1e-9)[0] == ps.IN_PULSE_SEGMENT
 
 
+@pytest.mark.parametrize("sched, t", [
+    (ps.FinitePulseSchedule(FINITE_TAU, 10), [0.1, 0.3]),
+    (ps.FinitePulseSchedule(FINITE_TAU, 10), np.array([0.1, 0.3])),
+    (ps.FinitePulseSchedule(np.array([0.2, 0.3]), 10), 0.1),
+    (ps.FinitePulseSchedule(FINITE_TAU, np.array([10, 20])), 0.1),
+], ids=["list", "array", "batch-tau", "batch-n-duty"])
+def test_segment_of_refuses_more_than_one_time_or_cell(sched, t):
+    # int() on the cycle index raised a raw TypeError
+    with pytest.raises(ps.ParameterError, match="^segment_of classifies one "
+                       "time of one cell; got times of shape "):
+        sched.segment_of(t)
+
+
 def test_invalid_schedule():
     with pytest.raises(ps.ConfigError):
         ps.FinitePulseSchedule(0.0, 10)

@@ -661,8 +661,11 @@ def test_nan_inside_ndarray_rejected(case1):
         ps.dd_survival(np.array([0.5, np.nan, 0.7]), DD, case1)
 
 
-@pytest.mark.parametrize("t", [1j, [[0.1], [0.1, 0.2]], "a"],
-                         ids=["complex", "ragged", "text"])
+@pytest.mark.parametrize("t", [
+    1j, np.array([1j]), [np.complex128(1j)], np.array([0.5 + 0j]),
+    [[0.1], [0.1, 0.2]], "a",
+], ids=["complex", "complex-array", "complex-scalars", "real-as-complex",
+        "ragged", "text"])
 @pytest.mark.parametrize("entry", [
     lambda t, p: ps.survival(t, None, p),
     lambda t, p: ps.fidelity(STATE, t, FINITE, p),
