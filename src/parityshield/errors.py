@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, refuse and its checks.
+"""Exception hierarchy of the package, its type gate, refuse and its checks.
 
 The CLI maps them onto exit codes: ParameterError, StateError and
 ConfigError (domain and usage problems) exit 1, ValidationFailure (a failed
@@ -30,6 +30,13 @@ class ConfigError(ParityShieldError):
 
 class ValidationFailure(ParityShieldError):
     """One or more validation checks missed their tolerance."""
+
+
+def expect(error: type[ParityShieldError], value, kinds, what: str) -> None:
+    """The type gate of every entry: raise error, what the entry takes
+    followed by value's type, unless value is one of kinds."""
+    if not isinstance(value, kinds):
+        raise error(f"{what}; got {type(value).__name__}")
 
 
 def refuse(error: type[ParityShieldError], checks) -> None:

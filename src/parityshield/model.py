@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (ParameterError, StateError, broadcast, number, positive,
-                     refuse)
+from .errors import (ParameterError, StateError, broadcast, expect, number,
+                     positive, refuse)
 
 BRANCH_OVERDAMPED = "overdamped"
 BRANCH_CRITICAL = "critical"
@@ -241,9 +241,7 @@ def schedule_cycle(sched, cells: str) -> Cycle | None:
     if (cycle := getattr(sched, "cycle", None)) is None:
         raise ParameterError(f"sched must be None or a schedule, {cells}; "
                              f"got {type(sched).__name__}")
-    if not isinstance(cycle, Cycle):
-        raise ParameterError("a schedule's cycle must be a Cycle; got "
-                             f"{type(cycle).__name__}")
+    expect(ParameterError, cycle, Cycle, "a schedule's cycle must be a Cycle")
     return cycle
 
 

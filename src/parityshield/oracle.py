@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, number
+from .errors import ConfigError, ParameterError, expect, number
 from .model import ModelParams, OddParityState, recompose, schedule_cycle
 
 EXACT_AUGMENTED = "exact-augmented"
@@ -471,9 +471,8 @@ def _run_quadrature(params: ModelParams, n: int, cfg: OracleConfig,
 def _one_cell(params, sched, state0):
     """The cycle of sched (None for free decay); refuse with ParameterError
     what integrate cannot integrate: it runs one cell, from one state."""
-    if not isinstance(params, ModelParams):
-        raise ParameterError("params must be a ModelParams, of one cell; got "
-                             f"{type(params).__name__}")
+    expect(ParameterError, params, ModelParams,
+           "params must be a ModelParams, of one cell")
     cycle = schedule_cycle(sched, "of one cell")
     fields = (params.lam, params.w_coupling, params.alpha1, params.alpha2,
               *((cycle.period, *(f for seg in cycle.segments for f in seg))
@@ -481,9 +480,8 @@ def _one_cell(params, sched, state0):
     if shapes := {np.shape(f) for f in fields} - {()}:
         raise ParameterError("the oracle integrates one cell; got per-cell "
                              f"fields of shape {sorted(shapes)}")
-    if state0 is not None and not isinstance(state0, OddParityState):
-        raise ParameterError("state0 must be None or an OddParityState; got "
-                             f"{type(state0).__name__}")
+    expect(ParameterError, state0, (OddParityState, type(None)),
+           "state0 must be None or an OddParityState")
     return cycle
 
 
@@ -503,9 +501,7 @@ def integrate(params: ModelParams, sched, t_max: float, cfg: OracleConfig,
     schedule or None and an OddParityState or None, is refused with
     ParameterError, and a cfg that is not an OracleConfig with ConfigError.
     """
-    if not isinstance(cfg, OracleConfig):
-        raise ConfigError(
-            f"cfg must be an OracleConfig; got {type(cfg).__name__}")
+    expect(ConfigError, cfg, OracleConfig, "cfg must be an OracleConfig")
     cycle = _one_cell(params, sched, state0)
     _check_resolution(cfg.dt_num, params)
     n = _steps_for(t_max, cfg.dt_num)

@@ -35,7 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, broadcast, positive, refuse
+from .errors import (ConfigError, ParameterError, broadcast, expect, positive,
+                     refuse)
 from .model import Cycle, ModelParams, OddParityState, schedule_cycle
 
 # beyond this value of Re(lam_c) * s the hyperbolic factors overflow before
@@ -254,12 +255,10 @@ def _segments(params, cycle, shape=()):
     free decay, one endless segment): numbers or per-cell arrays of the
     times' shape, a batch's period per cell (see _distinct), k numbers.
     A cycle that is not None or a Cycle is refused with ParameterError."""
-    if not isinstance(params, ModelParams):
-        raise ParameterError("params must be a ModelParams, a batch one of "
-                             f"per-cell arrays; got {type(params).__name__}")
-    if cycle is not None and not isinstance(cycle, Cycle):
-        raise ParameterError("a cycle must be None or a Cycle; got "
-                             f"{type(cycle).__name__}")
+    expect(ParameterError, params, ModelParams,
+           "params must be a ModelParams, a batch one of per-cell arrays")
+    expect(ParameterError, cycle, (Cycle, type(None)),
+           "a cycle must be None or a Cycle")
     period, segments = ((None, ((math.inf, 0.0, 1.0),)) if cycle is None
                         else (cycle.period, cycle.segments))
     shapes = {np.shape(f) for f in (params.lam, params.r_rate, period, *(
@@ -609,9 +608,8 @@ def fidelity(state0: OddParityState, t, sched, params):
     tags as in survival.  The drive phase cancels in the modulus (see
     overlap), so the value stays continuous across window edges.  A state0
     that is not an OddParityState is refused with ParameterError."""
-    if not isinstance(state0, OddParityState):
-        raise ParameterError("state0 must be an OddParityState; got "
-                             f"{type(state0).__name__}")
+    expect(ParameterError, state0, OddParityState,
+           "state0 must be an OddParityState")
     (cycle, drive), value = _drive(sched), overlap(state0)
     return evaluate(t, params, cycle, value if drive is None else
                     lambda x, xd, k, _: (value(x), drive(k)[1]))
