@@ -47,11 +47,6 @@ def _scalar(a):
     return a.item() if np.ndim(a) == 0 else a
 
 
-def _weight(a: complex, b: complex) -> float:
-    """|a|^2 + |b|^2, inf past the float range (a power raises instead)."""
-    return abs(a) * abs(a) + abs(b) * abs(b)
-
-
 # past the float range the squares are inf (and refused): no warning
 @np.errstate(over="ignore", invalid="ignore")
 def _derive(lam, w_coupling, alpha1, alpha2):
@@ -246,8 +241,8 @@ def schedule_cycle(sched, cells: str) -> Cycle | None:
 
 
 class _AmplitudePair:
-    """The norm check and the normalized constructor of both amplitude
-    pairs, frozen dataclasses of two complex fields."""
+    """The type and norm checks and the normalized constructor of both
+    amplitude pairs, frozen dataclasses of two complex fields."""
 
     def __post_init__(self):
         # written so that a NaN norm fails it too
@@ -256,11 +251,21 @@ class _AmplitudePair:
 
     @property
     def norm_sq(self) -> float:
-        return _weight(*(getattr(self, f.name) for f in fields(self)))
+        return self._weight(*(getattr(self, f.name) for f in fields(self)))
+
+    @classmethod
+    def _weight(cls, *pair) -> float:
+        """|a|^2 + |b|^2, inf past the float range (a power raises
+        instead); StateError unless both are numbers."""
+        for f, value in zip(fields(cls), pair):
+            expect(StateError, value, (numbers.Number, np.ndarray),
+                   f"{f.name} must be a number")
+        a, b = pair
+        return abs(a) * abs(a) + abs(b) * abs(b)
 
     @classmethod
     def _normalized(cls, a: complex, b: complex):
-        if not abs((n := _weight(a, b)) - 1.0) <= 1e-12:
+        if not abs((n := cls._weight(a, b)) - 1.0) <= 1e-12:
             raise StateError(f"initial state must be normalized, |.|^2 = {n}")
         return cls(complex(a), complex(b))
 
@@ -311,6 +316,9 @@ def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
     so the transform is its own transpose-inverse and preserves the 2-norm
     exactly.
     """
+    expect(ParameterError, phys, PhysicalAmplitudes,
+           "phys must be a PhysicalAmplitudes")
+    expect(ParameterError, params, ModelParams, "params must be a ModelParams")
     a1, a2 = params.basis_weights
     beta1 = a2 * phys.c10 - a1 * phys.c01
     beta2 = a1 * phys.c10 + a2 * phys.c01
@@ -319,6 +327,9 @@ def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
 
 def recompose(state: OddParityState, params: ModelParams) -> PhysicalAmplitudes:
     """Inverse of decompose (exact, orthonormal change of basis)."""
+    expect(ParameterError, state, OddParityState,
+           "state must be an OddParityState")
+    expect(ParameterError, params, ModelParams, "params must be a ModelParams")
     a1, a2 = params.basis_weights
     c10 = a2 * state.beta1 + a1 * state.beta2
     c01 = -a1 * state.beta1 + a2 * state.beta2

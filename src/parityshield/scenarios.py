@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -130,6 +132,11 @@ class ScenarioConfig:
     run_id: str
 
     def __post_init__(self):
+        expect(ConfigError, self.schedules, (tuple, list),
+               "schedules are a tuple of schedules")
+        for key in ("t_max", "samples_per_unit_time"):
+            expect(ConfigError, getattr(self, key), (numbers.Real, np.ndarray),
+                   f"{key} must be a real number")
         if self.scenario not in SCENARIO_IDS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not (0.0 < self.t_max < math.inf):
@@ -198,7 +205,10 @@ def option_flag(key: str) -> tuple[str, str]:
 
 def _merged(kind: str, options: dict | None) -> tuple[dict, set[str]]:
     """(defaults updated by the given options, the given keys) for a run
-    of kind; a key the run does not read is refused."""
+    of kind; options that are not a mapping or None, or a key the run does
+    not read, are refused."""
+    expect(ConfigError, options, (Mapping, type(None)),
+           f"{kind} options are a mapping of keys to texts, or None")
     options = options or {}
     row = option_keys(kind)
     unread = sorted(set(options) - set(row))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -56,8 +57,10 @@ _GRID_FUZZ = 1e-12
 _MAX_CYCLES = 2.0 ** 53
 # from this period on every finite time lies within _MAX_CYCLES cycles
 _MAX_PERIOD = np.finfo(float).max / _MAX_CYCLES
-# below this magnitude a product of two floats stays in the float range
-_HALF_RANGE = 2.0 ** 511
+# below this magnitude a product of two floats stays in the float range; a
+# float64, which a float32 or float16 operand is compared in (a Python float
+# would be cast to the operand's type, and overflow)
+_HALF_RANGE = np.float64(2.0 ** 511)
 # e^x is 0.0 for every float x below this
 _EXP_FLOOR = -746.0
 
@@ -406,6 +409,14 @@ def overlap(state: OddParityState):
 
 # protocols: schedules, linked to the core by their cycle, and closed forms
 
+def _float64(interval):
+    """A schedule's interval in float64: a column as a float64 array, a
+    numpy scalar as the Python float, a Python int or float as it is."""
+    if np.ndim(interval):
+        return np.asarray(interval, float)
+    return interval if type(interval) in (int, float) else float(interval)
+
+
 @dataclass(frozen=True)
 class ZenoSchedule:
     """Repeated vacuum projection every delta_t time units.
@@ -422,6 +433,7 @@ class ZenoSchedule:
 
     def __post_init__(self):
         broadcast(ConfigError, delta_t=self.delta_t)
+        object.__setattr__(self, "delta_t", _float64(self.delta_t))
         refuse(ConfigError, [positive("measurement interval", self.delta_t)])
 
     @cached_property
@@ -445,6 +457,7 @@ class DdSchedule:
 
     def __post_init__(self):
         broadcast(ConfigError, tau=self.tau)
+        object.__setattr__(self, "tau", _float64(self.tau))
         refuse(ConfigError, [positive("pulse interval", self.tau)])
 
     @cached_property
@@ -471,6 +484,11 @@ class RecursionCoeffs:
     @classmethod
     def from_state(cls, x: complex, xd: complex, m: int,
                    params: ModelParams) -> "RecursionCoeffs":
+        for what, value in (("x", x), ("xd", xd)):
+            expect(ParameterError, value, (numbers.Number, np.ndarray),
+                   f"{what} must be a number")
+        expect(ParameterError, params, ModelParams,
+               "params must be a ModelParams")
         omega = params.omega or 1.0
         return cls(x, (2.0 * xd + params.lam * x) / omega, m)
 
@@ -512,6 +530,7 @@ class FinitePulseSchedule:
     def __post_init__(self):
         n = self.n_duty
         broadcast(ConfigError, counts=("n_duty",), tau=self.tau, n_duty=n)
+        object.__setattr__(self, "tau", _float64(self.tau))
         whole = isinstance(n, int) or np.asarray(n).dtype.kind in "iu"
         refuse(ConfigError, [positive("cycle interval", self.tau), (
             whole and n >= 2, "duty parameter must be an integer >= 2, got "

@@ -114,7 +114,7 @@ def _free_closed_form() -> np.ndarray:
 
 
 def _agreement(a, b) -> float:
-    return float(np.max(np.abs(a.beta2 - b.beta2)))
+    return _gap(a, b.beta2)
 
 
 def _dark_drift(*traces) -> float:
@@ -220,8 +220,7 @@ _CHECKS = (
            lambda: abs((1.0 - free_survival(1e-3, _CASE1))
                        / (_R_SQ * 1e-3 ** 2 / 2.0) - 1.0)),
     _Check("dd_recursion_vs_augmented", 1e-6, "<=", (_Run(_DD),),
-           lambda tr: np.max(np.abs(
-               tr.beta2 - dd_survival(tr.times, _DD, _CASE1)))),
+           lambda tr: _gap(tr, dd_survival(tr.times, _DD, _CASE1))),
     _Check("dd_backend_agreement", 5e-5, "<=",
            (_Run(_DD), _Run(_DD, DIRECT_QUADRATURE, order=2)), _agreement),
     _Check("dd_slope_reversal", 1.0, "<=", (), _slope_reversal),

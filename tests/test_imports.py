@@ -76,6 +76,26 @@ def test_no_unused_imports(module):
     assert sorted(bound - used) == [], module
 
 
+def _type_refusals(tree: ast.AST) -> list[int]:
+    """Lines of the ifs in tree that test not isinstance(...) and do nothing
+    but raise."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.If) and not node.orelse
+            and all(isinstance(s, ast.Raise) for s in node.body)
+            and any(isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not)
+                    and isinstance(n.operand, ast.Call)
+                    and getattr(n.operand.func, "id", None) == "isinstance"
+                    for n in ast.walk(node.test))]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"errors"}))
+def test_type_refusals_go_through_expect(module):
+    # errors.expect is the one code that refuses an argument for its type,
+    # so every such refusal names the type taken and the type given alike
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert _type_refusals(tree) == [], module
+
+
 def _top_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,

@@ -106,3 +106,43 @@ def test_schedule_columns_that_do_not_broadcast_are_refused():
         ps.FinitePulseSchedule(np.array([0.2, 0.3]), np.array([10, 20, 30]))
     assert str(info.value) == ("per-cell columns do not broadcast together: "
                                "tau of shape (2,), n_duty of shape (3,)")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("make", [
+    ps.ZenoSchedule, ps.DdSchedule,
+    lambda tau: ps.FinitePulseSchedule(tau, np.int64(10))],
+    ids=["zeno", "dd", "dd-finite"])
+def test_numpy_float_interval_is_held_as_the_python_float(make, dtype):
+    # numpy 2 wrote dd(np.float64(0.1)), which parse_schedule refuses
+    sched = make(dtype(0.1))
+    assert sched == make(float(dtype(0.1)))
+    assert ps.parse_schedule(ps.format_schedule(sched)) == sched
+
+
+def test_scenario_of_numpy_intervals_checks_its_ordering(case1):
+    # its schedules metadata was unparseable, and the ordering check raised
+    # ConfigError: bad schedule descriptor 'zeno(np.float64(0.1))'
+    tau = np.linspace(0.1, 0.2, 2)[0]
+    cfg = ps.ScenarioConfig(
+        "fig2", case1, (None, ps.ZenoSchedule(tau), ps.DdSchedule(tau)),
+        1.0, 100, ps.OddParityState.superradiant(), "superradiant", "numpy")
+    trace = ps.compute_trace(cfg)
+    assert trace.metadata["schedules"] == "none|zeno(0.1)|dd(0.1)"
+    ps.check_fig2_ordering(trace)
+
+
+@pytest.mark.parametrize("tau", [np.float32(FINITE_TAU),
+                                 np.array([FINITE_TAU, 0.3], np.float32)],
+                         ids=["scalar", "column"])
+def test_float32_finite_schedule_is_its_float64_schedule(case1, tau):
+    # lengths rounded in float32 did not fill the period: "segment
+    # durations sum to 0.19999998807907104, which does not fill the cycle
+    # period 0.20000000298023224"
+    single = ps.FinitePulseSchedule(tau, 10)
+    double = ps.FinitePulseSchedule(tau.astype(np.float64), 10)
+    assert np.asarray(single.cycle.period).dtype == np.float64
+    t = np.full(tau.shape, 0.5)
+    for got, want in zip(ps.finite_dd_survival(t, single, case1),
+                         ps.finite_dd_survival(t, double, case1)):
+        np.testing.assert_array_equal(got, want)
