@@ -33,8 +33,8 @@ class ValidationFailure(ParityShieldError):
 
 
 def expect(error: type[ParityShieldError], value, kinds, what: str) -> None:
-    """The type gate of every entry: raise error, what the entry takes
-    followed by value's type, unless value is one of kinds."""
+    """The type gate of every entry: unless value is one of kinds, raise
+    error with what (the type the entry takes, in its words) and value's."""
     if not isinstance(value, kinds):
         raise error(f"{what}; got {type(value).__name__}")
 

@@ -254,13 +254,12 @@ class _AmplitudePair:
         return self._weight(*(getattr(self, f.name) for f in fields(self)))
 
     @classmethod
-    def _weight(cls, *pair) -> float:
+    def _weight(cls, a: complex, b: complex) -> float:
         """|a|^2 + |b|^2, inf past the float range (a power raises
         instead); StateError unless both are numbers."""
-        for f, value in zip(fields(cls), pair):
+        for f, value in zip(fields(cls), (a, b)):
             expect(StateError, value, (numbers.Number, np.ndarray),
                    f"{f.name} must be a number")
-        a, b = pair
         return abs(a) * abs(a) + abs(b) * abs(b)
 
     @classmethod
@@ -314,7 +313,7 @@ def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
     The dark state is (alpha2 |10> - alpha1 |01>)/alpha and the superradiant
     one (alpha1 |10> + alpha2 |01>)/alpha; both rows are real and orthonormal,
     so the transform is its own transpose-inverse and preserves the 2-norm
-    exactly.
+    exactly.  An argument of another type is refused with ParameterError.
     """
     expect(ParameterError, phys, PhysicalAmplitudes,
            "phys must be a PhysicalAmplitudes")
@@ -326,7 +325,8 @@ def decompose(phys: PhysicalAmplitudes, params: ModelParams) -> OddParityState:
 
 
 def recompose(state: OddParityState, params: ModelParams) -> PhysicalAmplitudes:
-    """Inverse of decompose (exact, orthonormal change of basis)."""
+    """Inverse of decompose (exact, orthonormal change of basis), with its
+    refusals."""
     expect(ParameterError, state, OddParityState,
            "state must be an OddParityState")
     expect(ParameterError, params, ModelParams, "params must be a ModelParams")

@@ -79,9 +79,8 @@ _LEAK_ROWS = 4096
 
 # most steps in one run: at 104 B a step (peak RSS of the augmented backend,
 # measured from 10^5 to 10^6 steps), 1.0 GiB; the quadrature backend peaks
-# at 153 B a step at 10^5 steps and 141 B at 10^6, 1.4 GiB.  A float64,
-# which a float16 step count is compared in (a Python float would be cast to
-# float16, and overflow)
+# at 153 B a step at 10^5 steps and 141 B at 10^6, 1.4 GiB.  A float64, as a
+# Python float would take a float16 step count's type and overflow
 _MAX_STEPS = np.float64(1e7)
 
 

@@ -133,7 +133,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         expect(ConfigError, self.schedules, (tuple, list),
-               "schedules are a tuple of schedules")
+               "schedules are a tuple or list of schedules")
         for key in ("t_max", "samples_per_unit_time"):
             expect(ConfigError, getattr(self, key), (numbers.Real, np.ndarray),
                    f"{key} must be a real number")

@@ -58,8 +58,7 @@ _MAX_CYCLES = 2.0 ** 53
 # from this period on every finite time lies within _MAX_CYCLES cycles
 _MAX_PERIOD = np.finfo(float).max / _MAX_CYCLES
 # below this magnitude a product of two floats stays in the float range; a
-# float64, which a float32 or float16 operand is compared in (a Python float
-# would be cast to the operand's type, and overflow)
+# float64, as a Python float would take a float32 operand's type and overflow
 _HALF_RANGE = np.float64(2.0 ** 511)
 # e^x is 0.0 for every float x below this
 _EXP_FLOOR = -746.0
