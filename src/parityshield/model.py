@@ -86,6 +86,18 @@ def _derive(lam, w_coupling, alpha1, alpha2):
          "subnormal 4 R^2, which keeps only a few digits", r_rate)]
 
 
+def _symmetric(cls, lam, r_rate, *first):
+    """The record of class cls of (lam, R) under the symmetric weight split,
+    deriving the rest once; first's checks are refused before the
+    derivation's (see ModelParams.__post_init__)."""
+    params = cls.__new__(cls)
+    for name, value in zip(("lam", "w_coupling", "alpha1", "alpha2"),
+                           (lam, r_rate, _SYMMETRIC, _SYMMETRIC)):
+        object.__setattr__(params, name, value)
+    params.__post_init__(*first)
+    return params
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Reservoir and coupling constants plus derived damping-split data.
@@ -103,9 +115,10 @@ class ModelParams:
 
     The caller gives the first four; __post_init__ derives the rest, and
     derives them again under dataclasses.replace.  The classmethods build
-    the record from whichever input pair the caller has.  A batch of cells
-    is one record with per-cell arrays for lam and w_coupling, each cell
-    bit for bit its own record.
+    the record from whichever input pair the caller has, deriving the rest
+    once, after their own checks.  A batch of cells is one record with
+    per-cell arrays for lam and w_coupling, each cell bit for bit its own
+    record.
     """
 
     lam: float
@@ -117,10 +130,14 @@ class ModelParams:
     omega: float = field(init=False)
     branch: str = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, *first):
+        """Derive alpha, r_rate, omega and branch from the given four, once.
+        The first cell that fails a check of first (a classmethod's own) or
+        of the derivation is refused, with its first failed check's text
+        (see refuse)."""
         derived, checks = _derive(self.lam, self.w_coupling, self.alpha1,
                                   self.alpha2)
-        refuse(ParameterError, checks)
+        refuse(ParameterError, [*first, *checks])
         for name, value in zip(("alpha", "r_rate", "omega", "branch"),
                                derived):
             object.__setattr__(self, name, value)
@@ -139,10 +156,8 @@ class ModelParams:
         1/sqrt(2) with W = R.
         """
         broadcast(ParameterError, lam=lam, r_rate=r_rate)
-        refuse(ParameterError, [
-            positive("collective rate", r_rate),
-            *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC)[1]])
-        return cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
+        return _symmetric(cls, lam, r_rate,
+                          positive("collective rate", r_rate))
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")
@@ -158,7 +173,8 @@ class ModelParams:
         lam_f, omega_f = np.asarray(lam, float), np.asarray(omega, float)
         r_rate = _scalar(np.sqrt((lam_f - omega_f) * (lam_f + omega_f)) / 2.0)
         split = "the damping split lam^2 - 4 R^2: lam={}, omega={}"
-        refuse(ParameterError, [
+        params = _symmetric(
+            cls, lam, r_rate,
             # inf - inf would reach the split as NaN
             (np.isfinite(lam), "decay rate must be finite, got {}", lam),
             (np.isfinite(omega), "mode splitting must be finite, got {}",
@@ -170,12 +186,10 @@ class ModelParams:
             # 4 R^2 <= lam^2: an overflow or underflow shows in lam^2
             (lam_f * lam_f < math.inf, "rates overflow " + split, lam, omega),
             (lam_f * lam_f >= _TINY, "rates underflow " + split, lam, omega),
-            (r_rate > 0.0, "omega == lam gives zero coupling rate"),
-            # R is derived from omega, so lam^2 - 4 R^2 is omega^2 to a few
-            # ulps of lam^2, far inside the critical window: omega is the
-            # root on every overdamped cell
-            *_derive(lam, r_rate, _SYMMETRIC, _SYMMETRIC)[1]])
-        params = cls(lam, r_rate, _SYMMETRIC, _SYMMETRIC)
+            (r_rate > 0.0, "omega == lam gives zero coupling rate"))
+        # R is derived from omega, so lam^2 - 4 R^2 is omega^2 to a few ulps
+        # of lam^2, far inside the critical window: omega is the root on
+        # every overdamped cell
         object.__setattr__(params, "omega", _scalar(np.where(
             params.branch == BRANCH_OVERDAMPED, omega, params.omega)))
         return params

@@ -137,6 +137,9 @@ class ScenarioConfig:
         for key in ("t_max", "samples_per_unit_time"):
             expect(ConfigError, getattr(self, key), (numbers.Real, np.ndarray),
                    f"{key} must be a real number")
+        for key in ("initial_state_name", "run_id"):
+            expect(ConfigError, getattr(self, key), str,
+                   f"{key} must be a str")
         if self.scenario not in SCENARIO_IDS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not (0.0 < self.t_max < math.inf):

@@ -20,8 +20,10 @@ damping constant, and each ends in its own map (x, x') -> (x, k x'):
 Free decay has no cycle.  One evaluator works on cells x times: a batch
 of cells is one record and one schedule of per-cell arrays, one time each.
 Cycle m starts from binary powers of the cycle matrix, O(log m) and
-independent of other times and cells; nothing outlives the call.  One
-cell's E and powers run once per distinct time into a segment and m.
+independent of other times and cells; nothing outlives the call.  Their
+dtype follows the cycle: float64 for a real cycle matrix (every undriven
+one), complex128 for a driven one.  One cell's E and powers run once per
+distinct time into a segment and m.
 """
 
 from __future__ import annotations
@@ -99,7 +101,14 @@ def _product(a, b):
     """The 2x2 product a b of entries (e00, e01, e10, e11), each rounded as
     _cmul(a[i], b[j]) + _cmul(a[i + 1], b[j + 2]) from the entries' parts,
     read once.  A squaring (b is a) forms a01 a10 once: products and sums
-    commute, so it rounds as a10 a01."""
+    commute, so it rounds as a10 a01.  Float64 entries (a's and b's) give
+    float64 entries a[i] b[j] + a[i + 1] b[j + 2], the real part of that
+    formula with no imaginary part to read (see _powers for its zeros)."""
+    if not np.iscomplexobj(a[0]):
+        cross = a[1] * b[2]
+        return [a[0] * b[0] + cross, a[0] * b[1] + a[1] * b[3],
+                a[2] * b[0] + a[3] * b[2],
+                (cross if b is a else a[2] * b[1]) + a[3] * b[3]]
     ap = [(e.real, e.imag) for e in a]
     bp = ap if b is a else [(e.real, e.imag) for e in b]
     cross = _parts(*ap[1], *bp[2])
@@ -296,14 +305,30 @@ def _distinct(a, cell):
 
 
 def _powers(m, c):
-    """c**m applied to (1, 0), for an array m of whole numbers.
+    """c**m applied to (1, 0), for an array m of whole numbers, as complex.
 
     Binary powers: O(log m), once per distinct m of one cell.  Each state
     depends on its own m and cell only; a finished cell squares zeros, and
     nothing is squared after the last bit.
+
+    The dtype follows the cycle, decided here once: entries with no
+    imaginary part (every undriven cycle's, Zeno and dd) are squared and
+    applied in float64, others in complex128.  With imaginary parts +-0,
+    each complex real part ar br - ai bi rounds as ar br, so every nonzero
+    value keeps its bits, and the powers' imaginary parts are +0.0.  An
+    exact zero (an underflowed value, or the x' a projection k = 0 leaves)
+    takes the sign of the float64 products, where the complex ones'
+    -0.0 - (-0.0) gave +0.0; and an entry past the float range stays
+    +-inf, where the complex inf * 0 could give NaN.  No Zeno or dd cycle
+    gets there: x'^2 + R^2 x^2 never grows over a segment or at an end map
+    k of 0 or -1, which bounds every power's entries.
     """
     m, which = _distinct(m, c and c[0])
-    x, xd = np.ones(np.shape(m), complex), np.zeros(np.shape(m), complex)
+    if real := c is not None and not any(
+            map(np.count_nonzero, [e.imag for e in c])):
+        c = [e.real for e in c]
+    dtype = float if real else complex
+    x, xd = np.ones(np.shape(m), dtype), np.zeros(np.shape(m), dtype)
     # cells whose entries are not zeros yet, and cells with bits left
     kept, live = np.size(m), np.count_nonzero(m)
     while live:
@@ -316,7 +341,7 @@ def _powers(m, c):
         if live < kept and np.ndim(c[0]):
             c, kept = [np.where(m > 0.0, e, 0.0) for e in c], live
         c = _product(c, c)
-    return x[which], xd[which]
+    return np.asarray(x[which], complex), np.asarray(xd[which], complex)
 
 
 def cycle_start(m: int, params: ModelParams,

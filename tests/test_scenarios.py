@@ -138,6 +138,17 @@ def test_what_is_not_a_schedule_has_no_descriptor():
         ps.format_schedule(object())
 
 
+@pytest.mark.parametrize("key", ["initial_state_name", "run_id"])
+@pytest.mark.parametrize("value", [1.0, None, b"fig2"],
+                         ids=["float", "none", "bytes"])
+def test_scenario_config_refuses_text_fields_that_are_not_str(key, value):
+    # a float run_id was built, and render_svg then raised a raw
+    # AttributeError: 'float' object has no attribute 'translate'
+    with pytest.raises(ps.ConfigError, match=f"^{key} must be a str; got "
+                       f"{type(value).__name__}$"):
+        dataclasses.replace(ps.build_scenario("fig2"), **{key: value})
+
+
 def test_scenario_config_refuses_an_unknown_scenario():
     with pytest.raises(ps.ConfigError, match="^unknown scenario 'fig9'$"):
         dataclasses.replace(ps.build_scenario("fig2"), scenario="fig9")

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parityshield as ps
@@ -880,6 +880,91 @@ def test_cells_finishing_at_different_bits_match_each_alone(lams, times):
         # as the masked reference squares them
         _assert_matches_masked(np.array(times), params, cycle)
     assert repr(batch) == repr(alone)
+
+
+# R / lam on each damping branch: lam^2 - 4 R^2 positive, zero, negative
+_R_PER_LAM = st.one_of(st.floats(0.05, 0.45), st.just(0.5),
+                       st.floats(0.55, 25.0))
+
+
+@st.composite
+def _cycle_cells(draw):
+    """(lam, R, tau, m) of a cell on any damping branch, at a scale from
+    1e-150 to 1e150 (the values depend on lam tau, R tau and m only), after
+    a few cycles or up to 2**53."""
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+    lam = scale * draw(st.floats(0.1, 10.0))
+    return (lam, lam * draw(_R_PER_LAM), draw(st.floats(1e-2, 1e2)) / scale,
+            float(draw(st.one_of(st.integers(0, 70), st.integers(0, 2**53)))))
+
+
+def _same_but_zero_signs(got, want) -> bool:
+    """The real-cycle rule of _powers: every nonzero real part has want's
+    bits, a zero either sign, and every imaginary part is +0.0."""
+    nonzero = want.real != 0.0
+    return (_same_bits(got.imag.copy(), np.zeros(got.shape))
+            and not np.count_nonzero(want.imag)
+            and _same_bits(got.real[nonzero], want.real[nonzero])
+            and not np.count_nonzero(got.real[~nonzero]))
+
+
+# about one example in twenty flips a zero's sign
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["zeno", "dd", "dd-finite"]),
+       cells=st.lists(_cycle_cells(), min_size=1, max_size=6),
+       batch=st.booleans())
+def test_powers_match_the_complex_reference(kind, cells, batch):
+    # a batch's cells finish at different bits; one cell takes many m.
+    # Undriven cycles square in float64 and keep every nonzero bit of the
+    # complex squaring; a driven one squares in complex128, bit for bit
+    lam, r_rate, tau, m = (np.array(column) for column in zip(*cells))
+    if not batch:
+        lam, r_rate, tau = lam[0], r_rate[0], tau[0]
+    params = ps.ModelParams.from_effective_rate(lam, r_rate)
+    cycle = SCHEDULES[kind](tau, np.full(np.shape(tau), 10)).cycle
+    _, segments = transfer._segments(params, cycle, np.shape(tau))
+    got = transfer._powers(m, transfer._cycle_matrix(segments)[1])
+    want = _masked_powers(m, _masked_cycle_matrix(segments)[1])
+    for g, w in zip(got, want):
+        # no Zeno or dd power leaves the float range, where the complex
+        # product would give NaN for inf
+        assert np.all(np.isfinite(w))
+        assert (_same_bits(g, w) if kind == "dd-finite"
+                else _same_but_zero_signs(g, w))
+
+
+def test_zeno_projection_zero_takes_the_sign_of_the_real_products():
+    # the projection k = 0 makes x' an exact zero at every cycle start; on
+    # this underdamped cell, after three cycles, the float64 products give
+    # -0.0 where the complex ones gave +0.0
+    params = ps.ModelParams.from_effective_rate(2.0, 4.0)
+    cycle = ps.ZenoSchedule(0.5).cycle
+    x, xd = transfer.cycle_start(3, params, cycle)
+    _, segments = transfer._segments(params, cycle)
+    want = _masked_powers(np.array(3.0), _masked_cycle_matrix(segments)[1])
+    assert repr((x, xd)) == repr((complex(want[0]), complex(-0.0, 0.0)))
+    assert repr(complex(want[1])) == "0j"
+
+
+@pytest.mark.parametrize("kind, dtype", [("zeno", float), ("dd", float),
+                                         ("dd-finite", complex)])
+def test_squarings_take_the_dtype_of_the_cycle(kind, dtype, case1,
+                                               monkeypatch):
+    # an undriven cycle's matrix is real on every branch, so its squarings
+    # need no imaginary parts; a driven one's are complex
+    squarings = []
+    product = transfer._product
+
+    def recorded(a, b):
+        if b is a:
+            squarings.append(np.asarray(a[0]).dtype)
+        return product(a, b)
+    monkeypatch.setattr(transfer, "_product", recorded)
+    times = [0.05, 3.05, 40.0]
+    ps.fidelity(STATE, times, SCHEDULES[kind](0.1, 10), case1)
+    ps.survival(times, SCHEDULES[kind](np.full(3, 0.1), np.full(3, 10)),
+                _column([case1] * 3))
+    assert squarings and set(squarings) == {np.dtype(dtype)}
 
 
 def _assert_matches_masked(t, params, cycle):
